@@ -22,6 +22,7 @@ from .edgecut import (
     approx_global_edge_cut,
     approx_rooted_edge_cut,
     as_fraction,
+    clamp_epsilon,
     derive_seed,
     exact_global_edge_cut_oracle,
     exact_rooted_edge_cut_oracle,
@@ -73,7 +74,8 @@ def _build_parser():
                        help="exact oracle (one flow per candidate sink)")
         p.add_argument("--exact-small", action="store_true",
                        help="exact mode for integer capacities with a small optimum")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; solves run single-threaded")
         p.add_argument("--report", metavar="PATH",
                        help="also write the report as JSON")
         p.set_defaults(handler=_cmd_edge if name == "edge-cut" else _cmd_vertex)
@@ -105,7 +107,8 @@ def _build_parser():
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--epsilon", default="0.2")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=1)
+    v.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; solves run single-threaded")
     v.add_argument("--n", type=int, default=10)
     v.add_argument("--p", type=float)
     v.add_argument("--wmax", type=int)
@@ -145,16 +148,14 @@ def _cmd_edge(args) -> int:
             calls = 2 * (g.n - 1)
         algorithm = "exact"
     elif args.exact_small:
-        res = exact_small_edge_cut(g, root=root, seed=args.seed, threads=args.threads)
+        res = exact_small_edge_cut(g, root=root, seed=args.seed)
         cert, orient, calls = res.certificate, res.orientation, res.flow_calls
         algorithm = "exact-small"
     else:
         if root is not None:
-            res = approx_rooted_edge_cut(
-                g, root, eps, seed=args.seed, threads=args.threads
-            )
+            res = approx_rooted_edge_cut(g, root, eps, seed=args.seed)
         else:
-            res = approx_global_edge_cut(g, eps, seed=args.seed, threads=args.threads)
+            res = approx_global_edge_cut(g, eps, seed=args.seed)
         cert, orient, calls = res.certificate, res.orientation, res.flow_calls
         algorithm = "approx"
     elapsed = time.perf_counter() - started
@@ -168,7 +169,7 @@ def _cmd_edge(args) -> int:
         ("algorithm", algorithm),
         ("root", str(root + 1) if root is not None else "-"),
         ("orientation", orient),
-        ("epsilon", str(eps) if algorithm == "approx" else "-"),
+        ("epsilon", str(clamp_epsilon(eps)) if algorithm == "approx" else "-"),
         ("seed", str(args.seed)),
         ("value", format_value(value)),
         ("sink_size", str(len(cert.sink_set))),
@@ -194,18 +195,14 @@ def _cmd_vertex(args) -> int:
         calls = 0
         algorithm = "exact"
     elif args.exact_small:
-        res = exact_small_vertex_cut(g, root=root, seed=args.seed,
-                                     threads=args.threads)
+        res = exact_small_vertex_cut(g, root=root, seed=args.seed)
         cert, calls = res.certificate, res.flow_calls
         algorithm = "exact-small"
     else:
         if root is not None:
-            res = approx_rooted_vertex_cut(
-                g, root, eps, seed=args.seed, threads=args.threads
-            )
+            res = approx_rooted_vertex_cut(g, root, eps, seed=args.seed)
         else:
-            res = approx_global_vertex_cut(g, eps, seed=args.seed,
-                                           threads=args.threads)
+            res = approx_global_vertex_cut(g, eps, seed=args.seed)
         cert, calls = res.certificate, res.flow_calls
         algorithm = "approx"
     elapsed = time.perf_counter() - started
@@ -219,7 +216,7 @@ def _cmd_vertex(args) -> int:
         ("algorithm", algorithm),
         ("root", str(root + 1) if root is not None else "-"),
         ("orientation", cert.orientation),
-        ("epsilon", str(eps) if algorithm == "approx" else "-"),
+        ("epsilon", str(clamp_epsilon(eps)) if algorithm == "approx" else "-"),
         ("seed", str(args.seed)),
         ("value", format_value(value)),
         ("separator_size", str(len(cert.separator))),
@@ -317,25 +314,17 @@ def _cmd_verify(args) -> int:
         run_seed = derive_seed(args.seed, "run", i)
         if args.problem == "edge":
             if args.mode == "rooted":
-                approx = approx_rooted_edge_cut(
-                    g, 0, eps, seed=run_seed, threads=args.threads
-                ).certificate
+                approx = approx_rooted_edge_cut(g, 0, eps, seed=run_seed).certificate
                 oracle = exact_rooted_edge_cut_oracle(g, 0)
             else:
-                approx = approx_global_edge_cut(
-                    g, eps, seed=run_seed, threads=args.threads
-                ).certificate
+                approx = approx_global_edge_cut(g, eps, seed=run_seed).certificate
                 oracle = exact_global_edge_cut_oracle(g)[0]
         else:
             if args.mode == "rooted":
-                approx = approx_rooted_vertex_cut(
-                    g, 0, eps, seed=run_seed, threads=args.threads
-                ).certificate
+                approx = approx_rooted_vertex_cut(g, 0, eps, seed=run_seed).certificate
                 oracle = exact_vertex_cut_oracle(g, root=0)
             else:
-                approx = approx_global_vertex_cut(
-                    g, eps, seed=run_seed, threads=args.threads
-                ).certificate
+                approx = approx_global_vertex_cut(g, eps, seed=run_seed).certificate
                 oracle = exact_vertex_cut_oracle(g)
         if approx.value >= oracle.value:
             valid += 1

@@ -1,17 +1,22 @@
-"""Approximate rooted and global minimum edge cuts.
+"""Approximate rooted and global minimum edge cuts, and the probe and
+search drivers that the vertex-cut module shares.
 
 The pipeline for one probe: precondition the graph with cheap root-to-vertex
 arcs so every rooted cut value dominates its sink in-volume, truncate the
 original weights into a polynomial band, sample terminals with probability
 proportional to in-degree, and run the shrink-wrap recursion at a slightly
-inflated connectivity target.  Any cut that comes back is re-evaluated
-against the untruncated input capacities, so returned certificates are
-always valid regardless of randomness; the probability statements only
-govern how good they are.
+inflated connectivity target (``probe``).  Any cut that comes back is
+re-evaluated against the untruncated input capacities, so returned
+certificates are always valid regardless of randomness; the probability
+statements only govern how good they are.
 
-A geometric grid of probe levels is binary searched.  The grid ratio and
-the per-probe inflation are both set to epsilon/(2+epsilon) so that their
-product stays within the requested (1+epsilon) factor end to end.
+``probe_level`` runs the probe at every in-volume guess of one level.  The
+approximate modes binary search a geometric grid of levels
+(``level_search``); the grid ratio and the per-probe inflation are both
+set to epsilon/(2+epsilon) so that their product stays within the
+requested (1+epsilon) factor end to end.  The exact small-optimum modes
+search integer levels instead (``integer_search``).  Vertex cuts run the
+same drivers with a probe on the split graph.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -218,6 +222,37 @@ def _better(a, b):
     return a if ka <= kb else b
 
 
+def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract,
+          better) -> ProbeReport:
+    """Shrink-wrap every terminal group of one probe on the conditioned
+    graph ``h`` at connectivity target ``threshold``.
+
+    ``extract`` maps the sink set of each cut found to a certificate
+    evaluated on the caller's own graph (or None); only certificates of
+    value strictly below ``threshold`` are kept, and ``better`` picks the
+    best of them.
+    """
+    if not terminals:
+        return ProbeReport(None, 0, ())
+    level_num = threshold * h.scale
+    assert level_num.denominator == 1
+    level_num = int(level_num)
+    best = None
+    calls = 0
+    all_stats = []
+    for group in partition_terminals(terminals, group_capacity(h, r, level_num)):
+        outcome, stats = shrink_wrap(SteinerInstance(h, r, frozenset(group), level_num))
+        calls += stats.raw_flow_calls
+        all_stats.append(stats)
+        for t in sorted(outcome):
+            result = outcome[t]
+            if isinstance(result, Below):
+                cert = extract(result.cut.sink_set)
+                if cert is not None and cert.value < threshold:
+                    best = better(best, cert)
+    return ProbeReport(best, calls, tuple(all_stats))
+
+
 def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig) -> ProbeReport:
     """One preconditioned shrink-wrap probe.
 
@@ -228,28 +263,11 @@ def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig) -> ProbeReport:
     cond = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
     rng = random.Random(cfg.seed)
     terminals = sample_terminals(cond, r, cfg.volume, cfg.sample_const, rng)
-    if not terminals:
-        return ProbeReport(None, 0, ())
     threshold = (1 + cfg.epsilon) * as_fraction(cfg.level)
-    level_num = threshold * cond.h.scale
-    assert level_num.denominator == 1
-    level_num = int(level_num)
-    best = None
-    calls = 0
-    all_stats = []
-    for group in partition_terminals(terminals, group_capacity(cond.h, r, level_num)):
-        outcome, stats = shrink_wrap(
-            SteinerInstance(cond.h, r, frozenset(group), level_num)
-        )
-        calls += stats.raw_flow_calls
-        all_stats.append(stats)
-        for t in sorted(outcome):
-            result = outcome[t]
-            if isinstance(result, Below):
-                cert = cut_certificate(g, result.cut.sink_set, root=r)
-                if cert.value < threshold:
-                    best = _better(best, cert)
-    return ProbeReport(best, calls, tuple(all_stats))
+    return probe(
+        cond.h, r, terminals, threshold,
+        lambda sink: cut_certificate(g, sink, root=r), _better,
+    )
 
 
 def _volume_schedule(m: int) -> list:
@@ -285,23 +303,6 @@ def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
     return best
 
 
-def _run_probes(g, r, level, volumes, epsilon, sample_const, seed_parts, threads):
-    configs = [
-        ProbeConfig(
-            level=level,
-            volume=vol,
-            epsilon=epsilon,
-            sample_const=sample_const,
-            seed=derive_seed(*seed_parts, j),
-        )
-        for j, vol in enumerate(volumes)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda cfg: probe_rooted_edge(g, r, cfg), configs))
-    return [probe_rooted_edge(g, r, cfg) for cfg in configs]
-
-
 @dataclass
 class EdgeCutResult:
     certificate: CutCertificate
@@ -314,17 +315,97 @@ class EdgeCutResult:
         return self.certificate.value
 
 
-def _probe_level(g, r, level, volumes, epsilon, sample_const, seed_parts, threads):
-    """Run all volume guesses at one level; returns (best cert, calls, log)."""
-    reports = _run_probes(g, r, level, volumes, epsilon, sample_const, seed_parts, threads)
+def probe_level(run_probe, level, volumes, epsilon, sample_const, seed_parts,
+                better, log):
+    """Probe one level at every in-volume guess; returns the best
+    certificate found (or None) and appends (level, volume, flow calls) per
+    probe to ``log``.  ``run_probe`` maps a ProbeConfig to a ProbeReport."""
     best = None
-    calls = 0
-    log = []
-    for vol, rep in zip(volumes, reports):
-        calls += rep.flow_calls
+    for j, vol in enumerate(volumes):
+        rep = run_probe(ProbeConfig(
+            level=level, volume=vol, epsilon=epsilon,
+            sample_const=sample_const, seed=derive_seed(*seed_parts, j),
+        ))
         log.append((level, vol, rep.flow_calls))
-        best = _better(best, rep.certificate)
-    return best, calls, log
+        best = better(best, rep.certificate)
+    return best
+
+
+def level_search(run_probe, best, floor, epsilon, volumes, sample_const,
+                 seed_parts, better, log):
+    """Binary search a geometric grid of levels for the lowest one whose
+    probe finds a cut, improving on the certificate ``best``.
+
+    The grid runs from ``floor * eps_in`` up to ``best.value`` with ratio
+    1+eps_in, and each probe runs at tolerance eps_in, where
+    eps_in = epsilon/(2+epsilon).  Probes at grid index i are seeded by
+    ``(*seed_parts, i)``.
+    """
+    eps_in = epsilon / (2 + epsilon)
+    grid = _geometric_grid(floor * eps_in, best.value, 1 + eps_in)
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cert = probe_level(run_probe, grid[mid], volumes, eps_in, sample_const,
+                           (*seed_parts, mid), better, log)
+        if cert is not None:
+            best = better(best, cert)
+            hi = mid
+        else:
+            lo = mid + 1
+    return best
+
+
+def integer_search(probe_at, singleton, better):
+    """Exact search over integer levels for integer capacities.
+
+    ``probe_at(level, tag)`` probes at tolerance 1/(1+level), so any
+    certificate it returns has a value below level + level/(1+level), that
+    is at most ``level``.  Double the level from 1 until a probe returns a
+    certificate or the level reaches the positive singleton bound, then
+    binary search the integers below the best value found.
+    """
+    delta = int(singleton.value)
+    level = 1
+    while (best := probe_at(level, "up")) is None and level < delta:
+        level *= 2
+    if best is None:
+        best = singleton
+    lo, hi = 1, int(best.value)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cert = probe_at(mid, "bin")
+        if cert is not None:
+            best = better(best, cert)
+            hi = int(cert.value)
+        else:
+            lo = mid + 1
+    return best
+
+
+def _small_probe(run_probe, volumes, sample_const, seed, better, log):
+    """``probe_at`` for integer_search on one rooted instance: all volume
+    guesses at the integer level, tolerance 1/(1+level), seeded by
+    ``(seed, "small", tag, level)``."""
+    def probe_at(level, tag):
+        return probe_level(run_probe, Fraction(level), volumes, Fraction(1, 1 + level),
+                           sample_const, (seed, "small", tag, level), better, log)
+    return probe_at
+
+
+def _total_flow_calls(log) -> int:
+    """Total flow calls of a probe log."""
+    return sum(calls for _, _, calls in log)
+
+
+def _rooted_start(g: DiGraph, r: int):
+    """Parallel arcs merged, plus the best trivial rooted cut: the zero cut
+    onto the vertices the root cannot reach, else the best singleton."""
+    gm = merge_parallel(g)
+    missing = frozenset(range(gm.n)) - reachable(gm, r)
+    if missing:
+        return gm, cut_certificate(gm, missing, root=r)
+    return gm, _min_singleton_cut(gm, r)
 
 
 def approx_rooted_edge_cut(
@@ -339,42 +420,36 @@ def approx_rooted_edge_cut(
 
     The returned certificate is always a valid rooted cut of ``g``.  If some
     vertex is unreachable from the root the exact zero cut is returned.
+    ``threads`` is accepted for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     sample_const = as_fraction(sample_const)
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
-    gm = merge_parallel(g)
-    missing = frozenset(range(gm.n)) - reachable(gm, r)
-    if missing:
-        return EdgeCutResult(cut_certificate(gm, missing, root=r), "forward", 0, ())
-
-    best = _min_singleton_cut(gm, r)
-    flow_calls = 0
-    probe_log = []
+    gm, best = _rooted_start(g, r)
+    log = []
     positive = [
         c for i, (_, _, c) in enumerate(gm.arcs) if c > 0 and i not in gm.inf_arcs
     ]
     if best.value > 0 and positive:
-        eps_in = eps / (2 + eps)
-        lo = Fraction(min(positive), gm.scale) * eps_in / (2 * gm.m)
-        grid = _geometric_grid(lo, best.value, 1 + eps_in)
-        volumes = _volume_schedule(gm.m)
-        lo_i, hi_i = 0, len(grid) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            cert, calls, log = _probe_level(
-                gm, r, grid[mid], volumes, eps_in, sample_const,
-                (seed, "edge", mid), threads,
-            )
-            flow_calls += calls
-            probe_log.extend(log)
-            if cert is not None:
-                best = _better(best, cert)
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-    return EdgeCutResult(best, "forward", flow_calls, tuple(probe_log))
+        best = level_search(
+            lambda cfg: probe_rooted_edge(gm, r, cfg), best,
+            Fraction(min(positive), gm.scale) / (2 * gm.m), eps,
+            _volume_schedule(gm.m), sample_const, (seed, "edge"), _better, log,
+        )
+    return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
+
+
+def _both_orientations(solve_rooted, g: DiGraph, seed) -> EdgeCutResult:
+    """Global cut from rooted solves at vertex 0 of the graph and of its
+    reversal; the certificate is tagged with its orientation."""
+    forward = solve_rooted(g, derive_seed(seed, "fwd"))
+    backward = solve_rooted(reverse(g), derive_seed(seed, "rev"))
+    total = forward.flow_calls + backward.flow_calls
+    log = forward.probe_log + backward.probe_log
+    if _better(forward.certificate, backward.certificate) is forward.certificate:
+        return EdgeCutResult(forward.certificate, "forward", total, log)
+    return EdgeCutResult(backward.certificate, "reverse", total, log)
 
 
 def approx_global_edge_cut(
@@ -385,35 +460,32 @@ def approx_global_edge_cut(
     sample_const=DEFAULT_SAMPLE_CONST,
 ) -> EdgeCutResult:
     """Global minimum cut: best rooted cut over the graph and its reversal,
-    rooted at vertex 0.  The certificate is tagged with its orientation."""
+    rooted at vertex 0.  The certificate is tagged with its orientation.
+    ``threads`` is accepted for compatibility and ignored."""
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    forward = approx_rooted_edge_cut(
-        g, 0, epsilon, derive_seed(seed, "fwd"), threads, sample_const
+    return _both_orientations(
+        lambda h, sub_seed: approx_rooted_edge_cut(
+            h, 0, epsilon, sub_seed, sample_const=sample_const
+        ),
+        g, seed,
     )
-    backward = approx_rooted_edge_cut(
-        reverse(g), 0, epsilon, derive_seed(seed, "rev"), threads, sample_const
-    )
-    total = forward.flow_calls + backward.flow_calls
-    log = forward.probe_log + backward.probe_log
-    if _better(forward.certificate, backward.certificate) is forward.certificate:
-        return EdgeCutResult(forward.certificate, "forward", total, log)
-    return EdgeCutResult(backward.certificate, "reverse", total, log)
 
 
 def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
-    """Exact minimum rooted cut via one max-flow per non-root vertex."""
+    """Exact minimum rooted cut via one max-flow per non-root vertex.  Each
+    flow's cut is read from its residual source side, so a zero cut hidden
+    behind zero-capacity arcs is found too."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     best = None
     for t in range(g.n):
         if t == r:
             continue
-        res = max_flow(g, r, t)
-        if res.value == 0:
-            sink = frozenset(range(g.n)) - reachable(g, r)
-            return cut_certificate(g, sink, root=r)
-        best = _better(best, min_cut_sink_side(res))
+        cut = min_cut_sink_side(max_flow(g, r, t))
+        if cut.value == 0:
+            return cut
+        best = _better(best, cut)
     return best
 
 
@@ -432,53 +504,17 @@ def _require_integer_capacities(g: DiGraph):
             raise ValueError("exact small-connectivity mode needs integer capacities")
 
 
-def _exact_small_rooted_edge(g, r, seed, threads, sample_const):
-    gm = merge_parallel(g)
-    missing = frozenset(range(gm.n)) - reachable(gm, r)
-    if missing:
-        return EdgeCutResult(cut_certificate(gm, missing, root=r), "forward", 0, ())
-    singleton = _min_singleton_cut(gm, r)
+def _exact_small_rooted_edge(g, r, seed, sample_const):
+    gm, singleton = _rooted_start(g, r)
     if singleton.value == 0:
         return EdgeCutResult(singleton, "forward", 0, ())
-    delta = int(singleton.value)
-    volumes = _volume_schedule(gm.m)
-    flow_calls = 0
-    probe_log = []
-
-    def probe(level_int, tag):
-        nonlocal flow_calls
-        eps = Fraction(1, 1 + level_int)
-        cert, calls, log = _probe_level(
-            gm, r, Fraction(level_int), volumes, eps, sample_const,
-            (seed, "small", tag, level_int), threads,
-        )
-        flow_calls += calls
-        probe_log.extend(log)
-        return cert
-
-    # double until a certificate witnesses level >= optimum, or the trivial
-    # singleton bound does
-    best = None
-    level = 1
-    while True:
-        cert = probe(level, "up")
-        if cert is not None:
-            best = cert
-            break
-        if level >= delta:
-            best = singleton
-            break
-        level *= 2
-    lo, hi = 1, int(best.value)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cert = probe(mid, "bin")
-        if cert is not None:
-            best = _better(best, cert)
-            hi = int(cert.value)
-        else:
-            lo = mid + 1
-    return EdgeCutResult(best, "forward", flow_calls, tuple(probe_log))
+    log = []
+    probe_at = _small_probe(
+        lambda cfg: probe_rooted_edge(gm, r, cfg), _volume_schedule(gm.m),
+        sample_const, seed, _better, log,
+    )
+    best = integer_search(probe_at, singleton, _better)
+    return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
 
 
 def exact_small_edge_cut(
@@ -488,22 +524,20 @@ def exact_small_edge_cut(
     threads: int = 1,
     sample_const=DEFAULT_SAMPLE_CONST,
 ) -> EdgeCutResult:
-    """Exact minimum cut for integer capacities, efficient when the optimum
-    is small: double the level with per-level tolerance 1/(1+level), then
-    binary search the integers below the first witnessed level.  At integer
-    granularity a (1+1/(1+level))-approximate answer is exact."""
+    """Exact minimum cut w.h.p. for integer capacities, efficient when the
+    optimum is small: double the level with per-level tolerance 1/(1+level),
+    then binary search the integers below the first witnessed level.  At
+    integer granularity a (1+1/(1+level))-approximate answer is exact.  A
+    probe can miss, so the value is exact only w.h.p.; the certificate is
+    always a valid cut.  ``threads`` is accepted for compatibility and
+    ignored."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
     sample_const = as_fraction(sample_const)
     if root is not None:
-        return _exact_small_rooted_edge(g, root, seed, threads, sample_const)
-    forward = _exact_small_rooted_edge(g, 0, derive_seed(seed, "fwd"), threads, sample_const)
-    backward = _exact_small_rooted_edge(
-        reverse(g), 0, derive_seed(seed, "rev"), threads, sample_const
+        return _exact_small_rooted_edge(g, root, seed, sample_const)
+    return _both_orientations(
+        lambda h, sub_seed: _exact_small_rooted_edge(h, 0, sub_seed, sample_const),
+        g, seed,
     )
-    total = forward.flow_calls + backward.flow_calls
-    log = forward.probe_log + backward.probe_log
-    if _better(forward.certificate, backward.certificate) is forward.certificate:
-        return EdgeCutResult(forward.certificate, "forward", total, log)
-    return EdgeCutResult(backward.certificate, "reverse", total, log)

@@ -6,11 +6,13 @@ original arc (u, v) becomes an infinite arc (u_out, v_in).  Finite rooted
 cuts in the split graph then consist purely of split arcs, which is what
 lets an edge cut be read back as a vertex separator.
 
-Rooted cuts reuse the edge machinery (preconditioning plus shrink-wrap) on
-the split graph.  Global cuts sample roots in proportion to capacity, prune
-each rooted instance, and run both orientations; the exact small-optimum
-mode doubles the probe level with per-level tolerance 1/(1+level) so that
-integer answers come out exact.
+Rooted cuts run the edge module's probe and search drivers (``probe``,
+``probe_level``, ``level_search``, ``integer_search``) with a probe on the
+split graph: shared conditioning, terminals drawn from the admissible
+sinks, and sink sets mapped back to vertex separators.  Global cuts sample
+roots in proportion to capacity, prune each rooted instance, and run both
+orientations; the exact small-optimum mode searches integer levels with
+per-level tolerance 1/(1+level) so that integer answers come out exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,13 +29,16 @@ from .edgecut import (
     clamp_epsilon,
     condition_rooted,
     derive_seed,
-    group_capacity,
-    _geometric_grid,
+    integer_search,
+    level_search,
+    probe,
+    probe_level,
+    _small_probe,
+    _total_flow_calls,
     _volume_schedule,
 )
 from .graph import INFINITE, DiGraph, NoCutExistsError
 from .maxflow import max_flow
-from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
 
 
 class VertexCapGraph:
@@ -193,13 +197,13 @@ def _vbetter(a, b):
     return a if ka <= kb else b
 
 
-def _separator_value(g: VertexCapGraph, separator) -> Fraction:
-    return Fraction(sum(g.vcaps[w] for w in separator), g.scale)
-
-
-def _singleton_certificate(g: VertexCapGraph, t: int) -> VertexCutCertificate:
-    sep = _in_neighbors_of_set(g, frozenset([t]))
-    return VertexCutCertificate(sep, frozenset([t]), _separator_value(g, sep))
+def _sink_certificate(g: VertexCapGraph, component: frozenset,
+                      orientation="forward") -> VertexCutCertificate:
+    """The vertex cut of a sink component: its in-neighborhood, valued at
+    the raw vertex capacities."""
+    separator = _in_neighbors_of_set(g, component)
+    value = Fraction(sum(g.vcaps[w] for w in separator), g.scale)
+    return VertexCutCertificate(separator, component, value, orientation)
 
 
 def _admissible_sinks(g: VertexCapGraph, r: int):
@@ -209,88 +213,61 @@ def _admissible_sinks(g: VertexCapGraph, r: int):
     return tuple(v for v in range(g.n) if v not in blocked)
 
 
+def _rooted_start(ng: VertexCapGraph, r: int):
+    """Admissible sinks, and the zero cut onto the vertices the root cannot
+    reach (None when it reaches them all).  Raises NoCutExistsError when
+    no rooted vertex cut exists."""
+    admissible = _admissible_sinks(ng, r)
+    if not admissible:
+        raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
+    missing = frozenset(range(ng.n)) - _reach(ng, r)
+    if missing:
+        return admissible, _sink_certificate(ng, missing)
+    return admissible, None
+
+
+def _best_singleton(ng: VertexCapGraph, admissible) -> VertexCutCertificate:
+    best = None
+    for t in admissible:
+        best = _vbetter(best, _sink_certificate(ng, frozenset([t])))
+    return best
+
+
 # -- rooted approximation ----------------------------------------------------
 
 
-def _vertex_probe_one(ng, split, maps, admissible, r, level, volume, epsilon,
-                      sample_const, seed):
-    """One (level, volume) probe on the split graph; certificates are
-    re-evaluated against the raw vertex capacities before acceptance."""
-    floor = epsilon * level / (4 * ng.n)
-    cond = condition_rooted(split, maps.to_out(r), level, volume, epsilon, 6, floor)
-    rng = random.Random(seed)
-    deg = ng.in_degrees()
-    rate = float(as_fraction(sample_const)) * math.log(ng.n) / volume
-    terminals = [
-        v for v in admissible
-        if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
-    ]
-    if not terminals:
-        return None, 0, None
-    terminal_ids = frozenset(maps.to_in(v) for v in terminals)
-    threshold = (1 + epsilon) * level
-    level_num = threshold * cond.h.scale
-    assert level_num.denominator == 1
-    level_num = int(level_num)
-    admissible_set = frozenset(admissible)
+def _split_probe(ng: VertexCapGraph, admissible, r: int):
+    """The probe function of one rooted instance for ``probe_level``: the
+    shared probe on the split graph, rooted at r's out-copy, with terminals
+    sampled among the admissible sinks.  Certificates are re-evaluated
+    against the raw vertex capacities before acceptance."""
+    split, maps = split_transform(ng)
     root_out = maps.to_out(r)
-    best = None
-    calls = 0
-    all_stats = []
-    for group in partition_terminals(
-        terminal_ids, group_capacity(cond.h, root_out, level_num)
-    ):
-        outcome, stats = shrink_wrap(
-            SteinerInstance(cond.h, root_out, frozenset(group), level_num)
+    deg = ng.in_degrees()
+
+    def extract(sink):
+        component = frozenset(v for v in admissible if maps.to_in(v) in sink)
+        if not component:
+            return None
+        cert = _sink_certificate(ng, component)
+        assert r not in cert.separator, "sink component leaked into the root's fan-out"
+        return cert
+
+    def run(cfg):
+        floor = cfg.epsilon * cfg.level / (4 * ng.n)
+        cond = condition_rooted(
+            split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor
         )
-        calls += stats.raw_flow_calls
-        all_stats.append(stats)
-        for t in sorted(outcome):
-            result = outcome[t]
-            if not isinstance(result, Below):
-                continue
-            sink = result.cut.sink_set
-            component = frozenset(
-                v for v in admissible_set if maps.to_in(v) in sink
-            )
-            if not component:
-                continue
-            separator = _in_neighbors_of_set(ng, component)
-            assert r not in separator, "sink component leaked into the root's fan-out"
-            value = _separator_value(ng, separator)
-            if value < threshold:
-                best = _vbetter(
-                    best, VertexCutCertificate(separator, component, value)
-                )
-    return best, calls, tuple(all_stats)
-
-
-def _rooted_fixed_probe(ng, split, maps, admissible, r, level, epsilon,
-                        volumes, sample_const, seed_parts, threads):
-    jobs = [
-        (vol, derive_seed(*seed_parts, j)) for j, vol in enumerate(volumes)
-    ]
-
-    def run(job):
-        vol, sub_seed = job
-        return _vertex_probe_one(
-            ng, split, maps, admissible, r, level, vol, epsilon,
-            sample_const, sub_seed,
+        rng = random.Random(cfg.seed)
+        rate = float(cfg.sample_const) * math.log(ng.n) / cfg.volume
+        terminals = frozenset(
+            maps.to_in(v) for v in admissible
+            if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
         )
+        threshold = (1 + cfg.epsilon) * cfg.level
+        return probe(cond.h, root_out, terminals, threshold, extract, _vbetter)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    best = None
-    calls = 0
-    log = []
-    for (vol, _), (cert, c, _) in zip(jobs, results):
-        calls += c
-        log.append((level, vol, c))
-        best = _vbetter(best, cert)
-    return best, calls, log
+    return run
 
 
 def approx_rooted_vertex_cut(
@@ -305,46 +282,23 @@ def approx_rooted_vertex_cut(
 
     Always returns a valid separator with its exact value; raises
     NoCutExistsError when the root's out-neighborhood covers every other
-    vertex (no rooted vertex cut exists at all).
+    vertex (no rooted vertex cut exists at all).  ``threads`` is accepted
+    for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     sample_const = as_fraction(sample_const)
     ng = _normalize(g)
-    admissible = _admissible_sinks(ng, r)
-    if not admissible:
-        raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
-    missing = frozenset(range(ng.n)) - _reach(ng, r)
-    if missing:
-        cert = VertexCutCertificate(frozenset(), missing, Fraction(0))
-        return VertexCutResult(cert, 0, ())
-
-    best = None
-    for t in admissible:
-        best = _vbetter(best, _singleton_certificate(ng, t))
-    flow_calls = 0
-    probe_log = []
-    positive = [c for c in ng.vcaps if c > 0]
-    if best.value > 0 and positive:
-        split, maps = split_transform(ng)
-        eps_in = eps / (2 + eps)
-        lo = Fraction(min(positive), ng.scale) * eps_in / (2 * ng.n)
-        grid = _geometric_grid(lo, best.value, 1 + eps_in)
-        volumes = _volume_schedule(max(ng.m, 1))
-        lo_i, hi_i = 0, len(grid) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            cert, calls, log = _rooted_fixed_probe(
-                ng, split, maps, admissible, r, grid[mid], eps_in,
-                volumes, sample_const, (seed, "vertex", mid), threads,
-            )
-            flow_calls += calls
-            probe_log.extend(log)
-            if cert is not None:
-                best = _vbetter(best, cert)
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-    return VertexCutResult(best, flow_calls, tuple(probe_log))
+    admissible, best = _rooted_start(ng, r)
+    best = best or _best_singleton(ng, admissible)
+    log = []
+    if best.value > 0:
+        best = level_search(
+            _split_probe(ng, admissible, r), best,
+            Fraction(min(c for c in ng.vcaps if c > 0), ng.scale) / (2 * ng.n),
+            eps, _volume_schedule(max(ng.m, 1)), sample_const, (seed, "vertex"),
+            _vbetter, log,
+        )
+    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 # -- global reduction --------------------------------------------------------
@@ -407,14 +361,10 @@ def _disconnected_certificate(g: VertexCapGraph):
     """Zero-value certificate when the graph is not strongly connected,
     or None.  The sink component is closed under incoming arcs in the
     reported orientation, so the empty separator is genuinely N-in(U)."""
-    forward_reach = _reach(g, 0)
-    if len(forward_reach) != g.n:
-        sink = frozenset(range(g.n)) - forward_reach
-        return VertexCutCertificate(frozenset(), sink, Fraction(0), "forward")
-    backward_reach = _reach(_reverse_topology(g), 0)
-    if len(backward_reach) != g.n:
-        sink = frozenset(range(g.n)) - backward_reach
-        return VertexCutCertificate(frozenset(), sink, Fraction(0), "reverse")
+    for orientation, graph in (("forward", g), ("reverse", _reverse_topology(g))):
+        sink = frozenset(range(g.n)) - _reach(graph, 0)
+        if sink:
+            return _sink_certificate(graph, sink, orientation)
     return None
 
 
@@ -425,13 +375,38 @@ def _global_singleton(g: VertexCapGraph):
     rev = _reverse_topology(g)
     for orientation, graph in (("forward", g), ("reverse", rev)):
         for v in range(g.n):
-            sep = _in_neighbors_of_set(graph, frozenset([v]))
-            if len(sep) + 1 == g.n:
-                continue  # no surviving outside vertex: not a cut
-            cert = VertexCutCertificate(
-                sep, frozenset([v]), _separator_value(graph, sep), orientation
-            )
-            best = _vbetter(best, cert)
+            cert = _sink_certificate(graph, frozenset([v]), orientation)
+            if len(cert.separator) + 1 < g.n:  # else no outside vertex survives
+                best = _vbetter(best, cert)
+    return best
+
+
+def _global_start(ng: VertexCapGraph):
+    """Zero-value certificate when ``ng`` is not strongly connected, else
+    None.  Raises NoCutExistsError when no global vertex cut exists."""
+    if ng.n < 2:
+        raise NoCutExistsError("need at least two vertices")
+    zero = _disconnected_certificate(ng)
+    if zero is None and _is_complete(ng):
+        raise NoCutExistsError("complete digraph has no vertex cut")
+    return zero
+
+
+def _over_roots(ng: VertexCapGraph, roots, solve):
+    """Best certificate over the sampled roots in both orientations.
+
+    ``solve(pruned, root, i, orientation)`` handles the instance pruned for
+    the i-th root and returns a certificate in that orientation, or None.
+    """
+    rev = _reverse_topology(ng)
+    best = None
+    for i, root in enumerate(roots):
+        for orientation, base in (("forward", ng), ("reverse", rev)):
+            cert = solve(prune_for_root(base, root), root, i, orientation)
+            if cert is not None:
+                best = _vbetter(best, VertexCutCertificate(
+                    cert.separator, cert.sink_component, cert.value, orientation
+                ))
     return best
 
 
@@ -445,47 +420,32 @@ def approx_global_vertex_cut(
     """Global vertex cut within (1+epsilon) of optimal w.h.p.
 
     Samples roots in proportion to capacity, prunes each rooted instance,
-    and solves it in both orientations.  Raises NoCutExistsError on
-    complete digraphs, where no vertex cut exists.
+    and solves it in both orientations.  A zero-valued cut (disconnected
+    graph or zero-valued singleton) is returned without probing.  Raises
+    NoCutExistsError on complete digraphs, where no vertex cut exists.
+    ``threads`` is accepted for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
-    if ng.n < 2:
-        raise NoCutExistsError("need at least two vertices")
-    zero = _disconnected_certificate(ng)
-    if zero is not None:
-        return VertexCutResult(zero, 0, ())
-    if _is_complete(ng):
-        raise NoCutExistsError("complete digraph has no vertex cut")
+    best = _global_start(ng) or _global_singleton(ng)
+    if best.value == 0:
+        return VertexCutResult(best, 0, ())
+    roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots")))
+    log = []
 
-    best = _global_singleton(ng)
-    assert best is not None
-    rng = random.Random(derive_seed(seed, "roots"))
-    roots = sample_roots(ng, eps, rng)
-    rev = _reverse_topology(ng)
-    flow_calls = 0
-    probe_log = []
-    for i, root in enumerate(roots):
-        for orientation, base in (("forward", ng), ("reverse", rev)):
-            pruned = prune_for_root(base, root)
-            try:
-                res = approx_rooted_vertex_cut(
-                    pruned, root, eps,
-                    seed=derive_seed(seed, "root", i, orientation),
-                    threads=threads, sample_const=sample_const,
-                )
-            except NoCutExistsError:
-                continue
-            flow_calls += res.flow_calls
-            probe_log.extend(res.probe_log)
-            cert = res.certificate
-            best = _vbetter(
-                best,
-                VertexCutCertificate(
-                    cert.separator, cert.sink_component, cert.value, orientation
-                ),
+    def solve(pruned, root, i, orientation):
+        try:
+            res = approx_rooted_vertex_cut(
+                pruned, root, eps, seed=derive_seed(seed, "root", i, orientation),
+                sample_const=sample_const,
             )
-    return VertexCutResult(best, flow_calls, tuple(probe_log))
+        except NoCutExistsError:
+            return None
+        log.extend(res.probe_log)
+        return res.certificate
+
+    best = _vbetter(best, _over_roots(ng, roots, solve))
+    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 # -- exact modes -------------------------------------------------------------
@@ -497,90 +457,6 @@ def _require_integer_vcaps(g: VertexCapGraph):
             raise ValueError("exact small-connectivity mode needs integer capacities")
 
 
-def _exact_small_rooted(ng, r, seed, threads, sample_const):
-    admissible = _admissible_sinks(ng, r)
-    if not admissible:
-        raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
-    missing = frozenset(range(ng.n)) - _reach(ng, r)
-    if missing:
-        cert = VertexCutCertificate(frozenset(), missing, Fraction(0))
-        return VertexCutResult(cert, 0, ())
-    singleton = None
-    for t in admissible:
-        singleton = _vbetter(singleton, _singleton_certificate(ng, t))
-    if singleton.value == 0:
-        return VertexCutResult(singleton, 0, ())
-    delta = int(singleton.value)
-    split, maps = split_transform(ng)
-    volumes = _volume_schedule(max(ng.m, 1))
-    flow_calls = 0
-    probe_log = []
-
-    def probe(level_int, tag):
-        nonlocal flow_calls
-        eps = Fraction(1, 1 + level_int)
-        cert, calls, log = _rooted_fixed_probe(
-            ng, split, maps, admissible, r, Fraction(level_int), eps,
-            volumes, sample_const, (seed, "small", tag, level_int), threads,
-        )
-        flow_calls += calls
-        probe_log.extend(log)
-        return cert
-
-    best = None
-    level = 1
-    while True:
-        cert = probe(level, "up")
-        if cert is not None:
-            best = cert
-            break
-        if level >= delta:
-            best = singleton
-            break
-        level *= 2
-    lo, hi = 1, int(best.value)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cert = probe(mid, "bin")
-        if cert is not None:
-            best = _vbetter(best, cert)
-            hi = int(cert.value)
-        else:
-            lo = mid + 1
-    return VertexCutResult(best, flow_calls, tuple(probe_log))
-
-
-def _global_fixed_probe(ng, rev, level_int, seed, threads, sample_const):
-    """Fixed-level global probe: sampled roots, both orientations, pruned."""
-    eps = Fraction(1, 1 + level_int)
-    rng = random.Random(derive_seed(seed, "roots", level_int))
-    roots = sample_roots(ng, eps, rng)
-    best = None
-    calls = 0
-    for i, root in enumerate(roots):
-        for orientation, base in (("forward", ng), ("reverse", rev)):
-            pruned = prune_for_root(base, root)
-            admissible = _admissible_sinks(pruned, root)
-            if not admissible:
-                continue
-            split, maps = split_transform(pruned)
-            cert, c, _ = _rooted_fixed_probe(
-                pruned, split, maps, admissible, root, Fraction(level_int),
-                eps, _volume_schedule(max(pruned.m, 1)), sample_const,
-                (seed, "probe", level_int, i, orientation), threads,
-            )
-            calls += c
-            if cert is not None:
-                best = _vbetter(
-                    best,
-                    VertexCutCertificate(
-                        cert.separator, cert.sink_component, cert.value,
-                        orientation,
-                    ),
-                )
-    return best, calls
-
-
 def exact_small_vertex_cut(
     g: VertexCapGraph,
     root=None,
@@ -588,58 +464,56 @@ def exact_small_vertex_cut(
     threads: int = 1,
     sample_const=DEFAULT_SAMPLE_CONST,
 ) -> VertexCutResult:
-    """Exact minimum vertex cut for integer capacities, efficient when the
-    optimum is small.
+    """Exact minimum vertex cut w.h.p. for integer capacities, efficient
+    when the optimum is small.
 
-    Doubles the probe level until a certificate of value at most the level
-    appears (or the trivial singleton bound is passed), then binary
-    searches the integers below it.  Per-level tolerance 1/(1+level) makes
-    integer answers exact.  ``root=None`` solves the global problem.
+    Doubles the probe level until a certificate appears (or the trivial
+    singleton bound is passed), then binary searches the integers below
+    it.  Per-level tolerance 1/(1+level) makes integer answers exact; a
+    probe can miss, so the value is exact only w.h.p., while the
+    certificate is always valid.  ``root=None`` solves the global problem,
+    probing sampled roots in both orientations at each level; its result
+    carries the flow count but no probe log.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     _require_integer_vcaps(g)
     sample_const = as_fraction(sample_const)
     ng = _normalize(g)
+    log = []
     if root is not None:
-        return _exact_small_rooted(ng, root, seed, threads, sample_const)
+        admissible, singleton = _rooted_start(ng, root)
+        singleton = singleton or _best_singleton(ng, admissible)
+        if singleton.value == 0:
+            return VertexCutResult(singleton, 0, ())
+        probe_at = _small_probe(
+            _split_probe(ng, admissible, root), _volume_schedule(max(ng.m, 1)),
+            sample_const, seed, _vbetter, log,
+        )
+        best = integer_search(probe_at, singleton, _vbetter)
+        return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
-    if ng.n < 2:
-        raise NoCutExistsError("need at least two vertices")
-    zero = _disconnected_certificate(ng)
-    if zero is not None:
-        return VertexCutResult(zero, 0, ())
-    if _is_complete(ng):
-        raise NoCutExistsError("complete digraph has no vertex cut")
-    singleton = _global_singleton(ng)
+    singleton = _global_start(ng) or _global_singleton(ng)
     if singleton.value == 0:
         return VertexCutResult(singleton, 0, ())
-    delta = int(singleton.value)
-    rev = _reverse_topology(ng)
-    flow_calls = 0
 
-    best = None
-    level = 1
-    while True:
-        cert, calls = _global_fixed_probe(ng, rev, level, seed, threads, sample_const)
-        flow_calls += calls
-        if cert is not None and cert.value <= level:
-            best = cert
-            break
-        best = _vbetter(best, cert)
-        if level >= delta:
-            best = _vbetter(best, singleton)
-            break
-        level *= 2
-    lo, hi = 1, int(best.value)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cert, calls = _global_fixed_probe(ng, rev, mid, seed, threads, sample_const)
-        flow_calls += calls
-        if cert is not None:
-            best = _vbetter(best, cert)
-            hi = int(cert.value)
-        else:
-            lo = mid + 1
-    return VertexCutResult(best, flow_calls, ())
+    def probe_at(level, _tag):
+        eps = Fraction(1, 1 + level)
+        roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots", level)))
+
+        def solve(pruned, r, i, orientation):
+            admissible = _admissible_sinks(pruned, r)
+            if not admissible:
+                return None
+            return probe_level(
+                _split_probe(pruned, admissible, r), Fraction(level),
+                _volume_schedule(max(pruned.m, 1)), eps, sample_const,
+                (seed, "probe", level, i, orientation), _vbetter, log,
+            )
+
+        return _over_roots(ng, roots, solve)
+
+    best = integer_search(probe_at, singleton, _vbetter)
+    return VertexCutResult(best, _total_flow_calls(log), ())
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -651,12 +525,11 @@ def _oracle_extract(ng, maps, source, flow_result):
         v for v in range(ng.n)
         if v != source and maps.to_in(v) in sink_side
     )
-    separator = _in_neighbors_of_set(ng, component)
-    value = _separator_value(ng, separator)
-    assert value == Fraction(flow_result.value, ng.scale), (
+    cert = _sink_certificate(ng, component)
+    assert cert.value == Fraction(flow_result.value, ng.scale), (
         "split-graph cut does not match its vertex separator"
     )
-    return VertexCutCertificate(separator, component, value)
+    return cert
 
 
 def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificate:
@@ -667,14 +540,9 @@ def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificat
     """
     ng = _normalize(g)
     if root is not None:
-        admissible = _admissible_sinks(ng, root)
-        if not admissible:
-            raise NoCutExistsError(
-                "every vertex is the root or a direct out-neighbor"
-            )
-        missing = frozenset(range(ng.n)) - _reach(ng, root)
-        if missing:
-            return VertexCutCertificate(frozenset(), missing, Fraction(0))
+        admissible, zero = _rooted_start(ng, root)
+        if zero is not None:
+            return zero
         split, maps = split_transform(ng)
         best = None
         for t in admissible:
@@ -682,13 +550,9 @@ def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificat
             best = _vbetter(best, _oracle_extract(ng, maps, root, res))
         return best
 
-    if ng.n < 2:
-        raise NoCutExistsError("need at least two vertices")
-    zero = _disconnected_certificate(ng)
+    zero = _global_start(ng)
     if zero is not None:
         return zero
-    if _is_complete(ng):
-        raise NoCutExistsError("complete digraph has no vertex cut")
     split, maps = split_transform(ng)
     adjacent = set(ng.arcs)
     best = None

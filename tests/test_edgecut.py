@@ -195,20 +195,30 @@ def test_oracle_examples():
     assert exact_rooted_edge_cut_oracle(star, 0).value == 7
     split = DiGraph(3, [(1, 2, 4)])
     assert exact_rooted_edge_cut_oracle(split, 0).value == 0
+    # every vertex is reachable, but vertex 1 only through a zero-capacity arc
+    hidden = DiGraph(3, [(0, 1, 0), (1, 2, 5), (2, 0, 5), (0, 2, 5)])
+    oracle = exact_rooted_edge_cut_oracle(hidden, 0)
+    assert oracle.value == 0 and oracle.sink_set == frozenset([1])
 
 
 def test_oracle_matches_enumeration():
     rng = random.Random(24)
     for _ in range(20):
         g = rand_digraph(rng, rng.randint(2, 7), rng.randint(0, 12), strong=False)
-        value, _ = brute_min_rooted_cut(g, 0)
-        assert exact_rooted_edge_cut_oracle(g, 0).value == value
+        zeroed = DiGraph(g.n, [(t, h, c if i % 3 else 0)
+                               for i, (t, h, c) in enumerate(g.arcs)])
+        for h in (g, zeroed):
+            value, _ = brute_min_rooted_cut(h, 0)
+            assert exact_rooted_edge_cut_oracle(h, 0).value == value
 
 
 def test_global_oracle_orientation():
     two = DiGraph(2, [(0, 1, 9), (1, 0, 4)])
     cert, orientation = exact_global_edge_cut_oracle(two)
     assert cert.value == 4 and orientation == "reverse"
+    hidden = DiGraph(3, [(0, 1, 0), (1, 2, 5), (2, 0, 5), (0, 2, 5)])
+    cert, orientation = exact_global_edge_cut_oracle(hidden)
+    assert cert.value == 0 and orientation == "forward"
 
 
 def test_exact_small_matches_oracle_unit_caps():

@@ -187,6 +187,27 @@ def test_cli_exact_modes(tmp_path, capsys):
     assert code == 0 and "value: 1" in out
 
 
+def test_cli_exact_zero_capacity_cut(tmp_path, capsys):
+    path = tmp_path / "zero.gr"
+    path.write_text("p edge-cap 3 4\na 1 2 0\na 2 3 5\na 3 1 5\na 1 3 5\n")
+    for mode in (("--rooted", "1"), ("--global",)):
+        code, out = _run(capsys, "edge-cut", *mode, "--exact", str(path))
+        assert code == 0
+        assert "value: 0" in out.splitlines()
+
+
+def test_cli_reports_clamped_epsilon(tmp_path, capsys):
+    edge = tmp_path / "c3.gr"
+    edge.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")
+    vertex = tmp_path / "v.gr"
+    vertex.write_text("p vertex-cap 4 4\na 1 2\na 1 3\na 2 4\na 3 4\nw 2 1\nw 3 2\n")
+    for command, path in (("edge-cut", edge), ("vertex-cut", vertex)):
+        code, out = _run(capsys, command, "--rooted", "1", "--epsilon", "5", str(path))
+        assert code == 0 and "epsilon: 99/100" in out.splitlines()
+        code, out = _run(capsys, command, "--rooted", "1", "--epsilon", "0.2", str(path))
+        assert code == 0 and "epsilon: 1/5" in out.splitlines()
+
+
 def test_cli_determinism_across_runs_and_threads(tmp_path, capsys):
     inst = generate("erdos-renyi-digraph", seed=9, n=10)
     path = tmp_path / "er.gr"

@@ -344,3 +344,13 @@ def test_determinism():
     a = approx_rooted_vertex_cut(g, 0, "0.2", seed=4, threads=1)
     b = approx_rooted_vertex_cut(g, 0, "0.2", seed=4, threads=3)
     assert a.certificate == b.certificate
+
+
+def test_global_zero_singleton_returns_without_probing():
+    # strongly connected, but vertex 1's only in-neighbor has capacity 0
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    for vcaps in ([0, 1, 1, 1], [0, 0, 0, 0]):
+        g = VertexCapGraph(4, cycle, vcaps)
+        res = approx_global_vertex_cut(g, "0.2", seed=1)
+        assert res.value == 0 and res.flow_calls == 0 and res.probe_log == ()
+        _assert_valid_vertex_cut(g, res.certificate)
