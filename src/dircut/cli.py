@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 
 from .edgecut import (
+    _edge_oracle,
     approx_global_edge_cut,
     approx_rooted_edge_cut,
     as_fraction,
@@ -33,6 +34,7 @@ from .generators import FAMILIES, generate
 from .graph import DiGraph, NoCutExistsError
 from .vertexcut import (
     VertexCapGraph,
+    _vertex_oracle,
     approx_global_vertex_cut,
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
@@ -140,12 +142,8 @@ def _cmd_edge(args) -> int:
     eps = as_fraction(args.epsilon)
     started = time.perf_counter()
     if args.exact:
-        if root is not None:
-            cert, orient = exact_rooted_edge_cut_oracle(g, root), "forward"
-            calls = g.n - 1
-        else:
-            cert, orient = exact_global_edge_cut_oracle(g)
-            calls = 2 * (g.n - 1)
+        res = _edge_oracle(g, root)
+        cert, orient, calls = res.certificate, res.orientation, res.flow_calls
         algorithm = "exact"
     elif args.exact_small:
         res = exact_small_edge_cut(g, root=root, seed=args.seed)
@@ -191,8 +189,8 @@ def _cmd_vertex(args) -> int:
     eps = as_fraction(args.epsilon)
     started = time.perf_counter()
     if args.exact:
-        cert = exact_vertex_cut_oracle(g, root=root)
-        calls = 0
+        res = _vertex_oracle(g, root)
+        cert, calls = res.certificate, res.flow_calls
         algorithm = "exact"
     elif args.exact_small:
         res = exact_small_vertex_cut(g, root=root, seed=args.seed)

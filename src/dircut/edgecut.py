@@ -472,30 +472,43 @@ def approx_global_edge_cut(
     )
 
 
-def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
-    """Exact minimum rooted cut via one max-flow per non-root vertex.  Each
-    flow's cut is read from its residual source side, so a zero cut hidden
-    behind zero-capacity arcs is found too."""
+def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     best = None
+    calls = 0
     for t in range(g.n):
         if t == r:
             continue
         cut = min_cut_sink_side(max_flow(g, r, t))
+        calls += 1
         if cut.value == 0:
-            return cut
+            best = cut
+            break
         best = _better(best, cut)
-    return best
+    return EdgeCutResult(best, "forward", calls, ())
+
+
+def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
+    """Exact oracle with the flows it ran counted: rooted at ``root``, or
+    global (rooted at vertex 0 of the graph and of its reversal)."""
+    if root is not None:
+        return _rooted_oracle(g, root)
+    return _both_orientations(lambda h, _seed: _rooted_oracle(h, 0), g, 0)
+
+
+def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
+    """Exact minimum rooted cut via one max-flow per non-root vertex.  Each
+    flow's cut is read from its residual source side, so a zero cut hidden
+    behind zero-capacity arcs is found too; the first zero cut ends the
+    search."""
+    return _rooted_oracle(g, r).certificate
 
 
 def exact_global_edge_cut_oracle(g: DiGraph):
     """Exact global minimum cut; returns (certificate, orientation)."""
-    forward = exact_rooted_edge_cut_oracle(g, 0)
-    backward = exact_rooted_edge_cut_oracle(reverse(g), 0)
-    if _better(forward, backward) is forward:
-        return forward, "forward"
-    return backward, "reverse"
+    res = _edge_oracle(g)
+    return res.certificate, res.orientation
 
 
 def _require_integer_capacities(g: DiGraph):

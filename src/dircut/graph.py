@@ -39,10 +39,12 @@ class DiGraph:
 
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
     ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
-    counted individually by in-degree and in-volume.
+    counted individually by in-degree and in-volume.  ``_flow_network``
+    holds the graph's residual arrays once ``maxflow`` has built them, so
+    they live exactly as long as the graph.
     """
 
-    __slots__ = ("n", "arcs", "scale", "root", "inf_arcs", "inf_value")
+    __slots__ = ("n", "arcs", "scale", "root", "inf_arcs", "inf_value", "_flow_network")
 
     def __init__(self, n, arcs, scale=1, root=None):
         if n < 0:
@@ -77,6 +79,7 @@ class DiGraph:
             (t, h, inf_value if i in self.inf_arcs else c)
             for i, (t, h, c) in enumerate(raw)
         )
+        self._flow_network = None
 
     # -- basic accessors -------------------------------------------------
 

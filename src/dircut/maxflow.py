@@ -1,14 +1,27 @@
-"""Exact single-commodity max-flow / min-cut (Dinic, arc-list adjacency).
+"""Exact single-commodity max-flow / min-cut (Dinic on a residual network
+of paired arcs).
 
 All arithmetic is on integer capacity numerators, so flow values, per-arc
 flows and cut values are exact.  The engine sits behind one function so a
 faster solver could replace it without touching callers.
+
+The residual network of a graph is built once and kept on the graph,
+which is immutable: edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its
+reverse, with per-vertex lists of edge ids.  A call copies only the
+capacities.  Demand arcs into a supersink ``g.n`` ride as a suffix of
+the graph's arrays, which is how the Steiner recursion routes to a
+terminal set without building a new graph.
+
+Each phase labels vertices by residual distance to the sink, with a
+reverse BFS that stops once the source is labelled, and pushes a blocking
+flow along arcs that lower that distance by one.  Dead ends are marked,
+and after an augmentation the search resumes at the tail of the first
+saturated arc.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import CutCertificate, DiGraph, cut_certificate
@@ -16,105 +29,158 @@ from .graph import CutCertificate, DiGraph, cut_certificate
 
 @dataclass(frozen=True)
 class MaxFlowResult:
-    """Flow assignment plus the canonical minimal source side.
+    """Flow value plus the canonical minimal source side.
 
-    ``flows[i]`` is the flow on ``graph.arcs[i]``; ``source_side`` is the
-    set of vertices reachable from the source in the residual graph, which
-    makes the induced minimum cut deterministic.
+    ``source_side`` is the set of vertices reachable from the source in
+    the residual graph, which makes the induced minimum cut deterministic.
+    ``residual`` holds the final residual capacities of the paired edges.
     """
 
     graph: DiGraph
     source: int
     sink: int
     value: int  # numerator at graph.scale
-    flows: tuple
     source_side: frozenset
+    residual: list = field(repr=False, compare=False)
+
+    @property
+    def flows(self) -> tuple:
+        """``flows[i]`` is the flow on ``graph.arcs[i]``: the residual
+        capacity of its reverse edge, which starts at zero."""
+        return tuple(self.residual[1 : 2 * self.graph.m : 2])
 
     def value_fraction(self) -> Fraction:
         return self.graph.value(self.value)
 
 
-def max_flow(g: DiGraph, s: int, t: int) -> MaxFlowResult:
-    """Exact maximum (s, t)-flow via shortest augmenting paths."""
+def _network(g: DiGraph):
+    """(head, cap, adj, infinite edge ids) of ``g``, built on first use."""
+    net = g._flow_network
+    if net is None:
+        m = g.m
+        head = [0] * (2 * m)
+        cap = [0] * (2 * m)
+        adj = [[] for _ in range(g.n)]
+        if m:
+            tails, heads, caps = zip(*g.arcs)
+            head[0::2] = heads
+            head[1::2] = tails
+            cap[0::2] = caps
+        e = 0
+        for u, v, _ in g.arcs:
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
+        net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
+    return net
+
+
+def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
+    """Exact maximum (s, t)-flow.
+
+    ``demands`` lists ``(vertex, numerator)`` arcs into an extra vertex
+    ``g.n``, the supersink, appended after ``g``'s arcs; infinite arcs
+    then get the sentinel the extended graph would have.  ``flows`` and
+    ``min_cut_sink_side`` describe ``g`` alone, so read only
+    ``value`` and ``source_side`` from a flow with demands.
+    """
+    n = g.n + 1 if demands else g.n
     if s == t:
         raise ValueError("source and sink coincide")
-    if not (0 <= s < g.n and 0 <= t < g.n):
+    if not (0 <= s < n and 0 <= t < n):
         raise ValueError("source or sink out of range")
-    n = g.n
-    # paired residual arcs: edge 2i is arcs[i], edge 2i+1 its reverse
-    head = []
-    cap = []
-    adj = [[] for _ in range(n)]
-    for (u, v, c) in g.arcs:
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
+    head, cap, adj, inf_edges = _network(g)
+    cap = cap[:]
+    if demands:
+        supersink = g.n
+        head = head[:]
+        adj = adj[:]
+        into_supersink = []
+        extra = 0
+        for v, c in demands:
+            if not 0 <= v < supersink or c < 0:
+                raise ValueError("demand arc out of range or negative")
+            e = len(head)
+            head += (supersink, v)
+            cap += (c, 0)
+            adj[v] = adj[v] + [e]
+            into_supersink.append(e + 1)
+            extra += c
+        adj.append(into_supersink)
+        if extra:
+            sentinel = g.inf_value + extra
+            for e in inf_edges:
+                cap[e] = sentinel
 
-    level = [-1] * n
-    total = 0
-    while True:
-        for i in range(n):
-            level[i] = -1
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in adj[u]:
-                v = head[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            break
-        ptr = [0] * n
-        while True:
-            # iterative DFS for one augmenting path in the level graph
-            path = []
-            v = s
-            stuck = False
-            while v != t:
-                advanced = False
-                while ptr[v] < len(adj[v]):
-                    e = adj[v][ptr[v]]
-                    w = head[e]
-                    if cap[e] > 0 and level[w] == level[v] + 1:
-                        path.append(e)
-                        v = w
-                        advanced = True
-                        break
-                    ptr[v] += 1
-                if advanced:
-                    continue
-                if v == s:
-                    stuck = True
-                    break
-                dead = path.pop()
-                v = head[dead ^ 1]  # tail of the popped edge
-                ptr[v] += 1
-            if stuck:
-                break
-            bottleneck = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= bottleneck
-                cap[e ^ 1] += bottleneck
-            total += bottleneck
-
-    flows = tuple(g.arcs[i][2] - cap[2 * i] for i in range(g.m))
+    total = _dinic(head, cap, adj, n, s, t)
     seen = [False] * n
     seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
+    reached = [s]
+    for u in reached:
         for e in adj[u]:
             v = head[e]
-            if cap[e] > 0 and not seen[v]:
+            if cap[e] and not seen[v]:
                 seen[v] = True
-                queue.append(v)
-    source_side = frozenset(v for v in range(n) if seen[v])
-    return MaxFlowResult(g, s, t, total, flows, source_side)
+                reached.append(v)
+    return MaxFlowResult(g, s, t, total, frozenset(reached), cap)
+
+
+def _dinic(head, cap, adj, n, s, t) -> int:
+    """Saturate ``cap`` in place; returns the flow value."""
+    total = 0
+    while True:
+        dist = [-1] * n
+        dist[t] = 0
+        queue = [t]
+        for u in queue:
+            du = dist[u] + 1
+            for e in adj[u]:
+                w = head[e]
+                if dist[w] < 0 and cap[e ^ 1]:
+                    dist[w] = du
+                    queue.append(w)
+            if dist[s] >= 0:
+                break
+        else:
+            return total
+        ptr = [0] * n
+        path = []  # edge ids from s to v
+        v = s
+        while True:
+            if v == t:
+                flow = cap[path[0]]
+                for e in path:
+                    if cap[e] < flow:
+                        flow = cap[e]
+                total += flow
+                first = None
+                for i, e in enumerate(path):
+                    cap[e] -= flow
+                    cap[e ^ 1] += flow
+                    if first is None and not cap[e]:
+                        first = i
+                del path[first:]
+                v = head[path[-1]] if path else s
+                continue
+            edges = adj[v]
+            i = ptr[v]
+            k = len(edges)
+            want = dist[v] - 1
+            while i < k:
+                e = edges[i]
+                if cap[e] and dist[head[e]] == want:
+                    break
+                i += 1
+            ptr[v] = i
+            if i < k:
+                path.append(e)
+                v = head[e]
+                continue
+            dist[v] = -1  # dead end for the rest of the phase
+            if not path:
+                break
+            v = head[path.pop() ^ 1]
+            ptr[v] += 1
 
 
 def min_cut_sink_side(res: MaxFlowResult) -> CutCertificate:

@@ -96,6 +96,8 @@ def build_steiner_network(inst: SteinerInstance):
     Returns the extended graph and the supersink id.  Each terminal t gets
     an arc (t, supersink) of capacity ``level``, so a max flow from the
     root simultaneously tries to route ``level`` units to every terminal.
+    The recursion runs the same network as ``max_flow`` demand arcs on the
+    instance graph instead of building this graph.
     """
     g = inst.graph
     arcs = g.arcs_as_input()
@@ -147,10 +149,8 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats) -> dict:
     mid = (len(terms) + 1) // 2
     out = {}
     for half in (terms[:mid], terms[mid:]):
-        net, supersink = build_steiner_network(
-            SteinerInstance(g, r, frozenset(half), level)
-        )
-        res = max_flow(net, r, supersink)
+        # the network of build_steiner_network, as demand arcs on g's arrays
+        res = max_flow(g, r, g.n, demands=[(t, level) for t in half])
         stats.raw_flow_calls += 1
         source_side = res.source_side
         uncertified = tuple(t for t in half if t not in source_side)

@@ -532,34 +532,33 @@ def _oracle_extract(ng, maps, source, flow_result):
     return cert
 
 
+def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
+    """Exact oracle with the flows it ran counted."""
+    ng = _normalize(g)
+    if root is not None:
+        admissible, zero = _rooted_start(ng, root)
+        pairs = [(root, t) for t in admissible]
+    else:
+        zero = _global_start(ng)
+        adjacent = set(ng.arcs)
+        pairs = [
+            (s, t) for s in range(ng.n) for t in range(ng.n)
+            if s != t and (s, t) not in adjacent
+        ]
+    if zero is not None:
+        return VertexCutResult(zero, 0, ())
+    split, maps = split_transform(ng)
+    best = None
+    for s, t in pairs:
+        res = max_flow(split, maps.to_out(s), maps.to_in(t))
+        best = _vbetter(best, _oracle_extract(ng, maps, s, res))
+    return VertexCutResult(best, len(pairs), ())
+
+
 def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificate:
     """Exact minimum vertex cut by pairwise split-graph flows.
 
     ``root`` given: one flow per admissible sink.  ``root=None``: one flow
     per ordered nonadjacent pair.  Test oracle and CLI --exact mode.
     """
-    ng = _normalize(g)
-    if root is not None:
-        admissible, zero = _rooted_start(ng, root)
-        if zero is not None:
-            return zero
-        split, maps = split_transform(ng)
-        best = None
-        for t in admissible:
-            res = max_flow(split, maps.to_out(root), maps.to_in(t))
-            best = _vbetter(best, _oracle_extract(ng, maps, root, res))
-        return best
-
-    zero = _global_start(ng)
-    if zero is not None:
-        return zero
-    split, maps = split_transform(ng)
-    adjacent = set(ng.arcs)
-    best = None
-    for s in range(ng.n):
-        for t in range(ng.n):
-            if s == t or (s, t) in adjacent:
-                continue
-            res = max_flow(split, maps.to_out(s), maps.to_in(t))
-            best = _vbetter(best, _oracle_extract(ng, maps, s, res))
-    return best
+    return _vertex_oracle(g, root).certificate

@@ -10,7 +10,15 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from dircut import DiGraph, VertexCapGraph
+from hypothesis import settings
+from hypothesis import strategies as st
+
+from dircut import INFINITE, DiGraph, VertexCapGraph
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow or loaded machine neither changes nor fails them.
+settings.register_profile("dircut", derandomize=True, deadline=None)
+settings.load_profile("dircut")
 
 
 def cut_value(g, sink):
@@ -50,6 +58,22 @@ def brute_min_st_cut(g, s, t):
         if best is None or val < best:
             best = val
     return best
+
+
+def brute_minimal_source_side(g, s, t):
+    """Intersection of the source sides of all minimum (s, t)-cuts."""
+    best = None
+    side = None
+    for sink in iter_sink_sets(g.n, s):
+        if t not in sink:
+            continue
+        val = cut_value(g, sink)
+        source = frozenset(range(g.n)) - sink
+        if best is None or val < best:
+            best, side = val, source
+        elif val == best:
+            side &= source
+    return side
 
 
 def topo_reach(n, arcs, source, removed=frozenset()):
@@ -147,3 +171,23 @@ def g1():
 def g2():
     """Vertex example: r->a, r->b, a->t, b->t with caps a=1, b=2."""
     return VertexCapGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [5, 1, 2, 5])
+
+
+#: Capacities that stress the flow engine: zero, small, near 2**70, infinite.
+capacities = st.one_of(
+    st.integers(0, 4),
+    st.integers(2**70 - 3, 2**70 + 3),
+    st.just(INFINITE),
+)
+
+
+@st.composite
+def tiny_graphs(draw, max_n=7):
+    """Digraphs on 2..max_n vertices with parallel arcs and mixed capacities."""
+    n = draw(st.integers(2, max_n))
+    arcs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacities),
+        max_size=3 * n,
+    ))
+    scale = draw(st.integers(1, 3))
+    return DiGraph(n, [(u, v, c) for u, v, c in arcs if u != v], scale=scale)

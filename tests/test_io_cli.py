@@ -196,6 +196,41 @@ def test_cli_exact_zero_capacity_cut(tmp_path, capsys):
         assert "value: 0" in out.splitlines()
 
 
+def test_cli_exact_reports_counted_flow_calls(tmp_path, capsys, monkeypatch):
+    import dircut.edgecut
+    import dircut.vertexcut
+
+    calls = []
+    for module in (dircut.edgecut, dircut.vertexcut):
+        flow = module.max_flow
+        monkeypatch.setattr(
+            module, "max_flow", lambda *a, flow=flow, **k: calls.append(1) or flow(*a, **k)
+        )
+    zero = tmp_path / "zero.gr"
+    zero.write_text("p edge-cap 3 4\na 1 2 0\na 2 3 5\na 3 1 5\na 1 3 5\n")
+    code, out = _run(capsys, "edge-cut", "--rooted", "1", "--exact", str(zero))
+    assert code == 0 and "flow_calls: 1" in out.splitlines() and len(calls) == 1
+
+    vertex = tmp_path / "g2.gr"
+    vertex.write_text(
+        "p vertex-cap 4 4\na 1 2\na 1 3\na 2 4\na 3 4\n"
+        "w 1 5\nw 2 1\nw 3 2\nw 4 5\n"
+    )
+    vcycle = tmp_path / "vc4.gr"
+    vcycle.write_text("p vertex-cap 4 5\na 1 2\na 2 3\na 3 4\na 4 1\na 1 3\n")
+    c4 = tmp_path / "c4.gr"
+    c4.write_text("p edge-cap 4 4\na 1 2 1\na 2 3 2\na 3 4 3\na 4 1 4\n")
+    for command, mode, path in (
+        ("vertex-cut", ("--rooted", "1"), vertex),
+        ("vertex-cut", ("--global",), vcycle),
+        ("edge-cut", ("--global",), c4),
+    ):
+        calls.clear()
+        code, out = _run(capsys, command, *mode, "--exact", str(path))
+        assert code == 0 and calls
+        assert f"flow_calls: {len(calls)}" in out.splitlines()
+
+
 def test_cli_reports_clamped_epsilon(tmp_path, capsys):
     edge = tmp_path / "c3.gr"
     edge.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")

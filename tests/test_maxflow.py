@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircut import (
     INFINITE,
@@ -10,7 +12,14 @@ from dircut import (
     verify_flow,
 )
 
-from conftest import brute_min_st_cut, g1, rand_digraph
+from conftest import (
+    brute_min_st_cut,
+    brute_minimal_source_side,
+    capacities,
+    g1,
+    rand_digraph,
+    tiny_graphs,
+)
 
 
 def test_single_arc_network():
@@ -97,3 +106,38 @@ def test_infinite_arcs_participate():
     assert res.value == 4
     cert = min_cut_sink_side(res)
     assert cert.sink_set == frozenset([2])
+
+
+@st.composite
+def flow_problems(draw):
+    """A tiny graph, a source and a sink, sometimes joined by direct arcs."""
+    g = draw(tiny_graphs())
+    s, t = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    direct = draw(st.lists(capacities, max_size=2))
+    if direct:
+        g = DiGraph(g.n, g.arcs_as_input() + [(s, t, c) for c in direct], scale=g.scale)
+    return g, s, t
+
+
+@settings(max_examples=400)
+@given(flow_problems())
+def test_max_flow_matches_brute_force(problem):
+    g, s, t = problem
+    res = max_flow(g, s, t)
+    assert g.value(res.value) == brute_min_st_cut(g, s, t)
+    assert res.source_side == brute_minimal_source_side(g, s, t)
+    assert verify_flow(g, res.flows, s, t)
+    net = 0
+    for (u, v, _), f in zip(g.arcs, res.flows):
+        net += f if u == s else -f if v == s else 0
+    assert net == res.value
+
+
+def test_demand_arcs_validated():
+    g = g1()
+    with pytest.raises(ValueError):
+        max_flow(g, 0, 3, demands=[(3, 1)])
+    with pytest.raises(ValueError):
+        max_flow(g, 0, 3, demands=[(1, -1)])
+    with pytest.raises(ValueError):
+        max_flow(g, 0, 3)

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dircut import (
+    INFINITE,
     Below,
     Certified,
     DiGraph,
@@ -17,7 +20,7 @@ from dircut import (
     shrink_wrap,
 )
 
-from conftest import cut_value, g1, rand_digraph
+from conftest import cut_value, g1, rand_digraph, tiny_graphs
 
 
 def test_network_construction_g1():
@@ -39,6 +42,38 @@ def test_network_singleton_equals_capped_flow():
         capped = max_flow(net, 0, supersink).value
         direct = max_flow(g, 0, t).value
         assert capped == min(direct, level)
+
+
+def _same_flow_as_built_network(g, r, terminals, level):
+    net, supersink = build_steiner_network(SteinerInstance(g, r, terminals, level))
+    built = max_flow(net, r, supersink)
+    suffix = max_flow(g, r, g.n, demands=[(t, level) for t in sorted(terminals)])
+    assert suffix.value == built.value
+    assert suffix.source_side == built.source_side
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_demand_suffix_matches_built_network_tiny(data):
+    g = data.draw(tiny_graphs())
+    r = data.draw(st.integers(0, g.n - 1))
+    others = [v for v in range(g.n) if v != r]
+    terminals = data.draw(st.frozensets(st.sampled_from(others), min_size=1))
+    level = data.draw(st.one_of(st.integers(1, 6), st.integers(2**70 - 3, 2**70 + 3)))
+    _same_flow_as_built_network(g, r, terminals, level)
+
+
+def test_demand_suffix_matches_built_network_random():
+    rng = random.Random(12)
+    for _ in range(60):
+        h = rand_digraph(rng, rng.randint(3, 24), rng.randint(0, 60), strong=rng.random() < 0.5)
+        arcs = [(u, v, INFINITE if rng.random() < 0.1 else c) for u, v, c in h.arcs]
+        g = DiGraph(h.n, arcs)
+        r = rng.randrange(g.n)
+        others = [v for v in range(g.n) if v != r]
+        terminals = frozenset(rng.sample(others, rng.randint(1, len(others))))
+        level = rng.choice([1, rng.randint(1, 30), 2**70])
+        _same_flow_as_built_network(g, r, terminals, level)
 
 
 def test_zero_level_rejected():
