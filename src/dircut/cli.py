@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .edgecut import (
     _edge_oracle,
@@ -25,8 +26,6 @@ from .edgecut import (
     as_fraction,
     clamp_epsilon,
     derive_seed,
-    exact_global_edge_cut_oracle,
-    exact_rooted_edge_cut_oracle,
     exact_small_edge_cut,
 )
 from .fileio import GraphFileError, format_value, parse_graph, parse_text
@@ -38,7 +37,6 @@ from .vertexcut import (
     approx_global_vertex_cut,
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
-    exact_vertex_cut_oracle,
 )
 
 
@@ -80,7 +78,7 @@ def _build_parser():
                        help="accepted and ignored; solves run single-threaded")
         p.add_argument("--report", metavar="PATH",
                        help="also write the report as JSON")
-        p.set_defaults(handler=_cmd_edge if name == "edge-cut" else _cmd_vertex)
+        p.set_defaults(handler=_cmd_cut)
 
     g = sub.add_parser("generate", help="write a random instance")
     g.add_argument("--family", required=True, choices=FAMILIES)
@@ -134,97 +132,50 @@ def _pick_mode(args, g):
     return None
 
 
-def _cmd_edge(args) -> int:
+def _cmd_cut(args) -> int:
+    problem = _PROBLEMS[args.command]
     g = parse_graph(args.file)
-    if not isinstance(g, DiGraph):
-        raise ValueError("edge-cut needs an edge-capacitated file")
+    if not isinstance(g, problem.graph_type):
+        raise ValueError(f"{args.command} needs {problem.file_kind} file")
     root = _pick_mode(args, g)
     eps = as_fraction(args.epsilon)
     started = time.perf_counter()
     if args.exact:
-        res = _edge_oracle(g, root)
-        cert, orient, calls = res.certificate, res.orientation, res.flow_calls
+        res = problem.oracle(g, root)
         algorithm = "exact"
     elif args.exact_small:
-        res = exact_small_edge_cut(g, root=root, seed=args.seed)
-        cert, orient, calls = res.certificate, res.orientation, res.flow_calls
+        res = problem.exact_small(g, root=root, seed=args.seed)
         algorithm = "exact-small"
     else:
-        if root is not None:
-            res = approx_rooted_edge_cut(g, root, eps, seed=args.seed)
-        else:
-            res = approx_global_edge_cut(g, eps, seed=args.seed)
-        cert, orient, calls = res.certificate, res.orientation, res.flow_calls
+        res = _approx(problem, g, root, eps, args.seed)
         algorithm = "approx"
     elapsed = time.perf_counter() - started
 
-    value, crossing = _revalidate_edge(args.file, orient, cert.sink_set)
-    if value != cert.value:
+    orientation, value, rows = problem.revalidate(args.file, res)
+    if value != res.certificate.value:
         raise RuntimeError("internal error: certificate failed file re-validation")
     report = [
-        ("problem", "edge-cut"),
+        ("problem", args.command),
         ("mode", "rooted" if root is not None else "global"),
         ("algorithm", algorithm),
         ("root", str(root + 1) if root is not None else "-"),
-        ("orientation", orient),
+        ("orientation", orientation),
         ("epsilon", str(clamp_epsilon(eps)) if algorithm == "approx" else "-"),
         ("seed", str(args.seed)),
         ("value", format_value(value)),
-        ("sink_size", str(len(cert.sink_set))),
-        ("sink", _ids(cert.sink_set)),
-        ("crossing", " ".join(f"{u + 1}->{v + 1}={format_value(c)}"
-                              for u, v, c in crossing)),
-        ("flow_calls", str(calls)),
+        *rows,
+        ("flow_calls", str(res.flow_calls)),
         ("wall_time_s", f"{elapsed:.6f}"),
     ]
     _emit(report, args.report)
     return 0
 
 
-def _cmd_vertex(args) -> int:
-    g = parse_graph(args.file)
-    if not isinstance(g, VertexCapGraph):
-        raise ValueError("vertex-cut needs a vertex-capacitated file")
-    root = _pick_mode(args, g)
-    eps = as_fraction(args.epsilon)
-    started = time.perf_counter()
-    if args.exact:
-        res = _vertex_oracle(g, root)
-        cert, calls = res.certificate, res.flow_calls
-        algorithm = "exact"
-    elif args.exact_small:
-        res = exact_small_vertex_cut(g, root=root, seed=args.seed)
-        cert, calls = res.certificate, res.flow_calls
-        algorithm = "exact-small"
-    else:
-        if root is not None:
-            res = approx_rooted_vertex_cut(g, root, eps, seed=args.seed)
-        else:
-            res = approx_global_vertex_cut(g, eps, seed=args.seed)
-        cert, calls = res.certificate, res.flow_calls
-        algorithm = "approx"
-    elapsed = time.perf_counter() - started
-
-    value = _revalidate_vertex(args.file, cert)
-    if value != cert.value:
-        raise RuntimeError("internal error: certificate failed file re-validation")
-    report = [
-        ("problem", "vertex-cut"),
-        ("mode", "rooted" if root is not None else "global"),
-        ("algorithm", algorithm),
-        ("root", str(root + 1) if root is not None else "-"),
-        ("orientation", cert.orientation),
-        ("epsilon", str(clamp_epsilon(eps)) if algorithm == "approx" else "-"),
-        ("seed", str(args.seed)),
-        ("value", format_value(value)),
-        ("separator_size", str(len(cert.separator))),
-        ("separator", _ids(cert.separator)),
-        ("sink", _ids(cert.sink_component)),
-        ("flow_calls", str(calls)),
-        ("wall_time_s", f"{elapsed:.6f}"),
-    ]
-    _emit(report, args.report)
-    return 0
+def _approx(problem, g, root, eps, seed):
+    """Approximate solve: rooted at ``root``, or global when it is None."""
+    if root is None:
+        return problem.approx_global(g, eps, seed=seed)
+    return problem.approx_rooted(g, root, eps, seed=seed)
 
 
 def _ids(vertices) -> str:
@@ -243,21 +194,31 @@ def _emit(report, json_path):
 # -- independent re-validation against the raw file --------------------------
 
 
-def _revalidate_edge(path, orientation, sink_set):
-    """Recompute the cut value straight from the file, no library helpers."""
+def _revalidate_edge(path, res):
+    """Recompute the cut value straight from the file, no library helpers.
+    Returns (orientation, value, the edge-cut report rows)."""
+    sink_set = res.certificate.sink_set
     raw = parse_graph(path)
     crossing = []
     total = Fraction(0)
     for t, h, c in raw.arcs:
-        if orientation == "reverse":
+        if res.orientation == "reverse":
             t, h = h, t
         if h in sink_set and t not in sink_set:
             crossing.append((t, h, raw.value(c)))
             total += raw.value(c)
-    return total, crossing
+    return res.orientation, total, [
+        ("sink_size", str(len(sink_set))),
+        ("sink", _ids(sink_set)),
+        ("crossing", " ".join(f"{u + 1}->{v + 1}={format_value(c)}"
+                              for u, v, c in crossing)),
+    ]
 
 
-def _revalidate_vertex(path, cert):
+def _revalidate_vertex(path, res):
+    """Check the separator and recompute its value straight from the file.
+    Returns (orientation, value, the vertex-cut report rows)."""
+    cert = res.certificate
     raw = parse_graph(path)
     expected = set()
     for t, h in raw.arcs:
@@ -267,7 +228,35 @@ def _revalidate_vertex(path, cert):
             expected.add(t)
     if expected != set(cert.separator):
         raise RuntimeError("internal error: separator is not the sink in-neighborhood")
-    return sum((raw.value(raw.vcaps[w]) for w in cert.separator), Fraction(0))
+    value = sum((raw.value(raw.vcaps[w]) for w in cert.separator), Fraction(0))
+    return cert.orientation, value, [
+        ("separator_size", str(len(cert.separator))),
+        ("separator", _ids(cert.separator)),
+        ("sink", _ids(cert.sink_component)),
+    ]
+
+
+class _Problem(NamedTuple):
+    """What the cut commands and ``verify`` need to know about one problem:
+    its file kind, its solvers, and its re-validation against the file."""
+
+    graph_type: type
+    file_kind: str
+    approx_rooted: Callable
+    approx_global: Callable
+    exact_small: Callable
+    oracle: Callable  # (g, root or None) -> result with counted flows
+    revalidate: Callable  # (path, result) -> (orientation, value, report rows)
+
+
+_PROBLEMS = {
+    "edge-cut": _Problem(DiGraph, "an edge-capacitated", approx_rooted_edge_cut,
+                        approx_global_edge_cut, exact_small_edge_cut, _edge_oracle,
+                        _revalidate_edge),
+    "vertex-cut": _Problem(VertexCapGraph, "a vertex-capacitated", approx_rooted_vertex_cut,
+                          approx_global_vertex_cut, exact_small_vertex_cut, _vertex_oracle,
+                          _revalidate_vertex),
+}
 
 
 # -- generate / verify -------------------------------------------------------
@@ -303,6 +292,8 @@ def _cmd_verify(args) -> int:
             params["vcap_max"] = args.vcap_max
         if args.family != "erdos-renyi-digraph":
             raise ValueError("vertex verification uses the erdos-renyi family")
+    problem = _PROBLEMS[f"{args.problem}-cut"]
+    root = 0 if args.mode == "rooted" else None
     ok = 0
     valid = 0
     print(f"trial oracle approx ratio")
@@ -310,20 +301,8 @@ def _cmd_verify(args) -> int:
         inst = generate(args.family, seed=derive_seed(args.seed, "gen", i), **params)
         g = parse_text(inst.text)
         run_seed = derive_seed(args.seed, "run", i)
-        if args.problem == "edge":
-            if args.mode == "rooted":
-                approx = approx_rooted_edge_cut(g, 0, eps, seed=run_seed).certificate
-                oracle = exact_rooted_edge_cut_oracle(g, 0)
-            else:
-                approx = approx_global_edge_cut(g, eps, seed=run_seed).certificate
-                oracle = exact_global_edge_cut_oracle(g)[0]
-        else:
-            if args.mode == "rooted":
-                approx = approx_rooted_vertex_cut(g, 0, eps, seed=run_seed).certificate
-                oracle = exact_vertex_cut_oracle(g, root=0)
-            else:
-                approx = approx_global_vertex_cut(g, eps, seed=run_seed).certificate
-                oracle = exact_vertex_cut_oracle(g)
+        approx = _approx(problem, g, root, eps, run_seed).certificate
+        oracle = problem.oracle(g, root).certificate
         if approx.value >= oracle.value:
             valid += 1
         if oracle.value == 0:

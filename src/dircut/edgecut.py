@@ -10,13 +10,15 @@ re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.
 
-``probe_level`` runs the probe at every in-volume guess of one level.  The
-approximate modes binary search a geometric grid of levels
+A prober (``level_prober``) binds one rooted instance's probe, in-volume
+guesses and probe log once, and probes a level at every in-volume guess.
+The approximate modes binary search a geometric grid of levels
 (``level_search``); the grid ratio and the per-probe inflation are both
 set to epsilon/(2+epsilon) so that their product stays within the
 requested (1+epsilon) factor end to end.  The exact small-optimum modes
 search integer levels instead (``integer_search``).  Vertex cuts run the
-same drivers with a probe on the split graph.
+same drivers with a prober on the split graph.  Certificates of either
+kind are compared by their ``rank``.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .graph import (
 )
 from .maxflow import max_flow, min_cut_sink_side
 from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
-
-DEFAULT_SAMPLE_CONST = Fraction(2)
 
 
 def derive_seed(*parts) -> int:
@@ -73,7 +73,7 @@ class ProbeConfig:
     level: Fraction
     volume: int
     epsilon: Fraction
-    sample_const: Fraction = DEFAULT_SAMPLE_CONST
+    sample_const: Fraction = Fraction(2)
     seed: int = 0
 
     def __post_init__(self):
@@ -97,8 +97,6 @@ class ConditionedGraph:
     h: DiGraph
     phi: Fraction
     original_arc: tuple
-    level: Fraction
-    epsilon: Fraction
 
     def original_in_degrees(self) -> list:
         deg = [0] * self.h.n
@@ -149,9 +147,9 @@ def condition_rooted(
         if v != r and deg > 0:
             arcs.append((r, v, quantum_num * deg))
             flags.append(False)
-    h = DiGraph(base.n, arcs, scale=new_scale, root=base.root)
+    h = DiGraph(base.n, arcs, scale=new_scale)
     phi = epsilon * level / (2 * aux_divisor * volume)
-    return ConditionedGraph(h, phi, tuple(flags), level, epsilon)
+    return ConditionedGraph(h, phi, tuple(flags))
 
 
 def precondition_rooted(
@@ -212,25 +210,22 @@ def group_capacity(h: DiGraph, r: int, level_num: int) -> int:
 
 
 def _better(a, b):
-    """Deterministic minimum of two certificates (None allowed)."""
+    """Deterministic minimum of two certificates (None allowed) by rank."""
     if a is None:
         return b
     if b is None:
         return a
-    ka = (a.value, len(a.sink_set), tuple(sorted(a.sink_set)))
-    kb = (b.value, len(b.sink_set), tuple(sorted(b.sink_set)))
-    return a if ka <= kb else b
+    return a if a.rank <= b.rank else b
 
 
-def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract,
-          better) -> ProbeReport:
+def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract) -> ProbeReport:
     """Shrink-wrap every terminal group of one probe on the conditioned
     graph ``h`` at connectivity target ``threshold``.
 
     ``extract`` maps the sink set of each cut found to a certificate
     evaluated on the caller's own graph (or None); only certificates of
-    value strictly below ``threshold`` are kept, and ``better`` picks the
-    best of them.
+    value strictly below ``threshold`` are kept, and the best of them by
+    rank is returned.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -249,7 +244,7 @@ def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract,
             if isinstance(result, Below):
                 cert = extract(result.cut.sink_set)
                 if cert is not None and cert.value < threshold:
-                    best = better(best, cert)
+                    best = _better(best, cert)
     return ProbeReport(best, calls, tuple(all_stats))
 
 
@@ -266,7 +261,7 @@ def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig) -> ProbeReport:
     threshold = (1 + cfg.epsilon) * as_fraction(cfg.level)
     return probe(
         cond.h, r, terminals, threshold,
-        lambda sink: cut_certificate(g, sink, root=r), _better,
+        lambda sink: cut_certificate(g, sink, root=r),
     )
 
 
@@ -315,48 +310,50 @@ class EdgeCutResult:
         return self.certificate.value
 
 
-def probe_level(run_probe, level, volumes, epsilon, sample_const, seed_parts,
-                better, log):
-    """Probe one level at every in-volume guess; returns the best
-    certificate found (or None) and appends (level, volume, flow calls) per
-    probe to ``log``.  ``run_probe`` maps a ProbeConfig to a ProbeReport."""
-    best = None
-    for j, vol in enumerate(volumes):
-        rep = run_probe(ProbeConfig(
-            level=level, volume=vol, epsilon=epsilon,
-            sample_const=sample_const, seed=derive_seed(*seed_parts, j),
-        ))
-        log.append((level, vol, rep.flow_calls))
-        best = better(best, rep.certificate)
-    return best
+def level_prober(run_probe, volumes, log):
+    """Prober of one rooted instance: ``probe_at(level, epsilon,
+    seed_parts)`` probes ``level`` at tolerance ``epsilon`` at every
+    in-volume guess in ``volumes``, the j-th seeded by ``(*seed_parts, j)``,
+    and returns the best certificate found (or None).  ``run_probe`` maps a
+    ProbeConfig to a ProbeReport; each probe appends (level, volume, flow
+    calls) to ``log``."""
+    def probe_at(level, epsilon, seed_parts):
+        best = None
+        for j, vol in enumerate(volumes):
+            rep = run_probe(ProbeConfig(
+                level=level, volume=vol, epsilon=epsilon,
+                seed=derive_seed(*seed_parts, j),
+            ))
+            log.append((level, vol, rep.flow_calls))
+            best = _better(best, rep.certificate)
+        return best
+    return probe_at
 
 
-def level_search(run_probe, best, floor, epsilon, volumes, sample_const,
-                 seed_parts, better, log):
+def level_search(probe_at, best, floor, epsilon, seed_parts):
     """Binary search a geometric grid of levels for the lowest one whose
     probe finds a cut, improving on the certificate ``best``.
 
     The grid runs from ``floor * eps_in`` up to ``best.value`` with ratio
-    1+eps_in, and each probe runs at tolerance eps_in, where
-    eps_in = epsilon/(2+epsilon).  Probes at grid index i are seeded by
-    ``(*seed_parts, i)``.
+    1+eps_in, and ``probe_at`` (a ``level_prober``) runs at tolerance
+    eps_in, where eps_in = epsilon/(2+epsilon).  Grid index i is probed
+    with seed parts ``(*seed_parts, i)``.
     """
     eps_in = epsilon / (2 + epsilon)
     grid = _geometric_grid(floor * eps_in, best.value, 1 + eps_in)
     lo, hi = 0, len(grid) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        cert = probe_level(run_probe, grid[mid], volumes, eps_in, sample_const,
-                           (*seed_parts, mid), better, log)
+        cert = probe_at(grid[mid], eps_in, (*seed_parts, mid))
         if cert is not None:
-            best = better(best, cert)
+            best = _better(best, cert)
             hi = mid
         else:
             lo = mid + 1
     return best
 
 
-def integer_search(probe_at, singleton, better):
+def integer_search(probe_at, singleton):
     """Exact search over integer levels for integer capacities.
 
     ``probe_at(level, tag)`` probes at tolerance 1/(1+level), so any
@@ -376,26 +373,31 @@ def integer_search(probe_at, singleton, better):
         mid = (lo + hi) // 2
         cert = probe_at(mid, "bin")
         if cert is not None:
-            best = better(best, cert)
+            best = _better(best, cert)
             hi = int(cert.value)
         else:
             lo = mid + 1
     return best
 
 
-def _small_probe(run_probe, volumes, sample_const, seed, better, log):
-    """``probe_at`` for integer_search on one rooted instance: all volume
-    guesses at the integer level, tolerance 1/(1+level), seeded by
-    ``(seed, "small", tag, level)``."""
-    def probe_at(level, tag):
-        return probe_level(run_probe, Fraction(level), volumes, Fraction(1, 1 + level),
-                           sample_const, (seed, "small", tag, level), better, log)
-    return probe_at
+def _small_probe(probe_at, seed):
+    """``probe_at`` for integer_search from a ``level_prober``: the integer
+    level at tolerance 1/(1+level), seeded by ``(seed, "small", tag, level)``."""
+    return lambda level, tag: probe_at(
+        Fraction(level), Fraction(1, 1 + level), (seed, "small", tag, level)
+    )
 
 
 def _total_flow_calls(log) -> int:
     """Total flow calls of a probe log."""
     return sum(calls for _, _, calls in log)
+
+
+def _edge_prober(gm: DiGraph, r: int, log):
+    """``level_prober`` of the rooted edge instance (gm, r)."""
+    return level_prober(
+        lambda cfg: probe_rooted_edge(gm, r, cfg), _volume_schedule(gm.m), log
+    )
 
 
 def _rooted_start(g: DiGraph, r: int):
@@ -414,7 +416,6 @@ def approx_rooted_edge_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> EdgeCutResult:
     """Rooted cut of value at most (1+epsilon) times optimal, w.h.p.
 
@@ -423,7 +424,6 @@ def approx_rooted_edge_cut(
     ``threads`` is accepted for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
-    sample_const = as_fraction(sample_const)
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     gm, best = _rooted_start(g, r)
@@ -433,9 +433,8 @@ def approx_rooted_edge_cut(
     ]
     if best.value > 0 and positive:
         best = level_search(
-            lambda cfg: probe_rooted_edge(gm, r, cfg), best,
-            Fraction(min(positive), gm.scale) / (2 * gm.m), eps,
-            _volume_schedule(gm.m), sample_const, (seed, "edge"), _better, log,
+            _edge_prober(gm, r, log), best,
+            Fraction(min(positive), gm.scale) / (2 * gm.m), eps, (seed, "edge"),
         )
     return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
 
@@ -457,7 +456,6 @@ def approx_global_edge_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> EdgeCutResult:
     """Global minimum cut: best rooted cut over the graph and its reversal,
     rooted at vertex 0.  The certificate is tagged with its orientation.
@@ -465,10 +463,7 @@ def approx_global_edge_cut(
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
     return _both_orientations(
-        lambda h, sub_seed: approx_rooted_edge_cut(
-            h, 0, epsilon, sub_seed, sample_const=sample_const
-        ),
-        g, seed,
+        lambda h, sub_seed: approx_rooted_edge_cut(h, 0, epsilon, sub_seed), g, seed,
     )
 
 
@@ -517,16 +512,12 @@ def _require_integer_capacities(g: DiGraph):
             raise ValueError("exact small-connectivity mode needs integer capacities")
 
 
-def _exact_small_rooted_edge(g, r, seed, sample_const):
+def _exact_small_rooted_edge(g, r, seed):
     gm, singleton = _rooted_start(g, r)
     if singleton.value == 0:
         return EdgeCutResult(singleton, "forward", 0, ())
     log = []
-    probe_at = _small_probe(
-        lambda cfg: probe_rooted_edge(gm, r, cfg), _volume_schedule(gm.m),
-        sample_const, seed, _better, log,
-    )
-    best = integer_search(probe_at, singleton, _better)
+    best = integer_search(_small_probe(_edge_prober(gm, r, log), seed), singleton)
     return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
 
 
@@ -535,7 +526,6 @@ def exact_small_edge_cut(
     root=None,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> EdgeCutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small: double the level with per-level tolerance 1/(1+level),
@@ -547,10 +537,8 @@ def exact_small_edge_cut(
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    sample_const = as_fraction(sample_const)
     if root is not None:
-        return _exact_small_rooted_edge(g, root, seed, sample_const)
+        return _exact_small_rooted_edge(g, root, seed)
     return _both_orientations(
-        lambda h, sub_seed: _exact_small_rooted_edge(h, 0, sub_seed, sample_const),
-        g, seed,
+        lambda h, sub_seed: _exact_small_rooted_edge(h, 0, sub_seed), g, seed,
     )

@@ -44,9 +44,9 @@ class DiGraph:
     they live exactly as long as the graph.
     """
 
-    __slots__ = ("n", "arcs", "scale", "root", "inf_arcs", "inf_value", "_flow_network")
+    __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
 
-    def __init__(self, n, arcs, scale=1, root=None):
+    def __init__(self, n, arcs, scale=1):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if scale <= 0:
@@ -67,12 +67,9 @@ class DiGraph:
                 if cap < 0:
                     raise ValueError(f"arc {i}: negative capacity")
                 total += cap
-        if root is not None and not (0 <= root < n):
-            raise ValueError("root out of range")
         inf_value = total + 1
         self.n = n
         self.scale = scale
-        self.root = root
         self.inf_arcs = frozenset(inf_idx)
         self.inf_value = inf_value
         self.arcs = tuple(
@@ -101,27 +98,11 @@ class DiGraph:
             for i, (t, h, c) in enumerate(self.arcs)
         ]
 
-    def rescaled(self, factor: int) -> "DiGraph":
-        """Same graph with numerators and scale multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("rescale factor must be positive")
-        arcs = [
-            (t, h, INFINITE if i in self.inf_arcs else c * factor)
-            for i, (t, h, c) in enumerate(self.arcs)
-        ]
-        return DiGraph(self.n, arcs, scale=self.scale * factor, root=self.root)
-
     def in_degrees(self) -> list[int]:
         deg = [0] * self.n
         for _, h, _ in self.arcs:
             deg[h] += 1
         return deg
-
-    def out_adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
-        for i, (t, _, _) in enumerate(self.arcs):
-            adj[t].append(i)
-        return adj
 
     def __eq__(self, other):
         return (
@@ -151,6 +132,12 @@ class CutCertificate:
     sink_set: frozenset
     crossing: tuple
     value: Fraction
+
+    @property
+    def rank(self) -> tuple:
+        """Key of the deterministic order among cuts: value, then sink
+        size, then the sorted sink."""
+        return (self.value, len(self.sink_set), tuple(sorted(self.sink_set)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +184,7 @@ def reverse(g: DiGraph) -> DiGraph:
         (h, t, INFINITE if i in g.inf_arcs else c)
         for i, (t, h, c) in enumerate(g.arcs)
     ]
-    return DiGraph(g.n, arcs, scale=g.scale, root=g.root)
+    return DiGraph(g.n, arcs, scale=g.scale)
 
 
 def in_volume(g: DiGraph, vertices) -> int:
@@ -229,7 +216,7 @@ def merge_parallel(g: DiGraph) -> DiGraph:
             arcs.append((t, h, INFINITE))
         else:
             arcs.append((t, h, finite[(t, h)]))
-    return DiGraph(g.n, arcs, scale=g.scale, root=g.root)
+    return DiGraph(g.n, arcs, scale=g.scale)
 
 
 def contract_into_root(g: DiGraph, r: int, block) -> tuple:
@@ -256,7 +243,7 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
         if nh == 0:
             continue  # head lands in the root: never crosses a rooted cut
         arcs.append((nt, nh, INFINITE if i in g.inf_arcs else c))
-    contracted = DiGraph(new_n, arcs, scale=g.scale, root=0)
+    contracted = DiGraph(new_n, arcs, scale=g.scale)
     assert contracted.m <= in_volume(g, survivors)
     return contracted, ContractionMap(tuple(mapping), new_n, 0)
 

@@ -22,7 +22,6 @@ saturated arc.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graph import CutCertificate, DiGraph, cut_certificate
 
@@ -48,9 +47,6 @@ class MaxFlowResult:
         """``flows[i]`` is the flow on ``graph.arcs[i]``: the residual
         capacity of its reverse edge, which starts at zero."""
         return tuple(self.residual[1 : 2 * self.graph.m : 2])
-
-    def value_fraction(self) -> Fraction:
-        return self.graph.value(self.value)
 
 
 def _network(g: DiGraph):

@@ -104,7 +104,7 @@ def build_steiner_network(inst: SteinerInstance):
     supersink = g.n
     for t in sorted(inst.terminals):
         arcs.append((t, supersink, inst.level))
-    return DiGraph(g.n + 1, arcs, scale=g.scale, root=g.root), supersink
+    return DiGraph(g.n + 1, arcs, scale=g.scale), supersink
 
 
 def partition_terminals(terminals, cap: int):

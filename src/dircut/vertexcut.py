@@ -7,8 +7,8 @@ cuts in the split graph then consist purely of split arcs, which is what
 lets an edge cut be read back as a vertex separator.
 
 Rooted cuts run the edge module's probe and search drivers (``probe``,
-``probe_level``, ``level_search``, ``integer_search``) with a probe on the
-split graph: shared conditioning, terminals drawn from the admissible
+``level_prober``, ``level_search``, ``integer_search``) with a prober on
+the split graph: shared conditioning, terminals drawn from the admissible
 sinks, and sink sets mapped back to vertex separators.  Global cuts sample
 roots in proportion to capacity, prune each rooted instance, and run both
 orientations; the exact small-optimum mode searches integer levels with
@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .edgecut import (
-    DEFAULT_SAMPLE_CONST,
     as_fraction,
     clamp_epsilon,
     condition_rooted,
     derive_seed,
     integer_search,
+    level_prober,
     level_search,
     probe,
-    probe_level,
+    _better,
     _small_probe,
     _total_flow_calls,
     _volume_schedule,
@@ -116,9 +116,6 @@ class SplitMaps:
     def original(self, split_id: int) -> int:
         return split_id if split_id < self.n else split_id - self.n
 
-    def is_out(self, split_id: int) -> bool:
-        return split_id >= self.n
-
 
 @dataclass(frozen=True)
 class VertexCutCertificate:
@@ -132,6 +129,13 @@ class VertexCutCertificate:
     sink_component: frozenset
     value: Fraction
     orientation: str = "forward"
+
+    @property
+    def rank(self) -> tuple:
+        """Key of the deterministic order among vertex cuts: value, then
+        separator size, sorted separator, sorted sink and orientation."""
+        return (self.value, len(self.separator), tuple(sorted(self.separator)),
+                tuple(sorted(self.sink_component)), self.orientation)
 
 
 @dataclass
@@ -185,18 +189,6 @@ def _in_neighbors_of_set(g: VertexCapGraph, vertices: frozenset) -> frozenset:
     return frozenset(u for u, v in g.arcs if v in vertices and u not in vertices)
 
 
-def _vbetter(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ka = (a.value, len(a.separator), tuple(sorted(a.separator)),
-          tuple(sorted(a.sink_component)), a.orientation)
-    kb = (b.value, len(b.separator), tuple(sorted(b.separator)),
-          tuple(sorted(b.sink_component)), b.orientation)
-    return a if ka <= kb else b
-
-
 def _sink_certificate(g: VertexCapGraph, component: frozenset,
                       orientation="forward") -> VertexCutCertificate:
     """The vertex cut of a sink component: its in-neighborhood, valued at
@@ -229,18 +221,18 @@ def _rooted_start(ng: VertexCapGraph, r: int):
 def _best_singleton(ng: VertexCapGraph, admissible) -> VertexCutCertificate:
     best = None
     for t in admissible:
-        best = _vbetter(best, _sink_certificate(ng, frozenset([t])))
+        best = _better(best, _sink_certificate(ng, frozenset([t])))
     return best
 
 
 # -- rooted approximation ----------------------------------------------------
 
 
-def _split_probe(ng: VertexCapGraph, admissible, r: int):
-    """The probe function of one rooted instance for ``probe_level``: the
-    shared probe on the split graph, rooted at r's out-copy, with terminals
-    sampled among the admissible sinks.  Certificates are re-evaluated
-    against the raw vertex capacities before acceptance."""
+def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
+    """``level_prober`` of one rooted instance: the shared probe on the
+    split graph, rooted at r's out-copy, with terminals sampled among the
+    admissible sinks.  Certificates are re-evaluated against the raw vertex
+    capacities before acceptance."""
     split, maps = split_transform(ng)
     root_out = maps.to_out(r)
     deg = ng.in_degrees()
@@ -265,9 +257,9 @@ def _split_probe(ng: VertexCapGraph, admissible, r: int):
             if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
         )
         threshold = (1 + cfg.epsilon) * cfg.level
-        return probe(cond.h, root_out, terminals, threshold, extract, _vbetter)
+        return probe(cond.h, root_out, terminals, threshold, extract)
 
-    return run
+    return level_prober(run, _volume_schedule(max(ng.m, 1)), log)
 
 
 def approx_rooted_vertex_cut(
@@ -276,7 +268,6 @@ def approx_rooted_vertex_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> VertexCutResult:
     """Rooted vertex cut within (1+epsilon) of optimal w.h.p.
 
@@ -286,17 +277,15 @@ def approx_rooted_vertex_cut(
     for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
-    sample_const = as_fraction(sample_const)
     ng = _normalize(g)
     admissible, best = _rooted_start(ng, r)
     best = best or _best_singleton(ng, admissible)
     log = []
     if best.value > 0:
         best = level_search(
-            _split_probe(ng, admissible, r), best,
+            _split_prober(ng, admissible, r, log), best,
             Fraction(min(c for c in ng.vcaps if c > 0), ng.scale) / (2 * ng.n),
-            eps, _volume_schedule(max(ng.m, 1)), sample_const, (seed, "vertex"),
-            _vbetter, log,
+            eps, (seed, "vertex"),
         )
     return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
@@ -377,7 +366,7 @@ def _global_singleton(g: VertexCapGraph):
         for v in range(g.n):
             cert = _sink_certificate(graph, frozenset([v]), orientation)
             if len(cert.separator) + 1 < g.n:  # else no outside vertex survives
-                best = _vbetter(best, cert)
+                best = _better(best, cert)
     return best
 
 
@@ -404,7 +393,7 @@ def _over_roots(ng: VertexCapGraph, roots, solve):
         for orientation, base in (("forward", ng), ("reverse", rev)):
             cert = solve(prune_for_root(base, root), root, i, orientation)
             if cert is not None:
-                best = _vbetter(best, VertexCutCertificate(
+                best = _better(best, VertexCutCertificate(
                     cert.separator, cert.sink_component, cert.value, orientation
                 ))
     return best
@@ -415,7 +404,6 @@ def approx_global_vertex_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> VertexCutResult:
     """Global vertex cut within (1+epsilon) of optimal w.h.p.
 
@@ -437,14 +425,13 @@ def approx_global_vertex_cut(
         try:
             res = approx_rooted_vertex_cut(
                 pruned, root, eps, seed=derive_seed(seed, "root", i, orientation),
-                sample_const=sample_const,
             )
         except NoCutExistsError:
             return None
         log.extend(res.probe_log)
         return res.certificate
 
-    best = _vbetter(best, _over_roots(ng, roots, solve))
+    best = _better(best, _over_roots(ng, roots, solve))
     return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
@@ -462,7 +449,6 @@ def exact_small_vertex_cut(
     root=None,
     seed: int = 0,
     threads: int = 1,
-    sample_const=DEFAULT_SAMPLE_CONST,
 ) -> VertexCutResult:
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
@@ -477,7 +463,6 @@ def exact_small_vertex_cut(
     compatibility and ignored.
     """
     _require_integer_vcaps(g)
-    sample_const = as_fraction(sample_const)
     ng = _normalize(g)
     log = []
     if root is not None:
@@ -485,11 +470,8 @@ def exact_small_vertex_cut(
         singleton = singleton or _best_singleton(ng, admissible)
         if singleton.value == 0:
             return VertexCutResult(singleton, 0, ())
-        probe_at = _small_probe(
-            _split_probe(ng, admissible, root), _volume_schedule(max(ng.m, 1)),
-            sample_const, seed, _vbetter, log,
-        )
-        best = integer_search(probe_at, singleton, _vbetter)
+        probe_at = _small_probe(_split_prober(ng, admissible, root, log), seed)
+        best = integer_search(probe_at, singleton)
         return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
     singleton = _global_start(ng) or _global_singleton(ng)
@@ -504,15 +486,13 @@ def exact_small_vertex_cut(
             admissible = _admissible_sinks(pruned, r)
             if not admissible:
                 return None
-            return probe_level(
-                _split_probe(pruned, admissible, r), Fraction(level),
-                _volume_schedule(max(pruned.m, 1)), eps, sample_const,
-                (seed, "probe", level, i, orientation), _vbetter, log,
+            return _split_prober(pruned, admissible, r, log)(
+                Fraction(level), eps, (seed, "probe", level, i, orientation)
             )
 
         return _over_roots(ng, roots, solve)
 
-    best = integer_search(probe_at, singleton, _vbetter)
+    best = integer_search(probe_at, singleton)
     return VertexCutResult(best, _total_flow_calls(log), ())
 
 
@@ -551,7 +531,7 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
     best = None
     for s, t in pairs:
         res = max_flow(split, maps.to_out(s), maps.to_in(t))
-        best = _vbetter(best, _oracle_extract(ng, maps, s, res))
+        best = _better(best, _oracle_extract(ng, maps, s, res))
     return VertexCutResult(best, len(pairs), ())
 
 

@@ -153,13 +153,6 @@ def test_sentinel_recomputed_on_derived_graphs():
     assert bigger.arcs[1][2] == bigger.inf_value == 102
 
 
-def test_rescaled():
-    g = g1()
-    s = g.rescaled(4)
-    assert s.scale == 4 and s.arcs[0] == (0, 1, 8)
-    assert s.value(s.arcs[0][2]) == g.value(g.arcs[0][2])
-
-
 def test_constructor_rejections():
     with pytest.raises(ValueError):
         DiGraph(2, [(0, 0, 1)])
