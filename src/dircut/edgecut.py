@@ -50,10 +50,14 @@ def derive_seed(*parts) -> int:
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational from int, str, Fraction, or (via repr) float."""
+    """Exact rational from int, str, Fraction, or (via repr) float.
+    Raises ValueError on malformed input, a zero denominator included."""
     if isinstance(x, float):
         return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {x!r}: zero denominator") from None
 
 
 def clamp_epsilon(epsilon) -> Fraction:

@@ -243,6 +243,20 @@ def test_cli_reports_clamped_epsilon(tmp_path, capsys):
         assert code == 0 and "epsilon: 1/5" in out.splitlines()
 
 
+def test_cli_zero_denominator_epsilon_is_an_input_error(tmp_path, capsys):
+    edge = tmp_path / "c3.gr"
+    edge.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")
+    vertex = tmp_path / "v.gr"
+    vertex.write_text("p vertex-cap 4 4\na 1 2\na 1 3\na 2 4\na 3 4\nw 2 1\nw 3 2\n")
+    for argv in (("edge-cut", "--global", str(edge)),
+                 ("vertex-cut", "--rooted", "1", str(vertex)),
+                 ("verify", "--trials", "1", "--n", "5")):
+        code = main([*argv, "--epsilon", "1/0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_cli_determinism_across_runs_and_threads(tmp_path, capsys):
     inst = generate("erdos-renyi-digraph", seed=9, n=10)
     path = tmp_path / "er.gr"
