@@ -147,7 +147,7 @@ def _cmd_cut(args) -> int:
         res = problem.exact_small(g, root=root, seed=args.seed)
         algorithm = "exact-small"
     else:
-        res = _approx(problem, g, root, eps, args.seed)
+        res = problem.approx(g, root, eps, args.seed)
         algorithm = "approx"
     elapsed = time.perf_counter() - started
 
@@ -171,13 +171,6 @@ def _cmd_cut(args) -> int:
     return 0
 
 
-def _approx(problem, g, root, eps, seed):
-    """Approximate solve: rooted at ``root``, or global when it is None."""
-    if root is None:
-        return problem.approx_global(g, eps, seed=seed)
-    return problem.approx_rooted(g, root, eps, seed=seed)
-
-
 def _ids(vertices) -> str:
     return " ".join(str(v + 1) for v in sorted(vertices))
 
@@ -195,8 +188,7 @@ def _emit(report, json_path):
 
 
 def _revalidate_edge(path, res):
-    """Recompute the cut value straight from the file, no library helpers.
-    Returns (orientation, value, the edge-cut report rows)."""
+    """Recompute the cut value straight from the file, no library helpers."""
     sink_set = res.certificate.sink_set
     raw = parse_graph(path)
     crossing = []
@@ -216,8 +208,7 @@ def _revalidate_edge(path, res):
 
 
 def _revalidate_vertex(path, res):
-    """Check the separator and recompute its value straight from the file.
-    Returns (orientation, value, the vertex-cut report rows)."""
+    """Check the separator and recompute its value straight from the file."""
     cert = res.certificate
     raw = parse_graph(path)
     expected = set()
@@ -248,14 +239,23 @@ class _Problem(NamedTuple):
     oracle: Callable  # (g, root or None) -> result with counted flows
     revalidate: Callable  # (path, result) -> (orientation, value, report rows)
 
+    def approx(self, g, root, eps, seed):
+        """Approximate solve: rooted at ``root``, or global when it is None."""
+        if root is None:
+            return self.approx_global(g, eps, seed=seed)
+        return self.approx_rooted(g, root, eps, seed=seed)
+
 
 _PROBLEMS = {
-    "edge-cut": _Problem(DiGraph, "an edge-capacitated", approx_rooted_edge_cut,
-                        approx_global_edge_cut, exact_small_edge_cut, _edge_oracle,
-                        _revalidate_edge),
-    "vertex-cut": _Problem(VertexCapGraph, "a vertex-capacitated", approx_rooted_vertex_cut,
-                          approx_global_vertex_cut, exact_small_vertex_cut, _vertex_oracle,
-                          _revalidate_vertex),
+    "edge-cut": _Problem(
+        DiGraph, "an edge-capacitated", approx_rooted_edge_cut, approx_global_edge_cut,
+        exact_small_edge_cut, _edge_oracle, _revalidate_edge,
+    ),
+    "vertex-cut": _Problem(
+        VertexCapGraph, "a vertex-capacitated", approx_rooted_vertex_cut,
+        approx_global_vertex_cut, exact_small_vertex_cut, _vertex_oracle,
+        _revalidate_vertex,
+    ),
 }
 
 
@@ -301,7 +301,7 @@ def _cmd_verify(args) -> int:
         inst = generate(args.family, seed=derive_seed(args.seed, "gen", i), **params)
         g = parse_text(inst.text)
         run_seed = derive_seed(args.seed, "run", i)
-        approx = _approx(problem, g, root, eps, run_seed).certificate
+        approx = problem.approx(g, root, eps, run_seed).certificate
         oracle = problem.oracle(g, root).certificate
         if approx.value >= oracle.value:
             valid += 1

@@ -222,9 +222,9 @@ def _better(a, b):
     return a if a.rank <= b.rank else b
 
 
-def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract) -> ProbeReport:
+def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeReport:
     """Shrink-wrap every terminal group of one probe on the conditioned
-    graph ``h`` at connectivity target ``threshold``.
+    graph ``h`` at connectivity target threshold = (1+epsilon)*level.
 
     ``extract`` maps the sink set of each cut found to a certificate
     evaluated on the caller's own graph (or None); only certificates of
@@ -233,6 +233,7 @@ def probe(h: DiGraph, r: int, terminals, threshold: Fraction, extract) -> ProbeR
     """
     if not terminals:
         return ProbeReport(None, 0, ())
+    threshold = (1 + cfg.epsilon) * as_fraction(cfg.level)
     level_num = threshold * h.scale
     assert level_num.denominator == 1
     level_num = int(level_num)
@@ -262,11 +263,8 @@ def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig) -> ProbeReport:
     cond = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
     rng = random.Random(cfg.seed)
     terminals = sample_terminals(cond, r, cfg.volume, cfg.sample_const, rng)
-    threshold = (1 + cfg.epsilon) * as_fraction(cfg.level)
-    return probe(
-        cond.h, r, terminals, threshold,
-        lambda sink: cut_certificate(g, sink, root=r),
-    )
+    return probe(cond.h, r, terminals, cfg,
+                 lambda sink: cut_certificate(g, sink, root=r))
 
 
 def _volume_schedule(m: int) -> list:

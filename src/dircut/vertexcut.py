@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .edgecut import (
@@ -256,8 +256,7 @@ def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
             maps.to_in(v) for v in admissible
             if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
         )
-        threshold = (1 + cfg.epsilon) * cfg.level
-        return probe(cond.h, root_out, terminals, threshold, extract)
+        return probe(cond.h, root_out, terminals, cfg, extract)
 
     return level_prober(run, _volume_schedule(max(ng.m, 1)), log)
 
@@ -393,9 +392,7 @@ def _over_roots(ng: VertexCapGraph, roots, solve):
         for orientation, base in (("forward", ng), ("reverse", rev)):
             cert = solve(prune_for_root(base, root), root, i, orientation)
             if cert is not None:
-                best = _better(best, VertexCutCertificate(
-                    cert.separator, cert.sink_component, cert.value, orientation
-                ))
+                best = _better(best, replace(cert, orientation=orientation))
     return best
 
 
