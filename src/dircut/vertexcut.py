@@ -455,9 +455,8 @@ def exact_small_vertex_cut(
     it.  Per-level tolerance 1/(1+level) makes integer answers exact; a
     probe can miss, so the value is exact only w.h.p., while the
     certificate is always valid.  ``root=None`` solves the global problem,
-    probing sampled roots in both orientations at each level; its result
-    carries the flow count but no probe log.  ``threads`` is accepted for
-    compatibility and ignored.
+    probing sampled roots in both orientations at each level.  ``threads``
+    is accepted for compatibility and ignored.
     """
     _require_integer_vcaps(g)
     ng = _normalize(g)
@@ -490,7 +489,7 @@ def exact_small_vertex_cut(
         return _over_roots(ng, roots, solve)
 
     best = integer_search(probe_at, singleton)
-    return VertexCutResult(best, _total_flow_calls(log), ())
+    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 # -- exact oracle ------------------------------------------------------------

@@ -173,6 +173,16 @@ def test_golden_file_covers_every_entry():
     assert sorted(_golden()) == sorted(e for e, _ in entries())
 
 
+def test_golden_flow_calls_are_the_probe_log_total():
+    """Every flow an entry point runs shows up in its probe log."""
+    mismatched = [
+        entry for entry, record in _golden().items()
+        if "error" not in record
+        and record["flow_calls"] != sum(calls for _, _, calls in record["probe_log"])
+    ]
+    assert mismatched == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
