@@ -280,7 +280,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    eps = as_fraction(args.epsilon)
+    eps = clamp_epsilon(args.epsilon)
     params = {"n": args.n}
     if args.p is not None:
         params["p"] = args.p
@@ -296,7 +296,8 @@ def _cmd_verify(args) -> int:
     root = 0 if args.mode == "rooted" else None
     ok = 0
     valid = 0
-    print(f"trial oracle approx ratio")
+    print(f"epsilon: {eps}")
+    print("trial oracle approx ratio")
     for i in range(args.trials):
         inst = generate(args.family, seed=derive_seed(args.seed, "gen", i), **params)
         g = parse_text(inst.text)

@@ -243,6 +243,28 @@ def test_cli_reports_clamped_epsilon(tmp_path, capsys):
         assert code == 0 and "epsilon: 1/5" in out.splitlines()
 
 
+def test_cli_verify_gates_at_the_clamped_epsilon(capsys, monkeypatch):
+    """An approximation three times the optimum passes 1+5 but not the
+    1+99/100 that the solvers actually run at."""
+    from types import SimpleNamespace
+
+    from dircut import cli
+
+    problem = cli._PROBLEMS["edge-cut"]
+
+    def three_times_optimal(g, root, eps, seed):
+        value = 3 * problem.oracle(g, root).certificate.value
+        return SimpleNamespace(certificate=SimpleNamespace(value=value))
+
+    monkeypatch.setitem(cli._PROBLEMS, "edge-cut",
+                        problem._replace(approx_rooted=three_times_optimal))
+    code, out = _run(capsys, "verify", "--problem", "edge", "--mode", "rooted",
+                     "--trials", "2", "--n", "5", "--epsilon", "5")
+    lines = out.splitlines()
+    assert code == 3 and lines[0] == "epsilon: 99/100"
+    assert lines[-1] == "summary: 0/2 within 1+epsilon, 2/2 valid, gate=FAIL"
+
+
 def test_cli_zero_denominator_epsilon_is_an_input_error(tmp_path, capsys):
     edge = tmp_path / "c3.gr"
     edge.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")
