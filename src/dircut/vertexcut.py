@@ -383,14 +383,15 @@ def _global_start(ng: VertexCapGraph):
 def _over_roots(ng: VertexCapGraph, roots, solve):
     """Best certificate over the sampled roots in both orientations.
 
-    ``solve(pruned, root, i, orientation)`` handles the instance pruned for
-    the i-th root and returns a certificate in that orientation, or None.
+    ``solve(base, root, i, orientation)`` handles the i-th root of ``base``,
+    the graph in that orientation, and returns a certificate in that
+    orientation, or None.
     """
     rev = _reverse_topology(ng)
     best = None
     for i, root in enumerate(roots):
         for orientation, base in (("forward", ng), ("reverse", rev)):
-            cert = solve(prune_for_root(base, root), root, i, orientation)
+            cert = solve(base, root, i, orientation)
             if cert is not None:
                 best = _better(best, replace(cert, orientation=orientation))
     return best
@@ -418,10 +419,11 @@ def approx_global_vertex_cut(
     roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots")))
     log = []
 
-    def solve(pruned, root, i, orientation):
+    def solve(base, root, i, orientation):
         try:
             res = approx_rooted_vertex_cut(
-                pruned, root, eps, seed=derive_seed(seed, "root", i, orientation),
+                prune_for_root(base, root), root, eps,
+                seed=derive_seed(seed, "root", i, orientation),
             )
         except NoCutExistsError:
             return None
@@ -455,7 +457,8 @@ def exact_small_vertex_cut(
     it.  Per-level tolerance 1/(1+level) makes integer answers exact; a
     probe can miss, so the value is exact only w.h.p., while the
     certificate is always valid.  ``root=None`` solves the global problem,
-    probing sampled roots in both orientations at each level.  ``threads``
+    probing sampled roots in both orientations at each level; each (root,
+    orientation) is pruned and split once per call.  ``threads``
     is accepted for compatibility and ignored.
     """
     _require_integer_vcaps(g)
@@ -474,17 +477,23 @@ def exact_small_vertex_cut(
     if singleton.value == 0:
         return VertexCutResult(singleton, 0, ())
 
+    probers = {}  # (root, orientation) -> prober of the pruned instance, or None
+
     def probe_at(level, _tag):
         eps = Fraction(1, 1 + level)
         roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots", level)))
 
-        def solve(pruned, r, i, orientation):
-            admissible = _admissible_sinks(pruned, r)
-            if not admissible:
+        def solve(base, r, i, orientation):
+            if (r, orientation) not in probers:
+                pruned = prune_for_root(base, r)
+                admissible = _admissible_sinks(pruned, r)
+                probers[r, orientation] = admissible and _split_prober(
+                    pruned, admissible, r, log
+                )
+            prober = probers[r, orientation]
+            if not prober:
                 return None
-            return _split_prober(pruned, admissible, r, log)(
-                Fraction(level), eps, (seed, "probe", level, i, orientation)
-            )
+            return prober(Fraction(level), eps, (seed, "probe", level, i, orientation))
 
         return _over_roots(ng, roots, solve)
 

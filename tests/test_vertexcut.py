@@ -354,3 +354,28 @@ def test_global_zero_singleton_returns_without_probing():
         res = approx_global_vertex_cut(g, "0.2", seed=1)
         assert res.value == 0 and res.flow_calls == 0 and res.probe_log == ()
         _assert_valid_vertex_cut(g, res.certificate)
+
+
+def test_global_exact_small_builds_one_split_graph_per_root_and_orientation(monkeypatch):
+    import dircut.vertexcut as vc
+    from dircut import generate, parse_text
+
+    g = parse_text(generate("erdos-renyi-digraph", seed=3, n=10, p=0.5,
+                            kind="vertex-cap", vcap_max=3).text)
+    optimum = exact_vertex_cut_oracle(g).value
+    splits, roots = [], set()
+    real_split, real_sample = vc.split_transform, vc.sample_roots
+
+    def counting_split(graph):
+        splits.append(graph)
+        return real_split(graph)
+
+    def recording_sample(graph, epsilon, rng):
+        picked = real_sample(graph, epsilon, rng)
+        roots.update(picked)
+        return picked
+
+    monkeypatch.setattr(vc, "split_transform", counting_split)
+    monkeypatch.setattr(vc, "sample_roots", recording_sample)
+    assert exact_small_vertex_cut(g, seed=1).value == optimum
+    assert roots and len(splits) <= 2 * len(roots)
