@@ -36,7 +36,7 @@ from .graph import (
     NoCutExistsError,
     cut_certificate,
     merge_parallel,
-    reachable,
+    reach,
     reverse,
 )
 from .maxflow import max_flow, min_cut_sink_side
@@ -277,8 +277,9 @@ def _volume_schedule(m: int) -> list:
 
 def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
     """Increasing grid from lo to at least hi with consecutive ratio about
-    ``ratio``.  Points are exact dyadic snapshots of float arithmetic so
-    downstream rescaling stays within small denominators."""
+    ``ratio``.  Points after ``lo`` are exact snapshots of float arithmetic,
+    dyadic rationals whose denominators reach 2^52 and beyond; conditioning
+    folds them into the scale of every probe graph."""
     points = [lo]
     x = float(lo)
     step = float(ratio)
@@ -336,13 +337,16 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
     """Binary search a geometric grid of levels for the lowest one whose
     probe finds a cut, improving on the certificate ``best``.
 
-    The grid runs from ``floor * eps_in`` up to ``best.value`` with ratio
-    1+eps_in, and ``probe_at`` (a ``level_prober``) runs at tolerance
-    eps_in, where eps_in = epsilon/(2+epsilon).  Grid index i is probed
-    with seed parts ``(*seed_parts, i)``.
+    ``floor`` is a lower bound on the optimum: the smallest positive
+    capacity, once the caller has ruled out zero cuts.  The grid runs from
+    ``floor`` up to ``best.value`` with ratio 1+eps_in, and ``probe_at`` (a
+    ``level_prober``) runs at tolerance eps_in, where eps_in =
+    epsilon/(2+epsilon).  A cut found at the bottom level is within 1+eps_in
+    of the optimum, and nothing is probed when ``best`` already has value
+    ``floor``.  Grid index i is probed with seed parts ``(*seed_parts, i)``.
     """
     eps_in = epsilon / (2 + epsilon)
-    grid = _geometric_grid(floor * eps_in, best.value, 1 + eps_in)
+    grid = _geometric_grid(floor, best.value, 1 + eps_in)
     lo, hi = 0, len(grid) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -355,22 +359,27 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
     return best
 
 
-def integer_search(probe_at, singleton):
+def integer_search(probe_at, singleton, floor):
     """Exact search over integer levels for integer capacities.
 
     ``probe_at(level, tag)`` probes at tolerance 1/(1+level), so any
     certificate it returns has a value below level + level/(1+level), that
-    is at most ``level``.  Double the level from 1 until a probe returns a
-    certificate or the level reaches the positive singleton bound, then
-    binary search the integers below the best value found.
+    is at most ``level``.  ``floor`` is a positive lower bound on the
+    optimum (the smallest positive capacity, once zero cuts are ruled out):
+    the singleton is returned without probing when it is at most ``floor``.
+    Otherwise double the level from the integer part of ``floor`` until a
+    probe returns a certificate or the level reaches the singleton bound,
+    then binary search the integers from there up to the best value found.
     """
+    if singleton.value <= floor:
+        return singleton
     delta = int(singleton.value)
-    level = 1
+    start = level = max(1, int(floor))
     while (best := probe_at(level, "up")) is None and level < delta:
         level *= 2
     if best is None:
         best = singleton
-    lo, hi = 1, int(best.value)
+    lo, hi = start, int(best.value)
     while lo < hi:
         mid = (lo + hi) // 2
         cert = probe_at(mid, "bin")
@@ -403,13 +412,20 @@ def _edge_prober(gm: DiGraph, r: int, log):
 
 
 def _rooted_start(g: DiGraph, r: int):
-    """Parallel arcs merged, plus the best trivial rooted cut: the zero cut
-    onto the vertices the root cannot reach, else the best singleton."""
+    """Parallel arcs merged, the best trivial rooted cut and the smallest
+    positive arc capacity ``c_min`` (an infinite arc counts at its sentinel).
+
+    The trivial cut is the zero cut onto the vertices the root cannot
+    reach along positive-capacity arcs, else the best singleton.  When no
+    zero cut exists every rooted cut crosses a positive arc, so the optimum
+    is at least ``c_min``."""
     gm = merge_parallel(g)
-    missing = frozenset(range(gm.n)) - reachable(gm, r)
+    positive = [(t, h) for t, h, c in gm.arcs if c > 0]
+    c_min = Fraction(min((c for _, _, c in gm.arcs if c > 0), default=0), gm.scale)
+    missing = frozenset(range(gm.n)) - reach(gm.n, positive, r)
     if missing:
-        return gm, cut_certificate(gm, missing, root=r)
-    return gm, _min_singleton_cut(gm, r)
+        return gm, cut_certificate(gm, missing, root=r), c_min
+    return gm, _min_singleton_cut(gm, r), c_min
 
 
 def approx_rooted_edge_cut(
@@ -422,22 +438,17 @@ def approx_rooted_edge_cut(
     """Rooted cut of value at most (1+epsilon) times optimal, w.h.p.
 
     The returned certificate is always a valid rooted cut of ``g``.  If some
-    vertex is unreachable from the root the exact zero cut is returned.
-    ``threads`` is accepted for compatibility and ignored.
+    vertex is unreachable from the root along positive-capacity arcs the
+    exact zero cut is returned without probing.  ``threads`` is accepted
+    for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
-    gm, best = _rooted_start(g, r)
+    gm, best, c_min = _rooted_start(g, r)
     log = []
-    positive = [
-        c for i, (_, _, c) in enumerate(gm.arcs) if c > 0 and i not in gm.inf_arcs
-    ]
-    if best.value > 0 and positive:
-        best = level_search(
-            _edge_prober(gm, r, log), best,
-            Fraction(min(positive), gm.scale) / (2 * gm.m), eps, (seed, "edge"),
-        )
+    if best.value > 0:
+        best = level_search(_edge_prober(gm, r, log), best, c_min, eps, (seed, "edge"))
     return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
 
 
@@ -515,11 +526,11 @@ def _require_integer_capacities(g: DiGraph):
 
 
 def _exact_small_rooted_edge(g, r, seed):
-    gm, singleton = _rooted_start(g, r)
+    gm, singleton, c_min = _rooted_start(g, r)
     if singleton.value == 0:
         return EdgeCutResult(singleton, "forward", 0, ())
     log = []
-    best = integer_search(_small_probe(_edge_prober(gm, r, log), seed), singleton)
+    best = integer_search(_small_probe(_edge_prober(gm, r, log), seed), singleton, c_min)
     return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
 
 

@@ -250,10 +250,16 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
 
 def reachable(g: DiGraph, source: int) -> frozenset:
     """Vertices reachable from ``source`` along arcs of any capacity."""
-    adj = [[] for _ in range(g.n)]
-    for t, h, _ in g.arcs:
+    return reach(g.n, [(t, h) for t, h, _ in g.arcs], source)
+
+
+def reach(n: int, pairs, source: int) -> frozenset:
+    """Vertices of ``range(n)`` reachable from ``source`` along the arcs
+    ``(tail, head)`` in ``pairs``."""
+    adj = [[] for _ in range(n)]
+    for t, h in pairs:
         adj[t].append(h)
-    seen = [False] * g.n
+    seen = [False] * n
     seen[source] = True
     queue = deque([source])
     while queue:
@@ -262,4 +268,4 @@ def reachable(g: DiGraph, source: int) -> frozenset:
             if not seen[v]:
                 seen[v] = True
                 queue.append(v)
-    return frozenset(v for v in range(g.n) if seen[v])
+    return frozenset(v for v in range(n) if seen[v])

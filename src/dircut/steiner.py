@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import CutCertificate, DiGraph, contract_into_root, cut_certificate
-from .maxflow import max_flow, min_cut_sink_side
+from .maxflow import max_flow
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class SteinerInstance:
 @dataclass(frozen=True)
 class Certified:
     """Terminal whose root connectivity is at least the level; witness is
-    the flow value actually routed to it."""
+    the flow value routed to it, which every flow stops at the level."""
 
     witness: Fraction
 
@@ -137,12 +137,17 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats) -> dict:
     stats.max_depth = max(stats.max_depth, depth)
     if len(terms) == 1:
         t = terms[0]
-        res = max_flow(g, r, t)
+        # one demand arc caps the flow at the level it has to certify
+        res = max_flow(g, r, g.n, demands=[(t, level)])
         stats.raw_flow_calls += 1
         stats.leaf_flow_calls += 1
         if res.value >= level:
-            return {t: Certified(g.value(res.value))}
-        cert = min_cut_sink_side(res)
+            return {t: Certified(g.value(level))}
+        # below the level the cut avoids the demand arc and every infinite
+        # arc, so it is the minimum (r, t)-cut of g with the same minimal
+        # source side
+        cert = cut_certificate(g, frozenset(range(g.n)) - res.source_side, root=r)
+        assert cert.value == g.value(res.value), "max-flow/min-cut duality violated"
         return {t: Below(cert)}
 
     stats.internal_depths.add(depth)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .edgecut import (
     _total_flow_calls,
     _volume_schedule,
 )
-from .graph import INFINITE, DiGraph, NoCutExistsError
+from .graph import INFINITE, DiGraph, NoCutExistsError, reach
 from .maxflow import max_flow
 
 
@@ -169,22 +168,6 @@ def _reverse_topology(g: VertexCapGraph) -> VertexCapGraph:
     return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
 
 
-def _reach(g: VertexCapGraph, source: int) -> frozenset:
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.arcs:
-        adj[u].append(v)
-    seen = [False] * g.n
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return frozenset(v for v in range(g.n) if seen[v])
-
-
 def _in_neighbors_of_set(g: VertexCapGraph, vertices: frozenset) -> frozenset:
     return frozenset(u for u, v in g.arcs if v in vertices and u not in vertices)
 
@@ -205,17 +188,34 @@ def _admissible_sinks(g: VertexCapGraph, r: int):
     return tuple(v for v in range(g.n) if v not in blocked)
 
 
-def _rooted_start(ng: VertexCapGraph, r: int):
+def _unreached(g: VertexCapGraph, r: int, arcs, orientation="forward"):
+    """The zero cut onto the vertices ``r`` cannot reach along ``arcs``
+    (pairs of ``g``), or None when it reaches them all."""
+    missing = frozenset(range(g.n)) - reach(g.n, arcs, r)
+    return _sink_certificate(g, missing, orientation) if missing else None
+
+
+def _positive_arcs(g: VertexCapGraph, r: int) -> list:
+    """Arcs out of ``r`` and out of positive-capacity vertices.  A vertex
+    they miss is cut off from ``r`` by zero-capacity vertices alone, and
+    when they miss none every vertex cut rooted at ``r`` contains a
+    positive-capacity vertex, so its value is at least ``_c_min(g)``."""
+    return [(u, v) for u, v in g.arcs if u == r or g.vcaps[u] > 0]
+
+
+def _c_min(g: VertexCapGraph) -> Fraction:
+    """Smallest positive vertex capacity (0 when there is none)."""
+    return Fraction(min((c for c in g.vcaps if c > 0), default=0), g.scale)
+
+
+def _rooted_start(ng: VertexCapGraph, r: int, arcs):
     """Admissible sinks, and the zero cut onto the vertices the root cannot
-    reach (None when it reaches them all).  Raises NoCutExistsError when
-    no rooted vertex cut exists."""
+    reach along ``arcs`` (None when it reaches them all).  Raises
+    NoCutExistsError when no rooted vertex cut exists."""
     admissible = _admissible_sinks(ng, r)
     if not admissible:
         raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
-    missing = frozenset(range(ng.n)) - _reach(ng, r)
-    if missing:
-        return admissible, _sink_certificate(ng, missing)
-    return admissible, None
+    return admissible, _unreached(ng, r, arcs)
 
 
 def _best_singleton(ng: VertexCapGraph, admissible) -> VertexCutCertificate:
@@ -272,19 +272,19 @@ def approx_rooted_vertex_cut(
 
     Always returns a valid separator with its exact value; raises
     NoCutExistsError when the root's out-neighborhood covers every other
-    vertex (no rooted vertex cut exists at all).  ``threads`` is accepted
-    for compatibility and ignored.
+    vertex (no rooted vertex cut exists at all).  A zero cut, found when
+    the root cannot reach some vertex through positive-capacity vertices,
+    is returned without probing.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
-    admissible, best = _rooted_start(ng, r)
+    admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
     best = best or _best_singleton(ng, admissible)
     log = []
     if best.value > 0:
         best = level_search(
-            _split_prober(ng, admissible, r, log), best,
-            Fraction(min(c for c in ng.vcaps if c > 0), ng.scale) / (2 * ng.n),
-            eps, (seed, "vertex"),
+            _split_prober(ng, admissible, r, log), best, _c_min(ng), eps, (seed, "vertex"),
         )
     return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
@@ -350,9 +350,9 @@ def _disconnected_certificate(g: VertexCapGraph):
     or None.  The sink component is closed under incoming arcs in the
     reported orientation, so the empty separator is genuinely N-in(U)."""
     for orientation, graph in (("forward", g), ("reverse", _reverse_topology(g))):
-        sink = frozenset(range(g.n)) - _reach(graph, 0)
-        if sink:
-            return _sink_certificate(graph, sink, orientation)
+        cert = _unreached(graph, 0, graph.arcs, orientation)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -369,6 +369,22 @@ def _global_singleton(g: VertexCapGraph):
     return best
 
 
+def _global_zero(ng: VertexCapGraph):
+    """Exact test for a zero-valued global vertex cut: its separator holds
+    only zero-capacity vertices, so a positive-capacity vertex r lies in its
+    sink or outside both, and in one orientation r cannot reach the other
+    side through positive-capacity vertices.  Returns that zero cut, or
+    None (also when no vertex has positive capacity)."""
+    r = next((v for v, c in enumerate(ng.vcaps) if c > 0), None)
+    if r is None:
+        return None
+    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
+        cert = _unreached(graph, r, _positive_arcs(graph, r), orientation)
+        if cert is not None:
+            return cert
+    return None
+
+
 def _global_start(ng: VertexCapGraph):
     """Zero-value certificate when ``ng`` is not strongly connected, else
     None.  Raises NoCutExistsError when no global vertex cut exists."""
@@ -378,6 +394,18 @@ def _global_start(ng: VertexCapGraph):
     if zero is None and _is_complete(ng):
         raise NoCutExistsError("complete digraph has no vertex cut")
     return zero
+
+
+def _global_trivial(ng: VertexCapGraph):
+    """The solvers' best trivial global cut: the zero cut of
+    ``_global_start`` or the best singleton, replaced by a zero cut of
+    ``_global_zero`` when that singleton is positive.  When the result is
+    positive, every global vertex cut has a positive-capacity vertex in its
+    separator, so its value is at least ``_c_min(ng)``."""
+    best = _global_start(ng) or _global_singleton(ng)
+    if best.value > 0:
+        best = _global_zero(ng) or best
+    return best
 
 
 def _over_roots(ng: VertexCapGraph, roots, solve):
@@ -407,13 +435,14 @@ def approx_global_vertex_cut(
 
     Samples roots in proportion to capacity, prunes each rooted instance,
     and solves it in both orientations.  A zero-valued cut (disconnected
-    graph or zero-valued singleton) is returned without probing.  Raises
+    graph, zero-valued singleton, or zero-capacity vertices cutting the
+    graph) is returned without probing.  Raises
     NoCutExistsError on complete digraphs, where no vertex cut exists.
     ``threads`` is accepted for compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
-    best = _global_start(ng) or _global_singleton(ng)
+    best = _global_trivial(ng)
     if best.value == 0:
         return VertexCutResult(best, 0, ())
     roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots")))
@@ -452,9 +481,11 @@ def exact_small_vertex_cut(
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
 
-    Doubles the probe level until a certificate appears (or the trivial
-    singleton bound is passed), then binary searches the integers below
-    it.  Per-level tolerance 1/(1+level) makes integer answers exact; a
+    A zero cut is found exactly, without probing.  Otherwise the probe
+    level doubles from the smallest positive capacity until a certificate
+    appears (or the trivial singleton bound is passed), then the integers
+    from there up to it are binary searched; a singleton at the smallest
+    positive capacity is returned without probing.  Per-level tolerance 1/(1+level) makes integer answers exact; a
     probe can miss, so the value is exact only w.h.p., while the
     certificate is always valid.  ``root=None`` solves the global problem,
     probing sampled roots in both orientations at each level; each (root,
@@ -465,15 +496,15 @@ def exact_small_vertex_cut(
     ng = _normalize(g)
     log = []
     if root is not None:
-        admissible, singleton = _rooted_start(ng, root)
+        admissible, singleton = _rooted_start(ng, root, _positive_arcs(ng, root))
         singleton = singleton or _best_singleton(ng, admissible)
         if singleton.value == 0:
             return VertexCutResult(singleton, 0, ())
         probe_at = _small_probe(_split_prober(ng, admissible, root, log), seed)
-        best = integer_search(probe_at, singleton)
+        best = integer_search(probe_at, singleton, _c_min(ng))
         return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
-    singleton = _global_start(ng) or _global_singleton(ng)
+    singleton = _global_trivial(ng)
     if singleton.value == 0:
         return VertexCutResult(singleton, 0, ())
 
@@ -497,7 +528,7 @@ def exact_small_vertex_cut(
 
         return _over_roots(ng, roots, solve)
 
-    best = integer_search(probe_at, singleton)
+    best = integer_search(probe_at, singleton, _c_min(ng))
     return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
@@ -521,7 +552,7 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
     """Exact oracle with the flows it ran counted."""
     ng = _normalize(g)
     if root is not None:
-        admissible, zero = _rooted_start(ng, root)
+        admissible, zero = _rooted_start(ng, root, ng.arcs)
         pairs = [(root, t) for t in admissible]
     else:
         zero = _global_start(ng)

@@ -164,6 +164,17 @@ def test_approx_unreachable_returns_zero_cut():
     assert res.certificate.sink_set == frozenset([2, 3])
 
 
+def test_singleton_at_smallest_capacity_runs_no_flow():
+    # every arc has capacity 3, and vertex 1's only in-arc is 0 -> 1
+    g = DiGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3), (0, 2, 3),
+                    (1, 3, 3), (2, 0, 3)])
+    for res in (approx_rooted_edge_cut(g, 0, "0.2", seed=1),
+                approx_global_edge_cut(g, "0.2", seed=1),
+                exact_small_edge_cut(g, root=0, seed=1),
+                exact_small_edge_cut(g, seed=1)):
+        assert res.value == 3 and res.flow_calls == 0 and res.probe_log == ()
+
+
 def test_global_cycle_and_two_vertex():
     cyc = DiGraph(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)])
     for seed in range(10):

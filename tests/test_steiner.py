@@ -14,6 +14,7 @@ from dircut import (
     SteinerInstance,
     build_steiner_network,
     max_flow,
+    min_cut_sink_side,
     partition_terminals,
     precondition_rooted,
     sample_terminals,
@@ -74,6 +75,40 @@ def test_demand_suffix_matches_built_network_random():
         terminals = frozenset(rng.sample(others, rng.randint(1, len(others))))
         level = rng.choice([1, rng.randint(1, 30), 2**70])
         _same_flow_as_built_network(g, r, terminals, level)
+
+
+def _leaf_matches_uncapped_flow(g, r, t, level):
+    """The one-terminal leaf stops its flow at ``level``; below it, its cut
+    is the minimum (r, t)-cut with the minimal source side.  A flow of
+    ``g.inf_value`` or more crosses an infinite arc in every cut, which the
+    leaf certifies whatever the level."""
+    outcome, stats = shrink_wrap(SteinerInstance(g, r, frozenset([t]), level))
+    assert stats.raw_flow_calls == stats.leaf_flow_calls == 1
+    uncapped = max_flow(g, r, t)
+    if uncapped.value < min(level, g.inf_value):
+        assert outcome[t] == Below(min_cut_sink_side(uncapped))
+    else:
+        assert outcome[t] == Certified(g.value(level))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_capped_leaf_matches_uncapped_flow_tiny(data):
+    g = data.draw(tiny_graphs())
+    r = data.draw(st.integers(0, g.n - 1))
+    t = data.draw(st.sampled_from([v for v in range(g.n) if v != r]))
+    level = data.draw(st.one_of(st.integers(1, 6), st.integers(2**70 - 3, 2**70 + 3)))
+    _leaf_matches_uncapped_flow(g, r, t, level)
+
+
+def test_capped_leaf_matches_uncapped_flow_random():
+    rng = random.Random(13)
+    for _ in range(80):
+        h = rand_digraph(rng, rng.randint(3, 24), rng.randint(0, 60), strong=rng.random() < 0.5)
+        arcs = [(u, v, INFINITE if rng.random() < 0.1 else c) for u, v, c in h.arcs]
+        g = DiGraph(h.n, arcs)
+        r, t = rng.sample(range(g.n), 2)
+        _leaf_matches_uncapped_flow(g, r, t, rng.choice([1, rng.randint(1, 30), 2**70]))
 
 
 def test_zero_level_rejected():

@@ -304,6 +304,17 @@ def test_exact_small_global_doubles_to_answer():
     assert res.certificate.value == exact_vertex_cut_oracle(g).value == 1
 
 
+def test_singleton_at_smallest_capacity_runs_no_flow():
+    # a 5-cycle with every capacity 2: each singleton's in-neighborhood is
+    # one vertex of capacity 2
+    g = VertexCapGraph(5, [(v, (v + 1) % 5) for v in range(5)], [2] * 5)
+    for res in (approx_rooted_vertex_cut(g, 0, "0.2", seed=1),
+                approx_global_vertex_cut(g, "0.2", seed=1),
+                exact_small_vertex_cut(g, root=0, seed=1),
+                exact_small_vertex_cut(g, seed=1)):
+        assert res.value == 2 and res.flow_calls == 0 and res.probe_log == ()
+
+
 def test_exact_small_rejects_fractional():
     g = VertexCapGraph(3, [(0, 1), (1, 2), (2, 0)], [1, 1, 1], scale=2)
     with pytest.raises(ValueError):
