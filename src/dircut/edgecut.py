@@ -16,8 +16,10 @@ The approximate modes binary search a geometric grid of levels
 (``level_search``); the grid ratio and the per-probe inflation are both
 set to epsilon/(2+epsilon) so that their product stays within the
 requested (1+epsilon) factor end to end.  The exact small-optimum modes
-search integer levels instead (``integer_search``).  Vertex cuts run the
-same drivers with a prober on the split graph.  Certificates of either
+search integer levels instead (``integer_search``).  Both searches start
+at the smallest positive capacity: zero cuts are found exactly beforehand,
+and every other cut crosses a positive arc.  Vertex cuts run the same
+drivers with a prober on the split graph.  Certificates of either
 kind are compared by their ``rank``.
 """
 
@@ -541,8 +543,10 @@ def exact_small_edge_cut(
     threads: int = 1,
 ) -> EdgeCutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
-    optimum is small: double the level with per-level tolerance 1/(1+level),
-    then binary search the integers below the first witnessed level.  At
+    optimum is small.  A zero cut is found exactly, without probing; else
+    double the level from the smallest positive capacity with per-level
+    tolerance 1/(1+level), then binary search the integers from there up
+    to the first witnessed level.  At
     integer granularity a (1+1/(1+level))-approximate answer is exact.  A
     probe can miss, so the value is exact only w.h.p.; the certificate is
     always a valid cut.  ``threads`` is accepted for compatibility and

@@ -485,12 +485,13 @@ def exact_small_vertex_cut(
     level doubles from the smallest positive capacity until a certificate
     appears (or the trivial singleton bound is passed), then the integers
     from there up to it are binary searched; a singleton at the smallest
-    positive capacity is returned without probing.  Per-level tolerance 1/(1+level) makes integer answers exact; a
-    probe can miss, so the value is exact only w.h.p., while the
-    certificate is always valid.  ``root=None`` solves the global problem,
-    probing sampled roots in both orientations at each level; each (root,
-    orientation) is pruned and split once per call.  ``threads``
-    is accepted for compatibility and ignored.
+    positive capacity is returned without probing.  Per-level tolerance
+    1/(1+level) makes integer answers exact; a probe can miss, so the value
+    is exact only w.h.p., while the certificate is always valid.
+    ``root=None`` solves the global problem, probing sampled roots in both
+    orientations at each level; each (root, orientation) is pruned and
+    split once per call.  ``threads`` is accepted for compatibility and
+    ignored.
     """
     _require_integer_vcaps(g)
     ng = _normalize(g)
