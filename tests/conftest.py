@@ -197,27 +197,30 @@ def tiny_graphs(draw, max_n=7):
 zero_heavy = st.sampled_from([0, 0, 1, 2])
 
 
+def _cycle_and_chords(draw, n):
+    """The cycle 0 -> 1 -> ... -> 0 plus up to 2n drawn arcs, so every
+    vertex is reachable from every other."""
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    return [(v, (v + 1) % n) for v in range(n)] + [(u, v) for u, v in chords if u != v]
+
+
 @st.composite
 def zero_heavy_graphs(draw, max_n=6):
-    """Integer-capacity digraphs on 3..max_n vertices that contain the cycle
-    0 -> 1 -> ... -> 0, with half the capacities zero: every vertex is
-    reachable, so zero cuts hide behind zero-capacity arcs."""
+    """Integer-capacity digraphs on 3..max_n vertices built by
+    ``_cycle_and_chords`` with half the capacities zero, so zero cuts hide
+    behind zero-capacity arcs."""
     n = draw(st.integers(3, max_n))
-    cycle = [(v, (v + 1) % n) for v in range(n)]
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
-    pairs = cycle + [(u, v) for u, v in extra if u != v]
+    pairs = _cycle_and_chords(draw, n)
     caps = draw(st.lists(zero_heavy, min_size=len(pairs), max_size=len(pairs)))
     return DiGraph(n, [(u, v, c) for (u, v), c in zip(pairs, caps)])
 
 
 @st.composite
 def zero_heavy_vertex_graphs(draw, max_n=6):
-    """Vertex-capacitated digraphs on 3..max_n vertices that contain the
-    cycle 0 -> 1 -> ... -> 0, with half the capacities zero."""
+    """Vertex-capacitated digraphs on 3..max_n vertices built by
+    ``_cycle_and_chords`` with half the capacities zero."""
     n = draw(st.integers(3, max_n))
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
-    arcs = [(v, (v + 1) % n) for v in range(n)] + [(u, v) for u, v in extra if u != v]
+    arcs = _cycle_and_chords(draw, n)
     vcaps = draw(st.lists(zero_heavy, min_size=n, max_size=n))
     return VertexCapGraph(n, arcs, vcaps)
