@@ -21,6 +21,12 @@ at the smallest positive capacity: zero cuts are found exactly beforehand,
 and every other cut crosses a positive arc.  Vertex cuts run the same
 drivers with a prober on the split graph.  Certificates of either
 kind are compared by their ``rank``.
+
+A global cut is the best rooted cut over a union of rooted instances, and
+``union_prober`` probes such a union as one instance, tagging each
+certificate with the orientation of the instance that found it.  Global
+edge cuts run one search over the instances rooted at vertex 0 of the
+graph and of its reversal; global vertex cuts run one over sampled roots.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import (
@@ -306,13 +312,16 @@ def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
 @dataclass
 class EdgeCutResult:
     certificate: CutCertificate
-    orientation: str
     flow_calls: int
     probe_log: tuple
 
     @property
     def value(self) -> Fraction:
         return self.certificate.value
+
+    @property
+    def orientation(self) -> str:
+        return self.certificate.orientation
 
 
 def level_prober(run_probe, volumes, log):
@@ -331,6 +340,21 @@ def level_prober(run_probe, volumes, log):
             ))
             log.append((level, vol, rep.flow_calls))
             best = _better(best, rep.certificate)
+        return best
+    return probe_at
+
+
+def union_prober(probers):
+    """Prober of a union of rooted instances given as ``(orientation,
+    level_prober)`` pairs: probes the k-th pair with seed parts
+    ``(*seed_parts, k)`` and returns the best certificate found, tagged
+    with the orientation of its instance (or None)."""
+    def probe_at(level, epsilon, seed_parts):
+        best = None
+        for k, (orientation, prober) in enumerate(probers):
+            cert = prober(level, epsilon, (*seed_parts, k))
+            if cert is not None:
+                best = _better(best, replace(cert, orientation=orientation))
         return best
     return probe_at
 
@@ -451,19 +475,26 @@ def approx_rooted_edge_cut(
     log = []
     if best.value > 0:
         best = level_search(_edge_prober(gm, r, log), best, c_min, eps, (seed, "edge"))
-    return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
+    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
 
 
-def _both_orientations(solve_rooted, g: DiGraph, seed) -> EdgeCutResult:
-    """Global cut from rooted solves at vertex 0 of the graph and of its
-    reversal; the certificate is tagged with its orientation."""
-    forward = solve_rooted(g, derive_seed(seed, "fwd"))
-    backward = solve_rooted(reverse(g), derive_seed(seed, "rev"))
-    total = forward.flow_calls + backward.flow_calls
-    log = forward.probe_log + backward.probe_log
-    if _better(forward.certificate, backward.certificate) is forward.certificate:
-        return EdgeCutResult(forward.certificate, "forward", total, log)
-    return EdgeCutResult(backward.certificate, "reverse", total, log)
+def _global_search(g: DiGraph, search) -> EdgeCutResult:
+    """Global cut as one search over the union of the instances rooted at
+    vertex 0 of ``g`` and of its reversal, started from the best trivial
+    cut of either.  A zero cut is returned without probing, and a forward
+    one without looking at the reversal.  ``search(probe_at, best,
+    c_min)`` runs the search with the union prober."""
+    gm, best, c_min = _rooted_start(g, 0)
+    if best.value == 0:
+        return EdgeCutResult(best, 0, ())
+    rm, rev_best, _ = _rooted_start(reverse(g), 0)
+    best = _better(best, replace(rev_best, orientation="reverse"))
+    log = []
+    if best.value > 0:
+        probe_at = union_prober([("forward", _edge_prober(gm, 0, log)),
+                                 ("reverse", _edge_prober(rm, 0, log))])
+        best = search(probe_at, best, c_min)
+    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_global_edge_cut(
@@ -472,14 +503,15 @@ def approx_global_edge_cut(
     seed: int = 0,
     threads: int = 1,
 ) -> EdgeCutResult:
-    """Global minimum cut: best rooted cut over the graph and its reversal,
-    rooted at vertex 0.  The certificate is tagged with its orientation.
+    """Global minimum cut within (1+epsilon) of optimal w.h.p.: one level
+    search over the instances rooted at vertex 0 of the graph and of its
+    reversal.  The certificate is tagged with its orientation.
     ``threads`` is accepted for compatibility and ignored."""
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    return _both_orientations(
-        lambda h, sub_seed: approx_rooted_edge_cut(h, 0, epsilon, sub_seed), g, seed,
-    )
+    eps = clamp_epsilon(epsilon)
+    return _global_search(g, lambda probe_at, best, c_min: level_search(
+        probe_at, best, c_min, eps, (seed, "edge")))
 
 
 def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
@@ -496,7 +528,7 @@ def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
             best = cut
             break
         best = _better(best, cut)
-    return EdgeCutResult(best, "forward", calls, ())
+    return EdgeCutResult(best, calls, ())
 
 
 def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
@@ -504,7 +536,11 @@ def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
     global (rooted at vertex 0 of the graph and of its reversal)."""
     if root is not None:
         return _rooted_oracle(g, root)
-    return _both_orientations(lambda h, _seed: _rooted_oracle(h, 0), g, 0)
+    forward = _rooted_oracle(g, 0)
+    backward = _rooted_oracle(reverse(g), 0)
+    best = _better(forward.certificate,
+                   replace(backward.certificate, orientation="reverse"))
+    return EdgeCutResult(best, forward.flow_calls + backward.flow_calls, ())
 
 
 def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
@@ -530,10 +566,10 @@ def _require_integer_capacities(g: DiGraph):
 def _exact_small_rooted_edge(g, r, seed):
     gm, singleton, c_min = _rooted_start(g, r)
     if singleton.value == 0:
-        return EdgeCutResult(singleton, "forward", 0, ())
+        return EdgeCutResult(singleton, 0, ())
     log = []
     best = integer_search(_small_probe(_edge_prober(gm, r, log), seed), singleton, c_min)
-    return EdgeCutResult(best, "forward", _total_flow_calls(log), tuple(log))
+    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def exact_small_edge_cut(
@@ -556,6 +592,5 @@ def exact_small_edge_cut(
         raise NoCutExistsError("need at least two vertices")
     if root is not None:
         return _exact_small_rooted_edge(g, root, seed)
-    return _both_orientations(
-        lambda h, sub_seed: _exact_small_rooted_edge(h, 0, sub_seed), g, seed,
-    )
+    return _global_search(g, lambda probe_at, best, c_min: integer_search(
+        _small_probe(probe_at, seed), best, c_min))

@@ -126,18 +126,21 @@ class CutCertificate:
 
     ``crossing`` holds indices into the arc list of the graph the
     certificate was built against; ``value`` is the exact total capacity
-    of those arcs.
+    of those arcs.  ``orientation`` records whether that graph is the
+    input graph or its reversal (global modes try both).
     """
 
     sink_set: frozenset
     crossing: tuple
     value: Fraction
+    orientation: str = "forward"
 
     @property
     def rank(self) -> tuple:
         """Key of the deterministic order among cuts: value, then sink
-        size, then the sorted sink."""
-        return (self.value, len(self.sink_set), tuple(sorted(self.sink_set)))
+        size, the sorted sink and orientation."""
+        return (self.value, len(self.sink_set), tuple(sorted(self.sink_set)),
+                self.orientation)
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,19 @@ lets an edge cut be read back as a vertex separator.
 Rooted cuts run the edge module's probe and search drivers (``probe``,
 ``level_prober``, ``level_search``, ``integer_search``) with a prober on
 the split graph: shared conditioning, terminals drawn from the admissible
-sinks, and sink sets mapped back to vertex separators.  Global cuts sample
-roots in proportion to capacity, prune each rooted instance, and run both
-orientations; the exact small-optimum mode searches integer levels with
-per-level tolerance 1/(1+level) so that integer answers come out exact.
+sinks, and sink sets mapped back to vertex separators.  Global cuts draw
+roots once in proportion to capacity, prune the rooted instance of each
+distinct root in both orientations, and run one search over their
+``union_prober``.  The exact small-optimum modes search integer levels
+with per-level tolerance 1/(1+level) so that integer answers come out
+exact.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .edgecut import (
@@ -31,6 +33,7 @@ from .edgecut import (
     level_prober,
     level_search,
     probe,
+    union_prober,
     _better,
     _small_probe,
     _total_flow_calls,
@@ -408,21 +411,30 @@ def _global_trivial(ng: VertexCapGraph):
     return best
 
 
-def _over_roots(ng: VertexCapGraph, roots, solve):
-    """Best certificate over the sampled roots in both orientations.
-
-    ``solve(base, root, i, orientation)`` handles the i-th root of ``base``,
-    the graph in that orientation, and returns a certificate in that
-    orientation, or None.
-    """
-    rev = _reverse_topology(ng)
-    best = None
-    for i, root in enumerate(roots):
-        for orientation, base in (("forward", ng), ("reverse", rev)):
-            cert = solve(base, root, i, orientation)
-            if cert is not None:
-                best = _better(best, replace(cert, orientation=orientation))
-    return best
+def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> VertexCutResult:
+    """Global cut as one search over a union of rooted instances, started
+    from the best trivial cut ``best``: every distinct root drawn by
+    ``sample_roots`` at tolerance ``root_eps``, in both orientations, each
+    pruned for its root and left out when it has no admissible sink.
+    Nothing is drawn or probed when ``best`` is at most ``c_min``, which
+    then makes it optimal.  ``search(probe_at, best, c_min)`` runs the
+    search with the union prober."""
+    c_min = _c_min(ng)
+    log = []
+    if best.value > c_min:
+        roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")))
+        rev = _reverse_topology(ng)
+        probers = []
+        for r in sorted(set(roots)):
+            for orientation, base in (("forward", ng), ("reverse", rev)):
+                pruned = prune_for_root(base, r)
+                admissible = _admissible_sinks(pruned, r)
+                if admissible:
+                    probers.append(
+                        (orientation, _split_prober(pruned, admissible, r, log))
+                    )
+        best = search(union_prober(probers), best, c_min)
+    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_global_vertex_cut(
@@ -433,34 +445,21 @@ def approx_global_vertex_cut(
 ) -> VertexCutResult:
     """Global vertex cut within (1+epsilon) of optimal w.h.p.
 
-    Samples roots in proportion to capacity, prunes each rooted instance,
-    and solves it in both orientations.  A zero-valued cut (disconnected
-    graph, zero-valued singleton, or zero-capacity vertices cutting the
-    graph) is returned without probing.  Raises
-    NoCutExistsError on complete digraphs, where no vertex cut exists.
-    ``threads`` is accepted for compatibility and ignored.
+    Draws roots in proportion to capacity at tolerance epsilon and runs
+    one level search over the pruned instances of the distinct roots in
+    both orientations.  A zero-valued cut (disconnected graph, zero-valued
+    singleton, or zero-capacity vertices cutting the graph) is returned
+    without probing.  Raises NoCutExistsError on complete digraphs, where
+    no vertex cut exists.  ``threads`` is accepted for compatibility and
+    ignored.
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
-    best = _global_trivial(ng)
-    if best.value == 0:
-        return VertexCutResult(best, 0, ())
-    roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots")))
-    log = []
-
-    def solve(base, root, i, orientation):
-        try:
-            res = approx_rooted_vertex_cut(
-                prune_for_root(base, root), root, eps,
-                seed=derive_seed(seed, "root", i, orientation),
-            )
-        except NoCutExistsError:
-            return None
-        log.extend(res.probe_log)
-        return res.certificate
-
-    best = _better(best, _over_roots(ng, roots, solve))
-    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+    return _global_search(
+        ng, _global_trivial(ng), eps, seed,
+        lambda probe_at, best, c_min: level_search(
+            probe_at, best, c_min, eps, (seed, "vertex")),
+    )
 
 
 # -- exact modes -------------------------------------------------------------
@@ -488,15 +487,16 @@ def exact_small_vertex_cut(
     positive capacity is returned without probing.  Per-level tolerance
     1/(1+level) makes integer answers exact; a probe can miss, so the value
     is exact only w.h.p., while the certificate is always valid.
-    ``root=None`` solves the global problem, probing sampled roots in both
-    orientations at each level; each (root, orientation) is pruned and
-    split once per call.  ``threads`` is accepted for compatibility and
-    ignored.
+    ``root=None`` solves the global problem as one integer search over
+    the pruned instances of the distinct roots in both orientations.  The
+    roots are drawn once, at the tolerance 1/(1+s) of level s, the value
+    of the best trivial cut.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     _require_integer_vcaps(g)
     ng = _normalize(g)
-    log = []
     if root is not None:
+        log = []
         admissible, singleton = _rooted_start(ng, root, _positive_arcs(ng, root))
         singleton = singleton or _best_singleton(ng, admissible)
         if singleton.value == 0:
@@ -506,31 +506,11 @@ def exact_small_vertex_cut(
         return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
     singleton = _global_trivial(ng)
-    if singleton.value == 0:
-        return VertexCutResult(singleton, 0, ())
-
-    probers = {}  # (root, orientation) -> prober of the pruned instance, or None
-
-    def probe_at(level, _tag):
-        eps = Fraction(1, 1 + level)
-        roots = sample_roots(ng, eps, random.Random(derive_seed(seed, "roots", level)))
-
-        def solve(base, r, i, orientation):
-            if (r, orientation) not in probers:
-                pruned = prune_for_root(base, r)
-                admissible = _admissible_sinks(pruned, r)
-                probers[r, orientation] = admissible and _split_prober(
-                    pruned, admissible, r, log
-                )
-            prober = probers[r, orientation]
-            if not prober:
-                return None
-            return prober(Fraction(level), eps, (seed, "probe", level, i, orientation))
-
-        return _over_roots(ng, roots, solve)
-
-    best = integer_search(probe_at, singleton, _c_min(ng))
-    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+    return _global_search(
+        ng, singleton, 1 / (1 + singleton.value), seed,
+        lambda probe_at, best, c_min: integer_search(
+            _small_probe(probe_at, seed), best, c_min),
+    )
 
 
 # -- exact oracle ------------------------------------------------------------
