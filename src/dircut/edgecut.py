@@ -394,18 +394,23 @@ def integer_search(probe_at, singleton, floor):
     optimum (the smallest positive capacity, once zero cuts are ruled out):
     the singleton is returned without probing when it is at most ``floor``.
     Otherwise double the level from the integer part of ``floor`` until a
-    probe returns a certificate or the level reaches the singleton bound,
-    then binary search the integers from there up to the best value found.
+    probe returns a certificate or the level reaches the singleton bound.
+    A failed probe at level L rules out every level up to L, so the
+    singleton is returned when the last doubling level fails, and else the
+    integers above the last failed level are binary searched up to the
+    better of the singleton and the certificate found.
     """
     if singleton.value <= floor:
         return singleton
     delta = int(singleton.value)
-    start = level = max(1, int(floor))
-    while (best := probe_at(level, "up")) is None and level < delta:
+    lo = level = max(1, int(floor))
+    while (cert := probe_at(level, "up")) is None and level < delta:
+        lo = level + 1
         level *= 2
-    if best is None:
-        best = singleton
-    lo, hi = start, int(best.value)
+    if cert is None:
+        return singleton
+    best = _better(singleton, cert)
+    hi = int(best.value)
     while lo < hi:
         mid = (lo + hi) // 2
         cert = probe_at(mid, "bin")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dircut import (
+    CutCertificate,
     DiGraph,
     ProbeConfig,
     approx_global_edge_cut,
@@ -17,6 +18,7 @@ from dircut import (
     probe_rooted_edge,
     sample_terminals,
 )
+from dircut.edgecut import integer_search
 
 from conftest import (
     brute_min_rooted_cut,
@@ -173,6 +175,36 @@ def test_singleton_at_smallest_capacity_runs_no_flow():
                 exact_small_edge_cut(g, root=0, seed=1),
                 exact_small_edge_cut(g, seed=1)):
         assert res.value == 3 and res.flow_calls == 0 and res.probe_log == ()
+
+
+def _stub_prober(optimum, levels):
+    """Integer-search prober that records each level and finds a cut of
+    value ``optimum`` exactly at the levels that reach it."""
+    def probe_at(level, _tag):
+        levels.append(level)
+        if level >= optimum:
+            return CutCertificate(frozenset([1]), (), Fraction(optimum))
+        return None
+    return probe_at
+
+
+def test_integer_search_probes_no_ruled_out_level():
+    # a failed probe at level L rules out every level up to L
+    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
+    levels = []
+    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1)).value == 7
+    assert levels == [1, 2, 4, 8, 6]
+    levels = []
+    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1)) is singleton
+    assert levels == [1, 2, 4, 8, 16, 32]
+
+
+def test_integer_search_keeps_a_better_singleton():
+    # the last doubling level, 32, finds a cut of value 30 above the singleton
+    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
+    levels = []
+    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1)) is singleton
+    assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
 
 
 def test_global_cycle_and_two_vertex():
