@@ -538,10 +538,13 @@ def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
 
 def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
     """Exact oracle with the flows it ran counted: rooted at ``root``, or
-    global (rooted at vertex 0 of the graph and of its reversal)."""
+    global (rooted at vertex 0 of the graph and of its reversal; a forward
+    zero cut skips the reversal)."""
     if root is not None:
         return _rooted_oracle(g, root)
     forward = _rooted_oracle(g, 0)
+    if forward.value == 0:
+        return forward
     backward = _rooted_oracle(reverse(g), 0)
     best = _better(forward.certificate,
                    replace(backward.certificate, orientation="reverse"))

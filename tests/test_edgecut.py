@@ -18,7 +18,7 @@ from dircut import (
     probe_rooted_edge,
     sample_terminals,
 )
-from dircut.edgecut import integer_search
+from dircut.edgecut import _edge_oracle, integer_search
 
 from conftest import (
     brute_min_rooted_cut,
@@ -205,6 +205,25 @@ def test_integer_search_keeps_a_better_singleton():
     levels = []
     assert integer_search(_stub_prober(30, levels), singleton, Fraction(1)) is singleton
     assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
+
+
+#: A 7-cycle with chords, capacities 2-6, plus vertex 7 with out-arcs
+#: only, so the forward instance rooted at 0 has a zero cut onto {7}.
+SOURCE_ONLY_VERTEX = DiGraph(8, [
+    (0, 1, 3), (1, 2, 5), (2, 3, 2), (3, 4, 6), (4, 5, 4), (5, 6, 3), (6, 0, 5),
+    (0, 3, 2), (1, 5, 4), (2, 6, 3), (3, 0, 6), (4, 1, 2), (5, 2, 5), (6, 3, 4),
+    (0, 4, 3), (2, 5, 6), (6, 1, 2), (3, 5, 4), (7, 0, 4), (7, 2, 3),
+])
+
+
+def test_global_forward_zero_cut_skips_the_reversal():
+    g = SOURCE_ONLY_VERTEX
+    for res in (approx_global_edge_cut(g, "0.2", seed=1), exact_small_edge_cut(g, seed=1)):
+        assert (res.value, res.orientation, res.flow_calls) == (0, "forward", 0)
+        assert res.certificate.sink_set == frozenset([7])
+    res = _edge_oracle(g)
+    assert res.value == 0 and res.orientation == "forward"
+    assert res.flow_calls == _edge_oracle(g, root=0).flow_calls == 7
 
 
 def test_global_cycle_and_two_vertex():
