@@ -338,21 +338,14 @@ def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
-def _is_complete(g: VertexCapGraph) -> bool:
-    pairs = set(g.arcs)
-    return all(
-        (u, v) in pairs
-        for u in range(g.n)
-        for v in range(g.n)
-        if u != v
-    )
-
-
-def _disconnected_certificate(g: VertexCapGraph):
-    """Zero-value certificate when the graph is not strongly connected,
-    or None.  The sink component is closed under incoming arcs in the
-    reported orientation, so the empty separator is genuinely N-in(U)."""
-    for orientation, graph in (("forward", g), ("reverse", _reverse_topology(g))):
+def _global_start(ng: VertexCapGraph):
+    """Zero-value certificate when ``ng`` is not strongly connected, else
+    None.  The sink component is closed under incoming arcs in the
+    reported orientation, so the empty separator is genuinely N-in(U).
+    Raises NoCutExistsError for fewer than two vertices."""
+    if ng.n < 2:
+        raise NoCutExistsError("need at least two vertices")
+    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
         cert = _unreached(graph, 0, graph.arcs, orientation)
         if cert is not None:
             return cert
@@ -388,24 +381,17 @@ def _global_zero(ng: VertexCapGraph):
     return None
 
 
-def _global_start(ng: VertexCapGraph):
-    """Zero-value certificate when ``ng`` is not strongly connected, else
-    None.  Raises NoCutExistsError when no global vertex cut exists."""
-    if ng.n < 2:
-        raise NoCutExistsError("need at least two vertices")
-    zero = _disconnected_certificate(ng)
-    if zero is None and _is_complete(ng):
-        raise NoCutExistsError("complete digraph has no vertex cut")
-    return zero
-
-
 def _global_trivial(ng: VertexCapGraph):
     """The solvers' best trivial global cut: the zero cut of
     ``_global_start`` or the best singleton, replaced by a zero cut of
     ``_global_zero`` when that singleton is positive.  When the result is
     positive, every global vertex cut has a positive-capacity vertex in its
-    separator, so its value is at least ``_c_min(ng)``."""
+    separator, so its value is at least ``_c_min(ng)``.  Raises
+    NoCutExistsError when no global vertex cut exists: a strongly
+    connected graph without a valid singleton is a complete digraph."""
     best = _global_start(ng) or _global_singleton(ng)
+    if best is None:
+        raise NoCutExistsError("complete digraph has no vertex cut")
     if best.value > 0:
         best = _global_zero(ng) or best
     return best
@@ -544,6 +530,8 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
         ]
     if zero is not None:
         return VertexCutResult(zero, 0, ())
+    if not pairs:
+        raise NoCutExistsError("complete digraph has no vertex cut")
     split, maps = split_transform(ng)
     best = None
     for s, t in pairs:

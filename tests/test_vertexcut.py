@@ -249,6 +249,8 @@ def test_global_complete_digraph_errors():
     with pytest.raises(NoCutExistsError):
         approx_global_vertex_cut(k4, "0.2")
     with pytest.raises(NoCutExistsError):
+        exact_small_vertex_cut(k4)
+    with pytest.raises(NoCutExistsError):
         exact_vertex_cut_oracle(k4)
 
 
