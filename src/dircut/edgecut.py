@@ -20,13 +20,10 @@ search integer levels instead (``integer_search``).  Both searches start
 at the smallest positive capacity: zero cuts are found exactly beforehand,
 and every other cut crosses a positive arc.  Vertex cuts run the same
 drivers with a prober on the split graph.  Certificates of either
-kind are compared by their ``rank``.
-
-A global cut is the best rooted cut over a union of rooted instances, and
-``union_prober`` probes such a union as one instance, tagging each
-certificate with the orientation of the instance that found it.  Global
-edge cuts run one search over the instances rooted at vertex 0 of the
-graph and of its reversal; global vertex cuts run one over sampled roots.
+kind are compared by their ``rank``.  A global cut runs one search over
+a ``union_prober`` of rooted instances (vertex 0 of the graph and of its
+reversal, or sampled vertex roots), which tags each certificate with the
+orientation of its instance.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .graph import (
     INFINITE,
@@ -422,12 +420,16 @@ def integer_search(probe_at, singleton, floor):
     return best
 
 
-def _small_probe(probe_at, seed):
-    """``probe_at`` for integer_search from a ``level_prober``: the integer
-    level at tolerance 1/(1+level), seeded by ``(seed, "small", tag, level)``."""
-    return lambda level, tag: probe_at(
-        Fraction(level), Fraction(1, 1 + level), (seed, "small", tag, level)
-    )
+def _small_search(seed):
+    """Search of the exact small-optimum modes, ``search(probe_at, best,
+    floor)``: ``integer_search`` with the ``level_prober`` ``probe_at``,
+    which probes integer level L at tolerance 1/(1+L) with seed parts
+    ``(seed, "small", tag, L)``."""
+    def search(probe_at, best, floor):
+        return integer_search(lambda level, tag: probe_at(
+            Fraction(level), Fraction(1, 1 + level), (seed, "small", tag, level),
+        ), best, floor)
+    return search
 
 
 def _total_flow_calls(log) -> int:
@@ -459,6 +461,16 @@ def _rooted_start(g: DiGraph, r: int):
     return gm, _min_singleton_cut(gm, r), c_min
 
 
+def _rooted_search(g: DiGraph, r: int, search) -> EdgeCutResult:
+    """Rooted cut: the best trivial cut, improved unless it is zero by
+    ``search(probe_at, best, c_min)`` with the instance's prober."""
+    gm, best, c_min = _rooted_start(g, r)
+    log = []
+    if best.value > 0:
+        best = search(_edge_prober(gm, r, log), best, c_min)
+    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
+
+
 def approx_rooted_edge_cut(
     g: DiGraph,
     r: int,
@@ -476,11 +488,8 @@ def approx_rooted_edge_cut(
     eps = clamp_epsilon(epsilon)
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
-    gm, best, c_min = _rooted_start(g, r)
-    log = []
-    if best.value > 0:
-        best = level_search(_edge_prober(gm, r, log), best, c_min, eps, (seed, "edge"))
-    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
+    search = partial(level_search, epsilon=eps, seed_parts=(seed, "edge"))
+    return _rooted_search(g, r, search)
 
 
 def _global_search(g: DiGraph, search) -> EdgeCutResult:
@@ -515,8 +524,8 @@ def approx_global_edge_cut(
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
     eps = clamp_epsilon(epsilon)
-    return _global_search(g, lambda probe_at, best, c_min: level_search(
-        probe_at, best, c_min, eps, (seed, "edge")))
+    search = partial(level_search, epsilon=eps, seed_parts=(seed, "edge"))
+    return _global_search(g, search)
 
 
 def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
@@ -571,15 +580,6 @@ def _require_integer_capacities(g: DiGraph):
             raise ValueError("exact small-connectivity mode needs integer capacities")
 
 
-def _exact_small_rooted_edge(g, r, seed):
-    gm, singleton, c_min = _rooted_start(g, r)
-    if singleton.value == 0:
-        return EdgeCutResult(singleton, 0, ())
-    log = []
-    best = integer_search(_small_probe(_edge_prober(gm, r, log), seed), singleton, c_min)
-    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
-
-
 def exact_small_edge_cut(
     g: DiGraph,
     root=None,
@@ -589,16 +589,14 @@ def exact_small_edge_cut(
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small.  A zero cut is found exactly, without probing; else
     double the level from the smallest positive capacity with per-level
-    tolerance 1/(1+level), then binary search the integers from there up
-    to the first witnessed level.  At
-    integer granularity a (1+1/(1+level))-approximate answer is exact.  A
-    probe can miss, so the value is exact only w.h.p.; the certificate is
-    always a valid cut.  ``threads`` is accepted for compatibility and
-    ignored."""
+    tolerance 1/(1+level), then binary search the integers above the last
+    failed level up to the first witnessed level.  At integer granularity a
+    (1+1/(1+level))-approximate answer is exact.  A probe can miss, so the
+    value is exact only w.h.p.; the certificate is always a valid cut.
+    ``threads`` is accepted for compatibility and ignored."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
     if root is not None:
-        return _exact_small_rooted_edge(g, root, seed)
-    return _global_search(g, lambda probe_at, best, c_min: integer_search(
-        _small_probe(probe_at, seed), best, c_min))
+        return _rooted_search(g, root, _small_search(seed))
+    return _global_search(g, _small_search(seed))

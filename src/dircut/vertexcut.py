@@ -23,19 +23,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .edgecut import (
     as_fraction,
     clamp_epsilon,
     condition_rooted,
     derive_seed,
-    integer_search,
     level_prober,
     level_search,
     probe,
     union_prober,
     _better,
-    _small_probe,
+    _small_search,
     _total_flow_calls,
     _volume_schedule,
 )
@@ -264,6 +264,17 @@ def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
     return level_prober(run, _volume_schedule(max(ng.m, 1)), log)
 
 
+def _rooted_search(ng: VertexCapGraph, r: int, search) -> VertexCutResult:
+    """Rooted cut: the best trivial cut, improved unless it is zero by
+    ``search(probe_at, best, c_min)`` with the instance's split prober."""
+    admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
+    best = best or _best_singleton(ng, admissible)
+    log = []
+    if best.value > 0:
+        best = search(_split_prober(ng, admissible, r, log), best, _c_min(ng))
+    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+
+
 def approx_rooted_vertex_cut(
     g: VertexCapGraph,
     r: int,
@@ -281,15 +292,8 @@ def approx_rooted_vertex_cut(
     and ignored.
     """
     eps = clamp_epsilon(epsilon)
-    ng = _normalize(g)
-    admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
-    best = best or _best_singleton(ng, admissible)
-    log = []
-    if best.value > 0:
-        best = level_search(
-            _split_prober(ng, admissible, r, log), best, _c_min(ng), eps, (seed, "vertex"),
-        )
-    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+    search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
+    return _rooted_search(_normalize(g), r, search)
 
 
 # -- global reduction --------------------------------------------------------
@@ -398,13 +402,11 @@ def _global_trivial(ng: VertexCapGraph):
 
 
 def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> VertexCutResult:
-    """Global cut as one search over a union of rooted instances, started
-    from the best trivial cut ``best``: every distinct root drawn by
-    ``sample_roots`` at tolerance ``root_eps``, in both orientations, each
-    pruned for its root and left out when it has no admissible sink.
-    Nothing is drawn or probed when ``best`` is at most ``c_min``, which
-    then makes it optimal.  ``search(probe_at, best, c_min)`` runs the
-    search with the union prober."""
+    """Global cut as one ``search(probe_at, best, c_min)`` over the union of
+    the rooted instances of every distinct root that ``sample_roots`` draws
+    at tolerance ``root_eps``, in both orientations, each pruned for its
+    root and left out when it has no admissible sink.  Nothing is drawn or
+    probed when the trivial cut ``best`` is at most ``c_min`` (optimal)."""
     c_min = _c_min(ng)
     log = []
     if best.value > c_min:
@@ -416,9 +418,8 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> VertexCu
                 pruned = prune_for_root(base, r)
                 admissible = _admissible_sinks(pruned, r)
                 if admissible:
-                    probers.append(
-                        (orientation, _split_prober(pruned, admissible, r, log))
-                    )
+                    prober = _split_prober(pruned, admissible, r, log)
+                    probers.append((orientation, prober))
         best = search(union_prober(probers), best, c_min)
     return VertexCutResult(best, _total_flow_calls(log), tuple(log))
 
@@ -441,11 +442,8 @@ def approx_global_vertex_cut(
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
-    return _global_search(
-        ng, _global_trivial(ng), eps, seed,
-        lambda probe_at, best, c_min: level_search(
-            probe_at, best, c_min, eps, (seed, "vertex")),
-    )
+    search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
+    return _global_search(ng, _global_trivial(ng), eps, seed, search)
 
 
 # -- exact modes -------------------------------------------------------------
@@ -469,8 +467,8 @@ def exact_small_vertex_cut(
     A zero cut is found exactly, without probing.  Otherwise the probe
     level doubles from the smallest positive capacity until a certificate
     appears (or the trivial singleton bound is passed), then the integers
-    from there up to it are binary searched; a singleton at the smallest
-    positive capacity is returned without probing.  Per-level tolerance
+    above the last failed level are binary searched up to it; a singleton
+    at the smallest positive capacity is returned without probing.  Per-level tolerance
     1/(1+level) makes integer answers exact; a probe can miss, so the value
     is exact only w.h.p., while the certificate is always valid.
     ``root=None`` solves the global problem as one integer search over
@@ -482,21 +480,10 @@ def exact_small_vertex_cut(
     _require_integer_vcaps(g)
     ng = _normalize(g)
     if root is not None:
-        log = []
-        admissible, singleton = _rooted_start(ng, root, _positive_arcs(ng, root))
-        singleton = singleton or _best_singleton(ng, admissible)
-        if singleton.value == 0:
-            return VertexCutResult(singleton, 0, ())
-        probe_at = _small_probe(_split_prober(ng, admissible, root, log), seed)
-        best = integer_search(probe_at, singleton, _c_min(ng))
-        return VertexCutResult(best, _total_flow_calls(log), tuple(log))
-
+        return _rooted_search(ng, root, _small_search(seed))
     singleton = _global_trivial(ng)
-    return _global_search(
-        ng, singleton, 1 / (1 + singleton.value), seed,
-        lambda probe_at, best, c_min: integer_search(
-            _small_probe(probe_at, seed), best, c_min),
-    )
+    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed,
+                          _small_search(seed))
 
 
 # -- exact oracle ------------------------------------------------------------
