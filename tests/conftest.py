@@ -206,21 +206,22 @@ def _cycle_and_chords(draw, n):
 
 
 @st.composite
-def zero_heavy_graphs(draw, max_n=6):
+def zero_heavy_graphs(draw, max_n=6, caps=zero_heavy):
     """Integer-capacity digraphs on 3..max_n vertices built by
-    ``_cycle_and_chords`` with half the capacities zero, so zero cuts hide
-    behind zero-capacity arcs."""
+    ``_cycle_and_chords`` with capacities drawn from ``caps``; by default
+    half of them are zero, so zero cuts hide behind zero-capacity arcs."""
     n = draw(st.integers(3, max_n))
     pairs = _cycle_and_chords(draw, n)
-    caps = draw(st.lists(zero_heavy, min_size=len(pairs), max_size=len(pairs)))
+    caps = draw(st.lists(caps, min_size=len(pairs), max_size=len(pairs)))
     return DiGraph(n, [(u, v, c) for (u, v), c in zip(pairs, caps)])
 
 
 @st.composite
-def zero_heavy_vertex_graphs(draw, max_n=6):
+def zero_heavy_vertex_graphs(draw, max_n=6, caps=zero_heavy):
     """Vertex-capacitated digraphs on 3..max_n vertices built by
-    ``_cycle_and_chords`` with half the capacities zero."""
+    ``_cycle_and_chords`` with capacities drawn from ``caps``, by default
+    half of them zero."""
     n = draw(st.integers(3, max_n))
     arcs = _cycle_and_chords(draw, n)
-    vcaps = draw(st.lists(zero_heavy, min_size=n, max_size=n))
+    vcaps = draw(st.lists(caps, min_size=n, max_size=n))
     return VertexCapGraph(n, arcs, vcaps)

@@ -369,13 +369,14 @@ def test_global_zero_singleton_returns_without_probing():
         _assert_valid_vertex_cut(g, res.certificate)
 
 
-def test_global_exact_small_builds_one_split_graph_per_root_and_orientation(monkeypatch):
+def _splits_and_roots(monkeypatch, solve):
+    """Run ``solve`` on a 10-vertex ER graph and return the result, the
+    number of split graphs built and the set of roots drawn."""
     import dircut.vertexcut as vc
     from dircut import generate, parse_text
 
     g = parse_text(generate("erdos-renyi-digraph", seed=3, n=10, p=0.5,
                             kind="vertex-cap", vcap_max=3).text)
-    optimum = exact_vertex_cut_oracle(g).value
     splits, roots = [], set()
     real_split, real_sample = vc.split_transform, vc.sample_roots
 
@@ -390,5 +391,20 @@ def test_global_exact_small_builds_one_split_graph_per_root_and_orientation(monk
 
     monkeypatch.setattr(vc, "split_transform", counting_split)
     monkeypatch.setattr(vc, "sample_roots", recording_sample)
-    assert exact_small_vertex_cut(g, seed=1).value == optimum
-    assert roots and len(splits) <= 2 * len(roots)
+    res = solve(g)
+    monkeypatch.undo()
+    return res, exact_vertex_cut_oracle(g).value, len(splits), roots
+
+
+def test_global_exact_small_builds_one_split_graph_per_root_and_orientation(monkeypatch):
+    res, optimum, splits, roots = _splits_and_roots(
+        monkeypatch, lambda g: exact_small_vertex_cut(g, seed=1))
+    assert res.value == optimum
+    assert roots and splits <= 2 * len(roots)
+
+
+def test_global_approx_builds_one_split_graph_per_root_and_orientation(monkeypatch):
+    res, optimum, splits, roots = _splits_and_roots(
+        monkeypatch, lambda g: approx_global_vertex_cut(g, "0.2", seed=1))
+    assert optimum <= res.value <= optimum * Fraction(6, 5)
+    assert roots and splits <= 2 * len(roots)
