@@ -383,14 +383,16 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
     return best
 
 
-def integer_search(probe_at, singleton, floor):
+def integer_search(probe_at, singleton, floor, seed_parts):
     """Exact search over integer levels for integer capacities.
 
-    ``probe_at(level, tag)`` probes at tolerance 1/(1+level), so any
-    certificate it returns has a value below level + level/(1+level), that
-    is at most ``level``.  ``floor`` is a positive lower bound on the
-    optimum (the smallest positive capacity, once zero cuts are ruled out):
-    the singleton is returned without probing when it is at most ``floor``.
+    ``probe_at`` (a ``level_prober``) probes integer level L at tolerance
+    1/(1+L) with seed parts ``(*seed_parts, tag, L)``, the tag "up" while
+    doubling and "bin" in the binary search, so any certificate it returns
+    has a value below L + L/(1+L), that is at most L.  ``floor`` is a
+    positive lower bound on the optimum (the smallest positive capacity,
+    once zero cuts are ruled out): the singleton is returned without
+    probing when it is at most ``floor``.
     Otherwise double the level from the integer part of ``floor`` until a
     probe returns a certificate or the level reaches the singleton bound.
     A failed probe at level L rules out every level up to L, so the
@@ -398,11 +400,15 @@ def integer_search(probe_at, singleton, floor):
     integers above the last failed level are binary searched up to the
     better of the singleton and the certificate found.
     """
+    def probe_level(level, tag):
+        parts = (*seed_parts, tag, level)
+        return probe_at(Fraction(level), Fraction(1, 1 + level), parts)
+
     if singleton.value <= floor:
         return singleton
     delta = int(singleton.value)
     lo = level = max(1, int(floor))
-    while (cert := probe_at(level, "up")) is None and level < delta:
+    while (cert := probe_level(level, "up")) is None and level < delta:
         lo = level + 1
         level *= 2
     if cert is None:
@@ -411,25 +417,13 @@ def integer_search(probe_at, singleton, floor):
     hi = int(best.value)
     while lo < hi:
         mid = (lo + hi) // 2
-        cert = probe_at(mid, "bin")
+        cert = probe_level(mid, "bin")
         if cert is not None:
             best = _better(best, cert)
             hi = int(cert.value)
         else:
             lo = mid + 1
     return best
-
-
-def _small_search(seed):
-    """Search of the exact small-optimum modes, ``search(probe_at, best,
-    floor)``: ``integer_search`` with the ``level_prober`` ``probe_at``,
-    which probes integer level L at tolerance 1/(1+L) with seed parts
-    ``(seed, "small", tag, L)``."""
-    def search(probe_at, best, floor):
-        return integer_search(lambda level, tag: probe_at(
-            Fraction(level), Fraction(1, 1 + level), (seed, "small", tag, level),
-        ), best, floor)
-    return search
 
 
 def _total_flow_calls(log) -> int:
@@ -597,6 +591,7 @@ def exact_small_edge_cut(
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
+    search = partial(integer_search, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(g, root, _small_search(seed))
-    return _global_search(g, _small_search(seed))
+        return _rooted_search(g, root, search)
+    return _global_search(g, search)

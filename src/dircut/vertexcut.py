@@ -30,12 +30,12 @@ from .edgecut import (
     clamp_epsilon,
     condition_rooted,
     derive_seed,
+    integer_search,
     level_prober,
     level_search,
     probe,
     union_prober,
     _better,
-    _small_search,
     _total_flow_calls,
     _volume_schedule,
 )
@@ -468,9 +468,10 @@ def exact_small_vertex_cut(
     level doubles from the smallest positive capacity until a certificate
     appears (or the trivial singleton bound is passed), then the integers
     above the last failed level are binary searched up to it; a singleton
-    at the smallest positive capacity is returned without probing.  Per-level tolerance
-    1/(1+level) makes integer answers exact; a probe can miss, so the value
-    is exact only w.h.p., while the certificate is always valid.
+    at the smallest positive capacity is returned without probing.
+    Per-level tolerance 1/(1+level) makes integer answers exact; a probe
+    can miss, so the value is exact only w.h.p., while the certificate is
+    always valid.
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
     roots are drawn once, at the tolerance 1/(1+s) of level s, the value
@@ -479,11 +480,11 @@ def exact_small_vertex_cut(
     """
     _require_integer_vcaps(g)
     ng = _normalize(g)
+    search = partial(integer_search, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(ng, root, _small_search(seed))
+        return _rooted_search(ng, root, search)
     singleton = _global_trivial(ng)
-    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed,
-                          _small_search(seed))
+    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed, search)
 
 
 # -- exact oracle ------------------------------------------------------------

@@ -178,9 +178,9 @@ def test_singleton_at_smallest_capacity_runs_no_flow():
 
 
 def _stub_prober(optimum, levels):
-    """Integer-search prober that records each level and finds a cut of
-    value ``optimum`` exactly at the levels that reach it."""
-    def probe_at(level, _tag):
+    """Prober that records each level and finds a cut of value ``optimum``
+    exactly at the levels that reach it."""
+    def probe_at(level, _epsilon, _seed_parts):
         levels.append(level)
         if level >= optimum:
             return CutCertificate(frozenset([1]), (), Fraction(optimum))
@@ -192,10 +192,10 @@ def test_integer_search_probes_no_ruled_out_level():
     # a failed probe at level L rules out every level up to L
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
-    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1)).value == 7
+    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
     assert levels == [1, 2, 4, 8, 6]
     levels = []
-    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1)) is singleton
+    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
     assert levels == [1, 2, 4, 8, 16, 32]
 
 
@@ -203,7 +203,7 @@ def test_integer_search_keeps_a_better_singleton():
     # the last doubling level, 32, finds a cut of value 30 above the singleton
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
-    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1)) is singleton
+    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
     assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
 
 
