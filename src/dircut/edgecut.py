@@ -99,21 +99,16 @@ class ProbeConfig:
 class ConditionedGraph:
     """Preconditioned graph plus the conditioning ratio it provably satisfies.
 
-    ``original_arc[i]`` is False exactly for the auxiliary root arcs.  For
-    every sink set U the cut into U has capacity at least ``phi`` times the
-    in-volume of U measured in ``h`` itself.
+    The arcs of ``h`` are the base graph's arcs first, in their order and
+    with their endpoints, then the auxiliary root arcs.  ``in_degrees[v]``
+    counts the base arcs into v, the in-degree that terminal sampling
+    uses.  For every sink set U the cut into U has capacity at least
+    ``phi`` times the in-volume of U measured in ``h`` itself.
     """
 
     h: DiGraph
     phi: Fraction
-    original_arc: tuple
-
-    def original_in_degrees(self) -> list:
-        deg = [0] * self.h.n
-        for i, (_, head, _) in enumerate(self.h.arcs):
-            if self.original_arc[i]:
-                deg[head] += 1
-        return deg
+    in_degrees: tuple
 
 
 def condition_rooted(
@@ -146,20 +141,18 @@ def condition_rooted(
     quantum_num = int(quantum * new_scale)
 
     arcs = []
-    flags = []
     for i, (t, h, c) in enumerate(base.arcs):
         if i in base.inf_arcs:
             arcs.append((t, h, INFINITE))
         else:
             arcs.append((t, h, min(max(c * factor, floor_num), cap_num)))
-        flags.append(True)
-    for v, deg in enumerate(base.in_degrees()):
+    degrees = base.in_degrees()
+    for v, deg in enumerate(degrees):
         if v != r and deg > 0:
             arcs.append((r, v, quantum_num * deg))
-            flags.append(False)
     h = DiGraph(base.n, arcs, scale=new_scale)
     phi = epsilon * level / (2 * aux_divisor * volume)
-    return ConditionedGraph(h, phi, tuple(flags))
+    return ConditionedGraph(h, phi, tuple(degrees))
 
 
 def precondition_rooted(
@@ -180,7 +173,7 @@ def sample_terminals(cond: ConditionedGraph, r: int, volume: int, sample_const, 
     n = cond.h.n
     scale = float(as_fraction(sample_const)) * math.log(n) / volume
     picked = []
-    deg = cond.original_in_degrees()
+    deg = cond.in_degrees
     for v in range(n):
         if v == r or deg[v] == 0:
             continue
@@ -233,9 +226,9 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
     graph ``h`` at connectivity target threshold = (1+epsilon)*level.
 
     ``extract`` maps the sink set of each cut found to a certificate
-    evaluated on the caller's own graph (or None); only certificates of
-    value strictly below ``threshold`` are kept, and the best of them by
-    rank is returned.
+    evaluated on the caller's own graph (or None), once per distinct sink
+    set; only certificates of value strictly below ``threshold`` are kept,
+    and the best of them by rank is returned.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -243,7 +236,7 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
     level_num = threshold * h.scale
     assert level_num.denominator == 1
     level_num = int(level_num)
-    best = None
+    sinks = {}  # distinct Below sink sets, in first-seen order
     calls = 0
     all_stats = []
     for group in partition_terminals(terminals, group_capacity(h, r, level_num)):
@@ -253,9 +246,12 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
         for t in sorted(outcome):
             result = outcome[t]
             if isinstance(result, Below):
-                cert = extract(result.cut.sink_set)
-                if cert is not None and cert.value < threshold:
-                    best = _better(best, cert)
+                sinks.setdefault(result.cut.sink_set)
+    best = None
+    for sink in sinks:
+        cert = extract(sink)
+        if cert is not None and cert.value < threshold:
+            best = _better(best, cert)
     return ProbeReport(best, calls, tuple(all_stats))
 
 
@@ -299,12 +295,14 @@ def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
 
 
 def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
-    best = None
-    for t in range(g.n):
-        if t == r:
-            continue
-        best = _better(best, cut_certificate(g, [t], root=r))
-    return best
+    """The best singleton cut by rank, from one pass over the arcs: the
+    least in-weight (an infinite arc at its sentinel), ties to the smaller
+    vertex."""
+    weight = [0] * g.n
+    for _, h, c in g.arcs:
+        weight[h] += c
+    t = min((v for v in range(g.n) if v != r), key=lambda v: (weight[v], v))
+    return cut_certificate(g, [t], root=r)
 
 
 @dataclass

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .edgecut import (
     as_fraction,
@@ -221,11 +222,20 @@ def _rooted_start(ng: VertexCapGraph, r: int, arcs):
     return admissible, _unreached(ng, r, arcs)
 
 
-def _best_singleton(ng: VertexCapGraph, admissible) -> VertexCutCertificate:
-    best = None
-    for t in admissible:
-        best = _better(best, _sink_certificate(ng, frozenset([t])))
-    return best
+def _singletons(g: VertexCapGraph, orientation="forward") -> list:
+    """The vertex cut of every single-vertex sink, indexed by vertex, from
+    one pass over the arcs.  In the reverse orientation the in-neighbours
+    are those in the reversal, that is the out-neighbours in ``g``."""
+    neighbours = [set() for _ in range(g.n)]
+    for u, v in g.arcs:
+        if orientation == "reverse":
+            u, v = v, u
+        neighbours[v].add(u)
+    return [
+        VertexCutCertificate(frozenset(sep), frozenset([v]),
+                             g.value(sum(g.vcaps[w] for w in sep)), orientation)
+        for v, sep in enumerate(neighbours)
+    ]
 
 
 # -- rooted approximation ----------------------------------------------------
@@ -268,7 +278,9 @@ def _rooted_search(ng: VertexCapGraph, r: int, search) -> VertexCutResult:
     """Rooted cut: the best trivial cut, improved unless it is zero by
     ``search(probe_at, best, c_min)`` with the instance's split prober."""
     admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
-    best = best or _best_singleton(ng, admissible)
+    if best is None:
+        singletons = _singletons(ng)
+        best = min((singletons[t] for t in admissible), key=attrgetter("rank"))
     log = []
     if best.value > 0:
         best = search(_split_prober(ng, admissible, r, log), best, _c_min(ng))
@@ -314,13 +326,11 @@ def sample_roots(g: VertexCapGraph, epsilon, rng) -> list:
     total = sum(g.vcaps)
     if total == 0:
         raise ValueError("all vertex capacities are zero; no root can be sampled")
-    singleton_floor = min(
-        min(
-            sum(g.vcaps[u] for u in g.in_neighbors(v)),
-            sum(g.vcaps[u] for u in g.out_neighbors(v)),
-        )
-        for v in range(g.n)
-    )
+    # the least singleton value in either orientation, as a numerator
+    singleton_floor = int(g.scale * min(
+        cert.value for orientation in ("forward", "reverse")
+        for cert in _singletons(g, orientation)
+    ))
     count = math.ceil(2 * math.log(g.n) / float(eps))
     if total > singleton_floor:
         alt = math.ceil(2 * total * math.log(g.n) / (total - singleton_floor))
@@ -342,6 +352,17 @@ def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
+def _oriented_zero(ng: VertexCapGraph, r: int, arcs_of):
+    """The zero cut onto the vertices ``r`` cannot reach along
+    ``arcs_of(graph)`` in ``ng``, else in its reversal, tagged with its
+    orientation; None when ``r`` reaches every vertex in both."""
+    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
+        cert = _unreached(graph, r, arcs_of(graph), orientation)
+        if cert is not None:
+            return cert
+    return None
+
+
 def _global_start(ng: VertexCapGraph):
     """Zero-value certificate when ``ng`` is not strongly connected, else
     None.  The sink component is closed under incoming arcs in the
@@ -349,55 +370,33 @@ def _global_start(ng: VertexCapGraph):
     Raises NoCutExistsError for fewer than two vertices."""
     if ng.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
-        cert = _unreached(graph, 0, graph.arcs, orientation)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _global_singleton(g: VertexCapGraph):
-    """Best valid single-sink certificate over both orientations, or None
-    (None only for complete digraphs)."""
-    best = None
-    rev = _reverse_topology(g)
-    for orientation, graph in (("forward", g), ("reverse", rev)):
-        for v in range(g.n):
-            cert = _sink_certificate(graph, frozenset([v]), orientation)
-            if len(cert.separator) + 1 < g.n:  # else no outside vertex survives
-                best = _better(best, cert)
-    return best
-
-
-def _global_zero(ng: VertexCapGraph):
-    """Exact test for a zero-valued global vertex cut: its separator holds
-    only zero-capacity vertices, so a positive-capacity vertex r lies in its
-    sink or outside both, and in one orientation r cannot reach the other
-    side through positive-capacity vertices.  Returns that zero cut, or
-    None (also when no vertex has positive capacity)."""
-    r = next((v for v, c in enumerate(ng.vcaps) if c > 0), None)
-    if r is None:
-        return None
-    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
-        cert = _unreached(graph, r, _positive_arcs(graph, r), orientation)
-        if cert is not None:
-            return cert
-    return None
+    return _oriented_zero(ng, 0, lambda graph: graph.arcs)
 
 
 def _global_trivial(ng: VertexCapGraph):
     """The solvers' best trivial global cut: the zero cut of
-    ``_global_start`` or the best singleton, replaced by a zero cut of
-    ``_global_zero`` when that singleton is positive.  When the result is
-    positive, every global vertex cut has a positive-capacity vertex in its
-    separator, so its value is at least ``_c_min(ng)``.  Raises
-    NoCutExistsError when no global vertex cut exists: a strongly
-    connected graph without a valid singleton is a complete digraph."""
-    best = _global_start(ng) or _global_singleton(ng)
+    ``_global_start`` or the best valid singleton over both orientations
+    (one that leaves a vertex outside its separator and sink), replaced by
+    an exact zero cut when that singleton is positive.  A zero global
+    vertex cut has only zero-capacity vertices in its separator, so a
+    positive-capacity vertex r lies in its sink or outside both, and in one
+    orientation r cannot reach the other side through positive-capacity
+    vertices.  When the result is positive, every global vertex cut has a
+    positive-capacity vertex in its separator, so its value is at least
+    ``_c_min(ng)``.  Raises NoCutExistsError when no global vertex cut
+    exists: a strongly connected graph without a valid singleton is a
+    complete digraph."""
+    best = _global_start(ng) or min(
+        (cert for orientation in ("forward", "reverse")
+         for cert in _singletons(ng, orientation)
+         if len(cert.separator) + 1 < ng.n),
+        key=attrgetter("rank"), default=None,
+    )
     if best is None:
         raise NoCutExistsError("complete digraph has no vertex cut")
-    if best.value > 0:
-        best = _global_zero(ng) or best
+    if best.value > 0:  # so some vertex has positive capacity
+        r = next(v for v, c in enumerate(ng.vcaps) if c > 0)
+        best = _oriented_zero(ng, r, lambda graph: _positive_arcs(graph, r)) or best
     return best
 
 

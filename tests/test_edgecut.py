@@ -30,12 +30,9 @@ from conftest import (
 
 
 def test_precondition_g1_numbers():
-    cond = precondition_rooted(g1(), 0, 2, 4, Fraction(1, 2))
-    aux = [
-        (t, h, cond.h.value(c))
-        for i, (t, h, c) in enumerate(cond.h.arcs)
-        if not cond.original_arc[i]
-    ]
+    g = g1()
+    cond = precondition_rooted(g, 0, 2, 4, Fraction(1, 2))
+    aux = [(t, h, cond.h.value(c)) for t, h, c in cond.h.arcs[g.m:]]
     # both non-root vertices have in-degree 2: eps*level*deg/(2*volume) = 1/4
     assert sorted(aux) == [(0, 1, Fraction(1, 4)), (0, 2, Fraction(1, 4))]
     assert cond.phi == Fraction(1, 16)
@@ -46,11 +43,7 @@ def test_precondition_truncates_into_band():
     eps = Fraction(1, 2)
     cond = precondition_rooted(g, 0, 4, 2, eps)
     floor = eps * 4 / (2 * g.m)
-    originals = [
-        cond.h.value(c)
-        for i, (_, _, c) in enumerate(cond.h.arcs)
-        if cond.original_arc[i]
-    ]
+    originals = [cond.h.value(c) for _, _, c in cond.h.arcs[:g.m]]
     assert max(originals) == 8  # clamped to 2*level
     assert min(originals) >= floor
     assert all(floor <= v <= 8 for v in originals)
