@@ -7,7 +7,8 @@ prints a line-oriented report (optionally mirrored to a JSON sidecar).
 
 Every emitted certificate is re-validated against the raw input file by an
 independent re-summation before it is printed.  Exit codes: 0 success,
-1 input error, 2 no cut exists, 3 verify gate failed.
+1 input error (usage errors included), 2 no cut exists, 3 verify gate
+failed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,17 @@ def main(argv=None) -> int:
         return 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are input errors (exit 1), so
+    that exit code 2 means only that no cut exists."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dircut",
         description="minimum rooted/global edge and vertex cuts in directed graphs",
     )
@@ -281,6 +291,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     eps = clamp_epsilon(args.epsilon)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     params = {"n": args.n}
     if args.p is not None:
         params["p"] = args.p

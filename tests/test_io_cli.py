@@ -178,6 +178,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _exit_code(argv):
+    """Exit code of one run; argparse exits through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_usage_errors_are_input_errors(tmp_path, capsys):
+    """Exit code 2 is reserved for "no cut exists"; a malformed flag is an
+    input error and ``--help`` succeeds."""
+    path = tmp_path / "c.gr"
+    path.write_text("p edge-cap 2 1\na 1 2 1\n")
+    for argv in (["edge-cut", "--rooted", "abc", str(path)],
+                 ["edge-cut", "--global", "--bogus", str(path)],
+                 ["vertex-cut", str(path), "--seed"],
+                 ["verify", "--problem", "hyper"],
+                 []):
+        assert _exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err.splitlines()[-1] and "Traceback" not in err
+    assert _exit_code(["edge-cut", "--help"]) == 0
+    assert "usage: dircut edge-cut" in capsys.readouterr().out
+
+
+def test_cli_verify_needs_one_trial(capsys):
+    for trials in ("0", "-5"):
+        assert main(["verify", "--trials", trials, "--n", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be at least 1\n"
+
+
 def test_cli_exact_modes(tmp_path, capsys):
     path = tmp_path / "g.gr"
     path.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")

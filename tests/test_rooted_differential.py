@@ -1,0 +1,94 @@
+"""Differential test of the four rooted entry points against brute force.
+
+On small graphs, half of them with half the capacities zero and half
+with positive capacities only (so that the searches run), every
+certificate re-sums to its value and keeps the root out of its sink;
+exact-small returns the brute-force optimum; approx lies in
+[opt, (1+epsilon)*opt], also at a rational scale; and NoCutExistsError
+is raised exactly when no admissible sink exists.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dircut import (
+    DiGraph,
+    NoCutExistsError,
+    approx_rooted_edge_cut,
+    approx_rooted_vertex_cut,
+    exact_small_edge_cut,
+    exact_small_vertex_cut,
+)
+
+from conftest import (
+    brute_min_rooted_cut,
+    brute_min_separator,
+    cut_value,
+    zero_heavy_graphs,
+    zero_heavy_vertex_graphs,
+)
+
+EPSILON = "0.2"
+FACTOR = 1 + Fraction(EPSILON)
+POSITIVE = st.integers(1, 9)
+
+
+def _assert_valid_edge_cut(g, res):
+    sink = res.certificate.sink_set
+    assert sink and 0 not in sink
+    assert res.orientation == "forward"
+    assert cut_value(g, sink) == res.value
+
+
+@settings(max_examples=300)
+@given(st.one_of(zero_heavy_graphs(), zero_heavy_graphs(caps=POSITIVE)))
+def test_rooted_edge_entry_points(g):
+    opt = brute_min_rooted_cut(g, 0)[0]
+    approx = approx_rooted_edge_cut(g, 0, EPSILON, seed=1)
+    small = exact_small_edge_cut(g, root=0, seed=1)
+    for res in (approx, small):
+        _assert_valid_edge_cut(g, res)
+    assert small.value == opt
+    assert opt <= approx.value <= opt * FACTOR
+
+
+@settings(max_examples=100)
+@given(zero_heavy_graphs(caps=POSITIVE), st.integers(2, 7))
+def test_rooted_edge_approx_at_a_rational_scale(g, scale):
+    g = DiGraph(g.n, g.arcs, scale=scale)
+    opt = brute_min_rooted_cut(g, 0)[0]
+    approx = approx_rooted_edge_cut(g, 0, EPSILON, seed=1)
+    _assert_valid_edge_cut(g, approx)
+    assert opt <= approx.value <= opt * FACTOR
+
+
+def _assert_valid_rooted_vertex_cut(g, cert):
+    sink, sep = cert.sink_component, cert.separator
+    assert sink and 0 not in sink and 0 not in sep and not sink & sep
+    assert cert.orientation == "forward"
+    assert {u for u, v in g.arcs if v in sink and u not in sink} == set(sep)
+    assert Fraction(sum(g.vcaps[w] for w in sep), g.scale) == cert.value
+
+
+@settings(max_examples=300)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)))
+def test_rooted_vertex_entry_points(g):
+    # separators exist only for sinks that are not out-neighbours of the root
+    values = [brute_min_separator(g, 0, t) for t in range(1, g.n)]
+    values = [v for v in values if v is not None]
+    if not values:
+        with pytest.raises(NoCutExistsError):
+            approx_rooted_vertex_cut(g, 0, EPSILON, seed=1)
+        with pytest.raises(NoCutExistsError):
+            exact_small_vertex_cut(g, root=0, seed=1)
+        return
+    opt = min(values)
+    approx = approx_rooted_vertex_cut(g, 0, EPSILON, seed=1)
+    small = exact_small_vertex_cut(g, root=0, seed=1)
+    for res in (approx, small):
+        _assert_valid_rooted_vertex_cut(g, res.certificate)
+    assert small.value == opt
+    assert opt <= approx.value <= opt * FACTOR
