@@ -7,8 +7,7 @@ prints a line-oriented report (optionally mirrored to a JSON sidecar).
 
 Every emitted certificate is re-validated against the raw input file by an
 independent re-summation before it is printed.  Exit codes: 0 success,
-1 input error (usage errors included), 2 no cut exists, 3 verify gate
-failed.
+1 input error (a usage error too), 2 no cut exists, 3 verify gate failed.
 """
 
 from __future__ import annotations
@@ -43,7 +42,10 @@ from .vertexcut import (
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (argparse's exit 2) or --help
+        return 1 if exc.code else 0
     try:
         return args.handler(args)
     except NoCutExistsError as exc:
@@ -54,17 +56,8 @@ def main(argv=None) -> int:
         return 1
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are input errors (exit 1), so
-    that exit code 2 means only that no cut exists."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _build_parser():
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="dircut",
         description="minimum rooted/global edge and vertex cuts in directed graphs",
     )

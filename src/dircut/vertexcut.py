@@ -172,15 +172,11 @@ def _reverse_topology(g: VertexCapGraph) -> VertexCapGraph:
     return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
 
 
-def _in_neighbors_of_set(g: VertexCapGraph, vertices: frozenset) -> frozenset:
-    return frozenset(u for u, v in g.arcs if v in vertices and u not in vertices)
-
-
 def _sink_certificate(g: VertexCapGraph, component: frozenset,
                       orientation="forward") -> VertexCutCertificate:
     """The vertex cut of a sink component: its in-neighborhood, valued at
     the raw vertex capacities."""
-    separator = _in_neighbors_of_set(g, component)
+    separator = frozenset(u for u, v in g.arcs if v in component and u not in component)
     value = Fraction(sum(g.vcaps[w] for w in separator), g.scale)
     return VertexCutCertificate(separator, component, value, orientation)
 

@@ -99,10 +99,7 @@ BAD_VERIFY_FLAGS = (
 
 def _run(capsys, argv):
     """Exit code, stdout and stderr of one command-line run."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse: --help or a usage error
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -194,10 +191,9 @@ BAD_TOKENS = st.sampled_from(["nan", "inf", "-1", "1/0", "0", "5", "x", "1.5", "
 
 @st.composite
 def fuzzed_files(draw):
-    """A well-formed file on at most four vertices, then with some
-    probability one or two of the malformations above: a bad token, a
-    duplicate ``p`` or ``w`` line, a wrong arc count, a line moved before
-    ``p``, or a non-UTF-8 byte pair."""
+    """A well-formed file on at most four vertices, often with one or two
+    malformations: a bad token, a duplicate ``p``, ``a`` or ``w`` line, a
+    wrong arc count, a line moved before ``p``, or a non-UTF-8 byte pair."""
     kind = draw(st.sampled_from(["edge-cap", "vertex-cap"]))
     n = draw(st.integers(1, 4))
     vertex = st.integers(1, n)

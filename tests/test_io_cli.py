@@ -178,14 +178,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _exit_code(argv):
-    """Exit code of one run; argparse exits through SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def test_cli_usage_errors_are_input_errors(tmp_path, capsys):
     """Exit code 2 is reserved for "no cut exists"; a malformed flag is an
     input error and ``--help`` succeeds."""
@@ -196,10 +188,10 @@ def test_cli_usage_errors_are_input_errors(tmp_path, capsys):
                  ["vertex-cut", str(path), "--seed"],
                  ["verify", "--problem", "hyper"],
                  []):
-        assert _exit_code(argv) == 1
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert "error:" in err.splitlines()[-1] and "Traceback" not in err
-    assert _exit_code(["edge-cut", "--help"]) == 0
+    assert main(["edge-cut", "--help"]) == 0
     assert "usage: dircut edge-cut" in capsys.readouterr().out
 
 

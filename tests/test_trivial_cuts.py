@@ -164,8 +164,8 @@ def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
                         counted(VertexCapGraph.in_neighbors))
     monkeypatch.setattr(VertexCapGraph, "out_neighbors",
                         counted(VertexCapGraph.out_neighbors))
-    monkeypatch.setattr(dircut.vertexcut, "_in_neighbors_of_set",
-                        counted(dircut.vertexcut._in_neighbors_of_set))
+    monkeypatch.setattr(dircut.vertexcut, "_sink_certificate",
+                        counted(dircut.vertexcut._sink_certificate))
     roots = sample_roots(g, "0.2", random.Random(0))
     trivial = _global_trivial(g)
     assert roots and trivial.value > 0
