@@ -281,13 +281,23 @@ def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
     """Increasing grid from lo to at least hi with consecutive ratio about
     ``ratio``.  Points after ``lo`` are exact snapshots of float arithmetic,
     dyadic rationals whose denominators reach 2^52 and beyond; conditioning
-    folds them into the scale of every probe graph."""
+    folds them into the scale of every probe graph.  The float carries
+    only the mantissa, in [1, 2), and an exact power of two ``unit`` the
+    exponent, so levels beyond float range stay exact; within it the points
+    are those of plain float arithmetic."""
     points = [lo]
-    x = float(lo)
+    shift = lo.numerator.bit_length() - lo.denominator.bit_length()
+    if lo < Fraction(2) ** shift:
+        shift -= 1
+    unit = Fraction(2) ** shift
+    x = float(lo / unit)
     step = float(ratio)
     while points[-1] < hi:
         x *= step
-        nxt = Fraction(x)
+        if x >= 2.0:
+            x /= 2.0
+            unit *= 2
+        nxt = Fraction(x) * unit
         if nxt <= points[-1]:  # float stall; exact fallback
             nxt = points[-1] * ratio
         points.append(nxt)

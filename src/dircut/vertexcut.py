@@ -327,12 +327,17 @@ def sample_roots(g: VertexCapGraph, epsilon, rng) -> list:
         cert.value for orientation in ("forward", "reverse")
         for cert in _singletons(g, orientation)
     ))
-    count = math.ceil(2 * math.log(g.n) / float(eps))
+    # both bounds compared in exact rationals (the float logarithm taken
+    # exactly), so tolerances and capacities beyond float range stay finite
+    log_n = Fraction(math.log(g.n))
+    count = min(g.n, math.ceil(2 * log_n / eps))
     if total > singleton_floor:
-        alt = math.ceil(2 * total * math.log(g.n) / (total - singleton_floor))
-        count = min(count, alt)
-    count = max(1, min(count, g.n))
-    return rng.choices(range(g.n), weights=g.vcaps, k=count)
+        count = min(count, math.ceil(2 * total * log_n / (total - singleton_floor)))
+    count = max(1, count)
+    # rng.choices sums the weights as floats: drop low bits of capacities
+    # beyond float range, which moves no probability a float can express
+    shift = max(0, total.bit_length() - 1000)
+    return rng.choices(range(g.n), weights=[c >> shift for c in g.vcaps], k=count)
 
 
 def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
