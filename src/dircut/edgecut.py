@@ -67,11 +67,16 @@ def as_fraction(x) -> Fraction:
 
 
 def clamp_epsilon(epsilon) -> Fraction:
+    """The tolerance actually used: ``epsilon`` capped at 99/100.  Raises
+    ValueError unless it is positive and the level grid's ratio
+    1 + epsilon/(2+epsilon) exceeds 1 as a float."""
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if eps >= 1:
         eps = Fraction(99, 100)
+    if float(1 + eps / (2 + eps)) == 1.0:
+        raise ValueError("epsilon is too small: the level grid ratio rounds to 1")
     return eps
 
 
@@ -284,7 +289,8 @@ def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
     folds them into the scale of every probe graph.  The float carries
     only the mantissa, in [1, 2), and an exact power of two ``unit`` the
     exponent, so levels beyond float range stay exact; within it the points
-    are those of plain float arithmetic."""
+    are those of plain float arithmetic.  ``float(ratio)`` must exceed 1
+    (``clamp_epsilon`` ensures it), so every step moves the mantissa."""
     points = [lo]
     shift = lo.numerator.bit_length() - lo.denominator.bit_length()
     if lo < Fraction(2) ** shift:
@@ -297,10 +303,7 @@ def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
         if x >= 2.0:
             x /= 2.0
             unit *= 2
-        nxt = Fraction(x) * unit
-        if nxt <= points[-1]:  # float stall; exact fallback
-            nxt = points[-1] * ratio
-        points.append(nxt)
+        points.append(Fraction(x) * unit)
     return points
 
 

@@ -7,6 +7,9 @@ only from a well-formed file on which the exact oracle finds no cut
 either.  Header vertex counts stay small, so every run is quick.
 """
 
+import contextlib
+import signal
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -183,6 +186,47 @@ def test_well_formed_files_without_a_cut_exit_2(tmp_path, capsys):
                                 ("edge-cut", ("--global",), single),
                                 ("edge-cut", ("--rooted", "1", "--exact-small"), single)):
         assert _check_run(capsys, [command, *mode, str(path)], path.read_bytes()) == 2
+
+
+class _Overtime(Exception):
+    """Raised by the alarm of ``_time_bound``; no input-error class, so the
+    command line does not catch it."""
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    def expire(signum, frame):
+        raise _Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: The bidirectional 6-cycle with unit capacities, arcs as 1-based pairs.
+CYCLE_ARCS = [arc for u in range(1, 7) for arc in ((u, u % 6 + 1), (u % 6 + 1, u))]
+CYCLE_FILES = {
+    "edge-cut": "p edge-cap 6 12\n" + "".join(f"a {u} {v} 1\n" for u, v in CYCLE_ARCS),
+    "vertex-cut": "p vertex-cap 6 12\n" + "".join(f"a {u} {v}\n" for u, v in CYCLE_ARCS)
+    + "".join(f"w {v} 1\n" for v in range(1, 7)),
+}
+
+
+@pytest.mark.parametrize("epsilon", ["1e-400", "1e-300"])
+@pytest.mark.parametrize("command", sorted(CYCLE_FILES))
+def test_tolerance_below_float_grid_is_an_input_error(command, epsilon, tmp_path, capsys):
+    # 1 + eps/(2+eps) rounds to 1.0 as a float, so the level grid could not
+    # move, and 1e-400 itself floats to 0.0
+    path = tmp_path / "cycle.gr"
+    path.write_text(CYCLE_FILES[command])
+    with _time_bound(10):
+        code, out, err = _run(capsys, [command, "--global", "--epsilon", epsilon, str(path)])
+    assert code == 1 and out == "", (code, err)
+    _assert_one_error_line(err)
 
 
 #: Tokens that make a well-formed line malformed.
