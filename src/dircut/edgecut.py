@@ -11,7 +11,11 @@ certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.
 
 A prober (``level_prober``) binds one rooted instance's probe, in-volume
-guesses and probe log once, and probes a level at every in-volume guess.
+guesses and probe log once, and probes a level at its in-volume guesses,
+largest (cheapest) first, until one returns a certificate.  The searches
+only ask whether a cut below the inflated level exists, and any returned
+certificate is valid and below it, so the first one answers; a miss still
+probes every guess, so the miss probability is that of probing them all.
 The approximate modes binary search a geometric grid of levels
 (``level_search``); the grid ratio and the per-probe inflation are both
 set to epsilon/(2+epsilon) so that their product stays within the
@@ -22,8 +26,8 @@ and every other cut crosses a positive arc.  Vertex cuts run the same
 drivers with a prober on the split graph.  Certificates of either
 kind are compared by their ``rank``.  A global cut runs one search over
 a ``union_prober`` of rooted instances (vertex 0 of the graph and of its
-reversal, or sampled vertex roots), which tags each certificate with the
-orientation of its instance.
+reversal, or sampled vertex roots), which stops at the first instance
+that returns a certificate and tags it with that instance's orientation.
 """
 
 from __future__ import annotations
@@ -335,36 +339,38 @@ class EdgeCutResult:
 
 def level_prober(run_probe, volumes, log):
     """Prober of one rooted instance: ``probe_at(level, epsilon,
-    seed_parts)`` probes ``level`` at tolerance ``epsilon`` at every
-    in-volume guess in ``volumes``, the j-th seeded by ``(*seed_parts, j)``,
-    and returns the best certificate found (or None).  ``run_probe`` maps a
-    ProbeConfig to a ProbeReport; each probe appends (level, volume, flow
-    calls) to ``log``."""
+    seed_parts)`` probes ``level`` at tolerance ``epsilon`` at the in-volume
+    guesses in ``volumes``, largest (and so cheapest, with the fewest
+    terminals) first, the j-th of ``volumes`` seeded by ``(*seed_parts,
+    j)``.  It returns the first certificate a probe gives, or None once
+    every guess has missed.  ``run_probe`` maps a ProbeConfig to a
+    ProbeReport; each probe run appends (level, volume, flow calls) to
+    ``log``."""
     def probe_at(level, epsilon, seed_parts):
-        best = None
-        for j, vol in enumerate(volumes):
+        for j in reversed(range(len(volumes))):
             rep = run_probe(ProbeConfig(
-                level=level, volume=vol, epsilon=epsilon,
+                level=level, volume=volumes[j], epsilon=epsilon,
                 seed=derive_seed(*seed_parts, j),
             ))
-            log.append((level, vol, rep.flow_calls))
-            best = _better(best, rep.certificate)
-        return best
+            log.append((level, volumes[j], rep.flow_calls))
+            if rep.certificate is not None:
+                return rep.certificate
+        return None
     return probe_at
 
 
 def union_prober(probers):
     """Prober of a union of rooted instances given as ``(orientation,
     level_prober)`` pairs: probes the k-th pair with seed parts
-    ``(*seed_parts, k)`` and returns the best certificate found, tagged
-    with the orientation of its instance (or None)."""
+    ``(*seed_parts, k)``, in order, and returns the first certificate
+    found, tagged with the orientation of its instance (or None once
+    every instance has missed)."""
     def probe_at(level, epsilon, seed_parts):
-        best = None
         for k, (orientation, prober) in enumerate(probers):
             cert = prober(level, epsilon, (*seed_parts, k))
             if cert is not None:
-                best = _better(best, replace(cert, orientation=orientation))
-        return best
+                return replace(cert, orientation=orientation)
+        return None
     return probe_at
 
 

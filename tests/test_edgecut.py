@@ -13,12 +13,21 @@ from dircut import (
     exact_global_edge_cut_oracle,
     exact_rooted_edge_cut_oracle,
     exact_small_edge_cut,
+    generate,
     in_volume,
+    parse_text,
     precondition_rooted,
     probe_rooted_edge,
     sample_terminals,
 )
-from dircut.edgecut import _edge_oracle, integer_search
+from dircut.edgecut import (
+    ProbeReport,
+    _edge_oracle,
+    derive_seed,
+    integer_search,
+    level_prober,
+    union_prober,
+)
 
 from conftest import (
     brute_min_rooted_cut,
@@ -198,6 +207,77 @@ def test_integer_search_keeps_a_better_singleton():
     levels = []
     assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
     assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
+
+
+def _stub_run_probe(hits, configs):
+    """``run_probe`` that records each ProbeConfig and finds a cut of
+    value ``hits[volume]`` at the volumes in ``hits``, 5 flows a probe."""
+    def run_probe(cfg):
+        configs.append(cfg)
+        cert = None
+        if cfg.volume in hits:
+            cert = CutCertificate(frozenset([cfg.volume]), (), Fraction(hits[cfg.volume]))
+        return ProbeReport(cert, 5, ())
+    return run_probe
+
+
+VOLUMES = [1, 2, 4, 8, 16]
+
+
+def test_level_prober_misses_at_every_volume_largest_first():
+    configs, log = [], []
+    probe_at = level_prober(_stub_run_probe({}, configs), VOLUMES, log)
+    assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
+    # every volume, largest first, each seeded by its index in VOLUMES
+    assert [c.volume for c in configs] == [16, 8, 4, 2, 1]
+    assert [c.seed for c in configs] == [derive_seed("s", 2, j) for j in (4, 3, 2, 1, 0)]
+    assert all((c.level, c.epsilon) == (3, Fraction(1, 4)) for c in configs)
+    assert log == [(3, v, 5) for v in (16, 8, 4, 2, 1)]
+
+
+def test_level_prober_returns_the_first_certificate():
+    # volume 2 holds a better cut, but volume 4 is probed first
+    configs, log = [], []
+    probe_at = level_prober(_stub_run_probe({4: 7, 2: 6}, configs), VOLUMES, log)
+    cert = probe_at(Fraction(6), Fraction(1, 4), ("s",))
+    assert cert.sink_set == frozenset([4]) and cert.value == 7
+    assert [c.volume for c in configs] == [16, 8, 4]
+    assert [c.seed for c in configs] == [derive_seed("s", j) for j in (4, 3, 2)]
+    assert log == [(6, 16, 5), (6, 8, 5), (6, 4, 5)]
+
+
+def test_union_prober_stops_at_the_first_member_with_a_certificate():
+    calls = []
+
+    def member(k, value):
+        def probe_at(level, epsilon, seed_parts):
+            calls.append((k, level, epsilon, seed_parts))
+            return None if value is None else CutCertificate(frozenset([k]), (), Fraction(value))
+        return probe_at
+
+    probe_at = union_prober([("forward", member(0, None)), ("reverse", member(1, 5)),
+                             ("forward", member(2, 4))])
+    cert = probe_at(Fraction(5), Fraction(1, 8), ("s", 3))
+    assert cert.sink_set == frozenset([1]) and cert.orientation == "reverse"
+    assert calls == [(0, 5, Fraction(1, 8), ("s", 3, 0)), (1, 5, Fraction(1, 8), ("s", 3, 1))]
+    calls.clear()
+    none = union_prober([("forward", member(0, None)), ("reverse", member(1, None))])
+    assert none(Fraction(5), Fraction(1, 8), ("s",)) is None
+    assert [k for k, *_ in calls] == [0, 1]
+
+
+@pytest.mark.parametrize("graph_seed", [7, 8])
+def test_planted_sink_approx_runs_fewer_flows_than_the_oracle(graph_seed):
+    # the benchmark's planted-rooted parameters at n=400: the oracle runs
+    # one flow per sink, n-1 = 399
+    g = parse_text(generate("planted-sink", seed=graph_seed, n=400,
+                            sink_size=4, volume=12, value=5).text)
+    oracle = _edge_oracle(g, root=0)
+    assert oracle.flow_calls == 399
+    approx = approx_rooted_edge_cut(g, 0, "0.2", seed=1)
+    assert approx.value == oracle.value
+    assert approx.flow_calls < oracle.flow_calls
+    assert exact_small_edge_cut(g, root=0, seed=1).value == oracle.value
 
 
 #: A 7-cycle with chords, capacities 2-6, plus vertex 7 with out-arcs
