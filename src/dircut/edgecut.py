@@ -291,15 +291,12 @@ def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
     ``ratio``.  Points after ``lo`` are exact snapshots of float arithmetic,
     dyadic rationals whose denominators reach 2^52 and beyond; conditioning
     folds them into the scale of every probe graph.  The float carries
-    only the mantissa, in [1, 2), and an exact power of two ``unit`` the
+    only the mantissa, kept below 2, and an exact power of two ``unit`` the
     exponent, so levels beyond float range stay exact; within it the points
     are those of plain float arithmetic.  ``float(ratio)`` must exceed 1
     (``clamp_epsilon`` ensures it), so every step moves the mantissa."""
     points = [lo]
-    shift = lo.numerator.bit_length() - lo.denominator.bit_length()
-    if lo < Fraction(2) ** shift:
-        shift -= 1
-    unit = Fraction(2) ** shift
+    unit = Fraction(2) ** (lo.numerator.bit_length() - lo.denominator.bit_length())
     x = float(lo / unit)
     step = float(ratio)
     while points[-1] < hi:

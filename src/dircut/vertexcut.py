@@ -334,8 +334,8 @@ def sample_roots(g: VertexCapGraph, epsilon, rng) -> list:
     if total > singleton_floor:
         count = min(count, math.ceil(2 * total * log_n / (total - singleton_floor)))
     count = max(1, count)
-    # rng.choices sums the weights as floats: drop low bits of capacities
-    # beyond float range, which moves no probability a float can express
+    # rng.choices sums the weights as floats: floor capacities beyond float
+    # range by a power of two, which moves each probability by < n * 2^-999
     shift = max(0, total.bit_length() - 1000)
     return rng.choices(range(g.n), weights=[c >> shift for c in g.vcaps], k=count)
 
