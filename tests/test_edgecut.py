@@ -379,6 +379,9 @@ def test_exact_small_rejects_fractional_caps():
 def test_epsilon_handling():
     with pytest.raises(ValueError):
         approx_rooted_edge_cut(g1(), 0, 0)
+    for tiny in ("1e-300", "2.2e-16"):  # the grid ratio rounds to 1
+        with pytest.raises(ValueError):
+            approx_global_edge_cut(g1(), tiny)
     res = approx_rooted_edge_cut(g1(), 0, 5, seed=0)  # clamped to 0.99
     assert res.certificate.value >= 2
 
