@@ -76,7 +76,8 @@ def _build_parser():
         p.add_argument("--exact", action="store_true",
                        help="exact oracle (one flow per candidate sink)")
         p.add_argument("--exact-small", action="store_true",
-                       help="exact mode for integer capacities with a small optimum")
+                       help="exact mode for integer capacities with a small optimum; "
+                            "it probes about one level per bit of the optimum")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; solves run single-threaded")
         p.add_argument("--report", metavar="PATH",

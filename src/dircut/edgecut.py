@@ -16,18 +16,19 @@ largest (cheapest) first, until one returns a certificate.  The searches
 only ask whether a cut below the inflated level exists, and any returned
 certificate is valid and below it, so the first one answers; a miss still
 probes every guess, so the miss probability is that of probing them all.
-The approximate modes binary search a geometric grid of levels
+One bisection (``bisect_levels``) serves both searches.  The approximate
+modes run it on a geometric grid of levels computed by index
 (``level_search``); the grid ratio and the per-probe inflation are both
-set to epsilon/(2+epsilon) so that their product stays within the
-requested (1+epsilon) factor end to end.  The exact small-optimum modes
-search integer levels instead (``integer_search``).  Both searches start
-at the smallest positive capacity: zero cuts are found exactly beforehand,
-and every other cut crosses a positive arc.  Vertex cuts run the same
-drivers with a prober on the split graph.  Certificates of either
-kind are compared by their ``rank``.  A global cut runs one search over
-a ``union_prober`` of rooted instances (vertex 0 of the graph and of its
-reversal, or sampled vertex roots), which stops at the first instance
-that returns a certificate and tags it with that instance's orientation.
+epsilon/(2+epsilon), so their product stays within the requested
+(1+epsilon) factor.  The exact small-optimum modes run it on integer
+levels (``integer_search``).  Both start at the smallest positive
+capacity: zero cuts are found exactly beforehand, and every other cut
+crosses a positive arc.  Vertex cuts run the same drivers with a prober
+on the split graph.  Certificates of either kind are compared by their
+``rank``.  A global cut runs one search over a ``union_prober`` of rooted
+instances (vertex 0 of the graph and of its reversal, or sampled vertex
+roots), which stops at the first instance that returns a certificate and
+tags it with that instance's orientation.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -286,28 +288,6 @@ def _volume_schedule(m: int) -> list:
     return vols
 
 
-def _geometric_grid(lo: Fraction, hi: Fraction, ratio: Fraction) -> list:
-    """Increasing grid from lo to at least hi with consecutive ratio about
-    ``ratio``.  Points after ``lo`` are exact snapshots of float arithmetic,
-    dyadic rationals whose denominators reach 2^52 and beyond; conditioning
-    folds them into the scale of every probe graph.  The float carries
-    only the mantissa, kept below 2, and an exact power of two ``unit`` the
-    exponent, so levels beyond float range stay exact; within it the points
-    are those of plain float arithmetic.  ``float(ratio)`` must exceed 1
-    (``clamp_epsilon`` ensures it), so every step moves the mantissa."""
-    points = [lo]
-    unit = Fraction(2) ** (lo.numerator.bit_length() - lo.denominator.bit_length())
-    x = float(lo / unit)
-    step = float(ratio)
-    while points[-1] < hi:
-        x *= step
-        if x >= 2.0:
-            x /= 2.0
-            unit *= 2
-        points.append(Fraction(x) * unit)
-    return points
-
-
 def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
     """The best singleton cut by rank, from one pass over the arcs: the
     least in-weight (an infinite arc at its sentinel), ties to the smaller
@@ -371,73 +351,83 @@ def union_prober(probers):
     return probe_at
 
 
+def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts):
+    """Binary search indices ``lo..hi`` of a nondecreasing ``level_at`` for the
+    lowest level whose probe finds a cut, improving on ``best``, whose value
+    is at most ``level_at(hi)``.  Index mid is probed at ``level_at(mid)``
+    and ``tolerance(level)`` with seed parts ``(*seed_parts, mid)``.  A
+    certificate drops ``hi`` to the first index whose level is at least the
+    best value, so no level that a certificate already beats is probed."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        level = level_at(mid)
+        cert = probe_at(level, tolerance(level), (*seed_parts, mid))
+        if cert is None:
+            lo = mid + 1
+        else:
+            best = _better(best, cert)
+            hi = bisect_left(range(lo, mid), best.value, key=level_at) + lo
+    return best
+
+
+def _grid_levels(floor: Fraction, eps_in: Fraction, value: Fraction):
+    """Level function and top index of the geometric grid: index i is
+    floor * 2^(i * log2(1+eps_in)), a float mantissa times an exact power of
+    two, so levels beyond float range stay exact; index 0 is ``floor`` and
+    the top index is the first whose level is at least ``value``."""
+    p, q = (math.log1p(eps_in) / math.log(2)).as_integer_ratio()
+
+    def level_at(i):
+        whole, part = divmod(i * p, q)  # of the exact i * log2(1+eps_in)
+        return floor * Fraction(2.0 ** (part / q)) * (1 << whole)
+
+    top = 1
+    while level_at(top) < value:
+        top *= 2
+    return level_at, bisect_left(range(top), value, key=level_at)
+
+
 def level_search(probe_at, best, floor, epsilon, seed_parts):
     """Binary search a geometric grid of levels for the lowest one whose
     probe finds a cut, improving on the certificate ``best``.
 
-    ``floor`` is a lower bound on the optimum: the smallest positive
-    capacity, once the caller has ruled out zero cuts.  The grid runs from
-    ``floor`` up to ``best.value`` with ratio 1+eps_in, and ``probe_at`` (a
-    ``level_prober``) runs at tolerance eps_in, where eps_in =
-    epsilon/(2+epsilon).  A cut found at the bottom level is within 1+eps_in
-    of the optimum, and nothing is probed when ``best`` already has value
-    ``floor``.  Grid index i is probed with seed parts ``(*seed_parts, i)``.
-    """
+    ``floor`` is a lower bound on the optimum (the smallest positive
+    capacity, once zero cuts are ruled out).  The grid (``_grid_levels``)
+    runs from ``floor`` up to ``best.value`` with ratio 1+eps_in, and every
+    probe, index i seeded by ``(*seed_parts, i)``, runs at tolerance eps_in
+    = epsilon/(2+epsilon), so a cut at the bottom level is within 1+eps_in
+    of the optimum."""
     eps_in = epsilon / (2 + epsilon)
-    grid = _geometric_grid(floor, best.value, 1 + eps_in)
-    lo, hi = 0, len(grid) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cert = probe_at(grid[mid], eps_in, (*seed_parts, mid))
-        if cert is not None:
-            best = _better(best, cert)
-            hi = mid
-        else:
-            lo = mid + 1
-    return best
+    level_at, top = _grid_levels(floor, eps_in, best.value)
+    return bisect_levels(probe_at, best, level_at, 0, top, lambda _: eps_in, seed_parts)
 
 
 def integer_search(probe_at, singleton, floor, seed_parts):
     """Exact search over integer levels for integer capacities.
 
-    ``probe_at`` (a ``level_prober``) probes integer level L at tolerance
-    1/(1+L) with seed parts ``(*seed_parts, tag, L)``, the tag "up" while
-    doubling and "bin" in the binary search, so any certificate it returns
-    has a value below L + L/(1+L), that is at most L.  ``floor`` is a
-    positive lower bound on the optimum (the smallest positive capacity,
-    once zero cuts are ruled out): the singleton is returned without
-    probing when it is at most ``floor``.
-    Otherwise double the level from the integer part of ``floor`` until a
-    probe returns a certificate or the level reaches the singleton bound.
-    A failed probe at level L rules out every level up to L, so the
-    singleton is returned when the last doubling level fails, and else the
-    integers above the last failed level are binary searched up to the
-    better of the singleton and the certificate found.
-    """
-    def probe_level(level, tag):
-        parts = (*seed_parts, tag, level)
-        return probe_at(Fraction(level), Fraction(1, 1 + level), parts)
-
+    ``probe_at`` probes integer level L at tolerance 1/(1+L), so any
+    certificate it returns has a value at most L.  ``floor`` is a positive
+    lower bound on the optimum: a singleton at most ``floor`` is returned
+    without probing.  Otherwise the level doubles from ``int(floor)``,
+    seeded by ``(*seed_parts, "up", L)``, until a probe returns a
+    certificate or the level reaches the singleton.  A failed probe at L
+    rules out every level up to L, so the singleton is returned when the
+    last doubling level fails; else ``bisect_levels`` searches the integers
+    above it, seeded by ``(*seed_parts, "bin", L)``: about one probed level
+    per bit of the optimum."""
     if singleton.value <= floor:
         return singleton
     delta = int(singleton.value)
     lo = level = max(1, int(floor))
-    while (cert := probe_level(level, "up")) is None and level < delta:
+    while (cert := probe_at(Fraction(level), Fraction(1, 1 + level),
+                            (*seed_parts, "up", level))) is None and level < delta:
         lo = level + 1
         level *= 2
     if cert is None:
         return singleton
     best = _better(singleton, cert)
-    hi = int(best.value)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cert = probe_level(mid, "bin")
-        if cert is not None:
-            best = _better(best, cert)
-            hi = int(cert.value)
-        else:
-            lo = mid + 1
-    return best
+    return bisect_levels(probe_at, best, Fraction, lo, int(best.value),
+                         lambda level: 1 / (1 + level), (*seed_parts, "bin"))
 
 
 def _total_flow_calls(log) -> int:
@@ -457,9 +447,9 @@ def _rooted_start(g: DiGraph, r: int):
     positive arc capacity ``c_min`` (an infinite arc counts at its sentinel).
 
     The trivial cut is the zero cut onto the vertices the root cannot
-    reach along positive-capacity arcs, else the best singleton.  When no
-    zero cut exists every rooted cut crosses a positive arc, so the optimum
-    is at least ``c_min``."""
+    reach along positive-capacity arcs, else the best singleton; ``reach``
+    rejects a root outside 0..n-1.  When no zero cut exists every rooted
+    cut crosses a positive arc, so the optimum is at least ``c_min``."""
     gm = merge_parallel(g)
     positive = [(t, h) for t, h, c in gm.arcs if c > 0]
     c_min = Fraction(min((c for _, _, c in gm.arcs if c > 0), default=0), gm.scale)
@@ -598,10 +588,11 @@ def exact_small_edge_cut(
     optimum is small.  A zero cut is found exactly, without probing; else
     double the level from the smallest positive capacity with per-level
     tolerance 1/(1+level), then binary search the integers above the last
-    failed level up to the first witnessed level.  At integer granularity a
-    (1+1/(1+level))-approximate answer is exact.  A probe can miss, so the
-    value is exact only w.h.p.; the certificate is always a valid cut.
-    ``threads`` is accepted for compatibility and ignored."""
+    failed level up to the first witnessed level: about one probed level per
+    bit of the optimum (57543 flows on the bidirectional 6-cycle with
+    capacities 10^400).  At integer granularity a (1+1/(1+level))-approximate
+    answer is exact.  A probe can miss, so the value is exact only w.h.p.;
+    the certificate is always a valid cut.  ``threads`` is ignored."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")

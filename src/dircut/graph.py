@@ -258,7 +258,10 @@ def reachable(g: DiGraph, source: int) -> frozenset:
 
 def reach(n: int, pairs, source: int) -> frozenset:
     """Vertices of ``range(n)`` reachable from ``source`` along the arcs
-    ``(tail, head)`` in ``pairs``."""
+    ``(tail, head)`` in ``pairs``.  Raises ValueError for a ``source``
+    outside ``range(n)``, so a root of -1 is not read as vertex n-1."""
+    if not 0 <= source < n:
+        raise ValueError(f"root {source} out of range 0..{n - 1}")
     adj = [[] for _ in range(n)]
     for t, h in pairs:
         adj[t].append(h)

@@ -5,8 +5,10 @@ the library's flow or certificate machinery, so they stay independent of
 the code paths they check.
 """
 
+import contextlib
 import itertools
 import random
+import signal
 from collections import deque
 from fractions import Fraction
 
@@ -19,6 +21,26 @@ from dircut import INFINITE, DiGraph, VertexCapGraph
 # so a slow or loaded machine neither changes nor fails them.
 settings.register_profile("dircut", derandomize=True, deadline=None)
 settings.load_profile("dircut")
+
+
+class Overtime(Exception):
+    """Raised by the alarm of ``time_bound``; no input-error class, so the
+    command line does not catch it."""
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise ``Overtime`` in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cut_value(g, sink):

@@ -7,15 +7,14 @@ only from a well-formed file on which the exact oracle finds no cut
 either.  Header vertex counts stay small, so every run is quick.
 """
 
-import contextlib
-import signal
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dircut import NoCutExistsError, parse_text
 from dircut.cli import _PROBLEMS, main
+
+from conftest import time_bound
 
 EDGE = "p edge-cap 4 5\na 1 2 3\na 2 3 2\na 3 4 5\na 4 1 1\na 1 3 2\n"
 VERTEX = "p vertex-cap 4 5\na 1 2\na 2 3\na 3 4\na 4 1\na 1 3\nw 1 3\nw 2 2\n"
@@ -188,25 +187,6 @@ def test_well_formed_files_without_a_cut_exit_2(tmp_path, capsys):
         assert _check_run(capsys, [command, *mode, str(path)], path.read_bytes()) == 2
 
 
-class _Overtime(Exception):
-    """Raised by the alarm of ``_time_bound``; no input-error class, so the
-    command line does not catch it."""
-
-
-@contextlib.contextmanager
-def _time_bound(seconds):
-    def expire(signum, frame):
-        raise _Overtime(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 #: The bidirectional 6-cycle with unit capacities, arcs as 1-based pairs.
 CYCLE_ARCS = [arc for u in range(1, 7) for arc in ((u, u % 6 + 1), (u % 6 + 1, u))]
 CYCLE_FILES = {
@@ -223,10 +203,23 @@ def test_tolerance_below_float_grid_is_an_input_error(command, epsilon, tmp_path
     # move, and 1e-400 itself floats to 0.0
     path = tmp_path / "cycle.gr"
     path.write_text(CYCLE_FILES[command])
-    with _time_bound(10):
+    with time_bound(10):
         code, out, err = _run(capsys, [command, "--global", "--epsilon", epsilon, str(path)])
     assert code == 1 and out == "", (code, err)
     _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("epsilon", ["1e-9", "1e-15"])
+@pytest.mark.parametrize("command", sorted(CYCLE_FILES))
+def test_tiny_tolerance_is_quick(command, epsilon, tmp_path, capsys):
+    # about ln(2)/eps grid levels lie between the floor 1 and the value 2,
+    # but the search computes only the few it probes
+    path = tmp_path / "cycle.gr"
+    path.write_text(CYCLE_FILES[command])
+    with time_bound(10):
+        code, out, err = _run(capsys, [command, "--global", "--epsilon", epsilon, str(path)])
+    assert code == 0, (code, err)
+    assert "value: 2\n" in out, out
 
 
 #: Tokens that make a well-formed line malformed.

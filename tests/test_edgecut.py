@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -23,9 +24,11 @@ from dircut import (
 from dircut.edgecut import (
     ProbeReport,
     _edge_oracle,
+    _grid_levels,
     derive_seed,
     integer_search,
     level_prober,
+    level_search,
     union_prober,
 )
 
@@ -35,6 +38,7 @@ from conftest import (
     g1,
     iter_sink_sets,
     rand_digraph,
+    time_bound,
 )
 
 
@@ -207,6 +211,50 @@ def test_integer_search_keeps_a_better_singleton():
     levels = []
     assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
     assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
+
+
+def test_level_search_stops_at_a_cut_of_the_floor_value():
+    # no level below the floor exists, so the first certificate is final
+    best = CutCertificate(frozenset([2]), (), Fraction(100))
+    levels = []
+    assert level_search(_stub_prober(1, levels), best, Fraction(1), Fraction(1, 5), ()).value == 1
+    assert len(levels) == 1
+
+
+def test_level_search_probes_logarithmically_many_levels():
+    # about 1.8e15 grid levels lie between 1 and 10^400 at epsilon 1e-12
+    best = CutCertificate(frozenset([2]), (), Fraction(10**400))
+    epsilon = Fraction("1e-12")
+    _, top = _grid_levels(Fraction(1), epsilon / (2 + epsilon), best.value)
+    levels = []
+    with time_bound(10):
+        cert = level_search(_stub_prober(10**200, levels), best, Fraction(1), epsilon, ())
+    assert cert.value == 10**200
+    assert all(1 <= level < best.value for level in levels)
+    assert len(levels) <= top.bit_length()  # = ceil(log2(top + 1))
+
+
+@pytest.mark.parametrize("epsilon", ["0.2", "1e-9", "2.3e-16"])
+@pytest.mark.parametrize("scale", [Fraction(1, 10**400), Fraction(10**400)])
+def test_grid_levels(scale, epsilon):
+    floor, value = scale * Fraction(3, 7), scale * 5
+    eps = Fraction(epsilon)
+    eps_in = eps / (2 + eps)
+    level_at, top = _grid_levels(floor, eps_in, value)
+    assert level_at(0) == floor
+    assert level_at(top) >= value > level_at(top - 1)
+    # consecutive pairs at both ends, where the power of two steps up, and
+    # at random indices
+    steps = {bisect.bisect_left(range(top + 1), floor * 2**k, key=level_at) - 1
+             for k in range(1, 4)}
+    rng = random.Random(1)
+    pairs = sorted({*range(min(top, 40)), *range(max(0, top - 40), top), *steps,
+                    *(rng.randrange(top) for _ in range(200))})
+    bound = (1 + eps_in) * (1 + Fraction(1, 2**50))  # float rounding
+    levels = [level_at(i) for i in pairs]
+    assert levels == sorted(levels)
+    for i, level in zip(pairs, levels):
+        assert level <= level_at(i + 1) <= level * bound, i
 
 
 def _stub_run_probe(hits, configs):

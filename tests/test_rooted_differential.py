@@ -5,7 +5,8 @@ with positive capacities only (so that the searches run), every
 certificate re-sums to its value and keeps the root out of its sink;
 exact-small returns the brute-force optimum; approx lies in
 [opt, (1+epsilon)*opt], also at a rational scale; and NoCutExistsError
-is raised exactly when no admissible sink exists.
+is raised exactly when no admissible sink exists.  A root outside
+0..n-1 is a ValueError at all six rooted entry points.
 """
 
 from fractions import Fraction
@@ -17,10 +18,13 @@ from hypothesis import strategies as st
 from dircut import (
     DiGraph,
     NoCutExistsError,
+    VertexCapGraph,
     approx_rooted_edge_cut,
     approx_rooted_vertex_cut,
+    exact_rooted_edge_cut_oracle,
     exact_small_edge_cut,
     exact_small_vertex_cut,
+    exact_vertex_cut_oracle,
 )
 
 from conftest import (
@@ -92,3 +96,26 @@ def test_rooted_vertex_entry_points(g):
         _assert_valid_rooted_vertex_cut(g, res.certificate)
     assert small.value == opt
     assert opt <= approx.value <= opt * FACTOR
+
+
+ROOTED_ENTRY_POINTS = {
+    "approx edge": lambda g, r: approx_rooted_edge_cut(g, r, EPSILON),
+    "exact-small edge": lambda g, r: exact_small_edge_cut(g, root=r),
+    "oracle edge": exact_rooted_edge_cut_oracle,
+    "approx vertex": lambda g, r: approx_rooted_vertex_cut(g, r, EPSILON),
+    "exact-small vertex": lambda g, r: exact_small_vertex_cut(g, root=r),
+    "oracle vertex": lambda g, r: exact_vertex_cut_oracle(g, root=r),
+}
+
+
+@pytest.mark.parametrize("root", [-1, 4])
+@pytest.mark.parametrize("entry", sorted(ROOTED_ENTRY_POINTS))
+def test_root_out_of_range_is_a_value_error(entry, root):
+    # a root of -1 would index vertex 3, whose best cut (value 5) differs
+    # from the sink {3} of value 1 that root 0 sees
+    if entry.endswith("edge"):
+        g = DiGraph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 1), (3, 0, 5), (0, 2, 5), (1, 0, 5)])
+    else:
+        g = VertexCapGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 0)], [5, 5, 1, 5])
+    with pytest.raises(ValueError, match="out of range"):
+        ROOTED_ENTRY_POINTS[entry](g, root)
