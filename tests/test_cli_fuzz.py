@@ -212,7 +212,7 @@ def test_tolerance_below_float_grid_is_an_input_error(command, epsilon, tmp_path
 @pytest.mark.parametrize("epsilon", ["1e-9", "1e-15"])
 @pytest.mark.parametrize("command", sorted(CYCLE_FILES))
 def test_tiny_tolerance_is_quick(command, epsilon, tmp_path, capsys):
-    # about ln(2)/eps grid levels lie between the floor 1 and the value 2,
+    # about 2 ln(2)/eps grid levels lie between the floor 1 and the value 2,
     # but the search computes only the few it probes
     path = tmp_path / "cycle.gr"
     path.write_text(CYCLE_FILES[command])
