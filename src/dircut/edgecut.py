@@ -10,12 +10,18 @@ re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.
 
-A prober (``level_prober``) binds one rooted instance's probe, in-volume
-guesses and probe log once, and probes a level at its in-volume guesses,
-largest (cheapest) first, until one returns a certificate.  The searches
-only ask whether a cut below the inflated level exists, and any returned
-certificate is valid and below it, so the first one answers; a miss still
-probes every guess, so the miss probability is that of probing them all.
+A prober (``level_prober``) binds one rooted instance's sample, probe,
+in-volume guesses and probe log once, and probes a level at its in-volume
+guesses, largest (cheapest) first, until one returns a certificate.  The
+searches only ask whether a cut below the inflated level exists, and any
+returned certificate is valid and below it, so the first one answers.  A
+guess whose sampled terminals all missed at larger guesses of the same
+level is skipped: the floor, the cap and the level do not depend on the
+volume, and the root arcs grow as it shrinks, so the conditioned graph of
+a smaller guess dominates that of a larger one arc by arc.  A missed
+terminal has connectivity at least the probe's threshold, so it misses at
+every smaller guess too.  The skip therefore returns what probing every
+guess would, and the miss probability is that of probing them all.
 One bisection (``bisect_levels``) serves both searches.  The approximate
 modes run it on a geometric grid of levels computed by index
 (``level_search``); the grid ratio and the per-probe inflation are both
@@ -111,15 +117,13 @@ class ConditionedGraph:
     """Preconditioned graph plus the conditioning ratio it provably satisfies.
 
     The arcs of ``h`` are the base graph's arcs first, in their order and
-    with their endpoints, then the auxiliary root arcs.  ``in_degrees[v]``
-    counts the base arcs into v, the in-degree that terminal sampling
-    uses.  For every sink set U the cut into U has capacity at least
-    ``phi`` times the in-volume of U measured in ``h`` itself.
+    with their endpoints, then the auxiliary root arcs.  For every sink set
+    U the cut into U has capacity at least ``phi`` times the in-volume of U
+    measured in ``h`` itself.
     """
 
     h: DiGraph
     phi: Fraction
-    in_degrees: tuple
 
 
 def condition_rooted(
@@ -163,7 +167,7 @@ def condition_rooted(
             arcs.append((r, v, quantum_num * deg))
     h = DiGraph(base.n, arcs, scale=new_scale)
     phi = epsilon * level / (2 * aux_divisor * volume)
-    return ConditionedGraph(h, phi, tuple(degrees))
+    return ConditionedGraph(h, phi)
 
 
 def precondition_rooted(
@@ -177,14 +181,14 @@ def precondition_rooted(
     return condition_rooted(g, r, level, volume, epsilon, 2, floor)
 
 
-def sample_terminals(cond: ConditionedGraph, r: int, volume: int, sample_const, rng):
+def sample_terminals(deg, r: int, volume: int, sample_const, rng):
     """Each non-root vertex independently with probability
-    min(1, sample_const * ln(n) * indeg(v) / volume), using in-degrees of
-    the original (non-auxiliary) arcs.  Deterministic given the rng state."""
-    n = cond.h.n
+    min(1, sample_const * ln(n) * deg[v] / volume), where ``deg`` holds the
+    in-degrees of the base graph, before conditioning adds its root arcs.
+    Deterministic given the rng state."""
+    n = len(deg)
     scale = float(as_fraction(sample_const)) * math.log(n) / volume
     picked = []
-    deg = cond.in_degrees
     for v in range(n):
         if v == r or deg[v] == 0:
             continue
@@ -266,16 +270,22 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
     return ProbeReport(best, calls, tuple(all_stats))
 
 
-def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig) -> ProbeReport:
-    """One preconditioned shrink-wrap probe.
+def _edge_sample(deg, r: int, cfg: ProbeConfig) -> frozenset:
+    """The terminals of the edge probe ``cfg``, given the base in-degrees."""
+    return sample_terminals(deg, r, cfg.volume, cfg.sample_const, random.Random(cfg.seed))
+
+
+def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None) -> ProbeReport:
+    """One preconditioned shrink-wrap probe of ``terminals``, the sample
+    that ``cfg.seed`` draws (drawn here when None).
 
     If a certificate is returned it is a valid rooted cut in ``g`` itself,
     re-evaluated against untruncated capacities, with value strictly below
     (1+epsilon)*level.  Returning nothing is a legitimate outcome.
     """
+    if terminals is None:
+        terminals = _edge_sample(g.in_degrees(), r, cfg)
     cond = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
-    rng = random.Random(cfg.seed)
-    terminals = sample_terminals(cond, r, cfg.volume, cfg.sample_const, rng)
     return probe(cond.h, r, terminals, cfg,
                  lambda sink: cut_certificate(g, sink, root=r))
 
@@ -314,24 +324,31 @@ class EdgeCutResult:
         return self.certificate.orientation
 
 
-def level_prober(run_probe, volumes, log):
+def level_prober(sample, run_probe, volumes, log):
     """Prober of one rooted instance: ``probe_at(level, epsilon,
     seed_parts)`` probes ``level`` at tolerance ``epsilon`` at the in-volume
     guesses in ``volumes``, largest (and so cheapest, with the fewest
     terminals) first, the j-th of ``volumes`` seeded by ``(*seed_parts,
     j)``.  It returns the first certificate a probe gives, or None once
-    every guess has missed.  ``run_probe`` maps a ProbeConfig to a
+    every guess has missed.  ``sample`` maps a ProbeConfig to its terminals
+    and ``run_probe`` maps a ProbeConfig and those terminals to a
     ProbeReport; each probe run appends (level, volume, flow calls) to
-    ``log``."""
+    ``log``.  A guess whose terminals all belong to probes that missed
+    earlier in the same call is not run: its conditioned graph dominates
+    theirs arc by arc, so it would miss too (see the module docstring)."""
     def probe_at(level, epsilon, seed_parts):
+        missed = set()
         for j in reversed(range(len(volumes))):
-            rep = run_probe(ProbeConfig(
-                level=level, volume=volumes[j], epsilon=epsilon,
-                seed=derive_seed(*seed_parts, j),
-            ))
+            cfg = ProbeConfig(level=level, volume=volumes[j], epsilon=epsilon,
+                              seed=derive_seed(*seed_parts, j))
+            terminals = sample(cfg)
+            if terminals <= missed:
+                continue
+            rep = run_probe(cfg, terminals)
             log.append((level, volumes[j], rep.flow_calls))
             if rep.certificate is not None:
                 return rep.certificate
+            missed |= terminals
         return None
     return probe_at
 
@@ -437,8 +454,11 @@ def _total_flow_calls(log) -> int:
 
 def _edge_prober(gm: DiGraph, r: int, log):
     """``level_prober`` of the rooted edge instance (gm, r)."""
+    deg = gm.in_degrees()
     return level_prober(
-        lambda cfg: probe_rooted_edge(gm, r, cfg), _volume_schedule(gm.m), log
+        lambda cfg: _edge_sample(deg, r, cfg),
+        lambda cfg, terminals: probe_rooted_edge(gm, r, cfg, terminals),
+        _volume_schedule(gm.m), log,
     )
 
 

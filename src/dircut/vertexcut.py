@@ -256,20 +256,22 @@ def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
         assert r not in cert.separator, "sink component leaked into the root's fan-out"
         return cert
 
-    def run(cfg):
+    def sample(cfg):
+        rng = random.Random(cfg.seed)
+        rate = float(cfg.sample_const) * math.log(ng.n) / cfg.volume
+        return frozenset(
+            maps.to_in(v) for v in admissible
+            if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
+        )
+
+    def run(cfg, terminals):
         floor = cfg.epsilon * cfg.level / (4 * ng.n)
         cond = condition_rooted(
             split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor
         )
-        rng = random.Random(cfg.seed)
-        rate = float(cfg.sample_const) * math.log(ng.n) / cfg.volume
-        terminals = frozenset(
-            maps.to_in(v) for v in admissible
-            if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
-        )
         return probe(cond.h, root_out, terminals, cfg, extract)
 
-    return level_prober(run, _volume_schedule(max(ng.m, 1)), log)
+    return level_prober(sample, run, _volume_schedule(max(ng.m, 1)), log)
 
 
 def _rooted_search(ng: VertexCapGraph, r: int, search) -> VertexCutResult:

@@ -83,7 +83,7 @@ def test_sampling_clamps_and_zero_degree():
     g = DiGraph(4, [(0, 1, 1), (1, 2, 1), (2, 1, 1)])  # vertex 3 has in-degree 0
     cond = precondition_rooted(g, 0, 1, 1, Fraction(1, 2))
     for seed in range(40):
-        picked = sample_terminals(cond, 0, 1, 2, random.Random(seed))
+        picked = sample_terminals(g.in_degrees(), 0, 1, 2, random.Random(seed))
         assert picked == frozenset([1, 2])  # probability clamps to 1; 3 never
 
 
@@ -104,7 +104,7 @@ def test_sampling_empirical_mean():
     draws = 1000
     total = 0
     for seed in range(draws):
-        total += len(sample_terminals(cond, 0, volume, 2, random.Random(seed)))
+        total += len(sample_terminals(g.in_degrees(), 0, volume, 2, random.Random(seed)))
     mean = total / draws
     assert abs(mean - exact) <= 0.10 * exact
 
@@ -260,7 +260,7 @@ def test_grid_levels(scale, epsilon):
 def _stub_run_probe(hits, configs):
     """``run_probe`` that records each ProbeConfig and finds a cut of
     value ``hits[volume]`` at the volumes in ``hits``, 5 flows a probe."""
-    def run_probe(cfg):
+    def run_probe(cfg, _terminals):
         configs.append(cfg)
         cert = None
         if cfg.volume in hits:
@@ -269,12 +269,24 @@ def _stub_run_probe(hits, configs):
     return run_probe
 
 
+def _stub_sample(samples=None, configs=None):
+    """``sample`` that draws ``samples[volume]``, by default a terminal of
+    its own per volume, so no sample is covered by the others; records each
+    ProbeConfig in ``configs`` when given."""
+    def sample(cfg):
+        if configs is not None:
+            configs.append(cfg)
+        return frozenset([cfg.volume]) if samples is None else frozenset(samples[cfg.volume])
+    return sample
+
+
 VOLUMES = [1, 2, 4, 8, 16]
 
 
-def test_level_prober_misses_at_every_volume_largest_first():
+def test_level_prober_misses_at_every_uncovered_volume_largest_first():
+    # no sample is a subset of the others, so a miss probes every volume
     configs, log = [], []
-    probe_at = level_prober(_stub_run_probe({}, configs), VOLUMES, log)
+    probe_at = level_prober(_stub_sample(), _stub_run_probe({}, configs), VOLUMES, log)
     assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
     # every volume, largest first, each seeded by its index in VOLUMES
     assert [c.volume for c in configs] == [16, 8, 4, 2, 1]
@@ -283,10 +295,30 @@ def test_level_prober_misses_at_every_volume_largest_first():
     assert log == [(3, v, 5) for v in (16, 8, 4, 2, 1)]
 
 
+def test_level_prober_skips_volumes_whose_sample_already_missed():
+    # 4 draws {2}, inside the misses {1} and {1, 2} of 16 and 8; 1 draws
+    # nothing; 2 draws the new terminal 3, so it runs
+    samples = {16: [1], 8: [1, 2], 4: [2], 2: [1, 3], 1: []}
+    drawn, configs, log = [], [], []
+    probe_at = level_prober(_stub_sample(samples, drawn), _stub_run_probe({}, configs),
+                            VOLUMES, log)
+    assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
+    # every volume is sampled with its own seed; only the uncovered ones run
+    assert [c.seed for c in drawn] == [derive_seed("s", 2, j) for j in (4, 3, 2, 1, 0)]
+    assert [c.volume for c in configs] == [16, 8, 2]
+    assert [c.seed for c in configs] == [derive_seed("s", 2, j) for j in (4, 3, 1)]
+    assert log == [(3, v, 5) for v in (16, 8, 2)]
+    # the union is kept per call: the next level starts afresh
+    log.clear()
+    assert probe_at(Fraction(4), Fraction(1, 4), ("s", 3)) is None
+    assert log == [(4, v, 5) for v in (16, 8, 2)]
+
+
 def test_level_prober_returns_the_first_certificate():
     # volume 2 holds a better cut, but volume 4 is probed first
     configs, log = [], []
-    probe_at = level_prober(_stub_run_probe({4: 7, 2: 6}, configs), VOLUMES, log)
+    probe_at = level_prober(_stub_sample(), _stub_run_probe({4: 7, 2: 6}, configs),
+                            VOLUMES, log)
     cert = probe_at(Fraction(6), Fraction(1, 4), ("s",))
     assert cert.sink_set == frozenset([4]) and cert.value == 7
     assert [c.volume for c in configs] == [16, 8, 4]

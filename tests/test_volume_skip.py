@@ -1,0 +1,187 @@
+"""The volume-guess skip of ``level_prober``: within one level, a guess
+whose sampled terminals all belong to probes that already missed is not
+run.
+
+The conditioned graph of a smaller in-volume guess dominates that of a
+larger one arc by arc, so such a guess would miss too.  The soundness
+tests force-run every probe the rule skips and check that it returns no
+certificate, and check the domination lemma directly on fixed terminal
+sets.  The counting tests check that a level ends once a probe has
+sampled every eligible terminal.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dircut.edgecut
+import dircut.vertexcut
+from dircut import DiGraph, ProbeConfig, VertexCapGraph, merge_parallel
+from dircut.edgecut import _edge_prober, _volume_schedule, derive_seed, level_prober
+from dircut.vertexcut import _admissible_sinks, _normalize, _split_prober, prune_for_root
+
+from conftest import (
+    brute_min_rooted_cut,
+    brute_min_separator,
+    tiny_graphs,
+    zero_heavy_vertex_graphs,
+)
+
+EPSILONS = st.sampled_from([Fraction(1, 100), Fraction(1, 5), Fraction(1, 2), Fraction(99, 100)])
+POSITIVE = st.integers(1, 9)
+
+
+def _prober_parts(module, build):
+    """The (sample, run_probe, volumes) that ``build()`` hands to
+    ``module.level_prober``."""
+    captured = []
+    with mock.patch.object(module, "level_prober", lambda *args: captured.append(args)):
+        build()
+    (sample, run_probe, volumes, _log), = captured
+    return sample, run_probe, volumes
+
+
+def _skipped_probes_miss(parts, levels, epsilon):
+    """Probe each of ``levels`` with one real ``level_prober``, then
+    force-run every guess it sampled but did not run and check that each
+    misses."""
+    sample, run_probe, volumes = parts
+    drawn, ran = [], []
+
+    def spy_sample(cfg):
+        terminals = sample(cfg)
+        drawn.append((cfg, terminals))
+        return terminals
+
+    def spy_run(cfg, terminals):
+        ran.append(cfg)
+        return run_probe(cfg, terminals)
+
+    probe_at = level_prober(spy_sample, spy_run, volumes, [])
+    for level in levels:
+        probe_at(level, epsilon, ("skip",))
+    for cfg, terminals in drawn:
+        if cfg not in ran:
+            assert run_probe(cfg, terminals).certificate is None, cfg
+
+
+def _misses_go_down(parts, terminals, level, epsilon):
+    """For the fixed ``terminals``, a miss at one volume guess implies a
+    miss at every smaller guess."""
+    _, run_probe, volumes = parts
+    missed = False
+    for j in reversed(range(len(volumes))):
+        cfg = ProbeConfig(level=level, volume=volumes[j], epsilon=epsilon,
+                          seed=derive_seed("lemma", j))
+        hit = run_probe(cfg, terminals).certificate is not None
+        assert not (missed and hit), (volumes[j], terminals)
+        missed = missed or not hit
+
+
+def _levels(optimum):
+    """Levels around the optimum, where probes both hit and miss, plus two
+    fixed ones, in increasing order."""
+    levels = {Fraction(1), Fraction(2**70)}
+    if optimum > 0:
+        levels |= {optimum / 2, optimum, 2 * optimum}
+    return sorted(levels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_graphs(), EPSILONS, st.data())
+def test_edge_skip_is_sound(g, epsilon, data):
+    optimum = brute_min_rooted_cut(g, 0)[0]
+    for base in (g, merge_parallel(g)):
+        parts = _prober_parts(dircut.edgecut, lambda: _edge_prober(base, 0, []))
+        eligible = [v for v, d in enumerate(base.in_degrees()) if v and d]
+        terminals = frozenset(data.draw(st.sets(st.sampled_from(eligible)))
+                              if eligible else ())
+        _skipped_probes_miss(parts, _levels(optimum), epsilon)
+        for level in _levels(optimum) if terminals else ():
+            _misses_go_down(parts, terminals, level, epsilon)
+
+
+def _vertex_instances(g: VertexCapGraph):
+    """(graph, admissible sinks) of the rooted instances at vertex 0: the
+    normalized graph, as the rooted modes probe it, and its pruning, as
+    the global modes do."""
+    ng = _normalize(g)
+    for graph in (ng, prune_for_root(ng, 0)):
+        admissible = _admissible_sinks(graph, 0)
+        if admissible:
+            yield graph, admissible
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)),
+       EPSILONS, st.data())
+def test_vertex_skip_is_sound(g, epsilon, data):
+    for graph, admissible in _vertex_instances(g):
+        levels = _levels(min(brute_min_separator(graph, 0, t) for t in admissible))
+        parts = _prober_parts(
+            dircut.vertexcut, lambda: _split_prober(graph, admissible, 0, []))
+        # split in-copies keep the vertex ids, so a vertex is its own terminal
+        terminals = frozenset(data.draw(st.sets(st.sampled_from(admissible))))
+        _skipped_probes_miss(parts, levels, epsilon)
+        for level in levels if terminals else ():
+            _misses_go_down(parts, terminals, level, epsilon)
+
+
+def _full_sample_volume(volumes, n, degrees):
+    """The largest guess at which every eligible terminal is sampled for
+    certain: min(1, 2 ln(n) deg / volume) is 1 for the least degree."""
+    least = min(degrees)
+    return max(v for v in volumes if v <= 2 * math.log(n) * least)
+
+
+def _counting(module):
+    """Wrap ``module.condition_rooted`` and count its calls."""
+    calls = []
+    real = module.condition_rooted
+
+    def counted(*args):
+        calls.append(args[3])  # the volume guess
+        return real(*args)
+
+    return calls, mock.patch.object(module, "condition_rooted", counted)
+
+
+def test_edge_level_ends_at_a_full_sample():
+    # the bidirectional 8-cycle with capacities 5: every rooted cut is at
+    # least 10, so level 1 misses at every guess
+    n = 8
+    g = DiGraph(n, [(v, (v + d) % n, 5) for v in range(n) for d in (1, n - 1)])
+    volumes = _volume_schedule(g.m)
+    full = _full_sample_volume(volumes, n, [2] * (n - 1))
+    assert full > volumes[0]  # smaller guesses remain after it
+    log = []
+    calls, patch = _counting(dircut.edgecut)
+    with patch:
+        assert _edge_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
+    # no guess below the first one whose sample is full runs a probe or
+    # builds a conditioned graph; the guess at ``full`` runs unless a
+    # larger one already drew every terminal
+    probed = [volume for _, volume, _ in log]
+    assert min(probed) >= full
+    assert calls == probed
+
+
+def test_vertex_level_ends_at_a_full_sample():
+    # the bidirectional 7-cycle with vertex capacities 3: every rooted
+    # vertex cut is at least 6, so level 1 misses at every guess
+    n = 7
+    g = VertexCapGraph(n, [(v, (v + d) % n) for v in range(n) for d in (1, n - 1)], [3] * n)
+    admissible = _admissible_sinks(g, 0)
+    volumes = _volume_schedule(g.m)
+    full = _full_sample_volume(volumes, n, [2] * len(admissible))
+    assert full > volumes[0]
+    log = []
+    calls, patch = _counting(dircut.vertexcut)
+    with patch:
+        assert _split_prober(g, admissible, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
+    probed = [volume for _, volume, _ in log]
+    assert min(probed) >= full
+    assert calls == probed
