@@ -48,6 +48,7 @@ def _cycle(seed, n=3, caps=None, wmax=10, **extra):
     _reject_extra(extra)
     if n < 2:
         raise ValueError("cycle needs n >= 2")
+    _at_least("wmax", wmax, 1)
     rng = random.Random(seed)
     if caps is None:
         caps = [rng.randint(1, wmax) for _ in range(n)]
@@ -60,6 +61,7 @@ def _star(seed, n=4, cap=7, **extra):
     _reject_extra(extra)
     if n < 2:
         raise ValueError("star needs n >= 2")
+    _at_least("cap", cap, 0)
     arcs = [(0, i, cap) for i in range(1, n)]
     meta = {"family": "star", "n": n, "seed": seed}
     return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
@@ -72,6 +74,8 @@ def _erdos_renyi(seed, n=10, p=0.3, wmax=10, ensure_strong=True,
         raise ValueError("need n >= 2")
     if not (0 <= p <= 1):
         raise ValueError("p must lie in [0, 1]")
+    _at_least("wmax", wmax, 1)
+    _at_least("vcap_max", vcap_max, 1)
     rng = random.Random(seed)
     pairs = set()
     for u in range(n):
@@ -158,6 +162,7 @@ def _layered(seed, n=12, width=4, p=0.5, wmax=10, **extra):
     _reject_extra(extra)
     if n < 2 or width < 1:
         raise ValueError("need n >= 2 and width >= 1")
+    _at_least("wmax", wmax, 1)
     rng = random.Random(seed)
     layers = [list(range(i, min(i + width, n))) for i in range(0, n, width)]
     pairs = set()
@@ -179,6 +184,12 @@ def _layered(seed, n=12, width=4, p=0.5, wmax=10, **extra):
 
 def _comments(meta):
     return [f"{k} {v}" for k, v in meta.items() if k not in ("sink",)]
+
+
+def _at_least(name, value, low):
+    """Reject a parameter below ``low``, naming it."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def _reject_extra(extra):

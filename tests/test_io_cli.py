@@ -13,6 +13,7 @@ from dircut import (
     serialize_graph,
 )
 from dircut.cli import main
+from dircut.generators import FAMILIES
 from dircut.fileio import format_value
 
 from conftest import rand_digraph, rand_vertex_graph
@@ -99,6 +100,56 @@ def test_generate_unknown_family():
         generate("no-such-family")
     with pytest.raises(ValueError):
         generate("cycle", n=3, bogus=1)
+
+
+#: Every family at the low and high ends of its parameters' ranges.
+FAMILY_BOUNDS = [
+    ("cycle", dict(n=2, wmax=1)),
+    ("cycle", dict(n=9, wmax=2**70)),
+    ("star", dict(n=2, cap=0)),
+    ("star", dict(n=9, cap=2**70)),
+    ("erdos-renyi-digraph", dict(n=2, p=0, wmax=1, ensure_strong=False)),
+    ("erdos-renyi-digraph", dict(n=6, p=1, wmax=2**70)),
+    ("erdos-renyi-digraph", dict(n=2, p=0, kind="vertex-cap", vcap_max=1,
+                                 ensure_strong=False)),
+    ("erdos-renyi-digraph", dict(n=6, p=1, kind="vertex-cap", vcap_max=2**70)),
+    ("planted-sink", dict(n=4, sink_size=2, volume=3, value=1, out_degree=1, hub_out=0)),
+    ("planted-sink", dict(n=12, sink_size=4, volume=13, value=2**70, out_degree=9)),
+    ("layered-dag-backarcs", dict(n=2, width=1, p=0, wmax=1)),
+    ("layered-dag-backarcs", dict(n=9, width=9, p=1, wmax=2**70)),
+]
+
+
+def test_family_bounds_cover_every_family():
+    assert {family for family, _ in FAMILY_BOUNDS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family, params", FAMILY_BOUNDS)
+def test_generated_files_parse_back(family, params):
+    for seed in range(3):
+        g = parse_text(generate(family, seed=seed, **params).text)
+        assert g.n == params["n"]
+        kind = VertexCapGraph if params.get("kind") == "vertex-cap" else DiGraph
+        assert isinstance(g, kind)
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("star", {"cap": -1}, "cap"),
+    ("cycle", {"wmax": 0}, "wmax"),
+    ("erdos-renyi-digraph", {"wmax": 0}, "wmax"),
+    ("layered-dag-backarcs", {"wmax": -3}, "wmax"),
+    ("erdos-renyi-digraph", {"kind": "vertex-cap", "vcap_max": 0}, "vcap_max"),
+])
+def test_generate_rejects_capacity_parameters_out_of_range(family, params, name, tmp_path,
+                                                           capsys):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        generate(family, **params)
+    argv = ["generate", "--family", family, "--out", str(tmp_path / "g.gr")]
+    for key, value in params.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be at least")
+    assert not (tmp_path / "g.gr").exists()
 
 
 def test_planted_sink_is_semi_oracle():
