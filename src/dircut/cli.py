@@ -155,7 +155,7 @@ def _cmd_cut(args) -> int:
         algorithm = "approx"
     elapsed = time.perf_counter() - started
 
-    orientation, value, rows = problem.revalidate(args.file, res)
+    orientation, value, rows = problem.revalidate(parse_graph(args.file), res.certificate)
     if value != res.certificate.value:
         raise RuntimeError("internal error: certificate failed file re-validation")
     report = [
@@ -191,19 +191,19 @@ def _emit(report, json_path):
 # -- independent re-validation against the raw file --------------------------
 
 
-def _revalidate_edge(path, res):
-    """Recompute the cut value straight from the file, no library helpers."""
-    sink_set = res.certificate.sink_set
-    raw = parse_graph(path)
+def _revalidate_edge(raw, cert):
+    """Recompute the cut value straight from the parsed file ``raw``, no
+    library helpers."""
+    sink_set = cert.sink_set
     crossing = []
     total = Fraction(0)
     for t, h, c in raw.arcs:
-        if res.orientation == "reverse":
+        if cert.orientation == "reverse":
             t, h = h, t
         if h in sink_set and t not in sink_set:
             crossing.append((t, h, raw.value(c)))
             total += raw.value(c)
-    return res.orientation, total, [
+    return cert.orientation, total, [
         ("sink_size", str(len(sink_set))),
         ("sink", _ids(sink_set)),
         ("crossing", " ".join(f"{u + 1}->{v + 1}={format_value(c)}"
@@ -211,19 +211,19 @@ def _revalidate_edge(path, res):
     ]
 
 
-def _revalidate_vertex(path, res):
-    """Check the separator and recompute its value straight from the file."""
-    cert = res.certificate
-    raw = parse_graph(path)
+def _revalidate_vertex(raw, cert):
+    """Recompute the separator's value straight from the parsed file
+    ``raw``; the value is None unless the separator is the in-neighbourhood
+    of the sink."""
     expected = set()
     for t, h in raw.arcs:
         if cert.orientation == "reverse":
             t, h = h, t
         if h in cert.sink_component and t not in cert.sink_component:
             expected.add(t)
-    if expected != set(cert.separator):
-        raise RuntimeError("internal error: separator is not the sink in-neighborhood")
     value = sum((raw.value(raw.vcaps[w]) for w in cert.separator), Fraction(0))
+    if expected != set(cert.separator):
+        value = None
     return cert.orientation, value, [
         ("separator_size", str(len(cert.separator))),
         ("separator", _ids(cert.separator)),
@@ -241,7 +241,7 @@ class _Problem(NamedTuple):
     approx_global: Callable
     exact_small: Callable
     oracle: Callable  # (g, root or None) -> result with counted flows
-    revalidate: Callable  # (path, result) -> (orientation, value, report rows)
+    revalidate: Callable  # (parsed file, certificate) -> (orientation, value, rows)
 
     def approx(self, g, root, eps, seed):
         """Approximate solve: rooted at ``root``, or global when it is None."""
@@ -310,7 +310,8 @@ def _cmd_verify(args) -> int:
         run_seed = derive_seed(args.seed, "run", i)
         approx = problem.approx(g, root, eps, run_seed).certificate
         oracle = problem.oracle(g, root).certificate
-        if approx.value >= oracle.value:
+        _, resummed, _ = problem.revalidate(parse_text(inst.text), approx)
+        if resummed == approx.value and approx.value >= oracle.value:
             valid += 1
         if oracle.value == 0:
             ratio = Fraction(1) if approx.value == 0 else None

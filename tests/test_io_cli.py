@@ -7,6 +7,7 @@ from dircut import (
     DiGraph,
     VertexCapGraph,
     GraphFileError,
+    cut_certificate,
     exact_rooted_edge_cut_oracle,
     generate,
     parse_text,
@@ -329,16 +330,55 @@ def test_cli_verify_gates_at_the_clamped_epsilon(capsys, monkeypatch):
     problem = cli._PROBLEMS["edge-cut"]
 
     def three_times_optimal(g, root, eps, seed):
-        value = 3 * problem.oracle(g, root).certificate.value
-        return SimpleNamespace(certificate=SimpleNamespace(value=value))
+        # on a directed cycle of unit arcs the optimum is 1, and each of
+        # the three runs of this sink costs one arc
+        return SimpleNamespace(certificate=cut_certificate(g, [2, 4, 6], root=root))
 
     monkeypatch.setitem(cli._PROBLEMS, "edge-cut",
                         problem._replace(approx_rooted=three_times_optimal))
     code, out = _run(capsys, "verify", "--problem", "edge", "--mode", "rooted",
-                     "--trials", "2", "--n", "5", "--epsilon", "5")
+                     "--family", "cycle", "--wmax", "1",
+                     "--trials", "2", "--n", "7", "--epsilon", "5")
     lines = out.splitlines()
     assert code == 3 and lines[0] == "epsilon: 99/100"
     assert lines[-1] == "summary: 0/2 within 1+epsilon, 2/2 valid, gate=FAIL"
+
+
+def test_cli_verify_resums_each_certificate(capsys, monkeypatch):
+    """A certificate whose claimed value exceeds its real cut, or whose
+    separator is not its sink's in-neighbourhood, is not valid, although
+    its value is at least the oracle's and within 1+epsilon of it."""
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    from dircut import cli
+
+    def overclaimed(problem):
+        def approx(g, root, eps, seed):
+            cert = problem.oracle(g, root).certificate
+            return SimpleNamespace(certificate=replace(cert, value=cert.value * Fraction(11, 10)))
+        return approx
+
+    def moved_separator(problem):
+        # every capacity is 1, so trading a separator vertex for the root
+        # keeps the value
+        def approx(g, root, eps, seed):
+            cert = problem.oracle(g, root).certificate
+            separator = cert.separator - {min(cert.separator)} | {root}
+            return SimpleNamespace(certificate=replace(cert, separator=separator))
+        return approx
+
+    for kind, stub, flags in (("edge", overclaimed, ()),
+                              ("vertex", overclaimed, ()),
+                              ("vertex", moved_separator, ("--vcap-max", "1"))):
+        problem = cli._PROBLEMS[f"{kind}-cut"]
+        monkeypatch.setitem(cli._PROBLEMS, f"{kind}-cut",
+                            problem._replace(approx_rooted=stub(problem)))
+        code, out = _run(capsys, "verify", "--problem", kind, "--mode", "rooted",
+                         "--trials", "3", "--n", "6", *flags)
+        assert code == 3, (kind, stub)
+        assert out.splitlines()[-1] == "summary: 3/3 within 1+epsilon, 0/3 valid, gate=FAIL"
+        monkeypatch.setitem(cli._PROBLEMS, f"{kind}-cut", problem)
 
 
 def test_cli_zero_denominator_epsilon_is_an_input_error(tmp_path, capsys):
