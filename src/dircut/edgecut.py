@@ -609,7 +609,7 @@ def exact_small_edge_cut(
     double the level from the smallest positive capacity with per-level
     tolerance 1/(1+level), then binary search the integers above the last
     failed level up to the first witnessed level: about one probed level per
-    bit of the optimum (57543 flows on the bidirectional 6-cycle with
+    bit of the optimum (20795 flows on the bidirectional 6-cycle with
     capacities 10^400).  At integer granularity a (1+1/(1+level))-approximate
     answer is exact.  A probe can miss, so the value is exact only w.h.p.;
     the certificate is always a valid cut.  ``threads`` is ignored."""
