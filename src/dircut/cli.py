@@ -78,8 +78,6 @@ def _build_parser():
         p.add_argument("--exact-small", action="store_true",
                        help="exact mode for integer capacities with a small optimum; "
                             "it probes about one level per bit of the optimum")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; solves run single-threaded")
         p.add_argument("--report", metavar="PATH",
                        help="also write the report as JSON")
         p.set_defaults(handler=_cmd_cut)
@@ -111,8 +109,6 @@ def _build_parser():
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--epsilon", default="0.2")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; solves run single-threaded")
     v.add_argument("--n", type=int, default=10)
     v.add_argument("--p", type=float)
     v.add_argument("--wmax", type=int)

@@ -112,20 +112,6 @@ class ProbeConfig:
             raise ValueError("epsilon must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class ConditionedGraph:
-    """Preconditioned graph plus the conditioning ratio it provably satisfies.
-
-    The arcs of ``h`` are the base graph's arcs first, in their order and
-    with their endpoints, then the auxiliary root arcs.  For every sink set
-    U the cut into U has capacity at least ``phi`` times the in-volume of U
-    measured in ``h`` itself.
-    """
-
-    h: DiGraph
-    phi: Fraction
-
-
 def condition_rooted(
     base: DiGraph,
     r: int,
@@ -134,14 +120,16 @@ def condition_rooted(
     epsilon: Fraction,
     aux_divisor: int,
     floor: Fraction,
-) -> ConditionedGraph:
+) -> DiGraph:
     """Shared preconditioning: per-vertex root arcs plus weight truncation.
 
     Adds an arc (r, v) of capacity epsilon*level*indeg(v)/(aux_divisor*volume)
     for every non-root vertex with positive in-degree, and clamps finite
     original weights into [floor, 2*level].  Infinite arcs are exempt.  The
-    provable conditioning ratio, measured against in-volumes of the output
-    graph, is epsilon*level/(2*aux_divisor*volume).
+    output's arcs are the base arcs first, in their order and with their
+    endpoints, then the root arcs.  For every sink set U the cut into U is
+    at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
+    measured in the output graph (the conditioning ratio).
     """
     if level <= 0:
         raise ValueError("level must be positive")
@@ -165,14 +153,12 @@ def condition_rooted(
     for v, deg in enumerate(degrees):
         if v != r and deg > 0:
             arcs.append((r, v, quantum_num * deg))
-    h = DiGraph(base.n, arcs, scale=new_scale)
-    phi = epsilon * level / (2 * aux_divisor * volume)
-    return ConditionedGraph(h, phi)
+    return DiGraph(base.n, arcs, scale=new_scale)
 
 
 def precondition_rooted(
     g: DiGraph, r: int, level, volume: int, epsilon
-) -> ConditionedGraph:
+) -> DiGraph:
     """Edge-cut preconditioning: aux weight eps*level*indeg/(2*volume),
     original weights clamped into [eps*level/(2m), 2*level]."""
     level = as_fraction(level)
@@ -271,7 +257,8 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
 
 
 def _edge_sample(deg, r: int, cfg: ProbeConfig) -> frozenset:
-    """The terminals of the edge probe ``cfg``, given the base in-degrees."""
+    """The terminals of the probe ``cfg``, given the base in-degrees (the
+    vertex prober passes 0 for every vertex that may not be a terminal)."""
     return sample_terminals(deg, r, cfg.volume, cfg.sample_const, random.Random(cfg.seed))
 
 
@@ -285,8 +272,8 @@ def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None) -> P
     """
     if terminals is None:
         terminals = _edge_sample(g.in_degrees(), r, cfg)
-    cond = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
-    return probe(cond.h, r, terminals, cfg,
+    h = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
+    return probe(h, r, terminals, cfg,
                  lambda sink: cut_certificate(g, sink, root=r))
 
 
@@ -310,8 +297,12 @@ def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
 
 
 @dataclass
-class EdgeCutResult:
-    certificate: CutCertificate
+class CutResult:
+    """A solver's answer: the certificate (an edge ``CutCertificate`` or a
+    ``VertexCutCertificate``), the max-flow calls run and the probe log of
+    (level, volume, flow calls) entries."""
+
+    certificate: object
     flow_calls: int
     probe_log: tuple
 
@@ -479,14 +470,14 @@ def _rooted_start(g: DiGraph, r: int):
     return gm, _min_singleton_cut(gm, r), c_min
 
 
-def _rooted_search(g: DiGraph, r: int, search) -> EdgeCutResult:
+def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
     """Rooted cut: the best trivial cut, improved unless it is zero by
     ``search(probe_at, best, c_min)`` with the instance's prober."""
     gm, best, c_min = _rooted_start(g, r)
     log = []
     if best.value > 0:
         best = search(_edge_prober(gm, r, log), best, c_min)
-    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
+    return CutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_rooted_edge_cut(
@@ -495,7 +486,7 @@ def approx_rooted_edge_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-) -> EdgeCutResult:
+) -> CutResult:
     """Rooted cut of value at most (1+epsilon) times optimal, w.h.p.
 
     The returned certificate is always a valid rooted cut of ``g``.  If some
@@ -510,7 +501,7 @@ def approx_rooted_edge_cut(
     return _rooted_search(g, r, search)
 
 
-def _global_search(g: DiGraph, search) -> EdgeCutResult:
+def _global_search(g: DiGraph, search) -> CutResult:
     """Global cut as one search over the union of the instances rooted at
     vertex 0 of ``g`` and of its reversal, started from the best trivial
     cut of either.  A zero cut is returned without probing, and a forward
@@ -518,7 +509,7 @@ def _global_search(g: DiGraph, search) -> EdgeCutResult:
     c_min)`` runs the search with the union prober."""
     gm, best, c_min = _rooted_start(g, 0)
     if best.value == 0:
-        return EdgeCutResult(best, 0, ())
+        return CutResult(best, 0, ())
     rm, rev_best, _ = _rooted_start(reverse(g), 0)
     best = _better(best, replace(rev_best, orientation="reverse"))
     log = []
@@ -526,7 +517,7 @@ def _global_search(g: DiGraph, search) -> EdgeCutResult:
         probe_at = union_prober([("forward", _edge_prober(gm, 0, log)),
                                  ("reverse", _edge_prober(rm, 0, log))])
         best = search(probe_at, best, c_min)
-    return EdgeCutResult(best, _total_flow_calls(log), tuple(log))
+    return CutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_global_edge_cut(
@@ -534,7 +525,7 @@ def approx_global_edge_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-) -> EdgeCutResult:
+) -> CutResult:
     """Global minimum cut within (1+epsilon) of optimal w.h.p.: one level
     search over the instances rooted at vertex 0 of the graph and of its
     reversal.  The certificate is tagged with its orientation.
@@ -546,7 +537,7 @@ def approx_global_edge_cut(
     return _global_search(g, search)
 
 
-def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
+def _rooted_oracle(g: DiGraph, r: int) -> CutResult:
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     best = None
@@ -560,10 +551,10 @@ def _rooted_oracle(g: DiGraph, r: int) -> EdgeCutResult:
             best = cut
             break
         best = _better(best, cut)
-    return EdgeCutResult(best, calls, ())
+    return CutResult(best, calls, ())
 
 
-def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
+def _edge_oracle(g: DiGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted: rooted at ``root``, or
     global (rooted at vertex 0 of the graph and of its reversal; a forward
     zero cut skips the reversal)."""
@@ -575,7 +566,7 @@ def _edge_oracle(g: DiGraph, root=None) -> EdgeCutResult:
     backward = _rooted_oracle(reverse(g), 0)
     best = _better(forward.certificate,
                    replace(backward.certificate, orientation="reverse"))
-    return EdgeCutResult(best, forward.flow_calls + backward.flow_calls, ())
+    return CutResult(best, forward.flow_calls + backward.flow_calls, ())
 
 
 def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
@@ -603,7 +594,7 @@ def exact_small_edge_cut(
     root=None,
     seed: int = 0,
     threads: int = 1,
-) -> EdgeCutResult:
+) -> CutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small.  A zero cut is found exactly, without probing; else
     double the level from the smallest positive capacity with per-level

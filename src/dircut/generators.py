@@ -111,6 +111,7 @@ def _planted_sink(seed, n=20, sink_size=4, volume=12, value=5,
         # vertex 0 doubles as the conventional root; give it a wide fan-out
         # so rooted runs are not supply-starved at the source
         hub_out = max(out_degree, ambient_size // 4)
+    _at_least("hub_out", hub_out, 0)
     internal = volume - 1  # one crossing arc carries the whole planted value
     if internal < sink_size:
         raise ValueError("volume too small for a strongly connected sink")
@@ -162,6 +163,8 @@ def _layered(seed, n=12, width=4, p=0.5, wmax=10, **extra):
     _reject_extra(extra)
     if n < 2 or width < 1:
         raise ValueError("need n >= 2 and width >= 1")
+    if not (0 <= p <= 1):
+        raise ValueError("p must lie in [0, 1]")
     _at_least("wmax", wmax, 1)
     rng = random.Random(seed)
     layers = [list(range(i, min(i + width, n))) for i in range(0, n, width)]

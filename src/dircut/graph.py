@@ -84,9 +84,6 @@ class DiGraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def is_infinite(self, arc_index: int) -> bool:
-        return arc_index in self.inf_arcs
-
     def value(self, numerator: int) -> Fraction:
         """Rational value of a capacity numerator at this graph's scale."""
         return Fraction(numerator, self.scale)

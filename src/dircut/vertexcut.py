@@ -8,13 +8,13 @@ lets an edge cut be read back as a vertex separator.
 
 Rooted cuts run the edge module's probe and search drivers (``probe``,
 ``level_prober``, ``level_search``, ``integer_search``) with a prober on
-the split graph: shared conditioning, terminals drawn from the admissible
-sinks, and sink sets mapped back to vertex separators.  Global cuts draw
-roots once in proportion to capacity, prune the rooted instance of each
-distinct root in both orientations, and run one search over their
-``union_prober``.  The exact small-optimum modes search integer levels
-with per-level tolerance 1/(1+level) so that integer answers come out
-exact.
+the split graph (v_in = v, v_out = n + v): shared conditioning, the edge
+sampler restricted to the admissible sinks, and sink sets mapped back to
+vertex separators.  Global cuts draw roots once in proportion to
+capacity, prune the rooted instance of each distinct root in both
+orientations, and run one search over their ``union_prober``.  The exact
+small-optimum modes search integer levels with per-level tolerance
+1/(1+level) so that integer answers come out exact.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import partial
 from operator import attrgetter
 
 from .edgecut import (
+    CutResult,
     as_fraction,
     clamp_epsilon,
     condition_rooted,
@@ -37,6 +38,7 @@ from .edgecut import (
     probe,
     union_prober,
     _better,
+    _edge_sample,
     _total_flow_calls,
     _volume_schedule,
 )
@@ -105,22 +107,6 @@ class VertexCapGraph:
 
 
 @dataclass(frozen=True)
-class SplitMaps:
-    """Bijections v <-> (v_in, v_out) between a graph and its split form."""
-
-    n: int
-
-    def to_in(self, v: int) -> int:
-        return v
-
-    def to_out(self, v: int) -> int:
-        return self.n + v
-
-    def original(self, split_id: int) -> int:
-        return split_id if split_id < self.n else split_id - self.n
-
-
-@dataclass(frozen=True)
 class VertexCutCertificate:
     """Separator W with its sink component U, N-in(U) == W exactly.
 
@@ -141,25 +127,13 @@ class VertexCutCertificate:
                 tuple(sorted(self.sink_component)), self.orientation)
 
 
-@dataclass
-class VertexCutResult:
-    certificate: VertexCutCertificate
-    flow_calls: int
-    probe_log: tuple
-
-    @property
-    def value(self) -> Fraction:
-        return self.certificate.value
-
-
-def split_transform(g: VertexCapGraph):
-    """Edge-capacitated model: 2n vertices, one finite arc per vertex and
-    one infinite arc per original arc (m + n arcs total)."""
-    maps = SplitMaps(g.n)
-    arcs = [(maps.to_in(v), maps.to_out(v), g.vcaps[v]) for v in range(g.n)]
-    for u, v in g.arcs:
-        arcs.append((maps.to_out(u), maps.to_in(v), INFINITE))
-    return DiGraph(2 * g.n, arcs, scale=g.scale), maps
+def split_transform(g: VertexCapGraph) -> DiGraph:
+    """Edge-capacitated model on 2n vertices, v_in = v and v_out = n + v:
+    the finite arc (v_in, v_out) of each vertex v, in vertex order, then
+    the infinite arc (u_out, v_in) of each original arc (u, v)."""
+    arcs = [(v, g.n + v, g.vcaps[v]) for v in range(g.n)]
+    arcs.extend((g.n + u, v, INFINITE) for u, v in g.arcs)
+    return DiGraph(2 * g.n, arcs, scale=g.scale)
 
 
 def _normalize(g: VertexCapGraph) -> VertexCapGraph:
@@ -241,40 +215,33 @@ def _singletons(g: VertexCapGraph, orientation="forward") -> list:
 
 def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
     """``level_prober`` of one rooted instance: the shared probe on the
-    split graph, rooted at r's out-copy, with terminals sampled among the
-    admissible sinks.  Certificates are re-evaluated against the raw vertex
-    capacities before acceptance."""
-    split, maps = split_transform(ng)
-    root_out = maps.to_out(r)
-    deg = ng.in_degrees()
+    split graph, rooted at r's out-copy, with in-copies of terminals drawn
+    by the edge sampler from the in-degrees of the admissible sinks.
+    Certificates are re-evaluated against the raw vertex capacities before
+    acceptance."""
+    split = split_transform(ng)
+    root_out = ng.n + r
+    admissible_set = frozenset(admissible)
+    deg = [d if v in admissible_set else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
-        component = frozenset(v for v in admissible if maps.to_in(v) in sink)
+        component = sink & admissible_set
         if not component:
             return None
         cert = _sink_certificate(ng, component)
         assert r not in cert.separator, "sink component leaked into the root's fan-out"
         return cert
 
-    def sample(cfg):
-        rng = random.Random(cfg.seed)
-        rate = float(cfg.sample_const) * math.log(ng.n) / cfg.volume
-        return frozenset(
-            maps.to_in(v) for v in admissible
-            if deg[v] > 0 and rng.random() < min(1.0, rate * deg[v])
-        )
-
     def run(cfg, terminals):
         floor = cfg.epsilon * cfg.level / (4 * ng.n)
-        cond = condition_rooted(
-            split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor
-        )
-        return probe(cond.h, root_out, terminals, cfg, extract)
+        h = condition_rooted(split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor)
+        return probe(h, root_out, terminals, cfg, extract)
 
-    return level_prober(sample, run, _volume_schedule(max(ng.m, 1)), log)
+    return level_prober(lambda cfg: _edge_sample(deg, r, cfg), run,
+                        _volume_schedule(max(ng.m, 1)), log)
 
 
-def _rooted_search(ng: VertexCapGraph, r: int, search) -> VertexCutResult:
+def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
     """Rooted cut: the best trivial cut, improved unless it is zero by
     ``search(probe_at, best, c_min)`` with the instance's split prober."""
     admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
@@ -284,7 +251,7 @@ def _rooted_search(ng: VertexCapGraph, r: int, search) -> VertexCutResult:
     log = []
     if best.value > 0:
         best = search(_split_prober(ng, admissible, r, log), best, _c_min(ng))
-    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+    return CutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_rooted_vertex_cut(
@@ -293,7 +260,7 @@ def approx_rooted_vertex_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-) -> VertexCutResult:
+) -> CutResult:
     """Rooted vertex cut within (1+epsilon) of optimal w.h.p.
 
     Always returns a valid separator with its exact value; raises
@@ -405,7 +372,7 @@ def _global_trivial(ng: VertexCapGraph):
     return best
 
 
-def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> VertexCutResult:
+def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResult:
     """Global cut as one ``search(probe_at, best, c_min)`` over the union of
     the rooted instances of every distinct root that ``sample_roots`` draws
     at tolerance ``root_eps``, in both orientations, each pruned for its
@@ -425,7 +392,7 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> VertexCu
                     prober = _split_prober(pruned, admissible, r, log)
                     probers.append((orientation, prober))
         best = search(union_prober(probers), best, c_min)
-    return VertexCutResult(best, _total_flow_calls(log), tuple(log))
+    return CutResult(best, _total_flow_calls(log), tuple(log))
 
 
 def approx_global_vertex_cut(
@@ -433,7 +400,7 @@ def approx_global_vertex_cut(
     epsilon,
     seed: int = 0,
     threads: int = 1,
-) -> VertexCutResult:
+) -> CutResult:
     """Global vertex cut within (1+epsilon) of optimal w.h.p.
 
     Draws roots in proportion to capacity at tolerance epsilon and runs
@@ -464,7 +431,7 @@ def exact_small_vertex_cut(
     root=None,
     seed: int = 0,
     threads: int = 1,
-) -> VertexCutResult:
+) -> CutResult:
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
 
@@ -496,11 +463,10 @@ def exact_small_vertex_cut(
 # -- exact oracle ------------------------------------------------------------
 
 
-def _oracle_extract(ng, maps, source, flow_result):
-    sink_side = frozenset(range(2 * ng.n)) - flow_result.source_side
+def _oracle_extract(ng, source, flow_result):
     component = frozenset(
         v for v in range(ng.n)
-        if v != source and maps.to_in(v) in sink_side
+        if v != source and v not in flow_result.source_side
     )
     cert = _sink_certificate(ng, component)
     assert cert.value == Fraction(flow_result.value, ng.scale), (
@@ -509,7 +475,7 @@ def _oracle_extract(ng, maps, source, flow_result):
     return cert
 
 
-def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
+def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted."""
     ng = _normalize(g)
     if root is not None:
@@ -523,15 +489,15 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> VertexCutResult:
             if s != t and (s, t) not in adjacent
         ]
     if zero is not None:
-        return VertexCutResult(zero, 0, ())
+        return CutResult(zero, 0, ())
     if not pairs:
         raise NoCutExistsError("complete digraph has no vertex cut")
-    split, maps = split_transform(ng)
+    split = split_transform(ng)
     best = None
     for s, t in pairs:
-        res = max_flow(split, maps.to_out(s), maps.to_in(t))
-        best = _better(best, _oracle_extract(ng, maps, s, res))
-    return VertexCutResult(best, len(pairs), ())
+        res = max_flow(split, ng.n + s, t)
+        best = _better(best, _oracle_extract(ng, s, res))
+    return CutResult(best, len(pairs), ())
 
 
 def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificate:

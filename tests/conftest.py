@@ -53,6 +53,14 @@ def cut_value(g, sink):
     return Fraction(total, g.scale)
 
 
+def conditioning_ratio(level, volume, epsilon, aux_divisor=2):
+    """The ratio that ``condition_rooted`` guarantees between every rooted
+    cut of its output and the cut's in-volume there:
+    epsilon*level/(2*aux_divisor*volume).  ``precondition_rooted`` uses
+    aux divisor 2, the vertex prober 6."""
+    return Fraction(epsilon) * Fraction(level) / (2 * aux_divisor * volume)
+
+
 def iter_sink_sets(n, root):
     others = [v for v in range(n) if v != root]
     for size in range(1, len(others) + 1):

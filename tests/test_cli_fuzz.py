@@ -73,7 +73,7 @@ BAD_CUT_FLAGS = (
     ("--global", "--epsilon", "0"),
     ("--global", "--epsilon", "abc"),
     ("--global", "--seed", "abc"),
-    ("--global", "--threads", "two"),
+    ("--global", "--threads", "two"),  # no such flag
     ("--global", "--bogus"),
     ("--global", "--report"),
     ("--global", "--report", "/nonexistent-dir/report.json"),

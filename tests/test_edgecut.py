@@ -34,6 +34,7 @@ from dircut.edgecut import (
 
 from conftest import (
     brute_min_rooted_cut,
+    conditioning_ratio,
     cut_value,
     g1,
     iter_sink_sets,
@@ -44,19 +45,18 @@ from conftest import (
 
 def test_precondition_g1_numbers():
     g = g1()
-    cond = precondition_rooted(g, 0, 2, 4, Fraction(1, 2))
-    aux = [(t, h, cond.h.value(c)) for t, h, c in cond.h.arcs[g.m:]]
+    h = precondition_rooted(g, 0, 2, 4, Fraction(1, 2))
+    aux = [(t, head, h.value(c)) for t, head, c in h.arcs[g.m:]]
     # both non-root vertices have in-degree 2: eps*level*deg/(2*volume) = 1/4
     assert sorted(aux) == [(0, 1, Fraction(1, 4)), (0, 2, Fraction(1, 4))]
-    assert cond.phi == Fraction(1, 16)
 
 
 def test_precondition_truncates_into_band():
     g = DiGraph(3, [(0, 1, 1000), (1, 2, 1)])
     eps = Fraction(1, 2)
-    cond = precondition_rooted(g, 0, 4, 2, eps)
+    h = precondition_rooted(g, 0, 4, 2, eps)
     floor = eps * 4 / (2 * g.m)
-    originals = [cond.h.value(c) for _, _, c in cond.h.arcs[:g.m]]
+    originals = [h.value(c) for _, _, c in h.arcs[:g.m]]
     assert max(originals) == 8  # clamped to 2*level
     assert min(originals) >= floor
     assert all(floor <= v <= 8 for v in originals)
@@ -74,14 +74,14 @@ def test_conditioning_invariant_exhaustive():
         eps = Fraction(rng.randint(1, 3), 4)
         level = Fraction(rng.randint(1, 9))
         volume = 2 ** rng.randint(0, 4)
-        cond = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(g, 0, level, volume, eps)
+        phi = conditioning_ratio(level, volume, eps)
         for sink in iter_sink_sets(g.n, 0):
-            assert cut_value(cond.h, sink) >= cond.phi * in_volume(cond.h, sink)
+            assert cut_value(h, sink) >= phi * in_volume(h, sink)
 
 
 def test_sampling_clamps_and_zero_degree():
     g = DiGraph(4, [(0, 1, 1), (1, 2, 1), (2, 1, 1)])  # vertex 3 has in-degree 0
-    cond = precondition_rooted(g, 0, 1, 1, Fraction(1, 2))
     for seed in range(40):
         picked = sample_terminals(g.in_degrees(), 0, 1, 2, random.Random(seed))
         assert picked == frozenset([1, 2])  # probability clamps to 1; 3 never
@@ -96,7 +96,6 @@ def test_sampling_empirical_mean():
         for t in tails[:3]:
             arcs.append((t, v, 1))
     g = DiGraph(n, arcs)
-    cond = precondition_rooted(g, 0, 1, volume, Fraction(1, 2))
     deg = g.in_degrees()
     exact = sum(
         min(1.0, 2 * math.log(n) * deg[v] / volume) for v in range(1, n)

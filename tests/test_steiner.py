@@ -21,7 +21,7 @@ from dircut import (
     shrink_wrap,
 )
 
-from conftest import cut_value, g1, rand_digraph, tiny_graphs
+from conftest import conditioning_ratio, cut_value, g1, rand_digraph, tiny_graphs
 
 
 def test_network_construction_g1():
@@ -194,17 +194,18 @@ def test_shrink_bound_on_conditioned_instances():
         eps = Fraction(1, 2)
         level = Fraction(rng.randint(1, 6))
         volume = 2 ** rng.randint(0, 4)
-        cond = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(g, 0, level, volume, eps)
         rng2 = random.Random(rng.random())
         terminals = sample_terminals(g.in_degrees(), 0, 1, 50, rng2)  # dense sample
         if not terminals:
             continue
-        level_num = (1 + eps) * level * cond.h.scale
-        inst = SteinerInstance(cond.h, 0, terminals, int(level_num))
+        level_num = (1 + eps) * level * h.scale
+        inst = SteinerInstance(h, 0, terminals, int(level_num))
         _, stats = shrink_wrap(inst)
-        bound_level = Fraction(int(level_num), cond.h.scale)
+        bound_level = Fraction(int(level_num), h.scale)
+        phi = conditioning_ratio(level, volume, eps)
         for depth, edges, survivors in stats.contraction_log:
-            assert edges <= bound_level * survivors / cond.phi
+            assert edges <= bound_level * survivors / phi
             checked += 1
     assert checked > 0
 

@@ -187,9 +187,9 @@ def test_probe_evaluates_each_sink_once(monkeypatch):
 
     monkeypatch.setattr(dircut.edgecut, "shrink_wrap", recording)
     cfg = ProbeConfig(level=Fraction(6), volume=16, epsilon=Fraction(1, 5))
-    cond = precondition_rooted(g, 0, cfg.level, cfg.volume, cfg.epsilon)
+    h = precondition_rooted(g, 0, cfg.level, cfg.volume, cfg.epsilon)
     extracted = []
-    rep = probe(cond.h, 0, frozenset(range(1, g.n)), cfg,
+    rep = probe(h, 0, frozenset(range(1, g.n)), cfg,
                 lambda sink: extracted.append(sink) or cut_certificate(g, sink, root=0))
     assert len(below) > len(set(below)) >= 1
     assert sorted(map(sorted, extracted)) == sorted(map(sorted, set(below)))

@@ -11,16 +11,21 @@ from dircut import (
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
     exact_vertex_cut_oracle,
+    in_volume,
     max_flow,
     prune_for_root,
     sample_roots,
     split_transform,
 )
+from dircut.edgecut import condition_rooted
 
 from conftest import (
     brute_global_vertex_cut,
     brute_min_separator,
+    conditioning_ratio,
+    cut_value,
     g2,
+    iter_sink_sets,
     rand_vertex_graph,
     topo_reach,
 )
@@ -40,20 +45,20 @@ def _assert_valid_vertex_cut(g, cert, root=None):
 
 
 def test_split_counts():
-    h, _ = split_transform(g2())
+    h = split_transform(g2())
     assert h.n == 8 and h.m == 8  # 2n vertices, m+n arcs
 
 
 def test_split_path_example():
     path = VertexCapGraph(3, [(0, 1), (1, 2)], [9, 3, 9])
-    h, maps = split_transform(path)
-    res = max_flow(h, maps.to_out(0), maps.to_in(2))
+    h = split_transform(path)
+    res = max_flow(h, 3 + 0, 2)  # 0_out to 2_in
     assert res.value == 3
 
 
 def test_split_g2_example():
-    h, maps = split_transform(g2())
-    res = max_flow(h, maps.to_out(0), maps.to_in(3))
+    h = split_transform(g2())
+    res = max_flow(h, 4 + 0, 3)  # 0_out to 3_in
     assert res.value == 3
     assert brute_min_separator(g2(), 0, 3) == 3
 
@@ -62,13 +67,13 @@ def test_split_equivalence_random():
     rng = random.Random(31)
     for _ in range(25):
         g = rand_vertex_graph(rng, rng.randint(3, 7), p=0.35, strong=False)
-        h, maps = split_transform(g)
+        h = split_transform(g)
         adjacent = set(g.arcs)
         for s in range(g.n):
             for t in range(g.n):
                 if s == t or (s, t) in adjacent:
                     continue
-                flow = max_flow(h, maps.to_out(s), maps.to_in(t))
+                flow = max_flow(h, g.n + s, t)  # s_out to t_in
                 assert g.value(flow.value) == brute_min_separator(g, s, t)
 
 
@@ -76,20 +81,42 @@ def test_finite_split_cuts_use_only_split_arcs():
     rng = random.Random(32)
     for _ in range(10):
         g = rand_vertex_graph(rng, 6, p=0.3, strong=False)
-        h, maps = split_transform(g)
+        h = split_transform(g)
         adjacent = set(g.arcs)
         for s in range(g.n):
             for t in range(g.n):
                 if s == t or (s, t) in adjacent:
                     continue
-                res = max_flow(h, maps.to_out(s), maps.to_in(t))
+                res = max_flow(h, g.n + s, t)
                 from dircut import min_cut_sink_side
 
                 cert = min_cut_sink_side(res)
                 for i in cert.crossing:
-                    assert not h.is_infinite(i)
+                    assert i not in h.inf_arcs
                     tail, head, _ = h.arcs[i]
-                    assert maps.original(tail) == maps.original(head)
+                    assert tail % g.n == head % g.n  # v_in = v, v_out = n + v
+
+
+def test_vertex_conditioning_ratio_exhaustive():
+    """The split-graph conditioning of the vertex prober (root arcs over
+    aux divisor 6, floor eps*level/(4n)) keeps every rooted cut at least
+    eps*level/(12*volume) times its in-volume in the conditioned graph."""
+    rng = random.Random(33)
+    sink_sets = 0
+    for _ in range(12):
+        n = rng.randint(3, 5)
+        g = rand_vertex_graph(rng, n, p=0.4, strong=rng.random() < 0.5)
+        r = rng.randrange(n)
+        split = split_transform(prune_for_root(g, r))
+        eps = Fraction(rng.randint(1, 3), 4)
+        level = Fraction(rng.randint(1, 9))
+        volume = 2 ** rng.randint(0, 4)
+        h = condition_rooted(split, n + r, level, volume, eps, 6, eps * level / (4 * n))
+        phi = conditioning_ratio(level, volume, eps, aux_divisor=6)
+        for sink in iter_sink_sets(h.n, n + r):
+            assert cut_value(h, sink) >= phi * in_volume(h, sink)
+            sink_sets += 1
+    assert sink_sets > 1000
 
 
 def test_rooted_g2_unique_separator():
