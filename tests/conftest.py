@@ -7,8 +7,10 @@ the code paths they check.
 
 import contextlib
 import itertools
+import json
 import random
 import signal
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -41,6 +43,33 @@ def time_bound(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def golden_main(argv, path, compute):
+    """Command line of a golden-output test file.  ``--write`` records
+    ``compute()``, a dict of entry id to record, in ``path``, one entry a
+    line.  ``--diff`` writes nothing: it prints every entry whose current
+    record differs from the recorded one, with each field that differs as
+    recorded -> current, and exits 0."""
+    if argv not in (["--write"], ["--diff"]):
+        sys.exit(f"usage: python {sys.argv[0]} --write | --diff")
+    data = compute()
+    if argv == ["--write"]:
+        lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+                 for k, v in sorted(data.items())]
+        path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        print(f"wrote {len(data)} entries to {path}")
+        return
+    recorded = json.loads(path.read_text())
+    changed = [e for e in sorted(data.keys() | recorded.keys())
+               if data.get(e) != recorded.get(e)]
+    for entry in changed:
+        old, new = recorded.get(entry, {}), data.get(entry, {})
+        print(entry)
+        for field in sorted(old.keys() | new.keys()):
+            if old.get(field) != new.get(field):
+                print(f"  {field}: {json.dumps(old.get(field))} -> {json.dumps(new.get(field))}")
+    print(f"{len(changed)} of {len(recorded)} recorded entries differ")
 
 
 def cut_value(g, sink):

@@ -9,6 +9,9 @@ recorded outputs live in ``cli_golden.json`` next to this file.
 Regenerate the file only for a deliberate, documented behaviour change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
+
+and list the entries that change, with the fields that differ, by running
+the same command with ``--diff`` first (it writes nothing).
 """
 
 import contextlib
@@ -21,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from dircut.cli import main
+
+from conftest import golden_main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -99,10 +104,4 @@ def test_cli_golden_file_covers_every_entry():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_cli_golden.py --write")
-    data = {entry: run(argv) for entry, argv in cases()}
-    lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
-             for k, v in sorted(data.items())]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one entry a line
-    print(f"wrote {len(data)} entries to {GOLDEN}")
+    golden_main(sys.argv[1:], GOLDEN, lambda: {entry: run(argv) for entry, argv in cases()})

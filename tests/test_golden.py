@@ -8,6 +8,9 @@ the probe and search machinery has to reproduce them exactly.
 Regenerate the file only for a deliberate, documented behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+and list the entries that change, with the fields that differ, by running
+the same command with ``--diff`` first (it writes nothing).
 """
 
 import json
@@ -29,6 +32,8 @@ from dircut import (
     generate,
     parse_text,
 )
+
+from conftest import golden_main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 EPSILON = "0.2"
@@ -184,10 +189,4 @@ def test_golden_flow_calls_are_the_probe_log_total():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    data = {entry: thunk() for entry, thunk in entries()}
-    lines = [f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
-             for k, v in sorted(data.items())]
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")  # one entry a line
-    print(f"wrote {len(data)} entries to {GOLDEN}")
+    golden_main(sys.argv[1:], GOLDEN, lambda: {entry: thunk() for entry, thunk in entries()})
