@@ -95,12 +95,11 @@ def clamp_epsilon(epsilon) -> Fraction:
 @dataclass(frozen=True)
 class ProbeConfig:
     """Parameters of one well-conditioned probe: connectivity guess,
-    in-volume guess (a power of two), tolerance, sampling constant, seed."""
+    in-volume guess (a power of two), tolerance, seed."""
 
     level: Fraction
     volume: int
     epsilon: Fraction
-    sample_const: Fraction = Fraction(2)
     seed: int = 0
 
     def __post_init__(self):
@@ -167,13 +166,13 @@ def precondition_rooted(
     return condition_rooted(g, r, level, volume, epsilon, 2, floor)
 
 
-def sample_terminals(deg, r: int, volume: int, sample_const, rng):
+def sample_terminals(deg, r: int, volume: int, rng):
     """Each non-root vertex independently with probability
-    min(1, sample_const * ln(n) * deg[v] / volume), where ``deg`` holds the
-    in-degrees of the base graph, before conditioning adds its root arcs.
+    min(1, 2 * ln(n) * deg[v] / volume), where ``deg`` holds the in-degrees
+    of the base graph, before conditioning adds its root arcs.
     Deterministic given the rng state."""
     n = len(deg)
-    scale = float(as_fraction(sample_const)) * math.log(n) / volume
+    scale = 2 * math.log(n) / volume
     picked = []
     for v in range(n):
         if v == r or deg[v] == 0:
@@ -259,7 +258,7 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
 def _edge_sample(deg, r: int, cfg: ProbeConfig) -> frozenset:
     """The terminals of the probe ``cfg``, given the base in-degrees (the
     vertex prober passes 0 for every vertex that may not be a terminal)."""
-    return sample_terminals(deg, r, cfg.volume, cfg.sample_const, random.Random(cfg.seed))
+    return sample_terminals(deg, r, cfg.volume, random.Random(cfg.seed))
 
 
 def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None) -> ProbeReport:
@@ -438,9 +437,14 @@ def integer_search(probe_at, singleton, floor, seed_parts):
                          lambda level: 1 / (1 + level), (*seed_parts, "bin"))
 
 
-def _total_flow_calls(log) -> int:
-    """Total flow calls of a probe log."""
-    return sum(calls for _, _, calls in log)
+def _search_tail(make_prober, best, floor, search) -> CutResult:
+    """``search(make_prober(log), best, floor)`` unless the trivial cut
+    ``best`` is at most the lower bound ``floor`` on the optimum, as a
+    CutResult with the flow calls and entries of the probe log ``log``."""
+    log = []
+    if best.value > floor:
+        best = search(make_prober(log), best, floor)
+    return CutResult(best, sum(calls for _, _, calls in log), tuple(log))
 
 
 def _edge_prober(gm: DiGraph, r: int, log):
@@ -471,13 +475,10 @@ def _rooted_start(g: DiGraph, r: int):
 
 
 def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
-    """Rooted cut: the best trivial cut, improved unless it is zero by
-    ``search(probe_at, best, c_min)`` with the instance's prober."""
+    """Rooted cut: the best trivial cut, improved by ``search(probe_at,
+    best, c_min)`` with the instance's prober."""
     gm, best, c_min = _rooted_start(g, r)
-    log = []
-    if best.value > 0:
-        best = search(_edge_prober(gm, r, log), best, c_min)
-    return CutResult(best, _total_flow_calls(log), tuple(log))
+    return _search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search)
 
 
 def approx_rooted_edge_cut(
@@ -512,12 +513,9 @@ def _global_search(g: DiGraph, search) -> CutResult:
         return CutResult(best, 0, ())
     rm, rev_best, _ = _rooted_start(reverse(g), 0)
     best = _better(best, replace(rev_best, orientation="reverse"))
-    log = []
-    if best.value > 0:
-        probe_at = union_prober([("forward", _edge_prober(gm, 0, log)),
-                                 ("reverse", _edge_prober(rm, 0, log))])
-        best = search(probe_at, best, c_min)
-    return CutResult(best, _total_flow_calls(log), tuple(log))
+    return _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
+                                                  ("reverse", _edge_prober(rm, 0, log))]),
+                        best, c_min, search)
 
 
 def approx_global_edge_cut(
@@ -593,7 +591,6 @@ def exact_small_edge_cut(
     g: DiGraph,
     root=None,
     seed: int = 0,
-    threads: int = 1,
 ) -> CutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small.  A zero cut is found exactly, without probing; else
@@ -603,7 +600,7 @@ def exact_small_edge_cut(
     bit of the optimum (20795 flows on the bidirectional 6-cycle with
     capacities 10^400).  At integer granularity a (1+1/(1+level))-approximate
     answer is exact.  A probe can miss, so the value is exact only w.h.p.;
-    the certificate is always a valid cut.  ``threads`` is ignored."""
+    the certificate is always a valid cut."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")

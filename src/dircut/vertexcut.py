@@ -10,11 +10,12 @@ Rooted cuts run the edge module's probe and search drivers (``probe``,
 ``level_prober``, ``level_search``, ``integer_search``) with a prober on
 the split graph (v_in = v, v_out = n + v): shared conditioning, the edge
 sampler restricted to the admissible sinks, and sink sets mapped back to
-vertex separators.  Global cuts draw roots once in proportion to
-capacity, prune the rooted instance of each distinct root in both
-orientations, and run one search over their ``union_prober``.  The exact
-small-optimum modes search integer levels with per-level tolerance
-1/(1+level) so that integer answers come out exact.
+vertex separators.  Rooted and global solves build that prober one way,
+on the instance pruned for its root (``prune_for_root``).  Global cuts
+draw roots once in proportion to capacity and run one search over the
+``union_prober`` of each distinct root's instances in both orientations.
+The exact small-optimum modes search integer levels with per-level
+tolerance 1/(1+level) so that integer answers come out exact.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .edgecut import (
     union_prober,
     _better,
     _edge_sample,
-    _total_flow_calls,
+    _search_tail,
     _volume_schedule,
 )
 from .graph import INFINITE, DiGraph, NoCutExistsError, reach
@@ -182,18 +183,6 @@ def _c_min(g: VertexCapGraph) -> Fraction:
     return Fraction(min((c for c in g.vcaps if c > 0), default=0), g.scale)
 
 
-def _rooted_start(ng: VertexCapGraph, r: int, arcs):
-    """Admissible sinks, and the zero cut onto the vertices the root cannot
-    reach along ``arcs`` (None when it reaches them all).  Raises
-    ValueError for a root outside 0..n-1 and NoCutExistsError when no
-    rooted vertex cut exists."""
-    zero = _unreached(ng, r, arcs)
-    admissible = _admissible_sinks(ng, r)
-    if not admissible:
-        raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
-    return admissible, zero
-
-
 def _singletons(g: VertexCapGraph, orientation="forward") -> list:
     """The vertex cut of every single-vertex sink, indexed by vertex, from
     one pass over the arcs.  In the reverse orientation the in-neighbours
@@ -213,19 +202,24 @@ def _singletons(g: VertexCapGraph, orientation="forward") -> list:
 # -- rooted approximation ----------------------------------------------------
 
 
-def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
-    """``level_prober`` of one rooted instance: the shared probe on the
-    split graph, rooted at r's out-copy, with in-copies of terminals drawn
-    by the edge sampler from the in-degrees of the admissible sinks.
-    Certificates are re-evaluated against the raw vertex capacities before
-    acceptance."""
+def _split_prober(base: VertexCapGraph, r: int, log):
+    """``level_prober`` of the rooted instance of ``base`` at ``r``, pruned
+    for ``r``, or None when it has no admissible sink: the shared probe on
+    the split graph, rooted at r's out-copy, with in-copies of terminals
+    drawn by the edge sampler from the in-degrees of the admissible sinks.
+    Pruning keeps the in-neighbourhood of every admissible sink, so no
+    vertex cut changes.  Certificates are re-evaluated against the raw
+    vertex capacities before acceptance."""
+    ng = prune_for_root(base, r)
+    admissible = frozenset(_admissible_sinks(ng, r))
+    if not admissible:
+        return None
     split = split_transform(ng)
     root_out = ng.n + r
-    admissible_set = frozenset(admissible)
-    deg = [d if v in admissible_set else 0 for v, d in enumerate(ng.in_degrees())]
+    deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
-        component = sink & admissible_set
+        component = sink & admissible
         if not component:
             return None
         cert = _sink_certificate(ng, component)
@@ -242,16 +236,19 @@ def _split_prober(ng: VertexCapGraph, admissible, r: int, log):
 
 
 def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
-    """Rooted cut: the best trivial cut, improved unless it is zero by
-    ``search(probe_at, best, c_min)`` with the instance's split prober."""
-    admissible, best = _rooted_start(ng, r, _positive_arcs(ng, r))
+    """Rooted cut: the zero cut onto the vertices ``r`` cannot reach through
+    positive-capacity vertices, else the best admissible singleton,
+    improved by ``search(probe_at, best, c_min)`` with the instance's split
+    prober.  Raises ValueError for a root outside 0..n-1 and
+    NoCutExistsError when no rooted vertex cut exists."""
+    best = _unreached(ng, r, _positive_arcs(ng, r))
+    admissible = _admissible_sinks(ng, r)
+    if not admissible:
+        raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
     if best is None:
         singletons = _singletons(ng)
         best = min((singletons[t] for t in admissible), key=attrgetter("rank"))
-    log = []
-    if best.value > 0:
-        best = search(_split_prober(ng, admissible, r, log), best, _c_min(ng))
-    return CutResult(best, _total_flow_calls(log), tuple(log))
+    return _search_tail(lambda log: _split_prober(ng, r, log), best, _c_min(ng), search)
 
 
 def approx_rooted_vertex_cut(
@@ -259,7 +256,6 @@ def approx_rooted_vertex_cut(
     r: int,
     epsilon,
     seed: int = 0,
-    threads: int = 1,
 ) -> CutResult:
     """Rooted vertex cut within (1+epsilon) of optimal w.h.p.
 
@@ -267,8 +263,7 @@ def approx_rooted_vertex_cut(
     NoCutExistsError when the root's out-neighborhood covers every other
     vertex (no rooted vertex cut exists at all).  A zero cut, found when
     the root cannot reach some vertex through positive-capacity vertices,
-    is returned without probing.  ``threads`` is accepted for compatibility
-    and ignored.
+    is returned without probing.
     """
     eps = clamp_epsilon(epsilon)
     search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
@@ -378,21 +373,14 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResul
     at tolerance ``root_eps``, in both orientations, each pruned for its
     root and left out when it has no admissible sink.  Nothing is drawn or
     probed when the trivial cut ``best`` is at most ``c_min`` (optimal)."""
-    c_min = _c_min(ng)
-    log = []
-    if best.value > c_min:
+    def make_prober(log):
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")))
-        rev = _reverse_topology(ng)
-        probers = []
-        for r in sorted(set(roots)):
-            for orientation, base in (("forward", ng), ("reverse", rev)):
-                pruned = prune_for_root(base, r)
-                admissible = _admissible_sinks(pruned, r)
-                if admissible:
-                    prober = _split_prober(pruned, admissible, r, log)
-                    probers.append((orientation, prober))
-        best = search(union_prober(probers), best, c_min)
-    return CutResult(best, _total_flow_calls(log), tuple(log))
+        bases = (("forward", ng), ("reverse", _reverse_topology(ng)))
+        members = [(orientation, _split_prober(base, r, log))
+                   for r in sorted(set(roots)) for orientation, base in bases]
+        return union_prober([(o, prober) for o, prober in members if prober is not None])
+
+    return _search_tail(make_prober, best, _c_min(ng), search)
 
 
 def approx_global_vertex_cut(
@@ -430,7 +418,6 @@ def exact_small_vertex_cut(
     g: VertexCapGraph,
     root=None,
     seed: int = 0,
-    threads: int = 1,
 ) -> CutResult:
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
@@ -448,8 +435,7 @@ def exact_small_vertex_cut(
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
     roots are drawn once, at the tolerance 1/(1+s) of level s, the value
-    of the best trivial cut.  ``threads`` is accepted for compatibility
-    and ignored.
+    of the best trivial cut.
     """
     _require_integer_vcaps(g)
     ng = _normalize(g)
@@ -479,8 +465,10 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted."""
     ng = _normalize(g)
     if root is not None:
-        admissible, zero = _rooted_start(ng, root, ng.arcs)
-        pairs = [(root, t) for t in admissible]
+        zero = _unreached(ng, root, ng.arcs)
+        pairs = [(root, t) for t in _admissible_sinks(ng, root)]
+        if not pairs:
+            raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
     else:
         zero = _global_start(ng)
         adjacent = set(ng.arcs)

@@ -105,7 +105,7 @@ def test_criterion_3_shrink_bound():
         level = Fraction(rng.randint(1, 8))
         volume = 2 ** rng.randint(0, 4)
         h = precondition_rooted(g, 0, level, volume, eps)
-        terminals = sample_terminals(g.in_degrees(), 0, 1, 50, random.Random(rng.random()))
+        terminals = sample_terminals(g.in_degrees(), 0, 1, random.Random(rng.random()))
         if not terminals:
             continue
         level_num = (1 + eps) * level * h.scale

@@ -83,7 +83,7 @@ def test_conditioning_invariant_exhaustive():
 def test_sampling_clamps_and_zero_degree():
     g = DiGraph(4, [(0, 1, 1), (1, 2, 1), (2, 1, 1)])  # vertex 3 has in-degree 0
     for seed in range(40):
-        picked = sample_terminals(g.in_degrees(), 0, 1, 2, random.Random(seed))
+        picked = sample_terminals(g.in_degrees(), 0, 1, random.Random(seed))
         assert picked == frozenset([1, 2])  # probability clamps to 1; 3 never
 
 
@@ -103,7 +103,7 @@ def test_sampling_empirical_mean():
     draws = 1000
     total = 0
     for seed in range(draws):
-        total += len(sample_terminals(g.in_degrees(), 0, volume, 2, random.Random(seed)))
+        total += len(sample_terminals(g.in_degrees(), 0, volume, random.Random(seed)))
     mean = total / draws
     assert abs(mean - exact) <= 0.10 * exact
 
@@ -112,8 +112,7 @@ def test_probe_g1_guarantee_window():
     # min r-cut of G1 is 2 with sink in-volume 2, inside the window of mu=4
     for seed in range(10):
         cfg = ProbeConfig(
-            level=Fraction(2), volume=4, epsilon=Fraction(1, 2),
-            sample_const=Fraction(50), seed=seed,
+            level=Fraction(2), volume=4, epsilon=Fraction(1, 2), seed=seed,
         )
         report = probe_rooted_edge(g1(), 0, cfg)
         cert = report.certificate

@@ -196,7 +196,7 @@ def test_shrink_bound_on_conditioned_instances():
         volume = 2 ** rng.randint(0, 4)
         h = precondition_rooted(g, 0, level, volume, eps)
         rng2 = random.Random(rng.random())
-        terminals = sample_terminals(g.in_degrees(), 0, 1, 50, rng2)  # dense sample
+        terminals = sample_terminals(g.in_degrees(), 0, 1, rng2)  # dense sample
         if not terminals:
             continue
         level_num = (1 + eps) * level * h.scale

@@ -381,8 +381,8 @@ def test_oracle_matches_brute_force():
 def test_determinism():
     rng = random.Random(39)
     g = rand_vertex_graph(rng, 8, p=0.35)
-    a = approx_rooted_vertex_cut(g, 0, "0.2", seed=4, threads=1)
-    b = approx_rooted_vertex_cut(g, 0, "0.2", seed=4, threads=3)
+    a = approx_rooted_vertex_cut(g, 0, "0.2", seed=4)
+    b = approx_rooted_vertex_cut(g, 0, "0.2", seed=4)
     assert a.certificate == b.certificate
 
 

@@ -105,14 +105,13 @@ def test_edge_skip_is_sound(g, epsilon, data):
 
 
 def _vertex_instances(g: VertexCapGraph):
-    """(graph, admissible sinks) of the rooted instances at vertex 0: the
-    normalized graph, as the rooted modes probe it, and its pruning, as
-    the global modes do."""
-    ng = _normalize(g)
-    for graph in (ng, prune_for_root(ng, 0)):
-        admissible = _admissible_sinks(graph, 0)
-        if admissible:
-            yield graph, admissible
+    """(graph, admissible sinks) of the rooted instance at vertex 0 as
+    every vertex mode probes it: the normalized graph pruned for the root,
+    when it has an admissible sink."""
+    pruned = prune_for_root(_normalize(g), 0)
+    admissible = _admissible_sinks(pruned, 0)
+    if admissible:
+        yield pruned, admissible
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,7 +121,7 @@ def test_vertex_skip_is_sound(g, epsilon, data):
     for graph, admissible in _vertex_instances(g):
         levels = _levels(min(brute_min_separator(graph, 0, t) for t in admissible))
         parts = _prober_parts(
-            dircut.vertexcut, lambda: _split_prober(graph, admissible, 0, []))
+            dircut.vertexcut, lambda: _split_prober(graph, 0, []))
         # split in-copies keep the vertex ids, so a vertex is its own terminal
         terminals = frozenset(data.draw(st.sets(st.sampled_from(admissible))))
         _skipped_probes_miss(parts, levels, epsilon)
@@ -174,14 +173,16 @@ def test_vertex_level_ends_at_a_full_sample():
     # vertex cut is at least 6, so level 1 misses at every guess
     n = 7
     g = VertexCapGraph(n, [(v, (v + d) % n) for v in range(n) for d in (1, n - 1)], [3] * n)
-    admissible = _admissible_sinks(g, 0)
-    volumes = _volume_schedule(g.m)
+    # the prober probes the instance pruned for the root
+    pruned = prune_for_root(g, 0)
+    admissible = _admissible_sinks(pruned, 0)
+    volumes = _volume_schedule(pruned.m)
     full = _full_sample_volume(volumes, n, [2] * len(admissible))
     assert full > volumes[0]
     log = []
     calls, patch = _counting(dircut.vertexcut)
     with patch:
-        assert _split_prober(g, admissible, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
+        assert _split_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
     probed = [volume for _, volume, _ in log]
     assert min(probed) >= full
     assert calls == probed
