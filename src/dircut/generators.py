@@ -52,6 +52,8 @@ def _cycle(seed, n=3, caps=None, wmax=10, **extra):
     rng = random.Random(seed)
     if caps is None:
         caps = [rng.randint(1, wmax) for _ in range(n)]
+    _at_least("len(caps)", len(caps), 1)
+    _at_least("caps", min(caps), 0)
     arcs = [(i, (i + 1) % n, caps[i % len(caps)]) for i in range(n)]
     meta = {"family": "cycle", "n": n, "seed": seed}
     return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
@@ -76,6 +78,8 @@ def _erdos_renyi(seed, n=10, p=0.3, wmax=10, ensure_strong=True,
         raise ValueError("p must lie in [0, 1]")
     _at_least("wmax", wmax, 1)
     _at_least("vcap_max", vcap_max, 1)
+    if kind not in ("edge-cap", "vertex-cap"):
+        raise ValueError(f"kind must be 'edge-cap' or 'vertex-cap', got {kind!r}")
     rng = random.Random(seed)
     pairs = set()
     for u in range(n):
@@ -107,6 +111,7 @@ def _planted_sink(seed, n=20, sink_size=4, volume=12, value=5,
     ambient_size = n - sink_size
     if sink_size < 2 or ambient_size < 2:
         raise ValueError("need at least 2 ambient and 2 sink vertices")
+    _at_least("out_degree", out_degree, 1)
     if hub_out is None:
         # vertex 0 doubles as the conventional root; give it a wide fan-out
         # so rooted runs are not supply-starved at the source

@@ -143,14 +143,22 @@ def test_generated_files_parse_back(family, params):
     ("planted-sink", {"hub_out": -1}, "hub_out"),
     ("layered-dag-backarcs", {"p": 2}, "p"),
     ("layered-dag-backarcs", {"p": -0.5}, "p"),
+    ("planted-sink", {"out_degree": -3}, "out_degree"),
+    ("cycle", {"caps": []}, "len(caps)"),
+    ("cycle", {"caps": [-1, 2]}, "caps"),
+    ("erdos-renyi-digraph", {"kind": "vertex"}, "kind"),
 ])
 def test_generate_rejects_capacity_parameters_out_of_range(family, params, name, tmp_path,
                                                            capsys):
-    # p is a probability; every other parameter here has only a lower bound
-    message = "p must lie in [0, 1]" if name == "p" else f"{name} must be at least"
+    # p is a probability and kind one of two names; every other parameter
+    # here has only a lower bound
+    message = {"p": "p must lie in [0, 1]",
+               "kind": "kind must be 'edge-cap' or 'vertex-cap'"}.get(name, f"{name} must be at least")
     with pytest.raises(ValueError) as info:
         generate(family, **params)
     assert str(info.value).startswith(message)
+    if name in ("len(caps)", "caps", "kind"):
+        return  # caps is library-only, and --kind accepts only the two names
     argv = ["generate", "--family", family, "--out", str(tmp_path / "g.gr")]
     for key, value in params.items():
         argv += [f"--{key.replace('_', '-')}", str(value)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dircut.vertexcut
 from dircut import (
     NoCutExistsError,
     VertexCapGraph,
@@ -219,6 +220,27 @@ def test_prune_safety_oracle_equal():
             continue
         after = exact_vertex_cut_oracle(prune_for_root(g, r), root=r).value
         assert before == after
+
+
+def test_rooted_solves_probe_the_pruned_instance(monkeypatch):
+    # the bidirectional 7-cycle with vertex capacities 3: every singleton
+    # cut is 6, above the least capacity, so both solvers probe
+    n, r = 7, 3
+    g = VertexCapGraph(n, [(v, (v + d) % n) for v in range(n) for d in (1, n - 1)], [3] * n)
+    fanout = g.out_neighbors(r)
+    received = []
+    real = dircut.vertexcut.split_transform
+
+    def spy(graph):
+        received.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(dircut.vertexcut, "split_transform", spy)
+    approx_rooted_vertex_cut(g, r, "0.2", seed=1)
+    exact_small_vertex_cut(g, root=r, seed=1)
+    assert len(received) == 2
+    for graph in received:
+        assert all(v != r and (v not in fanout or u == r) for u, v in graph.arcs)
 
 
 def test_prune_yield_matches_probability_calculation():
