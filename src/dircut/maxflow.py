@@ -32,7 +32,9 @@ class MaxFlowResult:
 
     ``source_side`` is the set of vertices reachable from the source in
     the residual graph, which makes the induced minimum cut deterministic.
-    ``residual`` holds the final residual capacities of the paired edges.
+    ``residual`` holds the final residual capacities of the paired edges:
+    edge ``2i`` is ``graph.arcs[i]`` and edge ``2i+1`` its reverse, whose
+    residual capacity is the flow on that arc.
     """
 
     graph: DiGraph
@@ -41,12 +43,6 @@ class MaxFlowResult:
     value: int  # numerator at graph.scale
     source_side: frozenset
     residual: list = field(repr=False, compare=False)
-
-    @property
-    def flows(self) -> tuple:
-        """``flows[i]`` is the flow on ``graph.arcs[i]``: the residual
-        capacity of its reverse edge, which starts at zero."""
-        return tuple(self.residual[1 : 2 * self.graph.m : 2])
 
 
 def _network(g: DiGraph):
@@ -76,8 +72,8 @@ def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
 
     ``demands`` lists ``(vertex, numerator)`` arcs into an extra vertex
     ``g.n``, the supersink, appended after ``g``'s arcs; infinite arcs
-    then get the sentinel the extended graph would have.  ``flows`` and
-    ``min_cut_sink_side`` describe ``g`` alone, so read only
+    then get the sentinel the extended graph would have.  ``residual``
+    and ``min_cut_sink_side`` describe ``g`` alone, so read only
     ``value`` and ``source_side`` from a flow with demands.
     """
     n = g.n + 1 if demands else g.n
@@ -186,20 +182,3 @@ def min_cut_sink_side(res: MaxFlowResult) -> CutCertificate:
     cert = cut_certificate(g, sink)
     assert cert.value == g.value(res.value), "max-flow/min-cut duality violated"
     return cert
-
-
-def verify_flow(g: DiGraph, flows, s: int, t: int) -> bool:
-    """Check capacity feasibility and conservation exactly. Test helper."""
-    if len(flows) != g.m:
-        return False
-    for (u, v, c), f in zip(g.arcs, flows):
-        if f < 0 or f > c:
-            return False
-    net = [0] * g.n
-    for (u, v, _), f in zip(g.arcs, flows):
-        net[u] -= f
-        net[v] += f
-    for v in range(g.n):
-        if v not in (s, t) and net[v] != 0:
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and instance generators.
+"""Shared brute-force oracles, instance generators and test helpers.
 
 The oracles here enumerate subsets or separators directly and never call
 the library's flow or certificate machinery, so they stay independent of
@@ -70,6 +70,30 @@ def golden_main(argv, path, compute):
             if old.get(field) != new.get(field):
                 print(f"  {field}: {json.dumps(old.get(field))} -> {json.dumps(new.get(field))}")
     print(f"{len(changed)} of {len(recorded)} recorded entries differ")
+
+
+def arc_flows(res):
+    """The flow on each arc of ``res.graph``, in arc order: the residual
+    capacity of the arc's reverse edge (edge 2i+1 of the flow network),
+    which starts at zero."""
+    return tuple(res.residual[1 : 2 * res.graph.m : 2])
+
+
+def verify_flow(g, flows, s, t):
+    """Check capacity feasibility and conservation of ``flows`` exactly."""
+    if len(flows) != g.m:
+        return False
+    for (u, v, c), f in zip(g.arcs, flows):
+        if f < 0 or f > c:
+            return False
+    net = [0] * g.n
+    for (u, v, _), f in zip(g.arcs, flows):
+        net[u] -= f
+        net[v] += f
+    for v in range(g.n):
+        if v not in (s, t) and net[v] != 0:
+            return False
+    return True
 
 
 def cut_value(g, sink):

@@ -9,16 +9,17 @@ from dircut import (
     DiGraph,
     max_flow,
     min_cut_sink_side,
-    verify_flow,
 )
 
 from conftest import (
+    arc_flows,
     brute_min_st_cut,
     brute_minimal_source_side,
     capacities,
     g1,
     rand_digraph,
     tiny_graphs,
+    verify_flow,
 )
 
 
@@ -69,7 +70,7 @@ def test_duality_arc_by_arc():
         res = max_flow(g, s, t)
         side = res.source_side
         assert s in side and t not in side
-        for (u, v, c), f in zip(g.arcs, res.flows):
+        for (u, v, c), f in zip(g.arcs, arc_flows(res)):
             if u in side and v not in side:
                 assert f == c, "forward cut arc must be saturated"
             if u not in side and v in side:
@@ -83,21 +84,21 @@ def test_integrality_and_feasibility():
         s, t = rng.sample(range(g.n), 2)
         res = max_flow(g, s, t)
         assert isinstance(res.value, int)
-        assert all(isinstance(f, int) for f in res.flows)
-        assert verify_flow(g, res.flows, s, t)
+        assert all(isinstance(f, int) for f in arc_flows(res))
+        assert verify_flow(g, arc_flows(res), s, t)
 
 
 def test_verify_flow_rejects_corruptions():
     g = DiGraph(3, [(0, 1, 2), (1, 2, 2)])
     res = max_flow(g, 0, 2)
-    assert verify_flow(g, res.flows, 0, 2)
-    over = list(res.flows)
+    assert verify_flow(g, arc_flows(res), 0, 2)
+    over = list(arc_flows(res))
     over[0] += 1  # exceeds capacity by one scale unit
     assert not verify_flow(g, tuple(over), 0, 2)
-    broken = list(res.flows)
+    broken = list(arc_flows(res))
     broken[1] -= 1  # violates conservation at vertex 1
     assert not verify_flow(g, tuple(broken), 0, 2)
-    assert not verify_flow(g, res.flows[:1], 0, 2)
+    assert not verify_flow(g, arc_flows(res)[:1], 0, 2)
 
 
 def test_infinite_arcs_participate():
@@ -126,9 +127,9 @@ def test_max_flow_matches_brute_force(problem):
     res = max_flow(g, s, t)
     assert g.value(res.value) == brute_min_st_cut(g, s, t)
     assert res.source_side == brute_minimal_source_side(g, s, t)
-    assert verify_flow(g, res.flows, s, t)
+    assert verify_flow(g, arc_flows(res), s, t)
     net = 0
-    for (u, v, _), f in zip(g.arcs, res.flows):
+    for (u, v, _), f in zip(g.arcs, arc_flows(res)):
         net += f if u == s else -f if v == s else 0
     assert net == res.value
 
