@@ -14,14 +14,17 @@ A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
 guesses, largest (cheapest) first, until one returns a certificate.  The
 searches only ask whether a cut below the inflated level exists, and any
-returned certificate is valid and below it, so the first one answers.  A
-guess whose sampled terminals all missed at larger guesses of the same
-level is skipped: the floor, the cap and the level do not depend on the
-volume, and the root arcs grow as it shrinks, so the conditioned graph of
-a smaller guess dominates that of a larger one arc by arc.  A missed
-terminal has connectivity at least the probe's threshold, so it misses at
-every smaller guess too.  The skip therefore returns what probing every
-guess would, and the miss probability is that of probing them all.
+returned certificate is valid and below it, so the first one answers.
+Each guess probes only the sampled terminals that no larger guess of the
+same level has probed, and is skipped when none is left: the floor, the
+cap and the level do not depend on the volume, and the root arcs grow as
+it shrinks, so the conditioned graph of a smaller guess dominates that of
+a larger one arc by arc.  A missed terminal has connectivity at least the
+probe's threshold, so it misses at every smaller guess too.  A probe hits
+exactly when one of its terminals lies below the threshold, so trimming
+the sample keeps every probe's hit or miss, and the miss probability is
+that of probing every guess in full.  Only which certificate a hit
+returns can change, because the terminal groups change.
 One bisection (``bisect_levels``) serves both searches.  The approximate
 modes run it on a geometric grid of levels computed by index
 (``level_search``); the grid ratio and the per-probe inflation are both
@@ -323,16 +326,18 @@ def level_prober(sample, run_probe, volumes, log):
     every guess has missed.  ``sample`` maps a ProbeConfig to its terminals
     and ``run_probe`` maps a ProbeConfig and those terminals to a
     ProbeReport; each probe run appends (level, volume, flow calls) to
-    ``log``.  A guess whose terminals all belong to probes that missed
-    earlier in the same call is not run: its conditioned graph dominates
-    theirs arc by arc, so it would miss too (see the module docstring)."""
+    ``log``.  A guess probes only its terminals that no probe earlier in
+    the same call has probed, and is not run when none is left: every
+    earlier probe missed, and the guess's conditioned graph dominates
+    theirs arc by arc, so those terminals would miss again (see the module
+    docstring)."""
     def probe_at(level, epsilon, seed_parts):
         missed = set()
         for j in reversed(range(len(volumes))):
             cfg = ProbeConfig(level=level, volume=volumes[j], epsilon=epsilon,
                               seed=derive_seed(*seed_parts, j))
-            terminals = sample(cfg)
-            if terminals <= missed:
+            terminals = sample(cfg) - missed
+            if not terminals:
                 continue
             rep = run_probe(cfg, terminals)
             log.append((level, volumes[j], rep.flow_calls))

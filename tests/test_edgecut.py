@@ -255,11 +255,14 @@ def test_grid_levels(scale, epsilon):
         assert level <= level_at(i + 1) <= level * bound, i
 
 
-def _stub_run_probe(hits, configs):
-    """``run_probe`` that records each ProbeConfig and finds a cut of
-    value ``hits[volume]`` at the volumes in ``hits``, 5 flows a probe."""
-    def run_probe(cfg, _terminals):
+def _stub_run_probe(hits, configs, probed=None):
+    """``run_probe`` that records each ProbeConfig, and in ``probed`` when
+    given the terminals it is passed, and finds a cut of value
+    ``hits[volume]`` at the volumes in ``hits``, 5 flows a probe."""
+    def run_probe(cfg, terminals):
         configs.append(cfg)
+        if probed is not None:
+            probed.append(terminals)
         cert = None
         if cfg.volume in hits:
             cert = CutCertificate(frozenset([cfg.volume]), (), Fraction(hits[cfg.volume]))
@@ -283,33 +286,41 @@ VOLUMES = [1, 2, 4, 8, 16]
 
 def test_level_prober_misses_at_every_uncovered_volume_largest_first():
     # no sample is a subset of the others, so a miss probes every volume
-    configs, log = [], []
-    probe_at = level_prober(_stub_sample(), _stub_run_probe({}, configs), VOLUMES, log)
+    configs, probed, log = [], [], []
+    probe_at = level_prober(_stub_sample(), _stub_run_probe({}, configs, probed),
+                            VOLUMES, log)
     assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
     # every volume, largest first, each seeded by its index in VOLUMES
     assert [c.volume for c in configs] == [16, 8, 4, 2, 1]
     assert [c.seed for c in configs] == [derive_seed("s", 2, j) for j in (4, 3, 2, 1, 0)]
     assert all((c.level, c.epsilon) == (3, Fraction(1, 4)) for c in configs)
     assert log == [(3, v, 5) for v in (16, 8, 4, 2, 1)]
+    # each sample is disjoint from the missed union, so it is probed whole
+    assert probed == [frozenset([v]) for v in (16, 8, 4, 2, 1)]
 
 
 def test_level_prober_skips_volumes_whose_sample_already_missed():
     # 4 draws {2}, inside the misses {1} and {1, 2} of 16 and 8; 1 draws
     # nothing; 2 draws the new terminal 3, so it runs
     samples = {16: [1], 8: [1, 2], 4: [2], 2: [1, 3], 1: []}
-    drawn, configs, log = [], [], []
-    probe_at = level_prober(_stub_sample(samples, drawn), _stub_run_probe({}, configs),
-                            VOLUMES, log)
+    drawn, configs, probed, log = [], [], [], []
+    probe_at = level_prober(_stub_sample(samples, drawn),
+                            _stub_run_probe({}, configs, probed), VOLUMES, log)
     assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
     # every volume is sampled with its own seed; only the uncovered ones run
     assert [c.seed for c in drawn] == [derive_seed("s", 2, j) for j in (4, 3, 2, 1, 0)]
     assert [c.volume for c in configs] == [16, 8, 2]
     assert [c.seed for c in configs] == [derive_seed("s", 2, j) for j in (4, 3, 1)]
     assert log == [(3, v, 5) for v in (16, 8, 2)]
+    # each probe gets its sample minus the union of the terminals missed
+    # before it: 8 probes {1, 2} - {1}, and 2 probes {1, 3} - {1, 2}
+    assert probed == [frozenset([1]), frozenset([2]), frozenset([3])]
     # the union is kept per call: the next level starts afresh
     log.clear()
+    probed.clear()
     assert probe_at(Fraction(4), Fraction(1, 4), ("s", 3)) is None
     assert log == [(4, v, 5) for v in (16, 8, 2)]
+    assert probed == [frozenset([1]), frozenset([2]), frozenset([3])]
 
 
 def test_level_prober_returns_the_first_certificate():

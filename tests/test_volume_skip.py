@@ -1,13 +1,14 @@
-"""The volume-guess skip of ``level_prober``: within one level, a guess
-whose sampled terminals all belong to probes that already missed is not
-run.
+"""The volume-guess trim of ``level_prober``: within one level, a guess
+probes only its sampled terminals that no probe before it has probed
+(they all missed), and is not run when none is left.
 
 The conditioned graph of a smaller in-volume guess dominates that of a
-larger one arc by arc, so such a guess would miss too.  The soundness
-tests force-run every probe the rule skips and check that it returns no
-certificate, and check the domination lemma directly on fixed terminal
-sets.  The counting tests check that a level ends once a probe has
-sampled every eligible terminal.
+larger one arc by arc, so a terminal that missed would miss again.  The
+soundness tests force-run every probe the rule skips and check that it
+returns no certificate, check that every probe it runs hits exactly when
+its untrimmed sample would, and check the domination lemma directly on
+fixed terminal sets.  The counting tests check that a level ends once a
+probe has sampled every eligible terminal.
 """
 
 import math
@@ -68,6 +69,25 @@ def _skipped_probes_miss(parts, levels, epsilon):
             assert run_probe(cfg, terminals).certificate is None, cfg
 
 
+def _trim_keeps_hits(parts, levels, epsilon):
+    """Probe each of ``levels`` with one real ``level_prober``, then check
+    at every probe it ran that the whole sample hits exactly when the
+    trimmed terminals did."""
+    sample, run_probe, volumes = parts
+    ran = []
+
+    def spy_run(cfg, terminals):
+        report = run_probe(cfg, terminals)
+        ran.append((cfg, report.certificate is None))
+        return report
+
+    probe_at = level_prober(sample, spy_run, volumes, [])
+    for level in levels:
+        probe_at(level, epsilon, ("trim",))
+    for cfg, missed in ran:
+        assert (run_probe(cfg, sample(cfg)).certificate is None) == missed, cfg
+
+
 def _misses_go_down(parts, terminals, level, epsilon):
     """For the fixed ``terminals``, a miss at one volume guess implies a
     miss at every smaller guess."""
@@ -104,6 +124,15 @@ def test_edge_skip_is_sound(g, epsilon, data):
             _misses_go_down(parts, terminals, level, epsilon)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tiny_graphs(), EPSILONS)
+def test_edge_trim_keeps_every_hit(g, epsilon):
+    levels = _levels(brute_min_rooted_cut(g, 0)[0])
+    for base in (g, merge_parallel(g)):
+        parts = _prober_parts(dircut.edgecut, lambda: _edge_prober(base, 0, []))
+        _trim_keeps_hits(parts, levels, epsilon)
+
+
 def _vertex_instances(g: VertexCapGraph):
     """(graph, admissible sinks) of the rooted instance at vertex 0 as
     every vertex mode probes it: the normalized graph pruned for the root,
@@ -127,6 +156,16 @@ def test_vertex_skip_is_sound(g, epsilon, data):
         _skipped_probes_miss(parts, levels, epsilon)
         for level in levels if terminals else ():
             _misses_go_down(parts, terminals, level, epsilon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)),
+       EPSILONS)
+def test_vertex_trim_keeps_every_hit(g, epsilon):
+    for graph, admissible in _vertex_instances(g):
+        levels = _levels(min(brute_min_separator(graph, 0, t) for t in admissible))
+        parts = _prober_parts(dircut.vertexcut, lambda: _split_prober(graph, 0, []))
+        _trim_keeps_hits(parts, levels, epsilon)
 
 
 def _full_sample_volume(volumes, n, degrees):
