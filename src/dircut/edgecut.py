@@ -8,7 +8,10 @@ proportional to in-degree, and run the shrink-wrap recursion at a slightly
 inflated connectivity target (``probe``).  Any cut that comes back is
 re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
-statements only govern how good they are.
+statements only govern how good they are.  Every probe of one rooted
+instance conditions the same arcs, so a prober validates them, and its
+flows share their residual arrays, once (``RootedTopology``); a probe
+computes only its capacities.
 
 A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
@@ -51,7 +54,6 @@ from fractions import Fraction
 from functools import partial
 
 from .graph import (
-    INFINITE,
     CutCertificate,
     DiGraph,
     NoCutExistsError,
@@ -60,7 +62,7 @@ from .graph import (
     reach,
     reverse,
 )
-from .maxflow import max_flow, min_cut_sink_side
+from .maxflow import max_flow, min_cut_sink_side, share_network
 from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
 
 
@@ -114,6 +116,31 @@ class ProbeConfig:
             raise ValueError("epsilon must lie in (0, 1)")
 
 
+class RootedTopology:
+    """The arcs that every conditioned graph of the rooted instance
+    (``base``, ``root``) shares: the base arcs, in their order, then a root
+    arc (root, v) to every non-root vertex v with positive in-degree.  The
+    arcs are validated once (``template``), and their residual arrays are
+    built at the first probe; a probe only computes its capacities.
+    ``supply_arcs`` lists the arcs whose capacities sum to the root's
+    effective out-capacity (see ``group_capacity``)."""
+
+    def __init__(self, base: DiGraph, root: int):
+        degrees = base.in_degrees()
+        heads = [v for v, deg in enumerate(degrees) if v != root and deg > 0]
+        self.base = base
+        self.root = root
+        self.base_caps = [c for _, _, c in base.arcs]
+        self.root_degrees = [degrees[v] for v in heads]
+        self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
+        self.supply_arcs = supply_arcs(self.template, root)
+
+    def graph(self, caps, scale) -> DiGraph:
+        """The conditioned graph with numerators ``caps``, one per arc, at
+        ``scale``, on the shared residual arrays."""
+        return share_network(self.template.with_capacities(caps, scale), self.template)
+
+
 def condition_rooted(
     base: DiGraph,
     r: int,
@@ -122,6 +149,7 @@ def condition_rooted(
     epsilon: Fraction,
     aux_divisor: int,
     floor: Fraction,
+    topology: RootedTopology | None = None,
 ) -> DiGraph:
     """Shared preconditioning: per-vertex root arcs plus weight truncation.
 
@@ -131,10 +159,15 @@ def condition_rooted(
     output's arcs are the base arcs first, in their order and with their
     endpoints, then the root arcs.  For every sink set U the cut into U is
     at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
-    measured in the output graph (the conditioning ratio).
+    measured in the output graph (the conditioning ratio).  ``topology``,
+    the ``RootedTopology`` of (base, r), is built here when omitted.
     """
     if level <= 0:
         raise ValueError("level must be positive")
+    if topology is None:
+        topology = RootedTopology(base, r)
+    elif topology.base is not base or topology.root != r:
+        raise ValueError("topology of another rooted instance")
     quantum = epsilon * level / (aux_divisor * volume)
     needed = [quantum, floor, level, epsilon * level]
     new_scale = base.scale
@@ -144,29 +177,21 @@ def condition_rooted(
     floor_num = int(floor * new_scale)
     cap_num = int(2 * level * new_scale)
     quantum_num = int(quantum * new_scale)
-
-    arcs = []
-    for i, (t, h, c) in enumerate(base.arcs):
-        if i in base.inf_arcs:
-            arcs.append((t, h, INFINITE))
-        else:
-            arcs.append((t, h, min(max(c * factor, floor_num), cap_num)))
-    degrees = base.in_degrees()
-    for v, deg in enumerate(degrees):
-        if v != r and deg > 0:
-            arcs.append((r, v, quantum_num * deg))
-    return DiGraph(base.n, arcs, scale=new_scale)
+    # entries at infinite arcs are overwritten by ``graph``
+    caps = [min(max(c * factor, floor_num), cap_num) for c in topology.base_caps]
+    caps += [quantum_num * deg for deg in topology.root_degrees]
+    return topology.graph(caps, new_scale)
 
 
 def precondition_rooted(
-    g: DiGraph, r: int, level, volume: int, epsilon
+    g: DiGraph, r: int, level, volume: int, epsilon, topology=None
 ) -> DiGraph:
     """Edge-cut preconditioning: aux weight eps*level*indeg/(2*volume),
     original weights clamped into [eps*level/(2m), 2*level]."""
     level = as_fraction(level)
     epsilon = as_fraction(epsilon)
     floor = epsilon * level / (2 * max(g.m, 1))
-    return condition_rooted(g, r, level, volume, epsilon, 2, floor)
+    return condition_rooted(g, r, level, volume, epsilon, 2, floor, topology)
 
 
 def sample_terminals(deg, r: int, volume: int, rng):
@@ -192,27 +217,34 @@ class ProbeReport:
     steiner_stats: tuple
 
 
-def group_capacity(h: DiGraph, r: int, level_num: int) -> int:
+def supply_arcs(h: DiGraph, r: int) -> list:
+    """The arcs whose capacities sum to the root's effective out-capacity:
+    every finite arc out of ``r``, and for every infinite arc out of ``r``
+    the finite arcs out of its head (in a split graph that is the head's
+    own split arc)."""
+    finite_out = [[] for _ in range(h.n)]
+    for i, (t, _, _) in enumerate(h.arcs):
+        if i not in h.inf_arcs:
+            finite_out[t].append(i)
+    arcs = []
+    for i, (t, head, _) in enumerate(h.arcs):
+        if t == r:
+            arcs.extend(finite_out[head] if i in h.inf_arcs else (i,))
+    return arcs
+
+
+def group_capacity(h: DiGraph, supply: list, level_num: int) -> int:
     """Terminal group size for one probe.
 
     One group's total demand (level per terminal) is kept within half the
-    root's effective out-capacity, so groups that are fully connected at
-    the probe level certify at the top of the recursion in two flows
-    instead of splitting all the way down.  Infinite arcs out of the root
-    contribute the finite out-capacity of their heads (in a split graph
-    that is the head's own split arc).  Never below the classic
+    root's effective out-capacity, the capacities of the arcs ``supply``
+    (``supply_arcs``), so groups that are fully connected at the probe
+    level certify at the top of the recursion in two flows instead of
+    splitting all the way down.  Never below the classic
     conditioning-based group size, which this dominates.
     """
-    finite_out = [0] * h.n
-    for i, (t, _, c) in enumerate(h.arcs):
-        if i not in h.inf_arcs:
-            finite_out[t] += c
-    supply = 0
-    for i, (t, head, c) in enumerate(h.arcs):
-        if t != r:
-            continue
-        supply += finite_out[head] if i in h.inf_arcs else c
-    return max(1, supply // (2 * level_num))
+    arcs = h.arcs
+    return max(1, sum(arcs[i][2] for i in supply) // (2 * level_num))
 
 
 def _better(a, b):
@@ -224,14 +256,16 @@ def _better(a, b):
     return a if a.rank <= b.rank else b
 
 
-def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeReport:
+def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
+          supply=None) -> ProbeReport:
     """Shrink-wrap every terminal group of one probe on the conditioned
     graph ``h`` at connectivity target threshold = (1+epsilon)*level.
 
     ``extract`` maps the sink set of each cut found to a certificate
     evaluated on the caller's own graph (or None), once per distinct sink
     set; only certificates of value strictly below ``threshold`` are kept,
-    and the best of them by rank is returned.
+    and the best of them by rank is returned.  ``supply`` is
+    ``supply_arcs(h, r)``, computed here when omitted.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -242,7 +276,9 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract) -> ProbeRepo
     sinks = {}  # distinct Below sink sets, in first-seen order
     calls = 0
     all_stats = []
-    for group in partition_terminals(terminals, group_capacity(h, r, level_num)):
+    if supply is None:
+        supply = supply_arcs(h, r)
+    for group in partition_terminals(terminals, group_capacity(h, supply, level_num)):
         outcome, stats = shrink_wrap(SteinerInstance(h, r, frozenset(group), level_num))
         calls += stats.raw_flow_calls
         all_stats.append(stats)
@@ -264,9 +300,11 @@ def _edge_sample(deg, r: int, cfg: ProbeConfig) -> frozenset:
     return sample_terminals(deg, r, cfg.volume, random.Random(cfg.seed))
 
 
-def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None) -> ProbeReport:
+def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None,
+                      topology=None) -> ProbeReport:
     """One preconditioned shrink-wrap probe of ``terminals``, the sample
-    that ``cfg.seed`` draws (drawn here when None).
+    that ``cfg.seed`` draws (drawn here when None), on the
+    ``RootedTopology`` of (g, r) (built here when None).
 
     If a certificate is returned it is a valid rooted cut in ``g`` itself,
     re-evaluated against untruncated capacities, with value strictly below
@@ -274,9 +312,11 @@ def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None) -> P
     """
     if terminals is None:
         terminals = _edge_sample(g.in_degrees(), r, cfg)
-    h = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon)
+    if topology is None:
+        topology = RootedTopology(g, r)
+    h = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon, topology)
     return probe(h, r, terminals, cfg,
-                 lambda sink: cut_certificate(g, sink, root=r))
+                 lambda sink: cut_certificate(g, sink, root=r), topology.supply_arcs)
 
 
 def _volume_schedule(m: int) -> list:
@@ -453,11 +493,13 @@ def _search_tail(make_prober, best, floor, search) -> CutResult:
 
 
 def _edge_prober(gm: DiGraph, r: int, log):
-    """``level_prober`` of the rooted edge instance (gm, r)."""
+    """``level_prober`` of the rooted edge instance (gm, r), whose probes
+    share one ``RootedTopology``."""
     deg = gm.in_degrees()
+    topology = RootedTopology(gm, r)
     return level_prober(
         lambda cfg: _edge_sample(deg, r, cfg),
-        lambda cfg, terminals: probe_rooted_edge(gm, r, cfg, terminals),
+        lambda cfg, terminals: probe_rooted_edge(gm, r, cfg, terminals, topology),
         _volume_schedule(gm.m), log,
     )
 
@@ -602,7 +644,7 @@ def exact_small_edge_cut(
     double the level from the smallest positive capacity with per-level
     tolerance 1/(1+level), then binary search the integers above the last
     failed level up to the first witnessed level: about one probed level per
-    bit of the optimum (20795 flows on the bidirectional 6-cycle with
+    bit of the optimum (13292 flows on the bidirectional 6-cycle with
     capacities 10^400).  At integer granularity a (1+1/(1+level))-approximate
     answer is exact.  A probe can miss, so the value is exact only w.h.p.;
     the certificate is always a valid cut."""

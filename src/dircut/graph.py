@@ -78,6 +78,34 @@ class DiGraph:
         )
         self._flow_network = None
 
+    def with_capacities(self, caps, scale) -> "DiGraph":
+        """A graph with this graph's arcs, in order, and its infinite arcs,
+        but the finite numerators ``caps`` (one per arc; the list is
+        modified, and entries at infinite arcs are overwritten) at
+        ``scale``.  Only the capacities are checked; ``maxflow.share_network``
+        then gives it this graph's residual arrays."""
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        if len(caps) != len(self.arcs):
+            raise ValueError("need one capacity per arc")
+        inf_ids = self.inf_arcs
+        for i in inf_ids:
+            caps[i] = 0
+        if not all(type(c) is int for c in caps):
+            raise TypeError("capacity numerators must be int")
+        if caps and min(caps) < 0:
+            raise ValueError("negative capacity")
+        g = DiGraph.__new__(DiGraph)
+        g.n = self.n
+        g.scale = scale
+        g.inf_arcs = inf_ids
+        g.inf_value = sum(caps) + 1
+        for i in inf_ids:
+            caps[i] = g.inf_value
+        g.arcs = tuple([(t, h, c) for (t, h, _), c in zip(self.arcs, caps)])
+        g._flow_network = None
+        return g
+
     # -- basic accessors -------------------------------------------------
 
     @property

@@ -7,8 +7,9 @@ faster solver could replace it without touching callers.
 
 The residual network of a graph is built once and kept on the graph,
 which is immutable: edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its
-reverse, with per-vertex lists of edge ids.  A call copies only the
-capacities.  Demand arcs into a supersink ``g.n`` ride as a suffix of
+reverse, with per-vertex lists of edge ids.  Graphs that differ only in
+capacities can share one set of those arrays (``share_network``).  A
+call copies only the capacities.  Demand arcs into a supersink ``g.n`` ride as a suffix of
 the graph's arrays, which is how the Steiner recursion routes to a
 terminal set without building a new graph.
 
@@ -65,6 +66,17 @@ def _network(g: DiGraph):
             e += 2
         net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
     return net
+
+
+def share_network(g: DiGraph, like: DiGraph) -> DiGraph:
+    """Give ``g`` the residual arrays of ``like``, a graph with the same
+    arcs and infinite arcs but other capacities, so that only ``g``'s
+    capacities are new; returns ``g``."""
+    head, _, adj, inf_edges = _network(like)
+    cap = [0] * len(head)
+    cap[0::2] = [c for _, _, c in g.arcs]
+    g._flow_network = (head, cap, adj, inf_edges)
+    return g
 
 
 def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:

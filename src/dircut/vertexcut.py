@@ -29,6 +29,7 @@ from operator import attrgetter
 
 from .edgecut import (
     CutResult,
+    RootedTopology,
     as_fraction,
     clamp_epsilon,
     condition_rooted,
@@ -205,8 +206,9 @@ def _singletons(g: VertexCapGraph, orientation="forward") -> list:
 def _split_prober(base: VertexCapGraph, r: int, log):
     """``level_prober`` of the rooted instance of ``base`` at ``r``, pruned
     for ``r``, or None when it has no admissible sink: the shared probe on
-    the split graph, rooted at r's out-copy, with in-copies of terminals
-    drawn by the edge sampler from the in-degrees of the admissible sinks.
+    the split graph, rooted at r's out-copy, on one ``RootedTopology``,
+    with in-copies of terminals drawn by the edge sampler from the
+    in-degrees of the admissible sinks.
     Pruning keeps the in-neighbourhood of every admissible sink, so no
     vertex cut changes.  Certificates are re-evaluated against the raw
     vertex capacities before acceptance."""
@@ -216,6 +218,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
         return None
     split = split_transform(ng)
     root_out = ng.n + r
+    topology = RootedTopology(split, root_out)
     deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
@@ -228,8 +231,9 @@ def _split_prober(base: VertexCapGraph, r: int, log):
 
     def run(cfg, terminals):
         floor = cfg.epsilon * cfg.level / (4 * ng.n)
-        h = condition_rooted(split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor)
-        return probe(h, root_out, terminals, cfg, extract)
+        h = condition_rooted(split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor,
+                             topology)
+        return probe(h, root_out, terminals, cfg, extract, topology.supply_arcs)
 
     return level_prober(lambda cfg: _edge_sample(deg, r, cfg), run,
                         _volume_schedule(max(ng.m, 1)), log)
@@ -426,7 +430,7 @@ def exact_small_vertex_cut(
     level doubles from the smallest positive capacity until a certificate
     appears (or the trivial singleton bound is passed), then the integers
     above the last failed level are binary searched up to it, about one
-    probed level per bit of the optimum (55959 flows for the global cut
+    probed level per bit of the optimum (39872 flows for the global cut
     of the bidirectional 6-cycle with capacities 10^400); a singleton at
     the smallest positive capacity is returned without probing.
     Per-level tolerance 1/(1+level) makes integer answers exact; a probe
