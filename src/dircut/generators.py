@@ -53,7 +53,8 @@ def _cycle(seed, n=3, caps=None, wmax=10, **extra):
     if caps is None:
         caps = [rng.randint(1, wmax) for _ in range(n)]
     _at_least("len(caps)", len(caps), 1)
-    _at_least("caps", min(caps), 0)
+    for cap in caps:
+        _at_least("caps", cap, 0)
     arcs = [(i, (i + 1) % n, caps[i % len(caps)]) for i in range(n)]
     meta = {"family": "cycle", "n": n, "seed": seed}
     return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
@@ -122,8 +123,7 @@ def _planted_sink(seed, n=20, sink_size=4, volume=12, value=5,
         raise ValueError("volume too small for a strongly connected sink")
     if internal > sink_size * (sink_size - 1):
         raise ValueError("volume too large for a simple sink component")
-    if value < 1:
-        raise ValueError("planted value must be positive")
+    _at_least("value", value, 1)
     rng = random.Random(seed)
     heavy = 5 * value + 10
     ambient = list(range(ambient_size))
@@ -195,7 +195,10 @@ def _comments(meta):
 
 
 def _at_least(name, value, low):
-    """Reject a parameter below ``low``, naming it."""
+    """Reject a parameter that is not an int (a bool included) or is below
+    ``low``, naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 

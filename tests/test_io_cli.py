@@ -147,18 +147,31 @@ def test_generated_files_parse_back(family, params):
     ("cycle", {"caps": []}, "len(caps)"),
     ("cycle", {"caps": [-1, 2]}, "caps"),
     ("erdos-renyi-digraph", {"kind": "vertex"}, "kind"),
+    ("planted-sink", {"value": 2.5}, "value"),
+    ("erdos-renyi-digraph", {"n": 5, "wmax": 2.5}, "wmax"),
+    ("cycle", {"caps": [1.5, 2]}, "caps"),
+    ("cycle", {"caps": [2, 1.5]}, "caps"),
+    ("star", {"cap": 1.5}, "cap"),
+    ("star", {"cap": True}, "cap"),
 ])
 def test_generate_rejects_capacity_parameters_out_of_range(family, params, name, tmp_path,
                                                            capsys):
     # p is a probability and kind one of two names; every other parameter
-    # here has only a lower bound
+    # here is an integer with a lower bound
+    value = params.get(name)
+    integral = type(value) is int or (
+        isinstance(value, list) and all(type(c) is int for c in value))
     message = {"p": "p must lie in [0, 1]",
-               "kind": "kind must be 'edge-cap' or 'vertex-cap'"}.get(name, f"{name} must be at least")
+               "kind": "kind must be 'edge-cap' or 'vertex-cap'"}.get(
+        name, f"{name} must be at least" if integral or name == "len(caps)"
+        else f"{name} must be an integer")
     with pytest.raises(ValueError) as info:
         generate(family, **params)
     assert str(info.value).startswith(message)
-    if name in ("len(caps)", "caps", "kind"):
-        return  # caps is library-only, and --kind accepts only the two names
+    if name in ("len(caps)", "caps", "kind") or message.endswith("an integer"):
+        # caps is library-only, --kind accepts only the two names, and the
+        # CLI parses the integer options as ints
+        return
     argv = ["generate", "--family", family, "--out", str(tmp_path / "g.gr")]
     for key, value in params.items():
         argv += [f"--{key.replace('_', '-')}", str(value)]
