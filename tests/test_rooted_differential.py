@@ -5,7 +5,8 @@ with positive capacities only (so that the searches run), every
 certificate re-sums to its value and keeps the root out of its sink;
 exact-small returns the brute-force optimum; approx lies in
 [opt, (1+epsilon)*opt], also at a rational scale; and NoCutExistsError
-is raised exactly when no admissible sink exists.  A root outside
+is raised exactly when no admissible sink exists.  The edge entry points
+also run on graphs with parallel, zero, near-2^70 and infinite arcs.  A root outside
 0..n-1 is a ValueError at all six rooted entry points.
 """
 
@@ -31,6 +32,7 @@ from conftest import (
     brute_min_rooted_cut,
     brute_min_separator,
     cut_value,
+    tiny_graphs,
     zero_heavy_graphs,
     zero_heavy_vertex_graphs,
 )
@@ -67,6 +69,33 @@ def test_rooted_edge_approx_at_a_rational_scale(g, scale):
     approx = approx_rooted_edge_cut(g, 0, EPSILON, seed=1)
     _assert_valid_edge_cut(g, approx)
     assert opt <= approx.value <= opt * FACTOR
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_graphs(), st.booleans())
+def test_rooted_edge_entry_points_on_infinite_and_huge_arcs(g, cycle):
+    # zero, near-2^70, INFINITE and parallel arcs reach every probe's
+    # infinite sentinel; a cycle of unit arcs rules out zero cuts, so the
+    # searches run.  Exact-small needs integers, so it runs at scale 1
+    if cycle:
+        g = DiGraph(g.n, g.arcs_as_input() + [(v, (v + 1) % g.n, g.scale) for v in range(g.n)],
+                    scale=g.scale)
+    integral = DiGraph(g.n, g.arcs_as_input())
+    runs = ((g, approx_rooted_edge_cut(g, 0, EPSILON, seed=1), FACTOR),
+            (integral, exact_small_edge_cut(integral, root=0, seed=1), 1))
+    for graph, res, factor in runs:
+        opt = brute_min_rooted_cut(graph, 0)[0]
+        sink = res.certificate.sink_set
+        assert sink and 0 not in sink
+        assert res.orientation == "forward"
+        if opt < graph.value(graph.inf_value):
+            # a finite cut exists, and the answer is one within the factor
+            assert cut_value(graph, sink) == res.value
+            assert opt <= res.value <= opt * factor
+        else:
+            # every cut crosses an infinite arc, and so does the answer
+            assert any(i in graph.inf_arcs for i, (t, h, _) in enumerate(graph.arcs)
+                       if h in sink and t not in sink)
 
 
 def _assert_valid_rooted_vertex_cut(g, cert):
