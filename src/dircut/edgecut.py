@@ -9,9 +9,9 @@ inflated connectivity target (``probe``).  Any cut that comes back is
 re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.  Every probe of one rooted
-instance conditions the same arcs, so a prober validates them, and its
-flows share their residual arrays, once (``RootedTopology``); a probe
-computes only its capacities.
+instance conditions the same arcs, so a prober validates them once and
+the flows of its probes share one set of residual arrays
+(``RootedTopology``); a probe computes only its capacities.
 
 A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
@@ -135,11 +135,6 @@ class RootedTopology:
         self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
         self.supply_arcs = supply_arcs(self.template, root)
 
-    def graph(self, caps, scale) -> DiGraph:
-        """The conditioned graph with numerators ``caps``, one per arc, at
-        ``scale``, on the shared residual arrays."""
-        return share_network(self.template.with_capacities(caps, scale), self.template)
-
 
 def condition_rooted(
     base: DiGraph,
@@ -177,10 +172,11 @@ def condition_rooted(
     floor_num = int(floor * new_scale)
     cap_num = int(2 * level * new_scale)
     quantum_num = int(quantum * new_scale)
-    # entries at infinite arcs are overwritten by ``graph``
+    # ``with_capacities`` overwrites the entries at infinite arcs
     caps = [min(max(c * factor, floor_num), cap_num) for c in topology.base_caps]
     caps += [quantum_num * deg for deg in topology.root_degrees]
-    return topology.graph(caps, new_scale)
+    template = topology.template
+    return share_network(template.with_capacities(caps, new_scale), template)
 
 
 def precondition_rooted(
@@ -257,7 +253,7 @@ def _better(a, b):
 
 
 def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
-          supply=None) -> ProbeReport:
+          supply: list) -> ProbeReport:
     """Shrink-wrap every terminal group of one probe on the conditioned
     graph ``h`` at connectivity target threshold = (1+epsilon)*level.
 
@@ -265,7 +261,7 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
     evaluated on the caller's own graph (or None), once per distinct sink
     set; only certificates of value strictly below ``threshold`` are kept,
     and the best of them by rank is returned.  ``supply`` is
-    ``supply_arcs(h, r)``, computed here when omitted.
+    ``supply_arcs(h, r)``, which sizes the terminal groups.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -276,8 +272,6 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
     sinks = {}  # distinct Below sink sets, in first-seen order
     calls = 0
     all_stats = []
-    if supply is None:
-        supply = supply_arcs(h, r)
     for group in partition_terminals(terminals, group_capacity(h, supply, level_num)):
         outcome, stats = shrink_wrap(SteinerInstance(h, r, frozenset(group), level_num))
         calls += stats.raw_flow_calls

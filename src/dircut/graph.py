@@ -40,8 +40,9 @@ class DiGraph:
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
     ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
     counted individually by in-degree and in-volume.  ``_flow_network``
-    holds the graph's residual arrays once ``maxflow`` has built them, so
-    they live exactly as long as the graph.
+    holds the graph's residual arrays once ``maxflow`` has built them, or
+    shared those of a graph with the same arcs (``share_network``), so
+    they live as long as the graphs that use them.
     """
 
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")

@@ -27,7 +27,7 @@ from dircut import (
     parse_text,
     precondition_rooted,
 )
-from dircut.edgecut import _better, _min_singleton_cut, _rooted_start, probe
+from dircut.edgecut import _better, _min_singleton_cut, _rooted_start, probe, supply_arcs
 from dircut.steiner import Below
 from dircut.vertexcut import (
     _admissible_sinks,
@@ -190,7 +190,8 @@ def test_probe_evaluates_each_sink_once(monkeypatch):
     h = precondition_rooted(g, 0, cfg.level, cfg.volume, cfg.epsilon)
     extracted = []
     rep = probe(h, 0, frozenset(range(1, g.n)), cfg,
-                lambda sink: extracted.append(sink) or cut_certificate(g, sink, root=0))
+                lambda sink: extracted.append(sink) or cut_certificate(g, sink, root=0),
+                supply_arcs(h, 0))
     assert len(below) > len(set(below)) >= 1
     assert sorted(map(sorted, extracted)) == sorted(map(sorted, set(below)))
     assert rep.certificate.value == 5
