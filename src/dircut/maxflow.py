@@ -9,15 +9,17 @@ The residual network of a graph is built once and kept on the graph,
 which is immutable: edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its
 reverse, with per-vertex lists of edge ids.  Graphs that differ only in
 capacities can share one set of those arrays (``share_network``).  A
-call copies only the capacities.  Demand arcs into a supersink ``g.n`` ride as a suffix of
-the graph's arrays, which is how the Steiner recursion routes to a
-terminal set without building a new graph.
+call copies the capacities; one with demand arcs into a supersink ``g.n``
+also copies the head array and the edge lists it extends, then appends
+the arcs, which is how the Steiner recursion routes to a terminal set
+without building a new graph.
 
 Each phase labels vertices by residual distance to the sink, with a
 reverse BFS that stops once the source is labelled, and pushes a blocking
 flow along arcs that lower that distance by one.  Dead ends are marked,
 and after an augmentation the search resumes at the tail of the first
-saturated arc.
+saturated arc.  A flow stops once the arcs into the sink are full, and
+its residual source side is computed only when first read.
 """
 
 from __future__ import annotations
@@ -27,23 +29,41 @@ from dataclasses import dataclass, field
 from .graph import CutCertificate, DiGraph, cut_certificate
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MaxFlowResult:
     """Flow value plus the canonical minimal source side.
 
     ``source_side`` is the set of vertices reachable from the source in
-    the residual graph, which makes the induced minimum cut deterministic.
-    ``residual`` holds the final residual capacities of the paired edges:
-    edge ``2i`` is ``graph.arcs[i]`` and edge ``2i+1`` its reverse, whose
-    residual capacity is the flow on that arc.
+    the residual graph (computed on first read), which makes the induced
+    minimum cut deterministic.  ``residual``, ``head`` and ``adj`` are the
+    flow's network arrays: edge ``2i`` is ``graph.arcs[i]`` and edge
+    ``2i+1`` its reverse, whose residual capacity is the flow on that arc.
     """
 
     graph: DiGraph
     source: int
     sink: int
     value: int  # numerator at graph.scale
-    source_side: frozenset
     residual: list = field(repr=False, compare=False)
+    head: list = field(repr=False, compare=False)
+    adj: list = field(repr=False, compare=False)
+    _side: frozenset = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def source_side(self) -> frozenset:
+        if self._side is None:
+            head, cap, adj = self.head, self.residual, self.adj
+            seen = [False] * len(adj)
+            seen[self.source] = True
+            reached = [self.source]
+            for u in reached:
+                for e in adj[u]:
+                    v = head[e]
+                    if cap[e] and not seen[v]:
+                        seen[v] = True
+                        reached.append(v)
+            self._side = frozenset(reached)
+        return self._side
 
 
 def _network(g: DiGraph):
@@ -116,21 +136,12 @@ def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
             for e in inf_edges:
                 cap[e] = sentinel
 
-    total = _dinic(head, cap, adj, n, s, t)
-    seen = [False] * n
-    seen[s] = True
-    reached = [s]
-    for u in reached:
-        for e in adj[u]:
-            v = head[e]
-            if cap[e] and not seen[v]:
-                seen[v] = True
-                reached.append(v)
-    return MaxFlowResult(g, s, t, total, frozenset(reached), cap)
+    return MaxFlowResult(g, s, t, _dinic(head, cap, adj, n, s, t), cap, head, adj)
 
 
 def _dinic(head, cap, adj, n, s, t) -> int:
-    """Saturate ``cap`` in place; returns the flow value."""
+    """Saturate ``cap`` in place, up to filling ``t``'s in-arcs; returns the value."""
+    bound = sum(cap[e ^ 1] for e in adj[t] if e & 1)
     total = 0
     while True:
         dist = [-1] * n
@@ -163,6 +174,8 @@ def _dinic(head, cap, adj, n, s, t) -> int:
                     cap[e ^ 1] += flow
                     if first is None and not cap[e]:
                         first = i
+                if total == bound:
+                    return total
                 del path[first:]
                 v = head[path[-1]] if path else s
                 continue

@@ -454,10 +454,8 @@ def exact_small_vertex_cut(
 
 
 def _oracle_extract(ng, source, flow_result):
-    component = frozenset(
-        v for v in range(ng.n)
-        if v != source and v not in flow_result.source_side
-    )
+    side = flow_result.source_side
+    component = frozenset(v for v in range(ng.n) if v != source and v not in side)
     cert = _sink_certificate(ng, component)
     assert cert.value == Fraction(flow_result.value, ng.scale), (
         "split-graph cut does not match its vertex separator"

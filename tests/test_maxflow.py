@@ -142,3 +142,64 @@ def test_demand_arcs_validated():
         max_flow(g, 0, 3, demands=[(1, -1)])
     with pytest.raises(ValueError):
         max_flow(g, 0, 3)
+
+
+#: Demand numerators, and capacities of arcs into a sink: zero, small and
+#: near 2**70.
+finite_capacities = st.one_of(st.integers(0, 4), st.integers(2**70 - 3, 2**70 + 3))
+
+
+@st.composite
+def full_sink_problems(draw):
+    """A tiny graph, a source s and a sink t with one more arc into t, plus
+    an INFINITE arc from s to the tail of every arc into t, so the flow
+    fills t's in-arcs whenever they are all finite.  In half the draws
+    INFINITE arcs into t become finite, so t's finite in-arcs sit next to
+    INFINITE arcs elsewhere."""
+    g = draw(tiny_graphs())
+    s, t = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    tail = draw(st.integers(0, g.n - 1).filter(lambda v: v != t))
+    arcs = g.arcs_as_input() + [(tail, t, draw(finite_capacities))]
+    if draw(st.booleans()):
+        arcs = [(u, v, 2**70 if v == t and c is INFINITE else c) for u, v, c in arcs]
+    feeders = sorted({u for u, v, _ in arcs if v == t and u != s})
+    return DiGraph(g.n, arcs + [(s, u, INFINITE) for u in feeders], scale=g.scale), s, t
+
+
+@settings(max_examples=300)
+@given(full_sink_problems())
+def test_flow_stops_at_a_full_sink(problem):
+    g, s, t = problem
+    res = max_flow(g, s, t)
+    into_t = [i for i, (_, v, _) in enumerate(g.arcs) if v == t]
+    if not g.inf_arcs.intersection(into_t):
+        # t's in-capacity is a minimum cut, so the flow ends with it full
+        assert res.value == sum(g.arcs[i][2] for i in into_t)
+    assert g.value(res.value) == brute_min_st_cut(g, s, t)
+    assert res.source_side == brute_minimal_source_side(g, s, t)
+    assert verify_flow(g, arc_flows(res), s, t)
+
+
+@st.composite
+def saturating_demand_problems(draw):
+    """A tiny graph with an INFINITE arc from the source 0 to each of its
+    terminals, and one demand per terminal, so every demand saturates."""
+    g = draw(tiny_graphs())
+    terminals = draw(st.lists(st.integers(1, g.n - 1), min_size=1, unique=True))
+    arcs = g.arcs_as_input() + [(0, v, INFINITE) for v in terminals]
+    return DiGraph(g.n, arcs, scale=g.scale), [(v, draw(finite_capacities)) for v in terminals]
+
+
+@settings(max_examples=300)
+@given(saturating_demand_problems())
+def test_demand_flow_stops_once_every_demand_is_met(problem):
+    g, demand_arcs = problem
+    res = max_flow(g, 0, g.n, demands=demand_arcs)
+    assert res.value == sum(c for _, c in demand_arcs)
+    # the same network built as a graph: g's arcs, then the demand arcs
+    # into the supersink g.n, in the order of the flow's residual edges
+    ext = DiGraph(g.n + 1, g.arcs_as_input() + [(v, g.n, c) for v, c in demand_arcs],
+                  scale=g.scale)
+    assert ext.value(res.value) == brute_min_st_cut(ext, 0, g.n)
+    assert res.source_side == brute_minimal_source_side(ext, 0, g.n)
+    assert verify_flow(ext, tuple(res.residual[1::2]), 0, g.n)
