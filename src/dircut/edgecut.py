@@ -121,7 +121,7 @@ class RootedTopology:
     (``base``, ``root``) shares: the base arcs, in their order, then a root
     arc (root, v) to every non-root vertex v with positive in-degree.  The
     arcs are validated once (``template``), and their residual arrays are
-    built at the first probe; a probe only computes its capacities.
+    built at the first probe; a probe computes each distinct capacity once.
     ``supply_arcs`` lists the arcs whose capacities sum to the root's
     effective out-capacity (see ``group_capacity``)."""
 
@@ -132,6 +132,7 @@ class RootedTopology:
         self.root = root
         self.base_caps = [c for _, _, c in base.arcs]
         self.root_degrees = [degrees[v] for v in heads]
+        self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
         self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
         self.supply_arcs = supply_arcs(self.template, root)
 
@@ -173,8 +174,10 @@ def condition_rooted(
     cap_num = int(2 * level * new_scale)
     quantum_num = int(quantum * new_scale)
     # ``with_capacities`` overwrites the entries at infinite arcs
-    caps = [min(max(c * factor, floor_num), cap_num) for c in topology.base_caps]
-    caps += [quantum_num * deg for deg in topology.root_degrees]
+    clamped = {c: min(max(c * factor, floor_num), cap_num) for c in topology.cap_values}
+    root_caps = {deg: quantum_num * deg for deg in topology.degree_values}
+    caps = [*map(clamped.__getitem__, topology.base_caps),
+            *map(root_caps.__getitem__, topology.root_degrees)]
     template = topology.template
     return share_network(template.with_capacities(caps, new_scale), template)
 
