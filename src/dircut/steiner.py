@@ -124,16 +124,16 @@ def shrink_wrap(inst: SteinerInstance):
     at least the level in the instance graph.
     """
     stats = ShrinkWrapStats(group_size=len(inst.terminals))
-    outcome = _solve(
-        inst.graph, inst.root, tuple(sorted(inst.terminals)), inst.level, 0, stats
-    )
+    certified = Certified(inst.graph.value(inst.level))  # contraction keeps the scale
+    outcome = _solve(inst.graph, inst.root, tuple(sorted(inst.terminals)), inst.level, 0,
+                     stats, certified)
     assert len(stats.internal_depths) <= stats.depth_bound(), (
         "shrink-wrap exceeded its recursion-depth flow budget"
     )
     return outcome, stats
 
 
-def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats) -> dict:
+def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats, certified) -> dict:
     stats.max_depth = max(stats.max_depth, depth)
     if len(terms) == 1:
         t = terms[0]
@@ -142,7 +142,7 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats) -> dict:
         stats.raw_flow_calls += 1
         stats.leaf_flow_calls += 1
         if res.value >= level:
-            return {t: Certified(g.value(level))}
+            return {t: certified}
         # below the level the cut avoids the demand arc and every infinite
         # arc, so it is the minimum (r, t)-cut of g with the same minimal
         # source side
@@ -162,14 +162,15 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats) -> dict:
         for t in half:
             if t in source_side:
                 # demand arc (t, supersink) is saturated: level units reach t
-                out[t] = Certified(g.value(level))
+                out[t] = certified
         if not uncertified:
             continue
         block = [v for v in range(g.n) if v in source_side]
         contracted, cmap = contract_into_root(g, r, block)
         stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
         child_terms = tuple(sorted(cmap.apply(t) for t in uncertified))
-        sub = _solve(contracted, cmap.root_image, child_terms, level, depth + 1, stats)
+        sub = _solve(contracted, cmap.root_image, child_terms, level, depth + 1, stats,
+                     certified)
         for t in uncertified:
             child = sub[cmap.apply(t)]
             if isinstance(child, Certified):
