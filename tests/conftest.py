@@ -276,6 +276,29 @@ def tiny_graphs(draw, max_n=7):
     return DiGraph(n, [(u, v, c) for u, v, c in arcs if u != v], scale=scale)
 
 
+#: Positive capacities: small, near 2**70 and infinite.
+positive_capacities = st.one_of(
+    st.integers(1, 4),
+    st.integers(2**70 - 3, 2**70 + 3),
+    st.just(INFINITE),
+)
+
+
+@st.composite
+def probing_graphs(draw, max_n=7):
+    """``tiny_graphs`` plus, into every vertex v, an arc of a positive
+    capacity from each of v-1 and v+1 (mod n).  So the root 0 reaches
+    every vertex along positive arcs and no rooted cut is zero; on three or
+    more vertices every singleton cut is at least twice the smallest
+    positive capacity, so the rooted searches run and probe."""
+    g = draw(tiny_graphs(max_n))
+    n = g.n
+    ring = [(u, v) for v in range(n) for u in ((v - 1) % n, (v + 1) % n)]
+    caps = draw(st.lists(positive_capacities, min_size=len(ring), max_size=len(ring)))
+    arcs = g.arcs_as_input() + [(u, v, c) for (u, v), c in zip(ring, caps)]
+    return DiGraph(n, arcs, scale=g.scale)
+
+
 #: Capacities of which half are zero.
 zero_heavy = st.sampled_from([0, 0, 1, 2])
 

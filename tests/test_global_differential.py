@@ -4,7 +4,10 @@ On small graphs, half of them with half the capacities zero and half
 with positive capacities only (so that the searches run), every
 certificate, re-summed in its own orientation from the arc list, equals
 its value; exact-small returns the brute-force optimum; and approx lies in
-[opt, (1+epsilon)*opt].
+[opt, (1+epsilon)*opt].  The edge entry points also run on graphs with
+parallel, zero, near-2^70 and infinite arcs, half of them drawn so that
+the searches probe, and the vertex entry points on capacities up to
+2^70+2.
 """
 
 from fractions import Fraction
@@ -26,6 +29,8 @@ from conftest import (
     brute_global_vertex_cut,
     brute_min_rooted_cut,
     cut_value,
+    probing_graphs,
+    tiny_graphs,
     zero_heavy_graphs,
     zero_heavy_vertex_graphs,
 )
@@ -33,6 +38,9 @@ from conftest import (
 EPSILON = "0.2"
 FACTOR = 1 + Fraction(EPSILON)
 POSITIVE = st.integers(1, 9)
+#: Vertex capacities up to 2^70+2, zero-heavy and positive.
+HUGE = st.sampled_from([0, 0, 1, 2**70])
+HUGE_POSITIVE = st.sampled_from([1, 2**70, 2**70 + 1, 2**70 + 2])
 
 
 @settings(max_examples=300)
@@ -51,6 +59,30 @@ def test_global_edge_entry_points(g):
     assert opt <= approx.value <= opt * FACTOR
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tiny_graphs(), probing_graphs()))
+def test_global_edge_entry_points_on_infinite_and_huge_arcs(g):
+    # exact-small needs integers, so it runs at scale 1
+    integral = DiGraph(g.n, g.arcs_as_input())
+    runs = ((g, approx_global_edge_cut(g, EPSILON, seed=1), FACTOR),
+            (integral, exact_small_edge_cut(integral, seed=1), 1))
+    for graph, res, factor in runs:
+        rev = DiGraph(graph.n, [(v, u, c) for u, v, c in graph.arcs_as_input()],
+                      scale=graph.scale)
+        opt = min(brute_min_rooted_cut(graph, 0)[0], brute_min_rooted_cut(rev, 0)[0])
+        sink = res.certificate.sink_set
+        assert sink and 0 not in sink
+        base = graph if res.orientation == "forward" else rev
+        if opt < graph.value(graph.inf_value):
+            # a finite cut exists, and the answer is one within the factor
+            assert cut_value(base, sink) == res.value
+            assert opt <= res.value <= opt * factor
+        else:
+            # every cut crosses an infinite arc, and so does the answer
+            assert any(i in base.inf_arcs for i, (t, h, _) in enumerate(base.arcs)
+                       if h in sink and t not in sink)
+
+
 def _assert_valid_global_vertex_cut(g, cert):
     arcs = g.arcs if cert.orientation == "forward" else [(v, u) for u, v in g.arcs]
     sink, sep = cert.sink_component, cert.separator
@@ -60,9 +92,7 @@ def _assert_valid_global_vertex_cut(g, cert):
     assert Fraction(sum(g.vcaps[w] for w in sep), g.scale) == cert.value
 
 
-@settings(max_examples=300)
-@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)))
-def test_global_vertex_entry_points(g):
+def _check_global_vertex_entry_points(g):
     opt = brute_global_vertex_cut(g)
     if opt is None:  # complete digraph
         with pytest.raises(NoCutExistsError):
@@ -76,3 +106,16 @@ def test_global_vertex_entry_points(g):
         _assert_valid_global_vertex_cut(g, res.certificate)
     assert small.value == opt
     assert opt <= approx.value <= opt * FACTOR
+
+
+@settings(max_examples=300)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)))
+def test_global_vertex_entry_points(g):
+    _check_global_vertex_entry_points(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(caps=HUGE),
+                 zero_heavy_vertex_graphs(caps=HUGE_POSITIVE)))
+def test_global_vertex_entry_points_on_huge_capacities(g):
+    _check_global_vertex_entry_points(g)

@@ -6,8 +6,10 @@ certificate re-sums to its value and keeps the root out of its sink;
 exact-small returns the brute-force optimum; approx lies in
 [opt, (1+epsilon)*opt], also at a rational scale; and NoCutExistsError
 is raised exactly when no admissible sink exists.  The edge entry points
-also run on graphs with parallel, zero, near-2^70 and infinite arcs.  A root outside
-0..n-1 is a ValueError at all six rooted entry points.
+also run on graphs with parallel, zero, near-2^70 and infinite arcs, half
+of them drawn so that the searches probe, and the vertex entry points on
+capacities up to 2^70+2.  A root outside 0..n-1 is a ValueError at all
+six rooted entry points.
 """
 
 from fractions import Fraction
@@ -32,6 +34,7 @@ from conftest import (
     brute_min_rooted_cut,
     brute_min_separator,
     cut_value,
+    probing_graphs,
     tiny_graphs,
     zero_heavy_graphs,
     zero_heavy_vertex_graphs,
@@ -40,6 +43,9 @@ from conftest import (
 EPSILON = "0.2"
 FACTOR = 1 + Fraction(EPSILON)
 POSITIVE = st.integers(1, 9)
+#: Vertex capacities up to 2^70+2, zero-heavy and positive.
+HUGE = st.sampled_from([0, 0, 1, 2**70])
+HUGE_POSITIVE = st.sampled_from([1, 2**70, 2**70 + 1, 2**70 + 2])
 
 
 def _assert_valid_edge_cut(g, res):
@@ -72,7 +78,7 @@ def test_rooted_edge_approx_at_a_rational_scale(g, scale):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tiny_graphs(), st.booleans())
+@given(st.one_of(tiny_graphs(), probing_graphs()), st.booleans())
 def test_rooted_edge_entry_points_on_infinite_and_huge_arcs(g, cycle):
     # zero, near-2^70, INFINITE and parallel arcs reach every probe's
     # infinite sentinel; a cycle of unit arcs rules out zero cuts, so the
@@ -106,9 +112,7 @@ def _assert_valid_rooted_vertex_cut(g, cert):
     assert Fraction(sum(g.vcaps[w] for w in sep), g.scale) == cert.value
 
 
-@settings(max_examples=300)
-@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)))
-def test_rooted_vertex_entry_points(g):
+def _check_rooted_vertex_entry_points(g):
     # separators exist only for sinks that are not out-neighbours of the root
     values = [brute_min_separator(g, 0, t) for t in range(1, g.n)]
     values = [v for v in values if v is not None]
@@ -125,6 +129,19 @@ def test_rooted_vertex_entry_points(g):
         _assert_valid_rooted_vertex_cut(g, res.certificate)
     assert small.value == opt
     assert opt <= approx.value <= opt * FACTOR
+
+
+@settings(max_examples=300)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE)))
+def test_rooted_vertex_entry_points(g):
+    _check_rooted_vertex_entry_points(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(caps=HUGE),
+                 zero_heavy_vertex_graphs(caps=HUGE_POSITIVE)))
+def test_rooted_vertex_entry_points_on_huge_capacities(g):
+    _check_rooted_vertex_entry_points(g)
 
 
 ROOTED_ENTRY_POINTS = {

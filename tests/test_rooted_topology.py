@@ -21,7 +21,7 @@ from dircut import INFINITE, DiGraph, VertexCapGraph, max_flow, prune_for_root, 
 from dircut.edgecut import RootedTopology, _edge_prober, condition_rooted
 from dircut.vertexcut import _normalize, _split_prober
 
-from conftest import tiny_graphs, zero_heavy_vertex_graphs
+from conftest import probing_graphs, tiny_graphs, zero_heavy_vertex_graphs
 
 LEVELS = st.sampled_from([Fraction(1), Fraction(7, 3), Fraction(2**70)])
 VOLUMES = st.sampled_from([1, 4, 64])
@@ -87,7 +87,7 @@ PROBES = st.lists(st.tuples(LEVELS, VOLUMES, EPSILONS, FLOOR_SHARES), min_size=1
 
 
 @settings(max_examples=150, deadline=None)
-@given(tiny_graphs(), PROBES, st.data())
+@given(st.one_of(tiny_graphs(), probing_graphs()), PROBES, st.data())
 def test_shared_topology_conditions_like_a_fresh_build_edge(g, probes, data):
     terminals = data.draw(st.sets(st.integers(1, g.n - 1)))
     _same_as_from_scratch(g, 0, 2, probes, terminals)
