@@ -48,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -400,6 +399,18 @@ def union_prober(probers):
     return probe_at
 
 
+def _first_at_least(level_at, lo, hi, value):
+    """First index in lo..hi-1 of a nondecreasing ``level_at`` with level at
+    least ``value``, else hi; plain integers, so ranges beyond ssize_t work."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if level_at(mid) < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts):
     """Binary search indices ``lo..hi`` of a nondecreasing ``level_at`` for the
     lowest level whose probe finds a cut, improving on ``best``, whose value
@@ -415,7 +426,7 @@ def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts):
             lo = mid + 1
         else:
             best = _better(best, cert)
-            hi = bisect_left(range(lo, mid), best.value, key=level_at) + lo
+            hi = _first_at_least(level_at, lo, mid, best.value)
     return best
 
 
@@ -433,7 +444,7 @@ def _grid_levels(floor: Fraction, eps_in: Fraction, value: Fraction):
     top = 1
     while level_at(top) < value:
         top *= 2
-    return level_at, bisect_left(range(top), value, key=level_at)
+    return level_at, _first_at_least(level_at, 0, top, value)
 
 
 def level_search(probe_at, best, floor, epsilon, seed_parts):
@@ -456,26 +467,18 @@ def integer_search(probe_at, singleton, floor, seed_parts):
 
     ``probe_at`` probes integer level L at tolerance 1/(1+L), so any
     certificate it returns has a value at most L.  ``floor`` is a positive
-    lower bound on the optimum: a singleton at most ``floor`` is returned
-    without probing.  Otherwise the level doubles from ``int(floor)``,
-    seeded by ``(*seed_parts, "up", L)``, until a probe returns a
-    certificate or the level reaches the singleton.  A failed probe at L
-    rules out every level up to L, so the singleton is returned when the
-    last doubling level fails; else ``bisect_levels`` searches the integers
-    above it, seeded by ``(*seed_parts, "bin", L)``: about one probed level
-    per bit of the optimum."""
+    lower bound on the optimum, so a singleton at most ``floor`` is
+    returned at once and a certificate at level lo = max(1, int(floor)),
+    probed first with seed parts ``(*seed_parts, "up", lo)``, is optimal.
+    After a miss ``bisect_levels`` searches lo+1..singleton, seeded by
+    ``(*seed_parts, "bin", L)``: about one level per bit of their gap."""
     if singleton.value <= floor:
         return singleton
-    delta = int(singleton.value)
-    lo = level = max(1, int(floor))
-    while (cert := probe_at(Fraction(level), Fraction(1, 1 + level),
-                            (*seed_parts, "up", level))) is None and level < delta:
-        lo = level + 1
-        level *= 2
-    if cert is None:
-        return singleton
-    best = _better(singleton, cert)
-    return bisect_levels(probe_at, best, Fraction, lo, int(best.value),
+    lo = max(1, int(floor))
+    cert = probe_at(Fraction(lo), Fraction(1, 1 + lo), (*seed_parts, "up", lo))
+    if cert is not None:
+        return _better(singleton, cert)
+    return bisect_levels(probe_at, singleton, Fraction, lo + 1, int(singleton.value),
                          lambda level: 1 / (1 + level), (*seed_parts, "bin"))
 
 
@@ -638,13 +641,11 @@ def exact_small_edge_cut(
 ) -> CutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small.  A zero cut is found exactly, without probing; else
-    double the level from the smallest positive capacity with per-level
-    tolerance 1/(1+level), then binary search the integers above the last
-    failed level up to the first witnessed level: about one probed level per
-    bit of the optimum (13292 flows on the bidirectional 6-cycle with
-    capacities 10^400).  At integer granularity a (1+1/(1+level))-approximate
-    answer is exact.  A probe can miss, so the value is exact only w.h.p.;
-    the certificate is always a valid cut."""
+    ``integer_search`` probes the smallest positive capacity, then bisects
+    the integers above it up to the trivial cut (13290 flows on the
+    bidirectional 6-cycle with capacities 10^400), at tolerance
+    1/(1+level), which makes integer answers exact.  A probe can miss, so
+    the value is exact only w.h.p.; the certificate is always a valid cut."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")

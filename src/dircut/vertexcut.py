@@ -426,16 +426,13 @@ def exact_small_vertex_cut(
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
 
-    A zero cut is found exactly, without probing.  Otherwise the probe
-    level doubles from the smallest positive capacity until a certificate
-    appears (or the trivial singleton bound is passed), then the integers
-    above the last failed level are binary searched up to it, about one
-    probed level per bit of the optimum (39872 flows for the global cut
-    of the bidirectional 6-cycle with capacities 10^400); a singleton at
-    the smallest positive capacity is returned without probing.
-    Per-level tolerance 1/(1+level) makes integer answers exact; a probe
-    can miss, so the value is exact only w.h.p., while the certificate is
-    always valid.
+    A zero cut, and a singleton at the smallest positive capacity, are
+    returned without probing.  Otherwise ``integer_search`` probes that
+    capacity, then bisects the integers above it up to the trivial cut
+    (39870 flows for the global cut of the bidirectional 6-cycle with
+    capacities 10^400), at tolerance 1/(1+level), which makes integer
+    answers exact.  A probe can miss, so the value is exact only w.h.p.,
+    while the certificate is always valid.
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
     roots are drawn once, at the tolerance 1/(1+s) of level s, the value

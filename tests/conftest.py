@@ -331,3 +331,17 @@ def zero_heavy_vertex_graphs(draw, max_n=6, caps=zero_heavy):
     arcs = _cycle_and_chords(draw, n)
     vcaps = draw(st.lists(caps, min_size=n, max_size=n))
     return VertexCapGraph(n, arcs, vcaps)
+
+
+@st.composite
+def probing_vertex_graphs(draw, caps, max_n=6):
+    """Vertex-capacitated digraphs on 4..max_n vertices: the arcs of
+    ``_cycle_and_chords`` plus the reverse cycle, so both arcs join v and
+    v+1 (mod n), with positive capacities drawn from ``caps``.  Each
+    single-vertex sink v that admits a cut then has v-1 and v+1 in its
+    separator, rooted at 0 or global, so every trivial cut is at least
+    twice the smallest capacity and the searches probe."""
+    n = draw(st.integers(4, max_n))
+    arcs = _cycle_and_chords(draw, n) + [((v + 1) % n, v) for v in range(n)]
+    vcaps = draw(st.lists(caps, min_size=n, max_size=n))
+    return VertexCapGraph(n, arcs, vcaps)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dircut import (
     CutCertificate,
@@ -192,23 +194,24 @@ def _stub_prober(optimum, levels):
     return probe_at
 
 
-def test_integer_search_probes_no_ruled_out_level():
-    # a failed probe at level L rules out every level up to L
-    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
+@given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200))
+def test_integer_search_probes_the_floor_then_only_open_levels(floor, above, gap):
+    # optimum >= floor; the singleton lies above the floor, else it is
+    # returned without probing.  A miss at L rules out every level up to L,
+    # and a cut of value v rules out every level from v up
+    optimum = floor + above
+    singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
     levels = []
-    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
-    assert levels == [1, 2, 4, 8, 6]
-    levels = []
-    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 2, 4, 8, 16, 32]
-
-
-def test_integer_search_keeps_a_better_singleton():
-    # the last doubling level, 32, finds a cut of value 30 above the singleton
-    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
-    levels = []
-    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 2, 4, 8, 16, 32, 18, 19]
+    res = integer_search(_stub_prober(optimum, levels), singleton, Fraction(floor), ())
+    assert levels[0] == floor
+    for k, level in enumerate(levels):
+        assert floor <= level < singleton.value
+        assert all(level > miss for miss in levels[:k] if miss < optimum)
+        assert level < optimum or all(hit < optimum for hit in levels[:k])
+    assert len(levels) <= 1 + gap.bit_length()
+    assert res.value == min(optimum, singleton.value)
+    if singleton.value < optimum:
+        assert res is singleton
 
 
 def test_level_search_stops_at_a_cut_of_the_floor_value():

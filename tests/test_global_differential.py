@@ -30,6 +30,7 @@ from conftest import (
     brute_min_rooted_cut,
     cut_value,
     probing_graphs,
+    probing_vertex_graphs,
     tiny_graphs,
     zero_heavy_graphs,
     zero_heavy_vertex_graphs,
@@ -116,6 +117,7 @@ def test_global_vertex_entry_points(g):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(zero_heavy_vertex_graphs(caps=HUGE),
-                 zero_heavy_vertex_graphs(caps=HUGE_POSITIVE)))
+                 zero_heavy_vertex_graphs(caps=HUGE_POSITIVE),
+                 probing_vertex_graphs(caps=HUGE_POSITIVE)))
 def test_global_vertex_entry_points_on_huge_capacities(g):
     _check_global_vertex_entry_points(g)

@@ -3,15 +3,20 @@
 Capacities of 10^400 overflow a float, so the level grid, the root-count
 bounds and the capacity-weighted root draw must stay in exact integers
 or rationals.  The approximate modes run on the bidirectional 6-cycle.
-The exact small-optimum modes binary search one integer level at a time,
-which takes about 1330 probes on that cycle, so they run on bridged
-graphs whose optimum is their smallest capacity; the global vertex mode
-still draws its roots at the tolerance 1/(1 + 2 * 10^400) there.
+The exact small-optimum modes probe the smallest capacity once and then
+bisect the integer levels above it up to the trivial cut, which takes
+about 1330 probes on that cycle, so they run on bridged graphs whose
+optimum is their smallest capacity; the global vertex mode still draws
+its roots at the tolerance 1/(1 + 2 * 10^400) there.  Both bisections
+also run over index ranges longer than 2^63: the integer levels between
+2^70 and 4 * 2^70, and a grid of more than 2^63 levels up to 10^500.
 """
+
+from fractions import Fraction
 
 import pytest
 
-from conftest import cut_value
+from conftest import brute_min_rooted_cut, cut_value
 from dircut import (
     DiGraph,
     VertexCapGraph,
@@ -39,6 +44,11 @@ EDGE_BRIDGED = DiGraph(6, [(u, v, HUGE) for u, v in _both_ways(
     [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])])
 VERTEX_BRIDGED = VertexCapGraph(5, _both_ways(
     [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]), [HUGE] * 5)
+# rooted at 0: smallest capacity 2^70, optimum 3 * 2^70 into {1, 3}, and
+# best singleton 4 * 2^70, so 3 * 2^70 integer levels lie between them
+WIDE = 2**70
+EDGE_WIDE = DiGraph(4, [(0, 2, 4 * WIDE), (1, 2, WIDE), (1, 3, 4 * WIDE),
+                        (2, 3, 3 * WIDE), (3, 1, 4 * WIDE)])
 
 
 def _check_edge(res, g, value):
@@ -71,6 +81,22 @@ def test_exact_small_cuts(root):
     _check_vertex(exact_small_vertex_cut(VERTEX_BRIDGED, root=root), VERTEX_BRIDGED, HUGE)
 
 
+def test_exact_small_bisects_more_than_2_to_the_63_levels():
+    _check_edge(exact_small_edge_cut(EDGE_WIDE, root=0, seed=2), EDGE_WIDE, 3 * WIDE)
+
+
+def test_approx_grid_of_more_than_2_to_the_63_levels():
+    # about 10^19 grid levels at this tolerance lie between the smallest
+    # capacity 1 and the trivial cut 10^500 + 1
+    g = DiGraph(3, [(u, v, 1 if (u, v) == (0, 1) else 10**500)
+                    for u in range(3) for v in range(3) if u != v])
+    epsilon = "2.3e-16"
+    opt = brute_min_rooted_cut(g, 0)[0]
+    res = approx_rooted_edge_cut(g, 0, epsilon)
+    assert cut_value(g, res.certificate.sink_set) == res.value
+    assert opt <= res.value <= opt * (1 + Fraction(epsilon))
+
+
 def test_cli(tmp_path, capsys):
     edge = tmp_path / "edge.gr"
     edge.write_text("p edge-cap 6 12\n" + "".join(
@@ -79,10 +105,15 @@ def test_cli(tmp_path, capsys):
     vertex.write_text("p vertex-cap 5 12\n" + "".join(
         f"a {u + 1} {v + 1}\n" for u, v in VERTEX_BRIDGED.arcs) + "".join(
         f"w {v} {HUGE}\n" for v in range(1, 6)))
+    wide = tmp_path / "wide.gr"
+    wide.write_text("p edge-cap 4 5\n" + "".join(
+        f"a {u + 1} {v + 1} {c}\n" for u, v, c in EDGE_WIDE.arcs))
     for argv, value in ((["edge-cut", "--rooted", "1", str(edge)], 2 * HUGE),
                         (["edge-cut", "--global", str(edge)], 2 * HUGE),
                         (["vertex-cut", "--global", str(vertex)], HUGE),
-                        (["vertex-cut", "--global", "--exact-small", str(vertex)], HUGE)):
+                        (["vertex-cut", "--global", "--exact-small", str(vertex)], HUGE),
+                        (["edge-cut", "--rooted", "1", "--exact-small", "--seed", "2",
+                          str(wide)], 3 * WIDE)):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 0 and err == "", (argv, err)

@@ -349,7 +349,7 @@ def test_exact_small_unit_caps_vs_oracle():
     assert hits >= trials - 1
 
 
-def test_exact_small_global_doubles_to_answer():
+def test_exact_small_global_searches_to_answer():
     g = VertexCapGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [2, 1, 2, 1])
     res = exact_small_vertex_cut(g, seed=3)
     assert res.certificate.value == exact_vertex_cut_oracle(g).value == 1
