@@ -467,13 +467,11 @@ def integer_search(probe_at, singleton, floor, seed_parts):
 
     ``probe_at`` probes integer level L at tolerance 1/(1+L), so any
     certificate it returns has a value at most L.  ``floor`` is a positive
-    lower bound on the optimum, so a singleton at most ``floor`` is
-    returned at once and a certificate at level lo = max(1, int(floor)),
-    probed first with seed parts ``(*seed_parts, "up", lo)``, is optimal.
-    After a miss ``bisect_levels`` searches lo+1..singleton, seeded by
-    ``(*seed_parts, "bin", L)``: about one level per bit of their gap."""
-    if singleton.value <= floor:
-        return singleton
+    lower bound on the optimum, below ``singleton``'s value, so a
+    certificate at level lo = max(1, int(floor)), probed first with seed
+    parts ``(*seed_parts, "up", lo)``, is optimal.  After a miss
+    ``bisect_levels`` searches lo+1..singleton, seeded by ``(*seed_parts,
+    "bin", L)``: about one level per bit of their gap."""
     lo = max(1, int(floor))
     cert = probe_at(Fraction(lo), Fraction(1, 1 + lo), (*seed_parts, "up", lo))
     if cert is not None:

@@ -196,9 +196,9 @@ def _stub_prober(optimum, levels):
 
 @given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200))
 def test_integer_search_probes_the_floor_then_only_open_levels(floor, above, gap):
-    # optimum >= floor; the singleton lies above the floor, else it is
-    # returned without probing.  A miss at L rules out every level up to L,
-    # and a cut of value v rules out every level from v up
+    # optimum >= floor, and the singleton lies above the floor, as the
+    # solvers search only then.  A miss at L rules out every level up to
+    # L, and a cut of value v rules out every level from v up
     optimum = floor + above
     singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
     levels = []
