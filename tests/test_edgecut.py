@@ -194,6 +194,26 @@ def _stub_prober(optimum, levels):
     return probe_at
 
 
+def test_integer_search_probes_no_ruled_out_level():
+    # a miss at level L rules out every level up to L, and a cut of value
+    # v rules out every level from v up
+    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
+    levels = []
+    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
+    assert levels == [1, 11, 4, 6]
+    levels = []
+    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
+    assert levels == [1, 11, 16, 18, 19]
+
+
+def test_integer_search_keeps_a_better_singleton():
+    # every level below the singleton's value 20 misses the cut of value 30
+    singleton = CutCertificate(frozenset([2]), (), Fraction(20))
+    levels = []
+    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
+    assert levels == [1, 11, 16, 18, 19]
+
+
 @given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200))
 def test_integer_search_probes_the_floor_then_only_open_levels(floor, above, gap):
     # optimum >= floor, and the singleton lies above the floor, as the
