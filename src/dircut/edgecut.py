@@ -411,55 +411,67 @@ def _first_at_least(level_at, lo, hi, value):
     return lo
 
 
-def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts):
-    """Binary search indices ``lo..hi`` of a nondecreasing ``level_at`` for the
-    lowest level whose probe finds a cut, improving on ``best``, whose value
-    is at most ``level_at(hi)``.  Index mid is probed at ``level_at(mid)``
-    and ``tolerance(level)`` with seed parts ``(*seed_parts, mid)``.  A
-    certificate drops ``hi`` to the first index whose level is at least the
-    best value, so no level that a certificate already beats is probed."""
-    while lo < hi:
-        mid = (lo + hi) // 2
+def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts, floor):
+    """Search indices ``lo..hi`` of a nondecreasing ``level_at`` for the lowest
+    level whose probe finds a cut, improving on ``best``, whose value is at
+    most ``level_at(hi)``.  Index mid is probed at ``level_at(mid)`` and
+    ``tolerance(level)`` with seed parts ``(*seed_parts, mid)``.
+
+    The search gallops down from the top: it probes hi-1, hi-2, hi-4, ...,
+    each step counted from the current ``hi``, while probes find cuts, and
+    binary searches what is left after the first miss.  A certificate drops
+    ``hi`` to the first index whose level is at least the best value, so no
+    level that a certificate already beats is probed, and a best value at
+    most ``floor``, a lower bound on the optimum, ends the search."""
+    step = 1  # the gallop's next step, 0 once a probe has missed
+    while lo < hi and best.value > floor:
+        mid = max(lo, hi - step) if step else (lo + hi) // 2
         level = level_at(mid)
         cert = probe_at(level, tolerance(level), (*seed_parts, mid))
         if cert is None:
-            lo = mid + 1
+            lo, step = mid + 1, 0
         else:
             best = _better(best, cert)
-            hi = _first_at_least(level_at, lo, mid, best.value)
+            hi, step = _first_at_least(level_at, lo, mid, best.value), 2 * step
     return best
 
 
 def _grid_levels(floor: Fraction, eps_in: Fraction, value: Fraction):
-    """Level function and top index of the geometric grid: index i is
-    floor * 2^(i * log2(1+eps_in)), a float mantissa times an exact power of
-    two, so levels beyond float range stay exact; index 0 is ``floor`` and
-    the top index is the first whose level is at least ``value``."""
+    """Level function and top index of the geometric grid anchored at
+    ``value``: index i is value * 2^(-(top - i) * log2(1+eps_in)), a float
+    mantissa times an exact power of two, so levels beyond float range stay
+    exact.  Index ``top`` is ``value`` itself, and index 0 is the only one
+    at or below ``floor``: ``top`` is the first k with value/(1+eps_in)^k
+    at most ``floor``."""
     p, q = (math.log1p(eps_in) / math.log(2)).as_integer_ratio()
 
-    def level_at(i):
-        whole, part = divmod(i * p, q)  # of the exact i * log2(1+eps_in)
-        return floor * Fraction(2.0 ** (part / q)) * (1 << whole)
+    def below(k):  # value / (1+eps_in)^k
+        whole, part = divmod(-k * p, q)  # of the exact -k * log2(1+eps_in)
+        return value * Fraction(2.0 ** (part / q)) / (1 << -whole)
 
     top = 1
-    while level_at(top) < value:
+    while below(top) > floor:
         top *= 2
-    return level_at, _first_at_least(level_at, 0, top, value)
+    top = _first_at_least(lambda k: -below(k), 0, top, -floor)
+    return (lambda i: below(top - i)), top
 
 
 def level_search(probe_at, best, floor, epsilon, seed_parts):
-    """Binary search a geometric grid of levels for the lowest one whose
-    probe finds a cut, improving on the certificate ``best``.
+    """Search a geometric grid of levels down from the value of the
+    certificate ``best`` for the lowest one whose probe finds a cut.
 
     ``floor`` is a lower bound on the optimum (the smallest positive
     capacity, once zero cuts are ruled out).  The grid (``_grid_levels``)
-    runs from ``floor`` up to ``best.value`` with ratio 1+eps_in, and every
-    probe, index i seeded by ``(*seed_parts, i)``, runs at tolerance eps_in
-    = epsilon/(2+epsilon), so a cut at the bottom level is within 1+eps_in
-    of the optimum."""
+    runs with ratio 1+eps_in from ``best.value`` down to the first level at
+    most ``floor``, and every probe, index i seeded by ``(*seed_parts,
+    i)``, runs at tolerance eps_in = epsilon/(2+epsilon), so a cut at the
+    bottom level is within 1+eps_in of the optimum.  ``bisect_levels``
+    gallops down from the top: when the trivial cut is optimal, the probe
+    one level below it misses and ends the search."""
     eps_in = epsilon / (2 + epsilon)
     level_at, top = _grid_levels(floor, eps_in, best.value)
-    return bisect_levels(probe_at, best, level_at, 0, top, lambda _: eps_in, seed_parts)
+    return bisect_levels(probe_at, best, level_at, 0, top, lambda _: eps_in, seed_parts,
+                         floor)
 
 
 def integer_search(probe_at, singleton, floor, seed_parts):
@@ -471,13 +483,15 @@ def integer_search(probe_at, singleton, floor, seed_parts):
     certificate at level lo = max(1, int(floor)), probed first with seed
     parts ``(*seed_parts, "up", lo)``, is optimal.  After a miss
     ``bisect_levels`` searches lo+1..singleton, seeded by ``(*seed_parts,
-    "bin", L)``: about one level per bit of their gap."""
+    "bin", L)``: it gallops down from one below the singleton's value, so
+    a singleton that is optimal costs one more probe, and otherwise takes
+    about two levels per bit of the gap."""
     lo = max(1, int(floor))
     cert = probe_at(Fraction(lo), Fraction(1, 1 + lo), (*seed_parts, "up", lo))
     if cert is not None:
         return _better(singleton, cert)
     return bisect_levels(probe_at, singleton, Fraction, lo + 1, int(singleton.value),
-                         lambda level: 1 / (1 + level), (*seed_parts, "bin"))
+                         lambda level: 1 / (1 + level), (*seed_parts, "bin"), floor)
 
 
 def _search_tail(make_prober, best, floor, search) -> CutResult:
