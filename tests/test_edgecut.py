@@ -200,10 +200,10 @@ def test_integer_search_probes_no_ruled_out_level():
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
     assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
-    assert levels == [1, 11, 4, 6]
+    assert levels == [1, 19, 5, 6]
     levels = []
     assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 11, 16, 18, 19]
+    assert levels == [1, 19]
 
 
 def test_integer_search_keeps_a_better_singleton():
@@ -211,7 +211,7 @@ def test_integer_search_keeps_a_better_singleton():
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
     assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 11, 16, 18, 19]
+    assert levels == [1, 19]
 
 
 @given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200))
@@ -234,12 +234,69 @@ def test_integer_search_probes_the_floor_then_only_open_levels(floor, above, gap
         assert res is singleton
 
 
+def _descending_prober(optimum, drop, probes):
+    """Prober that records each (level, value found or None) in ``probes``
+    and, at the integer levels L that reach ``optimum``, finds a cut just
+    below L, of value max(optimum, L - drop), so a search that gallops
+    down keeps finding cuts."""
+    def probe_at(level, _epsilon, _seed_parts):
+        value = max(optimum, level - drop) if level >= optimum else None
+        probes.append((level, value))
+        return None if value is None else CutCertificate(frozenset([1]), (), value)
+    return probe_at
+
+
+@given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200),
+       st.integers(0, 3))
+def test_integer_search_gallops_through_open_levels_only(floor, above, gap, drop):
+    # each hit rules out the levels from its value up, each miss the
+    # levels up to its own, and the gallop's hits and the bisection after
+    # its first miss take at most two probes per bit of the gap
+    optimum = floor + above
+    singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
+    probes = []
+    res = integer_search(_descending_prober(optimum, drop, probes), singleton,
+                         Fraction(floor), ())
+    for k, (level, _) in enumerate(probes):
+        assert floor <= level < singleton.value
+        assert all(level > miss for miss, value in probes[:k] if value is None)
+        assert all(level < value for _, value in probes[:k] if value is not None)
+    assert len(probes) <= 2 + 2 * gap.bit_length()
+    assert res.value == min(optimum, singleton.value)
+    if singleton.value < optimum:
+        assert res is singleton
+
+
 def test_level_search_stops_at_a_cut_of_the_floor_value():
     # no level below the floor exists, so the first certificate is final
     best = CutCertificate(frozenset([2]), (), Fraction(100))
     levels = []
     assert level_search(_stub_prober(1, levels), best, Fraction(1), Fraction(1, 5), ()).value == 1
     assert len(levels) == 1
+
+
+@pytest.mark.parametrize("floor", [Fraction(1), Fraction(3, 7), Fraction(10**40 + 1)])
+@pytest.mark.parametrize("earlier", [0, 1, 2])
+def test_level_search_stops_after_the_probe_that_finds_the_floor_value(floor, earlier):
+    # ``earlier`` probes find cuts above the floor, and the next one a cut
+    # of the floor's value; the grid's bottom level lies below the floor
+    # and no probe has missed, so only the floor stop keeps the search from
+    # probing that level next
+    epsilon = Fraction(1, 5)
+    best = CutCertificate(frozenset([2]), (), 1000 * floor)
+    level_at, _ = _grid_levels(floor, epsilon / (2 + epsilon), best.value)
+    assert level_at(0) < floor
+    values = [best.value / 2**k for k in range(1, earlier + 1)] + [floor]
+    levels = []
+
+    def probe_at(level, _epsilon, _seed_parts):
+        levels.append(level)
+        if len(levels) > len(values):
+            return None
+        return CutCertificate(frozenset([1]), (), values[len(levels) - 1])
+
+    assert level_search(probe_at, best, floor, epsilon, ()).value == floor
+    assert len(levels) == len(values)
 
 
 def test_level_search_probes_logarithmically_many_levels():
@@ -262,11 +319,12 @@ def test_grid_levels(scale, epsilon):
     eps = Fraction(epsilon)
     eps_in = eps / (2 + eps)
     level_at, top = _grid_levels(floor, eps_in, value)
-    assert level_at(0) == floor
-    assert level_at(top) >= value > level_at(top - 1)
-    # consecutive pairs at both ends, where the power of two steps up, and
+    # anchored at the value; index 0 is the only level at or below the floor
+    assert level_at(top) == value
+    assert level_at(0) <= floor < level_at(1)
+    # consecutive pairs at both ends, where the power of two steps down, and
     # at random indices
-    steps = {bisect.bisect_left(range(top + 1), floor * 2**k, key=level_at) - 1
+    steps = {bisect.bisect_left(range(top + 1), value / 2**k, key=level_at) - 1
              for k in range(1, 4)}
     rng = random.Random(1)
     pairs = sorted({*range(min(top, 40)), *range(max(0, top - 40), top), *steps,

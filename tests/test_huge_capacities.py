@@ -2,21 +2,23 @@
 
 Capacities of 10^400 overflow a float, so the level grid, the root-count
 bounds and the capacity-weighted root draw must stay in exact integers
-or rationals.  The approximate modes run on the bidirectional 6-cycle.
-The exact small-optimum modes probe the smallest capacity once and then
-bisect the integer levels above it up to the trivial cut, which takes
-about 1330 probes on that cycle, so they run on bridged graphs whose
-optimum is their smallest capacity; the global vertex mode still draws
-its roots at the tolerance 1/(1 + 2 * 10^400) there.  Both bisections
-also run over index ranges longer than 2^63: the integer levels between
-2^70 and 4 * 2^70, and a grid of more than 2^63 levels up to 10^500.
+or rationals.  Every mode runs on the bidirectional 6-cycle, whose
+optimum 2 * 10^400 is its trivial cut.  The exact small-optimum modes
+probe the smallest capacity once and then gallop down the integer levels
+from one below the trivial cut, so on that cycle they run 20 edge and 60
+vertex flows in the global modes, under a bound of 200 checked here.
+They also run on bridged graphs whose optimum is their smallest
+capacity; the global vertex mode still draws its roots at the tolerance
+1/(1 + 2 * 10^400) there.  Both searches also run over index ranges
+longer than 2^63: the integer levels between 2^70 and 4 * 2^70, and a
+grid of more than 2^63 levels up to 10^500.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_min_rooted_cut, cut_value
+from conftest import brute_min_rooted_cut, cut_value, time_bound
 from dircut import (
     DiGraph,
     VertexCapGraph,
@@ -79,6 +81,17 @@ def test_approx_vertex_cuts():
 def test_exact_small_cuts(root):
     _check_edge(exact_small_edge_cut(EDGE_BRIDGED, root=root), EDGE_BRIDGED, HUGE)
     _check_vertex(exact_small_vertex_cut(VERTEX_BRIDGED, root=root), VERTEX_BRIDGED, HUGE)
+
+
+@pytest.mark.parametrize("root", [0, None], ids=["rooted", "global"])
+def test_exact_small_cuts_on_the_cycle(root):
+    # the trivial cut is optimal, so the search misses once below it
+    with time_bound(10):
+        edge = exact_small_edge_cut(EDGE_CYCLE, root=root)
+        vertex = exact_small_vertex_cut(VERTEX_CYCLE, root=root)
+    _check_edge(edge, EDGE_CYCLE, 2 * HUGE)
+    _check_vertex(vertex, VERTEX_CYCLE, 2 * HUGE)
+    assert edge.flow_calls <= 200 and vertex.flow_calls <= 200
 
 
 def test_exact_small_bisects_more_than_2_to_the_63_levels():
