@@ -77,8 +77,8 @@ def _build_parser():
                        help="exact oracle (one flow per candidate sink)")
         p.add_argument("--exact-small", action="store_true",
                        help="exact mode for integer capacities with a small optimum; "
-                            "it probes the smallest capacity, then bisects the "
-                            "levels above it up to the trivial cut")
+                            "it probes the smallest capacity, then searches the "
+                            "levels above it down from the trivial cut")
         p.add_argument("--report", metavar="PATH",
                        help="also write the report as JSON")
         p.set_defaults(handler=_cmd_cut)

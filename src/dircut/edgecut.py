@@ -28,14 +28,19 @@ exactly when one of its terminals lies below the threshold, so trimming
 the sample keeps every probe's hit or miss, and the miss probability is
 that of probing every guess in full.  Only which certificate a hit
 returns can change, because the terminal groups change.
-One bisection (``bisect_levels``) serves both searches.  The approximate
-modes run it on a geometric grid of levels computed by index
-(``level_search``); the grid ratio and the per-probe inflation are both
-epsilon/(2+epsilon), so their product stays within the requested
-(1+epsilon) factor.  The exact small-optimum modes run it on integer
-levels (``integer_search``).  Both start at the smallest positive
-capacity: zero cuts are found exactly beforehand, and every other cut
-crosses a positive arc.  Vertex cuts run the same drivers with a prober
+One search (``bisect_levels``) serves both modes.  It starts at the
+trivial cut and gallops down while probes find cuts, so when the trivial
+cut is optimal, as it is on most random graphs, one missed probe just
+below it ends the search.  After the first miss it bisects the levels
+left, and it stops once a cut reaches the lower bound: the smallest
+positive capacity, since zero cuts are found exactly beforehand and
+every other cut crosses a positive arc.  The approximate modes run it on
+a geometric grid of levels computed by index and anchored at the trivial
+cut's value (``level_search``); the grid ratio and the per-probe
+inflation are both epsilon/(2+epsilon), so their product stays within
+the requested (1+epsilon) factor.  The exact small-optimum modes probe
+the lower bound once and then run it on integer levels
+(``integer_search``).  Vertex cuts run the same drivers with a prober
 on the split graph.  Certificates of either kind are compared by their
 ``rank``.  A global cut runs one search over a ``union_prober`` of rooted
 instances (vertex 0 of the graph and of its reversal, or sampled vertex
@@ -484,8 +489,8 @@ def integer_search(probe_at, singleton, floor, seed_parts):
     parts ``(*seed_parts, "up", lo)``, is optimal.  After a miss
     ``bisect_levels`` searches lo+1..singleton, seeded by ``(*seed_parts,
     "bin", L)``: it gallops down from one below the singleton's value, so
-    a singleton that is optimal costs one more probe, and otherwise takes
-    about two levels per bit of the gap."""
+    an optimal singleton costs one probe after the floor's, and any other
+    optimum at most about two probes per bit of the gap."""
     lo = max(1, int(floor))
     cert = probe_at(Fraction(lo), Fraction(1, 1 + lo), (*seed_parts, "up", lo))
     if cert is not None:
@@ -653,11 +658,12 @@ def exact_small_edge_cut(
 ) -> CutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
     optimum is small.  A zero cut is found exactly, without probing; else
-    ``integer_search`` probes the smallest positive capacity, then bisects
-    the integers above it up to the trivial cut (13290 flows on the
-    bidirectional 6-cycle with capacities 10^400), at tolerance
-    1/(1+level), which makes integer answers exact.  A probe can miss, so
-    the value is exact only w.h.p.; the certificate is always a valid cut."""
+    ``integer_search`` probes the smallest positive capacity, then
+    searches the integers above it down from the trivial cut (20 flows on
+    the bidirectional 6-cycle with capacities 10^400, whose trivial cut is
+    optimal), at tolerance 1/(1+level), which makes integer answers exact.
+    A probe can miss, so the value is exact only w.h.p.; the certificate
+    is always a valid cut."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")

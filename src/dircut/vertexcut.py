@@ -428,11 +428,12 @@ def exact_small_vertex_cut(
 
     A zero cut, and a singleton at the smallest positive capacity, are
     returned without probing.  Otherwise ``integer_search`` probes that
-    capacity, then bisects the integers above it up to the trivial cut
-    (39870 flows for the global cut of the bidirectional 6-cycle with
-    capacities 10^400), at tolerance 1/(1+level), which makes integer
-    answers exact.  A probe can miss, so the value is exact only w.h.p.,
-    while the certificate is always valid.
+    capacity, then searches the integers above it down from the trivial
+    cut (60 flows for the global cut of the bidirectional 6-cycle with
+    capacities 10^400, whose trivial cut is optimal), at tolerance
+    1/(1+level), which makes integer answers exact.  A probe can miss,
+    so the value is exact only w.h.p., while the certificate is always
+    valid.
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
     roots are drawn once, at the tolerance 1/(1+s) of level s, the value
