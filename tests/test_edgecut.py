@@ -320,7 +320,7 @@ def test_grid_levels(scale, epsilon):
     eps_in = eps / (2 + eps)
     level_at, top = _grid_levels(floor, eps_in, value)
     # anchored at the value; index 0 is the only level at or below the floor
-    assert level_at(top) == value
+    assert level_at(top) == value > level_at(top - 1)
     assert level_at(0) <= floor < level_at(1)
     # consecutive pairs at both ends, where the power of two steps down, and
     # at random indices
