@@ -74,7 +74,8 @@ def _build_parser():
                        help="approximation tolerance (exact rational, default 0.2)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact", action="store_true",
-                       help="exact oracle (one flow per candidate sink)")
+                       help="exact oracle (one flow per candidate sink, each stopped "
+                            "one above the best cut so far)")
         p.add_argument("--exact-small", action="store_true",
                        help="exact mode for integer capacities with a small optimum; "
                             "it probes the smallest capacity, then searches the "

@@ -66,7 +66,7 @@ from .graph import (
     reach,
     reverse,
 )
-from .maxflow import max_flow, min_cut_sink_side, share_network
+from .maxflow import max_flow, share_network
 from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
 
 
@@ -599,43 +599,65 @@ def approx_global_edge_cut(
     return _global_search(g, search)
 
 
-def _rooted_oracle(g: DiGraph, r: int) -> CutResult:
+def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
+    """Exact minimum rooted cut at ``r`` among those of numerator below
+    ``cap``, which is lowered to one above the best singleton's, so that
+    without a given ``cap`` some cut always is.  Each non-root sink t gets
+    one flow into the supersink g.n through a demand arc (t, cap), which
+    stops it once cap units arrive.  A flow below ``cap`` is t's minimum
+    cut, read from the same minimal source side as an uncapped flow, and
+    lowers ``cap`` to its value + 1, which keeps ties.  The first zero cut
+    ends the loop; the certificate is None when no cut lies below the
+    ``cap`` given.  On a graph with infinite arcs the flows run on a copy
+    where they are plain arcs at their sentinel, which a demand arc would
+    otherwise raise, hiding the cuts that cross them."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
+    if not 0 <= r < g.n:
+        raise ValueError(f"root {r} out of range 0..{g.n - 1}")
+    singleton = int(_min_singleton_cut(g, r).value * g.scale) + 1
+    cap = singleton if cap is None else min(cap, singleton)
+    flow_graph = DiGraph(g.n, g.arcs, g.scale) if g.inf_arcs else g
+    vertices = frozenset(range(g.n))
     best = None
     calls = 0
     for t in range(g.n):
         if t == r:
             continue
-        cut = min_cut_sink_side(max_flow(g, r, t))
+        res = max_flow(flow_graph, r, g.n, demands=[(t, cap)])
         calls += 1
-        if cut.value == 0:
-            best = cut
-            break
-        best = _better(best, cut)
+        if res.value < cap:
+            cut = cut_certificate(g, vertices - res.source_side)
+            assert cut.value == g.value(res.value), "max-flow/min-cut duality violated"
+            best = _better(best, cut)
+            if res.value == 0:
+                break
+            cap = res.value + 1
     return CutResult(best, calls, ())
 
 
 def _edge_oracle(g: DiGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted: rooted at ``root``, or
     global (rooted at vertex 0 of the graph and of its reversal; a forward
-    zero cut skips the reversal)."""
+    zero cut skips the reversal).  Each flow stops one above the best cut
+    so far, and the reversal starts from the forward best."""
     if root is not None:
         return _rooted_oracle(g, root)
     forward = _rooted_oracle(g, 0)
     if forward.value == 0:
         return forward
-    backward = _rooted_oracle(reverse(g), 0)
-    best = _better(forward.certificate,
-                   replace(backward.certificate, orientation="reverse"))
+    backward = _rooted_oracle(reverse(g), 0, int(forward.value * g.scale) + 1)
+    best = forward.certificate
+    if backward.certificate is not None:
+        best = _better(best, replace(backward.certificate, orientation="reverse"))
     return CutResult(best, forward.flow_calls + backward.flow_calls, ())
 
 
 def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
-    """Exact minimum rooted cut via one max-flow per non-root vertex.  Each
-    flow's cut is read from its residual source side, so a zero cut hidden
-    behind zero-capacity arcs is found too; the first zero cut ends the
-    search."""
+    """Exact minimum rooted cut via one max-flow per non-root vertex, each
+    stopped one above the best cut so far.  Each flow's cut is read from
+    its residual source side, so a zero cut hidden behind zero-capacity
+    arcs is found too; the first zero cut ends the search."""
     return _rooted_oracle(g, r).certificate
 
 

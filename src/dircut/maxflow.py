@@ -12,7 +12,8 @@ capacities can share one set of those arrays (``share_network``).  A
 call copies the capacities; one with demand arcs into a supersink ``g.n``
 also copies the head array and the edge lists it extends, then appends
 the arcs, which is how the Steiner recursion routes to a terminal set
-without building a new graph.
+without building a new graph, and how the exact oracles stop each
+per-sink flow one above the best cut so far.
 
 Each phase labels vertices by residual distance to the sink, with a
 reverse BFS that stops once the source is labelled, and pushes a blocking

@@ -481,10 +481,16 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
     if not pairs:
         raise NoCutExistsError("complete digraph has no vertex cut")
     split = split_transform(ng)
+    # at most the split graph's sentinel, and every pair's cut is finite,
+    # so the sentinel a demand arc raises hides no cut
+    singletons = _singletons(ng)
+    cap = int(min(singletons[t].value for _, t in pairs) * ng.scale) + 1
     best = None
     for s, t in pairs:
-        res = max_flow(split, ng.n + s, t)
-        best = _better(best, _oracle_extract(ng, s, res))
+        res = max_flow(split, ng.n + s, split.n, demands=[(t, cap)])
+        if res.value < cap:
+            best = _better(best, _oracle_extract(ng, s, res))
+            cap = res.value + 1
     return CutResult(best, len(pairs), ())
 
 
@@ -492,6 +498,11 @@ def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificat
     """Exact minimum vertex cut by pairwise split-graph flows.
 
     ``root`` given: one flow per admissible sink.  ``root=None``: one flow
-    per ordered nonadjacent pair.  Test oracle and CLI --exact mode.
+    per ordered nonadjacent pair.  Each flow runs into the supersink
+    through one demand arc at t's in-copy, of capacity one above the best
+    cut so far (at first the least singleton of a sink t, whose separator
+    avoids s), so it stops there; a flow below it is the pair's minimum
+    cut, read from the same minimal source side as an uncapped flow.  Test
+    oracle and CLI --exact mode.
     """
     return _vertex_oracle(g, root).certificate

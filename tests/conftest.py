@@ -1,8 +1,11 @@
 """Shared brute-force oracles, instance generators and test helpers.
 
-The oracles here enumerate subsets or separators directly and never call
-the library's flow or certificate machinery, so they stay independent of
-the code paths they check.
+The brute-force oracles here enumerate subsets or separators directly
+and never call the library's flow or certificate machinery, so they stay
+independent of the code paths they check.  The plain per-sink oracles
+(``plain_edge_oracle``, ``plain_vertex_oracle``) do call ``max_flow``:
+they run every flow to completion, the reference that the library's
+capped oracles must match exactly.
 """
 
 import contextlib
@@ -12,12 +15,24 @@ import random
 import signal
 import sys
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from dircut import INFINITE, DiGraph, VertexCapGraph
+from dircut import INFINITE, DiGraph, NoCutExistsError, VertexCapGraph
+from dircut.edgecut import CutResult, _better
+from dircut.graph import reverse
+from dircut.maxflow import max_flow, min_cut_sink_side
+from dircut.vertexcut import (
+    _admissible_sinks,
+    _global_start,
+    _normalize,
+    _oracle_extract,
+    _unreached,
+    split_transform,
+)
 
 # Property tests draw the same examples on every run and have no deadline,
 # so a slow or loaded machine neither changes nor fails them.
@@ -212,6 +227,67 @@ def brute_global_vertex_cut(g):
             if best is None or val < best:
                 best = val
     return best
+
+
+def _plain_rooted_oracle(g, r):
+    """One uncapped flow per non-root sink; the first zero cut ends the loop."""
+    if g.n < 2:
+        raise NoCutExistsError("graph has no non-root vertex")
+    best = None
+    calls = 0
+    for t in range(g.n):
+        if t == r:
+            continue
+        cut = min_cut_sink_side(max_flow(g, r, t))
+        calls += 1
+        if cut.value == 0:
+            best = cut
+            break
+        best = _better(best, cut)
+    return CutResult(best, calls, ())
+
+
+def plain_edge_oracle(g, root=None):
+    """The exact edge oracle with every per-sink flow run to completion, as
+    a CutResult: rooted at ``root``, or global over vertex 0 of ``g`` and
+    of its reversal (a forward zero cut skips the reversal)."""
+    if root is not None:
+        return _plain_rooted_oracle(g, root)
+    forward = _plain_rooted_oracle(g, 0)
+    if forward.value == 0:
+        return forward
+    backward = _plain_rooted_oracle(reverse(g), 0)
+    best = _better(forward.certificate,
+                   replace(backward.certificate, orientation="reverse"))
+    return CutResult(best, forward.flow_calls + backward.flow_calls, ())
+
+
+def plain_vertex_oracle(g, root=None):
+    """The exact vertex oracle with every split-graph flow run to
+    completion, as a CutResult: one flow per admissible sink of ``root``,
+    or per ordered nonadjacent pair when ``root`` is None."""
+    ng = _normalize(g)
+    if root is not None:
+        zero = _unreached(ng, root, ng.arcs)
+        pairs = [(root, t) for t in _admissible_sinks(ng, root)]
+        if not pairs:
+            raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
+    else:
+        zero = _global_start(ng)
+        adjacent = set(ng.arcs)
+        pairs = [
+            (s, t) for s in range(ng.n) for t in range(ng.n)
+            if s != t and (s, t) not in adjacent
+        ]
+    if zero is not None:
+        return CutResult(zero, 0, ())
+    if not pairs:
+        raise NoCutExistsError("complete digraph has no vertex cut")
+    split = split_transform(ng)
+    best = None
+    for s, t in pairs:
+        best = _better(best, _oracle_extract(ng, s, max_flow(split, ng.n + s, t)))
+    return CutResult(best, len(pairs), ())
 
 
 def rand_digraph(rng, n, extra, wmax=10, strong=True, scale=1):
