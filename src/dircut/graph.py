@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 
 class NoCutExistsError(ValueError):
@@ -169,25 +168,6 @@ class CutCertificate:
                 self.orientation)
 
 
-@dataclass(frozen=True)
-class ContractionMap:
-    """Total map old vertex id -> new vertex id after contracting into the root."""
-
-    mapping: tuple
-    new_n: int
-    root_image: int
-
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
-
-    def preimage(self, new_ids: Iterable[int]) -> frozenset:
-        """Preimage of a set of surviving (non-root) vertex ids."""
-        want = frozenset(new_ids)
-        if self.root_image in want:
-            raise ValueError("preimage of the root image is not a vertex set")
-        return frozenset(v for v, w in enumerate(self.mapping) if w in want)
-
-
 def cut_certificate(g: DiGraph, sink, root=None) -> CutCertificate:
     """Build the exact certificate for the cut whose sink component is ``sink``."""
     sink_set = frozenset(sink)
@@ -249,10 +229,14 @@ def merge_parallel(g: DiGraph) -> DiGraph:
 
 
 def contract_into_root(g: DiGraph, r: int, block) -> tuple:
-    """Contract ``block`` (which must contain ``r``) into the root.
+    """Contract ``block`` (which must contain ``r``) into the root, keeping
+    every vertex id.
 
-    Arcs inside the block vanish, arcs whose image head would be the root
-    are dropped, everything else keeps its capacity.  For every sink set
+    Arcs whose head lies in the block vanish (inside the block, or into
+    the root: neither crosses a rooted cut), arcs leaving the block start
+    at ``r``, everything keeps its capacity, and the block's other
+    vertices are left isolated.  Returns ``(contracted, survivors)``, the
+    survivors being the vertices outside the block.  For every sink set
     S disjoint from the block the cut value is identical before and after.
     """
     block_set = frozenset(block)
@@ -261,20 +245,15 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
     for v in block_set:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    survivors = sorted(v for v in range(g.n) if v not in block_set)
-    mapping = [0] * g.n
-    for new_id, v in enumerate(survivors, start=1):
-        mapping[v] = new_id
-    new_n = len(survivors) + 1
-    arcs = []
-    for i, (t, h, c) in enumerate(g.arcs):
-        nt, nh = mapping[t], mapping[h]
-        if nh == 0:
-            continue  # head lands in the root: never crosses a rooted cut
-        arcs.append((nt, nh, INFINITE if i in g.inf_arcs else c))
-    contracted = DiGraph(new_n, arcs, scale=g.scale)
+    survivors = frozenset(range(g.n)) - block_set
+    arcs = [
+        (r if t in block_set else t, h, INFINITE if i in g.inf_arcs else c)
+        for i, (t, h, c) in enumerate(g.arcs)
+        if h not in block_set
+    ]
+    contracted = DiGraph(g.n, arcs, scale=g.scale)
     assert contracted.m <= in_volume(g, survivors)
-    return contracted, ContractionMap(tuple(mapping), new_n, 0)
+    return contracted, survivors
 
 
 def reachable(g: DiGraph, source: int) -> frozenset:

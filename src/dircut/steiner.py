@@ -7,10 +7,12 @@ attaches a supersink fed by per-terminal demand arcs, splits the minimum
 cut of that network, certifies the saturated terminals, contracts the
 source side into the root and recurses on the halved terminal sets.
 
-Cuts found deeper in the recursion are lifted back through the chain of
-contraction maps; contraction preserves every surviving cut value exactly,
-so lifted certificates are rebuilt and re-validated in the parent graph at
-each step.
+Contraction keeps every vertex id: it drops the arcs into the source side
+and leaves that side's vertices other than the root isolated, so a cut
+found deeper in the recursion names the same vertices in every graph of
+the chain.  Contraction preserves every surviving cut value exactly, so
+each such cut is rebuilt and re-validated in the parent graph at each
+step.
 """
 
 from __future__ import annotations
@@ -125,15 +127,18 @@ def shrink_wrap(inst: SteinerInstance):
     """
     stats = ShrinkWrapStats(group_size=len(inst.terminals))
     certified = Certified(inst.graph.value(inst.level))  # contraction keeps the scale
-    outcome = _solve(inst.graph, inst.root, tuple(sorted(inst.terminals)), inst.level, 0,
-                     stats, certified)
+    outcome = _solve(inst.graph, inst.root, tuple(sorted(inst.terminals)), inst.level,
+                     frozenset(range(inst.graph.n)), 0, stats, certified)
     assert len(stats.internal_depths) <= stats.depth_bound(), (
         "shrink-wrap exceeded its recursion-depth flow budget"
     )
     return outcome, stats
 
 
-def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats, certified) -> dict:
+def _solve(g: DiGraph, r: int, terms, level: int, alive: frozenset, depth: int, stats,
+           certified) -> dict:
+    """Outcomes of ``terms`` in ``g``, whose vertices outside ``alive`` the
+    contractions above have left isolated."""
     stats.max_depth = max(stats.max_depth, depth)
     if len(terms) == 1:
         t = terms[0]
@@ -145,8 +150,8 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats, certified) 
             return {t: certified}
         # below the level the cut avoids the demand arc and every infinite
         # arc, so it is the minimum (r, t)-cut of g with the same minimal
-        # source side
-        cert = cut_certificate(g, frozenset(range(g.n)) - res.source_side, root=r)
+        # source side; the isolated vertices stay out of its sink
+        cert = cut_certificate(g, alive - res.source_side, root=r)
         assert cert.value == g.value(res.value), "max-flow/min-cut duality violated"
         return {t: Below(cert)}
 
@@ -165,19 +170,16 @@ def _solve(g: DiGraph, r: int, terms, level: int, depth: int, stats, certified) 
                 out[t] = certified
         if not uncertified:
             continue
-        block = [v for v in range(g.n) if v in source_side]
-        contracted, cmap = contract_into_root(g, r, block)
+        contracted, survivors = contract_into_root(g, r, source_side)
         stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
-        child_terms = tuple(sorted(cmap.apply(t) for t in uncertified))
-        sub = _solve(contracted, cmap.root_image, child_terms, level, depth + 1, stats,
+        sub = _solve(contracted, r, uncertified, level, alive & survivors, depth + 1, stats,
                      certified)
         for t in uncertified:
-            child = sub[cmap.apply(t)]
+            child = sub[t]
             if isinstance(child, Certified):
                 out[t] = child
             else:
-                sink = cmap.preimage(child.cut.sink_set)
-                lifted = cut_certificate(g, sink, root=r)
+                lifted = cut_certificate(g, child.cut.sink_set, root=r)
                 assert lifted.value == child.cut.value, (
                     "contraction failed to preserve a lifted cut value"
                 )

@@ -52,27 +52,28 @@ def test_in_volume_examples():
 
 def test_contract_g1_example():
     g = g1()
-    contracted, cmap = contract_into_root(g, 0, [0, 1])
-    assert contracted.n == 2
-    assert sorted(contracted.arcs) == [(0, 1, 1), (0, 1, 1)]
+    contracted, survivors = contract_into_root(g, 0, [0, 1])
+    assert contracted.n == 3
+    # (1, 2) now leaves the root; vertex 1 keeps its id, isolated
+    assert sorted(contracted.arcs) == [(0, 2, 1), (0, 2, 1)]
     assert contracted.m <= in_volume(g, [2])
-    assert cmap.apply(0) == cmap.apply(1) == 0
-    assert cmap.apply(2) == 1
-    assert cmap.preimage([1]) == frozenset([2])
+    assert survivors == frozenset([2])
+    assert cut_value(contracted, [2]) == cut_value(g, [2])
 
 
 def test_contract_singleton_block():
     g = DiGraph(3, [(0, 1, 2), (1, 0, 3), (1, 2, 1)])
-    contracted, cmap = contract_into_root(g, 0, [0])
-    # arcs into the root vanish, everything else is relabeled in place
+    contracted, survivors = contract_into_root(g, 0, [0])
+    # arcs into the root vanish, everything else stays in place
     assert sorted(contracted.arcs) == [(0, 1, 2), (1, 2, 1)]
-    assert [cmap.apply(v) for v in range(3)] == [0, 1, 2]
+    assert survivors == frozenset([1, 2])
 
 
 def test_contract_everything():
     g = g1()
-    contracted, _ = contract_into_root(g, 0, [0, 1, 2])
-    assert contracted.n == 1 and contracted.m == 0
+    contracted, survivors = contract_into_root(g, 0, [0, 1, 2])
+    assert contracted.n == 3 and contracted.m == 0
+    assert survivors == frozenset()
 
 
 def test_contract_requires_root_in_block():
@@ -85,13 +86,12 @@ def test_contract_preserves_surviving_cuts():
     for _ in range(30):
         g = rand_digraph(rng, rng.randint(3, 7), rng.randint(0, 10))
         block = {0} | {v for v in range(1, g.n) if rng.random() < 0.4}
-        contracted, cmap = contract_into_root(g, 0, block)
-        survivors = [v for v in range(g.n) if v not in block]
-        for sink in iter_sink_sets(len(survivors) + 1, 0):
-            old = frozenset(survivors[i - 1] for i in sink)
-            assert cut_value(g, old) == cut_value(
-                contracted, {cmap.apply(v) for v in old}
-            )
+        contracted, survivors = contract_into_root(g, 0, block)
+        assert survivors == frozenset(range(g.n)) - block
+        assert contracted.n == g.n
+        for sink in iter_sink_sets(g.n, 0):
+            if not block & set(sink):
+                assert cut_value(g, sink) == cut_value(contracted, sink)
 
 
 def test_merge_parallel_examples():
