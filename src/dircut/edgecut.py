@@ -66,7 +66,7 @@ from .graph import (
     reach,
     reverse,
 )
-from .maxflow import max_flow, share_network
+from .maxflow import max_flow, min_cut_sink_side, share_network
 from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
 
 
@@ -538,11 +538,22 @@ def _rooted_start(g: DiGraph, r: int):
     return gm, _min_singleton_cut(gm, r), c_min
 
 
+def _on_input(result: CutResult, g: DiGraph, r: int) -> CutResult:
+    """``result`` with its certificate, found on ``g`` (or its reversal)
+    with parallel arcs merged, rebuilt on ``g`` itself, so that its
+    crossing arcs index ``g``'s arcs; the value does not change."""
+    cert = result.certificate
+    rebuilt = replace(cut_certificate(g, cert.sink_set, root=r), orientation=cert.orientation)
+    assert rebuilt.value == cert.value, "merging parallel arcs changed a cut value"
+    return replace(result, certificate=rebuilt)
+
+
 def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
     """Rooted cut: the best trivial cut, improved by ``search(probe_at,
     best, c_min)`` with the instance's prober."""
     gm, best, c_min = _rooted_start(g, r)
-    return _search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search)
+    return _on_input(_search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search),
+                     g, r)
 
 
 def approx_rooted_edge_cut(
@@ -574,12 +585,14 @@ def _global_search(g: DiGraph, search) -> CutResult:
     c_min)`` runs the search with the union prober."""
     gm, best, c_min = _rooted_start(g, 0)
     if best.value == 0:
-        return CutResult(best, 0, ())
-    rm, rev_best, _ = _rooted_start(reverse(g), 0)
+        return _on_input(CutResult(best, 0, ()), g, 0)
+    rg = reverse(g)
+    rm, rev_best, _ = _rooted_start(rg, 0)
     best = _better(best, replace(rev_best, orientation="reverse"))
-    return _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
-                                                  ("reverse", _edge_prober(rm, 0, log))]),
-                        best, c_min, search)
+    result = _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
+                                                    ("reverse", _edge_prober(rm, 0, log))]),
+                          best, c_min, search)
+    return _on_input(result, rg if result.orientation == "reverse" else g, 0)
 
 
 def approx_global_edge_cut(
@@ -610,7 +623,8 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     ends the loop; the certificate is None when no cut lies below the
     ``cap`` given.  On a graph with infinite arcs the flows run on a copy
     where they are plain arcs at their sentinel, which a demand arc would
-    otherwise raise, hiding the cuts that cross them."""
+    otherwise raise, hiding the cuts that cross them; the copy has g's
+    arcs, so its certificates are g's."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     if not 0 <= r < g.n:
@@ -618,7 +632,6 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     singleton = int(_min_singleton_cut(g, r).value * g.scale) + 1
     cap = singleton if cap is None else min(cap, singleton)
     flow_graph = DiGraph(g.n, g.arcs, g.scale) if g.inf_arcs else g
-    vertices = frozenset(range(g.n))
     best = None
     calls = 0
     for t in range(g.n):
@@ -627,9 +640,7 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
         res = max_flow(flow_graph, r, g.n, demands=[(t, cap)])
         calls += 1
         if res.value < cap:
-            cut = cut_certificate(g, vertices - res.source_side)
-            assert cut.value == g.value(res.value), "max-flow/min-cut duality violated"
-            best = _better(best, cut)
+            best = _better(best, min_cut_sink_side(res))
             if res.value == 0:
                 break
             cap = res.value + 1

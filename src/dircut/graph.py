@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 
 class NoCutExistsError(ValueError):
@@ -31,6 +32,15 @@ class _InfiniteCapacity:
 
 #: Marker accepted wherever an arc capacity is expected.
 INFINITE = _InfiniteCapacity()
+
+
+def _check_scale(scale) -> None:
+    """Reject a capacity denominator that is not a positive int: a bool,
+    float or Fraction would fail deep inside a solver, or pass as 1."""
+    if not isinstance(scale, int) or isinstance(scale, bool):
+        raise TypeError(f"scale must be int, not {type(scale).__name__}")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
 
 
 class DiGraph:
@@ -49,8 +59,7 @@ class DiGraph:
     def __init__(self, n, arcs, scale=1):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_scale(scale)
         raw = list(arcs)
         inf_idx = []
         total = 0
@@ -84,8 +93,7 @@ class DiGraph:
         modified, and entries at infinite arcs are overwritten) at
         ``scale``.  Only the capacities are checked; ``maxflow.share_network``
         then gives it this graph's residual arrays."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_scale(scale)
         if len(caps) != len(self.arcs):
             raise ValueError("need one capacity per arc")
         inf_ids = self.inf_arcs
@@ -206,25 +214,24 @@ def in_volume(g: DiGraph, vertices) -> int:
 
 
 def merge_parallel(g: DiGraph) -> DiGraph:
-    """Sum parallel arcs so each ordered pair appears at most once.
+    """Sum parallel finite arcs so each ordered pair carries at most one
+    finite arc, after which its infinite arcs follow as they are.
 
-    Cut values are unchanged exactly.  Note that unweighted in-degrees do
-    change; all volume and sampling computations are defined on the graph
-    as stored, so callers merge first when they need stable degrees.
+    Cut values are unchanged exactly: the finite total, and with it the
+    sentinel, stays the same, and so does each cut's count of infinite
+    arcs.  Note that unweighted in-degrees do change; all volume and
+    sampling computations are defined on the graph as stored, so callers
+    merge first when they need stable degrees.
     """
     finite: dict = {}
-    infinite: set = set()
+    infinite = []
     for i, (t, h, c) in enumerate(g.arcs):
         if i in g.inf_arcs:
-            infinite.add((t, h))
+            infinite.append((t, h, INFINITE))
         else:
             finite[(t, h)] = finite.get((t, h), 0) + c
-    arcs = []
-    for (t, h) in sorted(set(finite) | infinite):
-        if (t, h) in infinite:
-            arcs.append((t, h, INFINITE))
-        else:
-            arcs.append((t, h, finite[(t, h)]))
+    arcs = [(t, h, c) for (t, h), c in finite.items()] + infinite
+    arcs.sort(key=itemgetter(0, 1))  # stable: finite first within a pair
     return DiGraph(g.n, arcs, scale=g.scale)
 
 

@@ -106,8 +106,9 @@ def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
     ``demands`` lists ``(vertex, numerator)`` arcs into an extra vertex
     ``g.n``, the supersink, appended after ``g``'s arcs; infinite arcs
     then get the sentinel the extended graph would have.  ``residual``
-    and ``min_cut_sink_side`` describe ``g`` alone, so read only
-    ``value`` and ``source_side`` from a flow with demands.
+    then describes the extended network, and ``min_cut_sink_side`` the
+    cut of ``g`` that the source side leaves, whose value is the flow's
+    when that cut crosses no demand arc and no infinite arc.
     """
     n = g.n + 1 if demands else g.n
     if s == t:

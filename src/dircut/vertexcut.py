@@ -44,7 +44,7 @@ from .edgecut import (
     _search_tail,
     _volume_schedule,
 )
-from .graph import INFINITE, DiGraph, NoCutExistsError, reach
+from .graph import INFINITE, DiGraph, NoCutExistsError, _check_scale, reach
 from .maxflow import max_flow
 
 
@@ -56,8 +56,7 @@ class VertexCapGraph:
     def __init__(self, n, arcs, vcaps, scale=1):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_scale(scale)
         vcaps = tuple(vcaps)
         if len(vcaps) != n:
             raise ValueError("need one capacity per vertex")

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dircut import (
+    INFINITE,
     CutCertificate,
     DiGraph,
     ProbeConfig,
@@ -21,6 +22,7 @@ from dircut import (
     parse_text,
     precondition_rooted,
     probe_rooted_edge,
+    reverse,
     sample_terminals,
 )
 from dircut.edgecut import (
@@ -40,8 +42,10 @@ from conftest import (
     cut_value,
     g1,
     iter_sink_sets,
+    probing_graphs,
     rand_digraph,
     time_bound,
+    tiny_graphs,
 )
 
 
@@ -581,3 +585,44 @@ def test_probe_cost_decreases_with_volume():
             g, 0, ProbeConfig(level, 64, Fraction(1, 4), seed=seed)
         ).flow_calls
     assert large <= small
+
+
+def test_infinite_arcs_keep_their_cut_value():
+    # the finite arc parallel to the infinite one counts in its sentinel 7
+    g = DiGraph(2, [(0, 1, INFINITE), (0, 1, 5), (1, 0, 1)])
+    assert exact_rooted_edge_cut_oracle(g, 0).value == 12
+    assert approx_rooted_edge_cut(g, 0, "0.2", seed=1).value == 12
+    assert exact_small_edge_cut(g, root=0, seed=1).value == 12
+
+
+def _assert_crossing_indexes(g, res):
+    """The crossing arcs of ``res`` are exactly the arcs of ``g`` (or of
+    its reversal) that enter the sink, and they sum to the value."""
+    graph = reverse(g) if res.orientation == "reverse" else g
+    sink = res.certificate.sink_set
+    entering = [i for i, (t, h, _) in enumerate(graph.arcs) if h in sink and t not in sink]
+    assert list(res.certificate.crossing) == entering
+    assert graph.value(sum(graph.arcs[i][2] for i in entering)) == res.value
+
+
+def test_certificates_index_the_callers_arcs():
+    # merging the parallel arcs (0, 1) shifts every later arc's index
+    g = DiGraph(3, [(0, 1, 1), (0, 1, 1), (2, 1, 5), (1, 2, 2), (2, 0, 3), (0, 2, 4)])
+    for res in (approx_rooted_edge_cut(g, 0, "0.2", seed=1),
+                exact_small_edge_cut(g, root=0, seed=1)):
+        assert res.certificate.sink_set == frozenset([2])
+        assert res.certificate.crossing == (3, 5)
+    for res in (approx_global_edge_cut(g, "0.2", seed=1), exact_small_edge_cut(g, seed=1)):
+        _assert_crossing_indexes(g, res)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(tiny_graphs(), probing_graphs()))
+def test_certificates_index_the_callers_arcs_property(g):
+    integral = DiGraph(g.n, g.arcs_as_input())
+    runs = ((g, approx_rooted_edge_cut(g, 0, "0.2", seed=1)),
+            (g, approx_global_edge_cut(g, "0.2", seed=1)),
+            (integral, exact_small_edge_cut(integral, root=0, seed=1)),
+            (integral, exact_small_edge_cut(integral, seed=1)))
+    for graph, res in runs:
+        _assert_crossing_indexes(graph, res)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dircut import (
     INFINITE,
     DiGraph,
+    VertexCapGraph,
     contract_into_root,
     cut_certificate,
     in_volume,
@@ -109,9 +110,25 @@ def test_merge_parallel_preserves_cuts():
     for _ in range(20):
         g = rand_digraph(rng, rng.randint(2, 6), rng.randint(0, 8))
         doubled = DiGraph(g.n, list(g.arcs) + [(t, h, c) for t, h, c in g.arcs[:3]])
-        merged = merge_parallel(doubled)
-        for sink in iter_sink_sets(g.n, 0):
-            assert cut_value(doubled, sink) == cut_value(merged, sink)
+        # infinite arcs parallel to finite ones and to each other
+        infinite = DiGraph(g.n, doubled.arcs_as_input()
+                           + [(t, h, INFINITE) for t, h, _ in g.arcs[:2] * 2])
+        for graph in (doubled, infinite):
+            merged = merge_parallel(graph)
+            assert merged.inf_value == graph.inf_value
+            for sink in iter_sink_sets(g.n, 0):
+                assert cut_value(graph, sink) == cut_value(merged, sink)
+
+
+def test_merge_parallel_keeps_infinite_arcs():
+    # a finite arc parallel to an infinite one counts in the sentinel
+    g = DiGraph(2, [(0, 1, INFINITE), (0, 1, 5), (1, 0, 1)])
+    merged = merge_parallel(g)
+    assert merged.arcs == ((0, 1, 5), (0, 1, 7), (1, 0, 1))
+    assert merged.inf_arcs == frozenset([1])
+    assert cut_value(merged, [1]) == cut_value(g, [1]) == 12
+    two = DiGraph(2, [(0, 1, INFINITE), (0, 1, INFINITE)])
+    assert merge_parallel(two) == two
 
 
 def test_certificate_matches_brute_force_sum():
@@ -162,6 +179,18 @@ def test_constructor_rejections():
         DiGraph(2, [(0, 5, 1)])
     with pytest.raises(TypeError):
         DiGraph(2, [(0, 1, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), 2.0, True])
+def test_scale_must_be_int(scale):
+    with pytest.raises(TypeError, match="scale must be int"):
+        DiGraph(2, [(0, 1, 1)], scale=scale)
+    with pytest.raises(TypeError, match="scale must be int"):
+        DiGraph(2, [(0, 1, 1)]).with_capacities([1], scale)
+    with pytest.raises(TypeError, match="scale must be int"):
+        VertexCapGraph(2, [(0, 1)], [1, 1], scale=scale)
+    with pytest.raises(ValueError, match="positive"):
+        DiGraph(2, [], scale=0)
 
 
 @settings(max_examples=60, deadline=None)
