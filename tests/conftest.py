@@ -35,8 +35,11 @@ from dircut.vertexcut import (
 )
 
 # Property tests draw the same examples on every run and have no deadline,
-# so a slow or loaded machine neither changes nor fails them.
+# so a slow or loaded machine neither changes nor fails them.  The
+# "explore" profile (pytest --hypothesis-profile=explore) draws fresh
+# examples, fixed by --hypothesis-seed, still without a deadline.
 settings.register_profile("dircut", derandomize=True, deadline=None)
+settings.register_profile("explore", derandomize=False, deadline=None)
 settings.load_profile("dircut")
 
 
