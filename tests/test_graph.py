@@ -55,7 +55,8 @@ def test_contract_g1_example():
     g = g1()
     contracted, survivors = contract_into_root(g, 0, [0, 1])
     assert contracted.n == 3
-    # (1, 2) now leaves the root; vertex 1 keeps its id, isolated
+    # arc (1, 2) leaves the block, so it starts at the root; vertex 1
+    # keeps its id, isolated
     assert sorted(contracted.arcs) == [(0, 2, 1), (0, 2, 1)]
     assert contracted.m <= in_volume(g, [2])
     assert survivors == frozenset([2])
@@ -103,6 +104,14 @@ def test_merge_parallel_examples():
     assert merge_parallel(g1()) == DiGraph(
         3, sorted([(0, 1, 2), (0, 2, 1), (1, 2, 1), (2, 1, 1)])
     )
+    # a finite arc parallel to an infinite one counts in the sentinel
+    g = DiGraph(2, [(0, 1, INFINITE), (0, 1, 5), (1, 0, 1)])
+    merged = merge_parallel(g)
+    assert merged.arcs == ((0, 1, 5), (0, 1, 7), (1, 0, 1))
+    assert merged.inf_arcs == frozenset([1])
+    assert cut_value(merged, [1]) == cut_value(g, [1]) == 12
+    two = DiGraph(2, [(0, 1, INFINITE), (0, 1, INFINITE)])
+    assert merge_parallel(two) == two
 
 
 def test_merge_parallel_preserves_cuts():
@@ -118,17 +127,6 @@ def test_merge_parallel_preserves_cuts():
             assert merged.inf_value == graph.inf_value
             for sink in iter_sink_sets(g.n, 0):
                 assert cut_value(graph, sink) == cut_value(merged, sink)
-
-
-def test_merge_parallel_keeps_infinite_arcs():
-    # a finite arc parallel to an infinite one counts in the sentinel
-    g = DiGraph(2, [(0, 1, INFINITE), (0, 1, 5), (1, 0, 1)])
-    merged = merge_parallel(g)
-    assert merged.arcs == ((0, 1, 5), (0, 1, 7), (1, 0, 1))
-    assert merged.inf_arcs == frozenset([1])
-    assert cut_value(merged, [1]) == cut_value(g, [1]) == 12
-    two = DiGraph(2, [(0, 1, INFINITE), (0, 1, INFINITE)])
-    assert merge_parallel(two) == two
 
 
 def test_certificate_matches_brute_force_sum():
