@@ -62,6 +62,7 @@ from .graph import (
     DiGraph,
     NoCutExistsError,
     cut_certificate,
+    dominators,
     merge_parallel,
     reach,
     reverse,
@@ -480,33 +481,110 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
 
 
 def integer_search(probe_at, singleton, floor, seed_parts):
-    """Exact search over integer levels for integer capacities.
+    """Exact search over the integer levels above ``floor`` for integer
+    capacities.
 
     ``probe_at`` probes integer level L at tolerance 1/(1+L), so any
     certificate it returns has a value at most L.  ``floor`` is a positive
-    lower bound on the optimum, below ``singleton``'s value, so a
-    certificate at level lo = max(1, int(floor)), probed first with seed
-    parts ``(*seed_parts, "up", lo)``, is optimal.  After a miss
-    ``bisect_levels`` searches lo+1..singleton, seeded by ``(*seed_parts,
-    "bin", L)``: it gallops down from one below the singleton's value, so
-    an optimal singleton costs one probe after the floor's, and any other
-    optimum at most about two probes per bit of the gap."""
+    lower bound on the optimum, below ``singleton``'s value, that no cut
+    attains: the exact modes answer a cut of the smallest positive
+    capacity without a flow (``_edge_floor_cut``, ``_vertex_floor_cut``)
+    before they search.  So the optimum lies in lo+1..singleton for
+    lo = max(1, int(floor)), and ``bisect_levels`` searches those levels,
+    seeded by ``(*seed_parts, "bin", L)``: it gallops down from one below
+    the singleton's value, so an optimal singleton costs one probe, and
+    any other optimum at most about two probes per bit of the gap."""
     lo = max(1, int(floor))
-    cert = probe_at(Fraction(lo), Fraction(1, 1 + lo), (*seed_parts, "up", lo))
-    if cert is not None:
-        return _better(singleton, cert)
     return bisect_levels(probe_at, singleton, Fraction, lo + 1, int(singleton.value),
                          lambda level: 1 / (1 + level), (*seed_parts, "bin"), floor)
 
 
-def _search_tail(make_prober, best, floor, search) -> CutResult:
+def _search_tail(make_prober, best, floor, search, floor_cut=None) -> CutResult:
     """``search(make_prober(log), best, floor)`` unless the trivial cut
     ``best`` is at most the lower bound ``floor`` on the optimum, as a
-    CutResult with the flow calls and entries of the probe log ``log``."""
+    CutResult with the flow calls and entries of the probe log ``log``.
+    ``floor_cut``, when given, is asked first, before any prober is
+    built: a cut it returns has value ``floor``, so it is optimal and no
+    flow runs."""
     log = []
     if best.value > floor:
+        cut = floor_cut() if floor_cut else None
+        if cut is not None:
+            return CutResult(_better(best, cut), 0, ())
         best = search(make_prober(log), best, floor)
     return CutResult(best, sum(calls for _, _, calls in log), tuple(log))
+
+
+def _dominator_intervals(n: int, pairs, r: int):
+    """The dominator tree of the flow graph ``pairs`` rooted at ``r``, in
+    preorder: ``(order, first, size)`` with subtree(v), the vertices that
+    v dominates, equal to ``order[first[v] : first[v] + size[v]]``.  The
+    root must reach every vertex."""
+    idom = dominators(n, pairs, r)
+    children = [[] for _ in range(n)]
+    for v, d in enumerate(idom):
+        if v != r:
+            children[d].append(v)
+    order, first, size = [], [0] * n, [1] * n
+    stack = [r]
+    while stack:
+        v = stack.pop()
+        first[v] = len(order)
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    for v in reversed(order):
+        if v != r:
+            size[idom[v]] += size[v]
+    return order, first, size
+
+
+def _edge_floor_cut(gm: DiGraph, r: int, c_min: Fraction):
+    """The rank-best rooted cut of value ``c_min``, the smallest positive
+    capacity, among the largest sinks of such cuts, or None when no cut
+    has that value; no flow runs.  ``gm`` has its parallel arcs merged,
+    and ``r`` reaches every vertex along positive arcs.
+
+    Such a cut crosses exactly one positive arc, and its head x then
+    dominates every sink vertex in the flow graph of the positive arcs.
+    The vertices x dominates form subtree(x) of the dominator tree, every
+    positive arc that enters subtree(x) from outside ends at x, and when
+    exactly one does, at numerator ``c_min``, subtree(x) is a floor cut's
+    largest sink.  Equal-size subtrees are disjoint, so only those of the
+    least size among the candidates have their vertices listed."""
+    c = int(c_min * gm.scale)
+    order, first, size = _dominator_intervals(
+        gm.n, [(t, h) for t, h, cap in gm.arcs if cap > 0], r)
+    entering = [0] * gm.n
+    last = [0] * gm.n  # the capacity of an arc entering subtree(v)
+    for t, h, cap in gm.arcs:
+        if cap > 0 and not first[h] <= first[t] < first[h] + size[h]:
+            entering[h] += 1
+            last[h] = cap
+    candidates = [v for v in range(gm.n) if entering[v] == 1 and last[v] == c]
+    if not candidates:
+        return None
+    least = min(size[v] for v in candidates)
+    sink = min(sorted(order[first[v]:first[v] + least]) for v in candidates if size[v] == least)
+    cert = cut_certificate(gm, sink, root=r)
+    assert cert.value == c_min, "a dominator subtree's cut is not at the floor"
+    return cert
+
+
+def _global_edge_floor_cut(gm: DiGraph, rm: DiGraph, c_min: Fraction):
+    """``_edge_floor_cut`` at vertex 0 of ``gm`` and of its merged reversal
+    ``rm``, tagged "reverse", whichever is better by rank."""
+    backward = _edge_floor_cut(rm, 0, c_min)
+    return _better(_edge_floor_cut(gm, 0, c_min),
+                   backward and replace(backward, orientation="reverse"))
+
+
+def _spans_by_infinite_arcs(g: DiGraph, r: int) -> bool:
+    """Whether ``r`` reaches every vertex along infinite arcs alone, so
+    that every rooted cut at ``r`` crosses one.  The probes cannot see
+    such a cut: conditioning gives infinite arcs the conditioned graph's
+    own sentinel, above every threshold."""
+    arcs = [(t, h) for i, (t, h, _) in enumerate(g.arcs) if i in g.inf_arcs]
+    return len(reach(g.n, arcs, r)) == g.n
 
 
 def _edge_prober(gm: DiGraph, r: int, log):
@@ -548,12 +626,17 @@ def _on_input(result: CutResult, g: DiGraph, r: int) -> CutResult:
     return replace(result, certificate=rebuilt)
 
 
-def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
+def _rooted_search(g: DiGraph, r: int, search, floor_test=False) -> CutResult:
     """Rooted cut: the best trivial cut, improved by ``search(probe_at,
-    best, c_min)`` with the instance's prober."""
+    best, c_min)`` with the instance's prober, after ``_edge_floor_cut``
+    when ``floor_test`` is set.  When every rooted cut crosses an infinite
+    arc the capped oracle answers, with its flows counted."""
     gm, best, c_min = _rooted_start(g, r)
-    return _on_input(_search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search),
-                     g, r)
+    if best.value > c_min and _spans_by_infinite_arcs(gm, r):
+        return _rooted_oracle(g, r)
+    floor_cut = partial(_edge_floor_cut, gm, r, c_min) if floor_test else None
+    return _on_input(_search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search,
+                                  floor_cut), g, r)
 
 
 def approx_rooted_edge_cut(
@@ -577,21 +660,27 @@ def approx_rooted_edge_cut(
     return _rooted_search(g, r, search)
 
 
-def _global_search(g: DiGraph, search) -> CutResult:
+def _global_search(g: DiGraph, search, floor_test=False) -> CutResult:
     """Global cut as one search over the union of the instances rooted at
     vertex 0 of ``g`` and of its reversal, started from the best trivial
     cut of either.  A zero cut is returned without probing, and a forward
     one without looking at the reversal.  ``search(probe_at, best,
-    c_min)`` runs the search with the union prober."""
+    c_min)`` runs the search with the union prober, after
+    ``_global_edge_floor_cut`` when ``floor_test`` is set.  When the
+    infinite arcs alone strongly connect ``g``, every cut crosses one, and
+    the capped oracle answers, with its flows counted."""
     gm, best, c_min = _rooted_start(g, 0)
     if best.value == 0:
         return _on_input(CutResult(best, 0, ()), g, 0)
     rg = reverse(g)
     rm, rev_best, _ = _rooted_start(rg, 0)
     best = _better(best, replace(rev_best, orientation="reverse"))
+    if best.value > c_min and _spans_by_infinite_arcs(gm, 0) and _spans_by_infinite_arcs(rm, 0):
+        return _edge_oracle(g)
+    floor_cut = partial(_global_edge_floor_cut, gm, rm, c_min) if floor_test else None
     result = _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
                                                     ("reverse", _edge_prober(rm, 0, log))]),
-                          best, c_min, search)
+                          best, c_min, search, floor_cut)
     return _on_input(result, rg if result.orientation == "reverse" else g, 0)
 
 
@@ -702,5 +791,5 @@ def exact_small_edge_cut(
         raise NoCutExistsError("need at least two vertices")
     search = partial(integer_search, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(g, root, search)
-    return _global_search(g, search)
+        return _rooted_search(g, root, search, floor_test=True)
+    return _global_search(g, search, floor_test=True)

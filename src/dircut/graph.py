@@ -263,6 +263,85 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
     return contracted, survivors
 
 
+def dominators(n: int, pairs, root: int) -> list:
+    """Immediate dominators of the flow graph on ``range(n)`` with arcs
+    ``(tail, head)`` in ``pairs``, rooted at ``root``: entry v is the
+    immediate dominator of v, ``root`` for ``root`` itself and None for a
+    vertex that ``root`` cannot reach.  Vertex d dominates v when every
+    path from ``root`` to v passes through d.
+
+    Lengauer and Tarjan's algorithm with path compression (TOPLAS 1979),
+    O(m log n), with an iterative depth-first search and compression, so
+    that long chains never reach the recursion limit.  Internally every
+    vertex is named by its depth-first number."""
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range 0..{n - 1}")
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for t, h in pairs:
+        succ[t].append(h)
+        pred[h].append(t)
+    number = [-1] * n
+    number[root] = 0
+    order = [root]  # vertices by depth-first number
+    parent = [0]
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        v, children = stack[-1]
+        for w in children:
+            if number[w] < 0:
+                number[w] = len(order)
+                parent.append(number[v])
+                order.append(w)
+                stack.append((w, iter(succ[w])))
+                break
+        else:
+            stack.pop()
+    k = len(order)
+    semi = list(range(k))
+    label = list(range(k))
+    ancestor = [-1] * k  # the forest that LINK builds, -1 at its roots
+    idom = [0] * k
+    bucket = [[] for _ in range(k)]
+
+    def evaluate(v):
+        """The vertex of least semidominator on the forest path above v."""
+        if ancestor[v] < 0:
+            return v
+        path = []
+        while ancestor[ancestor[v]] >= 0:
+            path.append(v)
+            v = ancestor[v]
+        for x in reversed(path):
+            a = ancestor[x]
+            if semi[label[a]] < semi[label[x]]:
+                label[x] = label[a]
+            ancestor[x] = ancestor[a]
+        return label[path[0]] if path else label[v]
+
+    for w in range(k - 1, 0, -1):
+        for u in pred[order[w]]:
+            u = number[u]
+            if u >= 0:
+                u = evaluate(u)
+                if semi[u] < semi[w]:
+                    semi[w] = semi[u]
+        bucket[semi[w]].append(w)
+        p = parent[w]
+        ancestor[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p].clear()
+    result = [None] * n
+    result[root] = root
+    for w in range(1, k):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+        result[order[w]] = order[idom[w]]
+    return result
+
+
 def reachable(g: DiGraph, source: int) -> frozenset:
     """Vertices reachable from ``source`` along arcs of any capacity."""
     return reach(g.n, [(t, h) for t, h, _ in g.arcs], source)

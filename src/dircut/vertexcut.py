@@ -40,6 +40,7 @@ from .edgecut import (
     probe,
     union_prober,
     _better,
+    _dominator_intervals,
     _edge_sample,
     _search_tail,
     _volume_schedule,
@@ -238,12 +239,66 @@ def _split_prober(base: VertexCapGraph, r: int, log):
                         _volume_schedule(max(ng.m, 1)), log)
 
 
-def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
+def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="forward"):
+    """The rank-best rooted vertex cut at ``r`` of value ``c_min``, the
+    smallest positive capacity, among the largest sinks of such cuts, or
+    None when no cut has that value; no flow runs.  ``r`` reaches every
+    vertex along ``_positive_arcs(ng, r)``.
+
+    Such a cut's separator holds one positive vertex w, of capacity
+    ``c_min``, and zero-capacity ones, so w dominates every sink vertex in
+    that flow graph.  Conversely the vertices D that such a w ≠ r strictly
+    dominates, when there are any, form a sink whose separator is w plus
+    zero-capacity vertices: no other arc of the flow graph enters D.  The
+    separators of distinct w differ, so they alone rank the candidates,
+    and only the best one's certificate is built."""
+    c = int(c_min * ng.scale)
+    order, first, size = _dominator_intervals(ng.n, _positive_arcs(ng, r), r)
+    zero_arcs = [(u, v) for u, v in ng.arcs if ng.vcaps[u] == 0 and u != r]
+    candidates = []
+    for w in range(ng.n):
+        if w == r or ng.vcaps[w] != c or size[w] == 1:
+            continue
+        lo, hi = first[w] + 1, first[w] + size[w]  # D is order[lo:hi]
+        separator = {w}.union(u for u, v in zero_arcs
+                              if lo <= first[v] < hi and not lo <= first[u] < hi)
+        candidates.append((len(separator), sorted(separator), w))
+    if not candidates:
+        return None
+    _, separator, w = min(candidates)
+    cert = _sink_certificate(ng, frozenset(order[first[w] + 1:first[w] + size[w]]), orientation)
+    assert cert.value == c_min and sorted(cert.separator) == separator, (
+        "a dominator subtree's vertex cut is not at the floor")
+    return cert
+
+
+def _global_vertex_floor_cut(ng: VertexCapGraph, c_min: Fraction):
+    """The rank-best global vertex cut of value ``c_min`` that
+    ``_vertex_floor_cut`` finds at r, the first positive-capacity vertex,
+    in ``ng`` and in its reversal, or None.  Every such cut leaves r on
+    its source side in one orientation, unless r is the positive vertex
+    of its separator, so when r has capacity ``c_min`` a second positive
+    root is tried too.  ``ng``'s best trivial global cut lies above
+    ``c_min``, so a second positive root exists when one is needed: with
+    r the only positive vertex, a floor cut's sink would hold a singleton
+    of value ``c_min``."""
+    positive = [v for v, c in enumerate(ng.vcaps) if c > 0]
+    roots = positive[:2] if ng.value(ng.vcaps[positive[0]]) == c_min else positive[:1]
+    reverse = _reverse_topology(ng)
+    best = None
+    for r in roots:
+        best = _better(best, _vertex_floor_cut(ng, r, c_min))
+        best = _better(best, _vertex_floor_cut(reverse, r, c_min, "reverse"))
+    return best
+
+
+def _rooted_search(ng: VertexCapGraph, r: int, search, floor_test=False) -> CutResult:
     """Rooted cut: the zero cut onto the vertices ``r`` cannot reach through
     positive-capacity vertices, else the best admissible singleton,
     improved by ``search(probe_at, best, c_min)`` with the instance's split
-    prober.  Raises ValueError for a root outside 0..n-1 and
-    NoCutExistsError when no rooted vertex cut exists."""
+    prober, after ``_vertex_floor_cut`` when ``floor_test`` is set.
+    Raises ValueError for a root outside 0..n-1 and NoCutExistsError when
+    no rooted vertex cut exists."""
     best = _unreached(ng, r, _positive_arcs(ng, r))
     admissible = _admissible_sinks(ng, r)
     if not admissible:
@@ -251,7 +306,9 @@ def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
     if best is None:
         singletons = _singletons(ng)
         best = min((singletons[t] for t in admissible), key=attrgetter("rank"))
-    return _search_tail(lambda log: _split_prober(ng, r, log), best, _c_min(ng), search)
+    c_min = _c_min(ng)
+    floor_cut = partial(_vertex_floor_cut, ng, r, c_min) if floor_test else None
+    return _search_tail(lambda log: _split_prober(ng, r, log), best, c_min, search, floor_cut)
 
 
 def approx_rooted_vertex_cut(
@@ -370,12 +427,15 @@ def _global_trivial(ng: VertexCapGraph):
     return best
 
 
-def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResult:
+def _global_search(ng: VertexCapGraph, best, root_eps, seed, search,
+                   floor_test=False) -> CutResult:
     """Global cut as one ``search(probe_at, best, c_min)`` over the union of
     the rooted instances of every distinct root that ``sample_roots`` draws
     at tolerance ``root_eps``, in both orientations, each pruned for its
     root and left out when it has no admissible sink.  Nothing is drawn or
-    probed when the trivial cut ``best`` is at most ``c_min`` (optimal)."""
+    probed when the trivial cut ``best`` is at most ``c_min`` (optimal),
+    or, with ``floor_test``, when ``_global_vertex_floor_cut`` finds a cut
+    of value ``c_min``."""
     def make_prober(log):
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")))
         bases = (("forward", ng), ("reverse", _reverse_topology(ng)))
@@ -383,7 +443,9 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResul
                    for r in sorted(set(roots)) for orientation, base in bases]
         return union_prober([(o, prober) for o, prober in members if prober is not None])
 
-    return _search_tail(make_prober, best, _c_min(ng), search)
+    c_min = _c_min(ng)
+    floor_cut = partial(_global_vertex_floor_cut, ng, c_min) if floor_test else None
+    return _search_tail(make_prober, best, c_min, search, floor_cut)
 
 
 def approx_global_vertex_cut(
@@ -442,9 +504,10 @@ def exact_small_vertex_cut(
     ng = _normalize(g)
     search = partial(integer_search, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(ng, root, search)
+        return _rooted_search(ng, root, search, floor_test=True)
     singleton = _global_trivial(ng)
-    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed, search)
+    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed, search,
+                          floor_test=True)
 
 
 # -- exact oracle ------------------------------------------------------------
