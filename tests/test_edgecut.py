@@ -200,14 +200,14 @@ def _stub_prober(optimum, levels):
 
 def test_integer_search_probes_no_ruled_out_level():
     # a miss at level L rules out every level up to L, and a cut of value
-    # v rules out every level from v up
+    # v rules out every level from v up; the floor itself is never probed
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
     assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
-    assert levels == [1, 19, 5, 6]
+    assert levels == [19, 5, 6]
     levels = []
     assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 19]
+    assert levels == [19]
 
 
 def test_integer_search_keeps_a_better_singleton():
@@ -215,24 +215,24 @@ def test_integer_search_keeps_a_better_singleton():
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
     assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
-    assert levels == [1, 19]
+    assert levels == [19]
 
 
-@given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200))
-def test_integer_search_probes_the_floor_then_only_open_levels(floor, above, gap):
-    # optimum >= floor, and the singleton lies above the floor, as the
-    # solvers search only then.  A miss at L rules out every level up to
-    # L, and a cut of value v rules out every level from v up
+@given(st.integers(1, 2**200), st.integers(1, 2**200), st.integers(1, 2**200))
+def test_integer_search_probes_only_open_levels_above_the_floor(floor, above, gap):
+    # optimum > floor, since the solvers answer a cut at the floor without
+    # a search, and the singleton lies above the floor, as the solvers
+    # search only then.  A miss at L rules out every level up to L, and a
+    # cut of value v rules out every level from v up
     optimum = floor + above
     singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
     levels = []
     res = integer_search(_stub_prober(optimum, levels), singleton, Fraction(floor), ())
-    assert levels[0] == floor
     for k, level in enumerate(levels):
-        assert floor <= level < singleton.value
+        assert floor < level < singleton.value
         assert all(level > miss for miss in levels[:k] if miss < optimum)
         assert level < optimum or all(hit < optimum for hit in levels[:k])
-    assert len(levels) <= 1 + gap.bit_length()
+    assert len(levels) <= gap.bit_length()
     assert res.value == min(optimum, singleton.value)
     if singleton.value < optimum:
         assert res is singleton
@@ -250,7 +250,7 @@ def _descending_prober(optimum, drop, probes):
     return probe_at
 
 
-@given(st.integers(1, 2**200), st.integers(0, 2**200), st.integers(1, 2**200),
+@given(st.integers(1, 2**200), st.integers(1, 2**200), st.integers(1, 2**200),
        st.integers(0, 3))
 def test_integer_search_gallops_through_open_levels_only(floor, above, gap, drop):
     # each hit rules out the levels from its value up, each miss the
@@ -262,10 +262,10 @@ def test_integer_search_gallops_through_open_levels_only(floor, above, gap, drop
     res = integer_search(_descending_prober(optimum, drop, probes), singleton,
                          Fraction(floor), ())
     for k, (level, _) in enumerate(probes):
-        assert floor <= level < singleton.value
+        assert floor < level < singleton.value
         assert all(level > miss for miss, value in probes[:k] if value is None)
         assert all(level < value for _, value in probes[:k] if value is not None)
-    assert len(probes) <= 2 + 2 * gap.bit_length()
+    assert len(probes) <= 1 + 2 * gap.bit_length()
     assert res.value == min(optimum, singleton.value)
     if singleton.value < optimum:
         assert res is singleton
@@ -593,6 +593,60 @@ def test_infinite_arcs_keep_their_cut_value():
     assert exact_rooted_edge_cut_oracle(g, 0).value == 12
     assert approx_rooted_edge_cut(g, 0, "0.2", seed=1).value == 12
     assert exact_small_edge_cut(g, root=0, seed=1).value == 12
+
+
+I = INFINITE
+
+
+@pytest.mark.parametrize("g, root, optimum", [
+    (DiGraph(4, [(0, 1, I), (1, 2, I), (2, 1, I), (1, 3, I), (3, 1, I), (2, 3, I), (3, 2, I),
+                 (0, 2, 1), (0, 3, 1)]), 0, 5),
+    (DiGraph(3, [(0, 1, 3), (1, 0, I), (1, 2, 2), (2, 1, I), (2, 0, 2), (1, 0, 2), (2, 1, 1),
+                 (1, 2, 3)]), 2, 17),
+])
+def test_cuts_that_must_cross_an_infinite_arc(g, root, optimum):
+    # the root reaches every vertex along infinite arcs, which conditioning
+    # gives the conditioned graph's own sentinel, so no probe sees a cut;
+    # the searches answer with the capped oracle instead (they gave 7 and
+    # 18 before)
+    assert _edge_oracle(g, root).value == optimum
+    best = _edge_oracle(g).value
+    for seed in range(1, 6):
+        assert approx_rooted_edge_cut(g, root, "0.2", seed=seed).value <= Fraction(6, 5) * optimum
+        assert exact_small_edge_cut(g, root=root, seed=seed).value == optimum
+        assert approx_global_edge_cut(g, "0.2", seed=seed).value <= Fraction(6, 5) * best
+        assert exact_small_edge_cut(g, seed=seed).value == best
+
+
+@st.composite
+def infinite_arborescence_graphs(draw):
+    """``tiny_graphs`` or ``probing_graphs`` plus an infinite arc into every
+    vertex other than 0 from one before it in a drawn order that starts at
+    0, so every rooted cut at 0 crosses an infinite arc.  Some tree arcs
+    between other vertices also get an infinite reverse arc, so that a
+    large sink can cross fewer infinite arcs than any singleton."""
+    g = draw(st.one_of(tiny_graphs(), probing_graphs()))
+    order = [0, *draw(st.permutations(range(1, g.n)))]
+    tree = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, g.n)]
+    back = [(v, u) for u, v in tree if u != 0 and draw(st.booleans())]
+    return DiGraph(g.n, g.arcs_as_input() + [(u, v, I) for u, v in tree + back],
+                   scale=g.scale)
+
+
+@settings(max_examples=100)
+@given(infinite_arborescence_graphs())
+def test_searches_on_an_infinite_spanning_arborescence(g):
+    def optimum(graph, root=None):
+        if root is not None:
+            return brute_min_rooted_cut(graph, root)[0]
+        return min(optimum(graph, 0), optimum(reverse(graph), 0))
+
+    eps = Fraction(1, 5)
+    assert approx_rooted_edge_cut(g, 0, eps, seed=1).value <= (1 + eps) * optimum(g, 0)
+    assert approx_global_edge_cut(g, eps, seed=1).value <= (1 + eps) * optimum(g)
+    integral = DiGraph(g.n, g.arcs_as_input())
+    assert exact_small_edge_cut(integral, root=0, seed=1).value == optimum(integral, 0)
+    assert exact_small_edge_cut(integral, seed=1).value == optimum(integral)
 
 
 def _assert_crossing_indexes(g, res):
