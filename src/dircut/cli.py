@@ -78,8 +78,9 @@ def _build_parser():
                             "one above the best cut so far)")
         p.add_argument("--exact-small", action="store_true",
                        help="exact mode for integer capacities with a small optimum; "
-                            "it probes the smallest capacity, then searches the "
-                            "levels above it down from the trivial cut")
+                            "it finds a cut of the smallest capacity without a flow, "
+                            "else searches the levels above it down from the trivial "
+                            "cut")
         p.add_argument("--report", metavar="PATH",
                        help="also write the report as JSON")
         p.set_defaults(handler=_cmd_cut)

@@ -38,9 +38,15 @@ every other cut crosses a positive arc.  The approximate modes run it on
 a geometric grid of levels computed by index and anchored at the trivial
 cut's value (``level_search``); the grid ratio and the per-probe
 inflation are both epsilon/(2+epsilon), so their product stays within
-the requested (1+epsilon) factor.  The exact small-optimum modes probe
-the lower bound once and then run it on integer levels
-(``integer_search``).  Vertex cuts run the same drivers with a prober
+the requested (1+epsilon) factor.  The exact small-optimum modes answer
+the lower bound without a flow: a cut of the smallest positive capacity
+crosses one positive arc, whose head dominates the whole sink, so one
+dominator tree of the root's positive arcs finds it (``_edge_floor_cut``).
+Only when there is none do they run the search, on the integer levels
+above the lower bound (``integer_search``).  Conditioning gives infinite
+arcs the conditioned graph's own sentinel, so no probe sees a cut that
+must cross one; when every cut does, the searches hand the instance to
+the capped oracle.  Vertex cuts run the same drivers with a prober
 on the split graph.  Certificates of either kind are compared by their
 ``rank``.  A global cut runs one search over a ``union_prober`` of rooted
 instances (vertex 0 of the graph and of its reversal, or sampled vertex
@@ -779,13 +785,15 @@ def exact_small_edge_cut(
     seed: int = 0,
 ) -> CutResult:
     """Exact minimum cut w.h.p. for integer capacities, efficient when the
-    optimum is small.  A zero cut is found exactly, without probing; else
-    ``integer_search`` probes the smallest positive capacity, then
-    searches the integers above it down from the trivial cut (20 flows on
+    optimum is small.  A zero cut, and a cut of the smallest positive
+    capacity (``_edge_floor_cut``, one dominator tree per orientation), are
+    found exactly, without a flow; else ``integer_search`` searches the
+    integers above that capacity down from the trivial cut (10 flows on
     the bidirectional 6-cycle with capacities 10^400, whose trivial cut is
     optimal), at tolerance 1/(1+level), which makes integer answers exact.
     A probe can miss, so the value is exact only w.h.p.; the certificate
-    is always a valid cut."""
+    is always a valid cut.  When every cut crosses an infinite arc the
+    capped oracle answers."""
     _require_integer_capacities(g)
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")

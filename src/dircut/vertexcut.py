@@ -14,8 +14,10 @@ vertex separators.  Rooted and global solves build that prober one way,
 on the instance pruned for its root (``prune_for_root``).  Global cuts
 draw roots once in proportion to capacity and run one search over the
 ``union_prober`` of each distinct root's instances in both orientations.
-The exact small-optimum modes search integer levels with per-level
-tolerance 1/(1+level) so that integer answers come out exact.
+The exact small-optimum modes answer a cut at the smallest positive
+capacity from a dominator tree, without a flow, and otherwise search the
+integer levels above it with per-level tolerance 1/(1+level), so that
+integer answers come out exact.
 """
 
 from __future__ import annotations
@@ -487,14 +489,15 @@ def exact_small_vertex_cut(
     """Exact minimum vertex cut w.h.p. for integer capacities, efficient
     when the optimum is small.
 
-    A zero cut, and a singleton at the smallest positive capacity, are
-    returned without probing.  Otherwise ``integer_search`` probes that
-    capacity, then searches the integers above it down from the trivial
-    cut (60 flows for the global cut of the bidirectional 6-cycle with
-    capacities 10^400, whose trivial cut is optimal), at tolerance
-    1/(1+level), which makes integer answers exact.  A probe can miss,
-    so the value is exact only w.h.p., while the certificate is always
-    valid.
+    A zero cut, and any cut at the smallest positive capacity, are
+    returned without a flow: the latter has one positive vertex in its
+    separator, found from a dominator tree (``_vertex_floor_cut``).
+    Otherwise ``integer_search`` searches the integers above that
+    capacity down from the trivial cut (30 flows for the global cut of
+    the bidirectional 6-cycle with capacities 10^400, whose trivial cut
+    is optimal), at tolerance 1/(1+level), which makes integer answers
+    exact.  A probe can miss, so the value is exact only w.h.p., while
+    the certificate is always valid.
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
     roots are drawn once, at the tolerance 1/(1+s) of level s, the value
