@@ -264,11 +264,11 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
         lo, hi = first[w] + 1, first[w] + size[w]  # D is order[lo:hi]
         separator = {w}.union(u for u, v in zero_arcs
                               if lo <= first[v] < hi and not lo <= first[u] < hi)
-        candidates.append((len(separator), sorted(separator), w))
+        candidates.append((len(separator), sorted(separator), lo, hi))
     if not candidates:
         return None
-    _, separator, w = min(candidates)
-    cert = _sink_certificate(ng, frozenset(order[first[w] + 1:first[w] + size[w]]), orientation)
+    _, separator, lo, hi = min(candidates)
+    cert = _sink_certificate(ng, frozenset(order[lo:hi]), orientation)
     assert cert.value == c_min and sorted(cert.separator) == separator, (
         "a dominator subtree's vertex cut is not at the floor")
     return cert
