@@ -126,8 +126,25 @@ def _check_vertex_cut(g, cut, c_min):
     assert cut.value == g.value(sum(g.vcaps[w] for w in separator)) == c_min
 
 
+@st.composite
+def shared_vertex_graphs(draw):
+    """Two ``probing_vertex_graphs`` that share their vertex 0, which so
+    separates the others; its capacity is drawn like theirs, so it is
+    sometimes the least, and some capacities are zero."""
+    caps = st.sampled_from([0, 1, 1, 2, 3])
+    a = draw(probing_vertex_graphs(caps=caps, max_n=5))
+    b = draw(probing_vertex_graphs(caps=caps, max_n=5))
+
+    def shift(v):
+        return v + a.n - 1 if v else 0
+
+    arcs = list(a.arcs) + [(shift(u), shift(v)) for u, v in b.arcs]
+    return VertexCapGraph(a.n + b.n - 1, arcs, a.vcaps + b.vcaps[1:])
+
+
 VERTEX_GRAPHS = st.one_of(zero_heavy_vertex_graphs(),
-                          probing_vertex_graphs(caps=st.sampled_from([1, 1, 2, 3])))
+                          probing_vertex_graphs(caps=st.sampled_from([1, 1, 2, 3])),
+                          shared_vertex_graphs())
 
 
 @settings(max_examples=200)
@@ -156,6 +173,19 @@ def test_vertex_floor_cut_matches_brute_force(g):
     if cut is not None:
         _check_vertex_cut(_reverse_topology(ng) if cut.orientation == "reverse" else ng,
                           cut, c_min)
+
+
+def test_global_vertex_floor_cut_whose_separator_is_the_first_root():
+    # two bidirectional triangles share vertex 0, the only vertex of
+    # capacity 1; at the root 0 no separator may hold 0 itself, so only
+    # the second root 1 finds the cut
+    pairs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+    g = VertexCapGraph(5, pairs + [(v, u) for u, v in pairs], [1, 2, 2, 2, 2])
+    cut = _global_vertex_floor_cut(g, 1)
+    assert cut.separator == {0} and cut.sink_component == {3, 4}
+    assert cut.orientation == "forward" and cut.value == 1
+    res = exact_small_vertex_cut(g, seed=1)
+    assert res.certificate == cut and res.flow_calls == 0
 
 
 N = 3000
