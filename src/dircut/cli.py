@@ -77,7 +77,7 @@ def _build_parser():
                        help="exact oracle (one flow per candidate sink, each stopped "
                             "one above the best cut so far)")
         p.add_argument("--exact-small", action="store_true",
-                       help="exact mode for integer capacities with a small optimum; "
+                       help="exact mode for an optimum with a small numerator; "
                             "it finds a cut of the smallest capacity without a flow, "
                             "else searches the levels above it down from the trivial "
                             "cut")

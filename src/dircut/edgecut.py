@@ -42,12 +42,13 @@ the requested (1+epsilon) factor.  The exact small-optimum modes answer
 the lower bound without a flow: a cut of the smallest positive capacity
 crosses one positive arc, whose head dominates the whole sink, so one
 dominator tree of the root's positive arcs finds it (``_edge_floor_cut``).
-Only when there is none do they run the search, on the integer levels
-above the lower bound (``integer_search``).  Conditioning gives infinite
+Only when there is none do they run the search, over the levels
+k/scale above the lower bound for integers k, since every cut value is
+a multiple of 1/scale (``integer_search``).  Conditioning gives infinite
 arcs the conditioned graph's own sentinel, so no probe sees a cut that
 must cross one; when every cut does, the searches hand the instance to
-the capped oracle.  Vertex cuts run the same drivers with a prober
-on the split graph.  Certificates of either kind are compared by their
+the capped oracle.  Vertex cuts run the same drivers with a prober on
+the split graph.  Certificates of either kind are compared by their
 ``rank``.  A global cut runs one search over a ``union_prober`` of rooted
 instances (vertex 0 of the graph and of its reversal, or sampled vertex
 roots), which stops at the first instance that returns a certificate and
@@ -486,23 +487,23 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
                          floor)
 
 
-def integer_search(probe_at, singleton, floor, seed_parts):
-    """Exact search over the integer levels above ``floor`` for integer
-    capacities.
+def integer_search(probe_at, singleton, floor, scale, seed_parts):
+    """Exact search over the levels above ``floor`` for capacities at
+    ``scale``, whose cut values are all multiples of 1/scale.
 
-    ``probe_at`` probes integer level L at tolerance 1/(1+L), so any
-    certificate it returns has a value at most L.  ``floor`` is a positive
-    lower bound on the optimum, below ``singleton``'s value, that no cut
-    attains: the exact modes answer a cut of the smallest positive
+    ``probe_at`` probes level k/scale at tolerance 1/(1+k), so any
+    certificate it returns has a numerator of at most k.  ``floor`` is a
+    positive lower bound on the optimum, below ``singleton``'s value, that
+    no cut attains: the exact modes answer a cut of the smallest positive
     capacity without a flow (``_edge_floor_cut``, ``_vertex_floor_cut``)
-    before they search.  So the optimum lies in lo+1..singleton for
-    lo = max(1, int(floor)), and ``bisect_levels`` searches those levels,
-    seeded by ``(*seed_parts, "bin", L)``: it gallops down from one below
-    the singleton's value, so an optimal singleton costs one probe, and
+    before they search.  So the optimum's numerator lies in lo+1..the
+    singleton's for lo the floor's, and ``bisect_levels`` searches those
+    numerators, seeded by ``(*seed_parts, "bin", k)``: it gallops down from
+    one below the singleton's, so an optimal singleton costs one probe, and
     any other optimum at most about two probes per bit of the gap."""
-    lo = max(1, int(floor))
-    return bisect_levels(probe_at, singleton, Fraction, lo + 1, int(singleton.value),
-                         lambda level: 1 / (1 + level), (*seed_parts, "bin"), floor)
+    return bisect_levels(probe_at, singleton, lambda k: Fraction(k, scale),
+                         int(floor * scale) + 1, int(singleton.value * scale),
+                         lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"), floor)
 
 
 def _search_tail(make_prober, best, floor, search, floor_cut=None) -> CutResult:
@@ -773,31 +774,25 @@ def exact_global_edge_cut_oracle(g: DiGraph):
     return res.certificate, res.orientation
 
 
-def _require_integer_capacities(g: DiGraph):
-    for i, (_, _, c) in enumerate(g.arcs):
-        if i not in g.inf_arcs and c % g.scale != 0:
-            raise ValueError("exact small-connectivity mode needs integer capacities")
-
-
 def exact_small_edge_cut(
     g: DiGraph,
     root=None,
     seed: int = 0,
 ) -> CutResult:
-    """Exact minimum cut w.h.p. for integer capacities, efficient when the
-    optimum is small.  A zero cut, and a cut of the smallest positive
-    capacity (``_edge_floor_cut``, one dominator tree per orientation), are
-    found exactly, without a flow; else ``integer_search`` searches the
-    integers above that capacity down from the trivial cut (10 flows on
-    the bidirectional 6-cycle with capacities 10^400, whose trivial cut is
-    optimal), at tolerance 1/(1+level), which makes integer answers exact.
-    A probe can miss, so the value is exact only w.h.p.; the certificate
-    is always a valid cut.  When every cut crosses an infinite arc the
-    capped oracle answers."""
-    _require_integer_capacities(g)
+    """Exact minimum cut w.h.p., efficient when the optimum's numerator at
+    the graph's scale is small.  A zero cut, and a cut of the smallest
+    positive capacity (``_edge_floor_cut``, one dominator tree per
+    orientation), are found exactly, without a flow; else
+    ``integer_search`` searches the numerators k above that capacity's
+    down from the trivial cut (10 flows on the bidirectional 6-cycle with
+    capacities 10^400, whose trivial cut is optimal), level k/scale at
+    tolerance 1/(1+k), which makes every answer exact.  A probe can miss,
+    so the value is exact only w.h.p.; the certificate is always a valid
+    cut.  When every cut crosses an infinite arc the capped oracle
+    answers."""
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    search = partial(integer_search, seed_parts=(seed, "small"))
+    search = partial(integer_search, scale=g.scale, seed_parts=(seed, "small"))
     if root is not None:
         return _rooted_search(g, root, search, floor_test=True)
     return _global_search(g, search, floor_test=True)

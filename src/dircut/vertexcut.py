@@ -16,8 +16,8 @@ draw roots once in proportion to capacity and run one search over the
 ``union_prober`` of each distinct root's instances in both orientations.
 The exact small-optimum modes answer a cut at the smallest positive
 capacity from a dominator tree, without a flow, and otherwise search the
-integer levels above it with per-level tolerance 1/(1+level), so that
-integer answers come out exact.
+capacity numerators k above it, level k/scale at tolerance 1/(1+k), so
+that every answer comes out exact.
 """
 
 from __future__ import annotations
@@ -475,41 +475,34 @@ def approx_global_vertex_cut(
 # -- exact modes -------------------------------------------------------------
 
 
-def _require_integer_vcaps(g: VertexCapGraph):
-    for c in g.vcaps:
-        if c % g.scale != 0:
-            raise ValueError("exact small-connectivity mode needs integer capacities")
-
-
 def exact_small_vertex_cut(
     g: VertexCapGraph,
     root=None,
     seed: int = 0,
 ) -> CutResult:
-    """Exact minimum vertex cut w.h.p. for integer capacities, efficient
-    when the optimum is small.
+    """Exact minimum vertex cut w.h.p., efficient when the optimum's
+    numerator at the graph's scale is small.
 
     A zero cut, and any cut at the smallest positive capacity, are
     returned without a flow: the latter has one positive vertex in its
     separator, found from a dominator tree (``_vertex_floor_cut``).
-    Otherwise ``integer_search`` searches the integers above that
-    capacity down from the trivial cut (30 flows for the global cut of
+    Otherwise ``integer_search`` searches the numerators k above that
+    capacity's down from the trivial cut (30 flows for the global cut of
     the bidirectional 6-cycle with capacities 10^400, whose trivial cut
-    is optimal), at tolerance 1/(1+level), which makes integer answers
-    exact.  A probe can miss, so the value is exact only w.h.p., while
-    the certificate is always valid.
+    is optimal), level k/scale at tolerance 1/(1+k), which makes every
+    answer exact.  A probe can miss, so the value is exact only w.h.p.,
+    while the certificate is always valid.
     ``root=None`` solves the global problem as one integer search over
     the pruned instances of the distinct roots in both orientations.  The
-    roots are drawn once, at the tolerance 1/(1+s) of level s, the value
-    of the best trivial cut.
+    roots are drawn once, at the tolerance 1/(1+s) of the top level, whose
+    numerator s is that of the best trivial cut.
     """
-    _require_integer_vcaps(g)
     ng = _normalize(g)
-    search = partial(integer_search, seed_parts=(seed, "small"))
+    search = partial(integer_search, scale=ng.scale, seed_parts=(seed, "small"))
     if root is not None:
         return _rooted_search(ng, root, search, floor_test=True)
     singleton = _global_trivial(ng)
-    return _global_search(ng, singleton, 1 / (1 + singleton.value), seed, search,
+    return _global_search(ng, singleton, 1 / (1 + singleton.value * ng.scale), seed, search,
                           floor_test=True)
 
 

@@ -203,10 +203,12 @@ def test_integer_search_probes_no_ruled_out_level():
     # v rules out every level from v up; the floor itself is never probed
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
-    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1), ()).value == 7
+    assert integer_search(_stub_prober(7, levels), singleton, Fraction(1),
+                          scale=1, seed_parts=()).value == 7
     assert levels == [19, 5, 6]
     levels = []
-    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1), ()) is singleton
+    assert integer_search(_stub_prober(100, levels), singleton, Fraction(1),
+                          scale=1, seed_parts=()) is singleton
     assert levels == [19]
 
 
@@ -214,7 +216,8 @@ def test_integer_search_keeps_a_better_singleton():
     # every level below the singleton's value 20 misses the cut of value 30
     singleton = CutCertificate(frozenset([2]), (), Fraction(20))
     levels = []
-    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1), ()) is singleton
+    assert integer_search(_stub_prober(30, levels), singleton, Fraction(1),
+                          scale=1, seed_parts=()) is singleton
     assert levels == [19]
 
 
@@ -227,7 +230,8 @@ def test_integer_search_probes_only_open_levels_above_the_floor(floor, above, ga
     optimum = floor + above
     singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
     levels = []
-    res = integer_search(_stub_prober(optimum, levels), singleton, Fraction(floor), ())
+    res = integer_search(_stub_prober(optimum, levels), singleton, Fraction(floor),
+                         scale=1, seed_parts=())
     for k, level in enumerate(levels):
         assert floor < level < singleton.value
         assert all(level > miss for miss in levels[:k] if miss < optimum)
@@ -260,7 +264,7 @@ def test_integer_search_gallops_through_open_levels_only(floor, above, gap, drop
     singleton = CutCertificate(frozenset([2]), (), Fraction(floor + gap))
     probes = []
     res = integer_search(_descending_prober(optimum, drop, probes), singleton,
-                         Fraction(floor), ())
+                         Fraction(floor), scale=1, seed_parts=())
     for k, (level, _) in enumerate(probes):
         assert floor < level < singleton.value
         assert all(level > miss for miss, value in probes[:k] if value is None)
@@ -544,10 +548,15 @@ def test_exact_small_matches_oracle_unit_caps():
     assert exact_hits >= trials - 1
 
 
-def test_exact_small_rejects_fractional_caps():
+def test_exact_small_on_fractional_caps():
+    # a capacity of 1/2, rooted (value 1/2) and global (the zero cut back)
     g = DiGraph(2, [(0, 1, 1)], scale=2)
-    with pytest.raises(ValueError):
-        exact_small_edge_cut(g, root=0)
+    for res, oracle in ((exact_small_edge_cut(g, root=0), exact_rooted_edge_cut_oracle(g, 0)),
+                        (exact_small_edge_cut(g), exact_global_edge_cut_oracle(g)[0])):
+        assert res.value == oracle.value
+        sink = res.certificate.sink_set
+        assert sink and 0 not in sink
+        assert cut_value(g if res.orientation == "forward" else reverse(g), sink) == res.value
 
 
 def test_epsilon_handling():

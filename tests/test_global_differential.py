@@ -5,9 +5,9 @@ with positive capacities only (so that the searches run), every
 certificate, re-summed in its own orientation from the arc list, equals
 its value; exact-small returns the brute-force optimum; and approx lies in
 [opt, (1+epsilon)*opt].  The edge entry points also run on graphs with
-parallel, zero, near-2^70 and infinite arcs, half of them drawn so that
-the searches probe, and the vertex entry points on capacities up to
-2^70+2.
+parallel, zero, near-2^70 and infinite arcs at scales 1-3, half of them
+drawn so that the searches probe, and the vertex entry points on
+capacities up to 2^70+2 and at rational scales.
 """
 
 from fractions import Fraction
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dircut import (
     DiGraph,
     NoCutExistsError,
+    VertexCapGraph,
     approx_global_edge_cut,
     approx_global_vertex_cut,
     exact_small_edge_cut,
@@ -63,18 +64,15 @@ def test_global_edge_entry_points(g):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(tiny_graphs(), probing_graphs()))
 def test_global_edge_entry_points_on_infinite_and_huge_arcs(g):
-    # exact-small needs integers, so it runs at scale 1
-    integral = DiGraph(g.n, g.arcs_as_input())
-    runs = ((g, approx_global_edge_cut(g, EPSILON, seed=1), FACTOR),
-            (integral, exact_small_edge_cut(integral, seed=1), 1))
-    for graph, res, factor in runs:
-        rev = DiGraph(graph.n, [(v, u, c) for u, v, c in graph.arcs_as_input()],
-                      scale=graph.scale)
-        opt = min(brute_min_rooted_cut(graph, 0)[0], brute_min_rooted_cut(rev, 0)[0])
+    rev = DiGraph(g.n, [(v, u, c) for u, v, c in g.arcs_as_input()], scale=g.scale)
+    opt = min(brute_min_rooted_cut(g, 0)[0], brute_min_rooted_cut(rev, 0)[0])
+    runs = ((approx_global_edge_cut(g, EPSILON, seed=1), FACTOR),
+            (exact_small_edge_cut(g, seed=1), 1))
+    for res, factor in runs:
         sink = res.certificate.sink_set
         assert sink and 0 not in sink
-        base = graph if res.orientation == "forward" else rev
-        if opt < graph.value(graph.inf_value):
+        base = g if res.orientation == "forward" else rev
+        if opt < g.value(g.inf_value):
             # a finite cut exists, and the answer is one within the factor
             assert cut_value(base, sink) == res.value
             assert opt <= res.value <= opt * factor
@@ -121,3 +119,10 @@ def test_global_vertex_entry_points(g):
                  probing_vertex_graphs(caps=HUGE_POSITIVE)))
 def test_global_vertex_entry_points_on_huge_capacities(g):
     _check_global_vertex_entry_points(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE),
+                 probing_vertex_graphs(caps=POSITIVE)), st.integers(2, 7))
+def test_global_vertex_entry_points_at_a_rational_scale(g, scale):
+    _check_global_vertex_entry_points(VertexCapGraph(g.n, g.arcs, g.vcaps, scale))

@@ -148,7 +148,7 @@ VERTEX_SOLVERS = {
 def _run(solver, record, g):
     try:
         return record(solver(g))
-    except ValueError as exc:  # NoCutExistsError, or fractional exact-small
+    except ValueError as exc:  # NoCutExistsError
         return {"error": type(exc).__name__}
 
 

@@ -4,14 +4,16 @@ Capacities of 10^400 overflow a float, so the level grid, the root-count
 bounds and the capacity-weighted root draw must stay in exact integers
 or rationals.  Every mode runs on the bidirectional 6-cycle, whose
 optimum 2 * 10^400 is its trivial cut.  The exact small-optimum modes
-probe the smallest capacity once and then gallop down the integer levels
-from one below the trivial cut, so on that cycle they run 20 edge and 60
-vertex flows in the global modes, under a bound of 200 checked here.
-They also run on bridged graphs whose optimum is their smallest
-capacity; the global vertex mode still draws its roots at the tolerance
-1/(1 + 2 * 10^400) there.  Both searches also run over index ranges
-longer than 2^63: the integer levels between 2^70 and 4 * 2^70, and a
-grid of more than 2^63 levels up to 10^500.
+answer a cut at the smallest capacity from a dominator tree and
+otherwise gallop down the capacity numerators from one below the
+trivial cut, so on that cycle they run 10 edge and 30 vertex flows in
+the global modes, under a bound of 200 checked here; so they do on the
+same cycle with capacities (10^400 + 1) / 10^400, whose numerators lie
+at scale 10^400.  They also run on bridged graphs whose optimum is their
+smallest capacity; the global vertex mode still draws its roots at the
+tolerance 1/(1 + 2 * 10^400) there.  Both searches also run over index
+ranges longer than 2^63: the integer levels between 2^70 and 4 * 2^70,
+and a grid of more than 2^63 levels up to 10^500.
 """
 
 from fractions import Fraction
@@ -41,6 +43,10 @@ def _both_ways(pairs):
 CYCLE = _both_ways([(i, (i + 1) % 6) for i in range(6)])
 EDGE_CYCLE = DiGraph(6, [(u, v, HUGE) for u, v in CYCLE])
 VERTEX_CYCLE = VertexCapGraph(6, CYCLE, [HUGE] * 6)
+# the same cycle with capacities (10^400 + 1) / 10^400
+FINE = Fraction(HUGE + 1, HUGE)
+EDGE_FINE = DiGraph(6, [(u, v, HUGE + 1) for u, v in CYCLE], scale=HUGE)
+VERTEX_FINE = VertexCapGraph(6, CYCLE, [HUGE + 1] * 6, scale=HUGE)
 # two bidirectional triangles joined by one arc pair, or sharing vertex 2
 EDGE_BRIDGED = DiGraph(6, [(u, v, HUGE) for u, v in _both_ways(
     [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])])
@@ -62,7 +68,7 @@ def _check_edge(res, g, value):
 
 def _check_vertex(res, g, value):
     cert = res.certificate
-    assert res.value == value == sum(g.vcaps[w] for w in cert.separator)
+    assert res.value == value == Fraction(sum(g.vcaps[w] for w in cert.separator), g.scale)
     assert cert.separator and cert.sink_component
     assert not cert.separator & cert.sink_component
 
@@ -91,6 +97,18 @@ def test_exact_small_cuts_on_the_cycle(root):
         vertex = exact_small_vertex_cut(VERTEX_CYCLE, root=root)
     _check_edge(edge, EDGE_CYCLE, 2 * HUGE)
     _check_vertex(vertex, VERTEX_CYCLE, 2 * HUGE)
+    assert edge.flow_calls <= 200 and vertex.flow_calls <= 200
+
+
+@pytest.mark.parametrize("root", [0, None], ids=["rooted", "global"])
+def test_exact_small_cuts_at_a_huge_scale(root):
+    # the trivial cut 2 * FINE is optimal, so the search misses once below
+    # its numerator
+    with time_bound(10):
+        edge = exact_small_edge_cut(EDGE_FINE, root=root)
+        vertex = exact_small_vertex_cut(VERTEX_FINE, root=root)
+    _check_edge(edge, EDGE_FINE, 2 * FINE)
+    _check_vertex(vertex, VERTEX_FINE, 2 * FINE)
     assert edge.flow_calls <= 200 and vertex.flow_calls <= 200
 
 

@@ -4,11 +4,11 @@ On small graphs, half of them with half the capacities zero and half
 with positive capacities only (so that the searches run), every
 certificate re-sums to its value and keeps the root out of its sink;
 exact-small returns the brute-force optimum; approx lies in
-[opt, (1+epsilon)*opt], also at a rational scale; and NoCutExistsError
-is raised exactly when no admissible sink exists.  The edge entry points
-also run on graphs with parallel, zero, near-2^70 and infinite arcs, half
-of them drawn so that the searches probe, and the vertex entry points on
-capacities up to 2^70+2.  A root outside 0..n-1 is a ValueError at all
+[opt, (1+epsilon)*opt]; both also at a rational scale; and
+NoCutExistsError is raised exactly when no admissible sink exists.  The
+edge entry points also run on graphs with parallel, zero, near-2^70 and
+infinite arcs at scales 1-3, half of them drawn so that the searches
+probe, and the vertex entry points on capacities up to 2^70+2.  A root outside 0..n-1 is a ValueError at all
 six rooted entry points.
 """
 
@@ -83,25 +83,24 @@ def test_rooted_edge_approx_at_a_rational_scale(g, scale):
 def test_rooted_edge_entry_points_on_infinite_and_huge_arcs(g, cycle):
     # zero, near-2^70, INFINITE and parallel arcs reach every probe's
     # infinite sentinel; a cycle of unit arcs rules out zero cuts, so the
-    # searches run.  Exact-small needs integers, so it runs at scale 1
+    # searches run
     if cycle:
         g = DiGraph(g.n, g.arcs_as_input() + [(v, (v + 1) % g.n, g.scale) for v in range(g.n)],
                     scale=g.scale)
-    integral = DiGraph(g.n, g.arcs_as_input())
-    runs = ((g, approx_rooted_edge_cut(g, 0, EPSILON, seed=1), FACTOR),
-            (integral, exact_small_edge_cut(integral, root=0, seed=1), 1))
-    for graph, res, factor in runs:
-        opt = brute_min_rooted_cut(graph, 0)[0]
+    opt = brute_min_rooted_cut(g, 0)[0]
+    runs = ((approx_rooted_edge_cut(g, 0, EPSILON, seed=1), FACTOR),
+            (exact_small_edge_cut(g, root=0, seed=1), 1))
+    for res, factor in runs:
         sink = res.certificate.sink_set
         assert sink and 0 not in sink
         assert res.orientation == "forward"
-        if opt < graph.value(graph.inf_value):
+        if opt < g.value(g.inf_value):
             # a finite cut exists, and the answer is one within the factor
-            assert cut_value(graph, sink) == res.value
+            assert cut_value(g, sink) == res.value
             assert opt <= res.value <= opt * factor
         else:
             # every cut crosses an infinite arc, and so does the answer
-            assert any(i in graph.inf_arcs for i, (t, h, _) in enumerate(graph.arcs)
+            assert any(i in g.inf_arcs for i, (t, h, _) in enumerate(g.arcs)
                        if h in sink and t not in sink)
 
 
@@ -144,6 +143,13 @@ def test_rooted_vertex_entry_points(g):
                  probing_vertex_graphs(caps=HUGE_POSITIVE)))
 def test_rooted_vertex_entry_points_on_huge_capacities(g):
     _check_rooted_vertex_entry_points(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(zero_heavy_vertex_graphs(), zero_heavy_vertex_graphs(caps=POSITIVE),
+                 probing_vertex_graphs(caps=POSITIVE)), st.integers(2, 7))
+def test_rooted_vertex_entry_points_at_a_rational_scale(g, scale):
+    _check_rooted_vertex_entry_points(VertexCapGraph(g.n, g.arcs, g.vcaps, scale))
 
 
 ROOTED_ENTRY_POINTS = {

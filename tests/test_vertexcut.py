@@ -366,10 +366,13 @@ def test_singleton_at_smallest_capacity_runs_no_flow():
         assert res.value == 2 and res.flow_calls == 0 and res.probe_log == ()
 
 
-def test_exact_small_rejects_fractional():
+def test_exact_small_on_fractional():
+    # capacities of 1/2: the numerators at scale 2 are searched
     g = VertexCapGraph(3, [(0, 1), (1, 2), (2, 0)], [1, 1, 1], scale=2)
-    with pytest.raises(ValueError):
-        exact_small_vertex_cut(g, root=0)
+    for root in (0, None):
+        res = exact_small_vertex_cut(g, root=root)
+        assert res.value == exact_vertex_cut_oracle(g, root=root).value == Fraction(1, 2)
+        _assert_valid_vertex_cut(g, res.certificate, root=root)
 
 
 def test_oracle_examples():
