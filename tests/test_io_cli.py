@@ -408,6 +408,31 @@ def test_cli_verify_resums_each_certificate(capsys, monkeypatch):
         monkeypatch.setitem(cli._PROBLEMS, f"{kind}-cut", problem)
 
 
+@pytest.mark.parametrize("mode, p, trials, seed, skipped", [
+    ("rooted", "0.7", 20, 0, [4, 9, 12, 17]),  # the root's out-neighbors cover all
+    ("global", "0.95", 5, 0, [0, 4]),  # complete digraphs
+], ids=["rooted", "global"])
+def test_cli_verify_skips_trials_without_a_cut(capsys, mode, p, trials, seed, skipped):
+    """A trial whose graph has no vertex cut is listed as skipped and left
+    out of both gate counts; the sweep goes on to the summary."""
+    code, out = _run(capsys, "verify", "--problem", "vertex", "--mode", mode, "--n", "6",
+                     "--p", p, "--trials", str(trials), "--seed", str(seed))
+    lines = out.splitlines()
+    assert [int(line.split()[0]) for line in lines if " skipped: " in line] == skipped
+    counted = trials - len(skipped)
+    assert code == 0 and lines[-1] == (
+        f"summary: {counted}/{counted} within 1+epsilon, {counted}/{counted} valid, "
+        f"{len(skipped)} skipped, gate=pass")
+
+
+def test_cli_verify_without_any_cut_exits_2(capsys):
+    code = main(["verify", "--problem", "vertex", "--mode", "global", "--n", "3",
+                 "--p", "1", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and "summary" not in captured.out
+    assert captured.err == "no cut exists: no trial has a cut\n"
+
+
 def test_cli_zero_denominator_epsilon_is_an_input_error(tmp_path, capsys):
     edge = tmp_path / "c3.gr"
     edge.write_text("p edge-cap 3 3\na 1 2 1\na 2 3 2\na 3 1 3\n")
