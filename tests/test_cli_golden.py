@@ -38,6 +38,11 @@ FILES = {
         "p edge-cap 5 9\na 1 2 0\na 1 2 2\na 2 3 2\na 3 4 2\na 4 5 1\n"
         "a 5 1 3\na 2 4 0\na 4 2 1\na 3 5 2\n"
     ),
+    # capacities at scale 4, whose exact-small searches run flows
+    "edge-rational": (
+        "p edge-cap 6 11\na 1 2 0.25\na 2 3 3/2\na 3 4 1/2\na 4 5 3/4\na 5 6 1/2\n"
+        "a 6 1 1\na 1 4 1\na 3 1 1\na 5 2 5/4\na 2 6 1\na 6 4 0.25\n"
+    ),
     "vertex-seven": (
         "p vertex-cap 7 14\na 1 2\na 2 3\na 3 4\na 4 5\na 5 6\na 6 7\na 7 1\n"
         "a 1 4\na 2 5\na 3 6\na 6 2\na 7 3\na 5 1\na 4 7\n"
@@ -47,10 +52,15 @@ FILES = {
         "p vertex-cap 5 7\na 1 2\na 1 3\na 2 4\na 3 4\na 4 5\na 5 1\na 2 3\n"
         "w 1 5\nw 2 1\nw 3 2\nw 4 3\nw 5 1\n"
     ),
+    "vertex-rational": (
+        "p vertex-cap 7 14\na 1 2\na 2 3\na 3 4\na 4 5\na 5 6\na 6 7\na 7 1\n"
+        "a 1 4\na 2 5\na 3 6\na 6 2\na 7 3\na 5 1\na 4 7\n"
+        "w 1 3/2\nw 2 1/2\nw 3 0.75\nw 4 3/4\nw 5 1/2\nw 6 1\nw 7 0.25\n"
+    ),
 }
 
-COMMANDS = {"edge-cut": ("edge-six", "edge-zero-parallel"),
-            "vertex-cut": ("vertex-seven", "vertex-diamond")}
+COMMANDS = {"edge-cut": ("edge-six", "edge-zero-parallel", "edge-rational"),
+            "vertex-cut": ("vertex-seven", "vertex-diamond", "vertex-rational")}
 MODES = {"rooted": ("--rooted", "1"), "global": ("--global",)}
 ALGORITHMS = {"approx": (), "exact": ("--exact",), "exact-small": ("--exact-small",)}
 
