@@ -2,17 +2,18 @@
 
 Given a root r, terminals T and a connectivity target, either certify that
 r can push the target amount of flow to a terminal, or produce a rooted
-cut of smaller value whose sink contains that terminal.  The recursion
-attaches a supersink fed by per-terminal demand arcs, splits the minimum
-cut of that network, certifies the saturated terminals, contracts the
-source side into the root and recurses on the halved terminal sets.
+cut of smaller value whose sink contains that terminal.  Each recursion
+node runs one flow into a supersink fed by per-terminal demand arcs,
+certifies the terminals in the minimal source side (their demand arcs are
+saturated), contracts that side into the root and recurses on the two
+halves of the terminals left; a one-terminal node's flow certifies its
+terminal or cuts it off.
 
 Contraction keeps every vertex id: it drops the arcs into the source side
 and leaves that side's vertices other than the root isolated, so a cut
-found deeper in the recursion names the same vertices in every graph of
-the chain.  Contraction preserves every surviving cut value exactly, so
-each such cut is rebuilt and re-validated in the parent graph at each
-step.
+found deeper in the recursion names the same vertices in the instance
+graph.  Contraction preserves every surviving cut value exactly, so each
+such cut is built once in the instance graph.
 """
 
 from __future__ import annotations
@@ -69,10 +70,12 @@ class Below:
 class ShrinkWrapStats:
     """Flow-call accounting for one shrink-wrap group.
 
-    ``raw_flow_calls`` counts every max-flow invocation (sequential
-    implementation).  ``paper_flow_calls`` is the batched-equivalent count:
-    two per recursion depth that contains internal nodes plus one per base
-    case, which is the quantity bounded by 2*ceil(log2 k) + leaves.
+    ``raw_flow_calls`` counts every max-flow invocation, one per recursion
+    node (sequential implementation).  ``paper_flow_calls`` is the
+    batched-equivalent count: the internal nodes of one depth run their
+    flows on disjoint contracted graphs, charged two per depth that has
+    any, plus one per one-terminal leaf, the quantity bounded by
+    2*ceil(log2 k) + leaves.
     ``contraction_log`` records (depth, edges after contraction, surviving
     terminal count) for every recursion edge, for the shrink-bound checks.
     """
@@ -125,63 +128,51 @@ def shrink_wrap(inst: SteinerInstance):
     strictly below the level; Certified terminals have root connectivity
     at least the level in the instance graph.
     """
+    g = inst.graph
     stats = ShrinkWrapStats(group_size=len(inst.terminals))
-    certified = Certified(inst.graph.value(inst.level))  # contraction keeps the scale
-    outcome = _solve(inst.graph, inst.root, tuple(sorted(inst.terminals)), inst.level,
-                     frozenset(range(inst.graph.n)), 0, stats, certified)
+    certified = Certified(g.value(inst.level))  # contraction keeps the scale
+    outcome = _solve(g, g, inst.root, tuple(sorted(inst.terminals)), inst.level,
+                     frozenset(range(g.n)), 0, stats, certified)
     assert len(stats.internal_depths) <= stats.depth_bound(), (
         "shrink-wrap exceeded its recursion-depth flow budget"
     )
     return outcome, stats
 
 
-def _solve(g: DiGraph, r: int, terms, level: int, alive: frozenset, depth: int, stats,
-           certified) -> dict:
-    """Outcomes of ``terms`` in ``g``, whose vertices outside ``alive`` the
-    contractions above have left isolated."""
+def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset, depth: int,
+           stats, certified) -> dict:
+    """Outcomes of ``terms`` in ``g``, the instance graph ``top`` with the
+    vertices outside ``alive`` contracted into the root (left isolated)."""
     stats.max_depth = max(stats.max_depth, depth)
+    # the network of build_steiner_network, as demand arcs on g's arrays
+    res = max_flow(g, r, g.n, demands=[(t, level) for t in terms])
+    stats.raw_flow_calls += 1
     if len(terms) == 1:
-        t = terms[0]
-        # one demand arc caps the flow at the level it has to certify
-        res = max_flow(g, r, g.n, demands=[(t, level)])
-        stats.raw_flow_calls += 1
         stats.leaf_flow_calls += 1
+        t = terms[0]
         if res.value >= level:
             return {t: certified}
         # below the level the cut avoids the demand arc and every infinite
-        # arc, so it is the minimum (r, t)-cut of g with the same minimal
-        # source side; the isolated vertices stay out of its sink
-        cert = cut_certificate(g, alive - res.source_side, root=r)
-        assert cert.value == g.value(res.value), "max-flow/min-cut duality violated"
+        # arc, so it is a minimum (r, t)-cut of g; its sink, without the
+        # isolated vertices, lies in alive, where contraction kept every
+        # cut value, so the same sink is a minimum (r, t)-cut of top
+        cert = cut_certificate(top, alive - res.source_side, root=r)
+        assert cert.value == g.value(res.value), (
+            "the instance cut differs from the contracted graph's min cut"
+        )
         return {t: Below(cert)}
 
     stats.internal_depths.add(depth)
-    mid = (len(terms) + 1) // 2
-    out = {}
-    for half in (terms[:mid], terms[mid:]):
-        # the network of build_steiner_network, as demand arcs on g's arrays
-        res = max_flow(g, r, g.n, demands=[(t, level) for t in half])
-        stats.raw_flow_calls += 1
-        source_side = res.source_side
-        uncertified = tuple(t for t in half if t not in source_side)
-        for t in half:
-            if t in source_side:
-                # demand arc (t, supersink) is saturated: level units reach t
-                out[t] = certified
-        if not uncertified:
-            continue
+    source_side = res.source_side
+    # a terminal in the minimal source side has its demand arc saturated
+    out = {t: certified for t in terms if t in source_side}
+    uncertified = tuple(t for t in terms if t not in source_side)
+    if uncertified:
         contracted, survivors = contract_into_root(g, r, source_side)
         stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
-        sub = _solve(contracted, r, uncertified, level, alive & survivors, depth + 1, stats,
-                     certified)
-        for t in uncertified:
-            child = sub[t]
-            if isinstance(child, Certified):
-                out[t] = child
-            else:
-                lifted = cut_certificate(g, child.cut.sink_set, root=r)
-                assert lifted.value == child.cut.value, (
-                    "contraction failed to preserve a lifted cut value"
-                )
-                out[t] = Below(lifted)
+        mid = (len(uncertified) + 1) // 2
+        for half in (uncertified[:mid], uncertified[mid:]):
+            if half:
+                out.update(_solve(top, contracted, r, half, level, alive & survivors,
+                                  depth + 1, stats, certified))
     return out

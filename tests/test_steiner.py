@@ -21,7 +21,14 @@ from dircut import (
     shrink_wrap,
 )
 
-from conftest import conditioning_ratio, cut_value, g1, rand_digraph, tiny_graphs
+from conftest import (
+    conditioning_ratio,
+    cut_value,
+    g1,
+    probing_graphs,
+    rand_digraph,
+    tiny_graphs,
+)
 
 
 def test_network_construction_g1():
@@ -136,6 +143,51 @@ def test_shrink_wrap_g1_examples():
     g = DiGraph(3, [(1, 2, 5)])
     out, _ = shrink_wrap(SteinerInstance(g, 0, frozenset([2]), 1))
     assert isinstance(out[2], Below) and out[2].cut.value == 0
+
+
+@pytest.mark.parametrize("g, terminals, level, flows, contractions", [
+    # both demand arcs fill in the root's one flow
+    (DiGraph(3, [(0, 1, 5), (0, 2, 5), (1, 2, 1)]), [1, 2], 2, 1, 0),
+    (DiGraph(5, [(0, v, 5) for v in range(1, 5)]), [1, 2, 3, 4], 2, 1, 0),
+    # the root's flow certifies neither; one contraction, then two leaves
+    (g1(), [1, 2], 3, 3, 1),
+    # the unit path certifies nothing: a full binary tree of 7 flows
+    (DiGraph(5, [(v, v + 1, 1) for v in range(4)]), [1, 2, 3, 4], 2, 7, 3),
+], ids=["fan", "star", "g1", "unit-path"])
+def test_one_flow_per_recursion_node(g, terminals, level, flows, contractions):
+    _, stats = shrink_wrap(SteinerInstance(g, 0, frozenset(terminals), level))
+    assert stats.raw_flow_calls == flows
+    assert len(stats.contraction_log) == contractions
+
+
+def _multi_terminal_outcomes_exact(g, r, terminals, level):
+    """Every terminal is certified exactly when its root connectivity (an
+    infinite one counting as ``g.inf_value``) reaches the level, each Below
+    cut is a minimum (r, t)-cut of ``g`` itself, and the k-terminal
+    recursion runs at most 2k - 1 flows, one per node."""
+    outcome, stats = shrink_wrap(SteinerInstance(g, r, terminals, level))
+    assert set(outcome) == set(terminals)
+    for t, result in outcome.items():
+        flow = max_flow(g, r, t).value
+        if flow >= min(level, g.inf_value):
+            assert result == Certified(g.value(level))
+        else:
+            cert = result.cut
+            assert t in cert.sink_set and r not in cert.sink_set
+            assert cert.value == cut_value(g, cert.sink_set) == g.value(flow)
+    assert stats.raw_flow_calls <= 2 * len(terminals) - 1
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_multi_terminal_outcomes_exact(data):
+    g = data.draw(st.one_of(tiny_graphs(), probing_graphs()))
+    r = data.draw(st.integers(0, g.n - 1))
+    others = [v for v in range(g.n) if v != r]
+    terminals = data.draw(st.frozensets(st.sampled_from(others),
+                                        min_size=min(2, len(others))))
+    level = data.draw(st.one_of(st.integers(1, 6), st.integers(2**70 - 3, 2**70 + 3)))
+    _multi_terminal_outcomes_exact(g, r, terminals, level)
 
 
 def test_outcomes_cover_all_terminals_and_are_sound():
