@@ -11,6 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .fileio import serialize_graph
+from .graph import DiGraph
+from .vertexcut import VertexCapGraph
+
 FAMILIES = (
     "erdos-renyi-digraph",
     "planted-sink",
@@ -26,22 +30,11 @@ class GeneratedInstance:
     meta: dict
 
 
-def _render_edge(n, arcs, comments):
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p edge-cap {n} {len(arcs)}")
-    for u, v, cap in arcs:
-        lines.append(f"a {u + 1} {v + 1} {cap}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_vertex(n, arcs, vcaps, comments):
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p vertex-cap {n} {len(arcs)}")
-    for u, v in arcs:
-        lines.append(f"a {u + 1} {v + 1}")
-    for v, cap in enumerate(vcaps):
-        lines.append(f"w {v + 1} {cap}")
-    return "\n".join(lines) + "\n"
+def _instance(g, meta, extra_comments=()):
+    """The instance whose text is one comment line per ``meta`` entry (the
+    sink excepted), then ``extra_comments``, then the graph file of ``g``."""
+    comments = [f"{k} {v}" for k, v in meta.items() if k != "sink"] + list(extra_comments)
+    return GeneratedInstance("".join(f"c {c}\n" for c in comments) + serialize_graph(g), meta)
 
 
 def _cycle(seed, n=3, caps=None, wmax=10, **extra):
@@ -57,7 +50,7 @@ def _cycle(seed, n=3, caps=None, wmax=10, **extra):
         _at_least("caps", cap, 0)
     arcs = [(i, (i + 1) % n, caps[i % len(caps)]) for i in range(n)]
     meta = {"family": "cycle", "n": n, "seed": seed}
-    return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
+    return _instance(DiGraph(n, arcs), meta)
 
 
 def _star(seed, n=4, cap=7, **extra):
@@ -67,7 +60,7 @@ def _star(seed, n=4, cap=7, **extra):
     _at_least("cap", cap, 0)
     arcs = [(0, i, cap) for i in range(1, n)]
     meta = {"family": "star", "n": n, "seed": seed}
-    return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
+    return _instance(DiGraph(n, arcs), meta)
 
 
 def _erdos_renyi(seed, n=10, p=0.3, wmax=10, ensure_strong=True,
@@ -99,11 +92,9 @@ def _erdos_renyi(seed, n=10, p=0.3, wmax=10, ensure_strong=True,
     }
     if kind == "vertex-cap":
         vcaps = [rng.randint(1, vcap_max) for _ in range(n)]
-        return GeneratedInstance(
-            _render_vertex(n, arcs, vcaps, _comments(meta)), meta
-        )
+        return _instance(VertexCapGraph(n, arcs, vcaps), meta)
     weighted = [(u, v, rng.randint(1, wmax)) for u, v in arcs]
-    return GeneratedInstance(_render_edge(n, weighted, _comments(meta)), meta)
+    return _instance(DiGraph(n, weighted), meta)
 
 
 def _planted_sink(seed, n=20, sink_size=4, volume=12, value=5,
@@ -157,11 +148,10 @@ def _planted_sink(seed, n=20, sink_size=4, volume=12, value=5,
         "family": "planted-sink", "n": n, "seed": seed,
         "planted_value": value, "sink": tuple(sink), "volume": volume,
     }
-    comments = _comments(meta) + [
+    return _instance(DiGraph(n, arcs), meta, [
         "planted-value " + str(value),
         "planted-sink " + " ".join(str(v + 1) for v in sink),
-    ]
-    return GeneratedInstance(_render_edge(n, arcs, comments), meta)
+    ])
 
 
 def _layered(seed, n=12, width=4, p=0.5, wmax=10, **extra):
@@ -187,11 +177,7 @@ def _layered(seed, n=12, width=4, p=0.5, wmax=10, **extra):
         pairs.add((i, (i + 1) % n))
     arcs = [(u, v, rng.randint(1, wmax)) for u, v in sorted(pairs)]
     meta = {"family": "layered-dag-backarcs", "n": n, "seed": seed}
-    return GeneratedInstance(_render_edge(n, arcs, _comments(meta)), meta)
-
-
-def _comments(meta):
-    return [f"{k} {v}" for k, v in meta.items() if k not in ("sink",)]
+    return _instance(DiGraph(n, arcs), meta)
 
 
 def _at_least(name, value, low):

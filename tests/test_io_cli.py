@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -132,6 +133,36 @@ def test_generated_files_parse_back(family, params):
         assert g.n == params["n"]
         kind = VertexCapGraph if params.get("kind") == "vertex-cap" else DiGraph
         assert isinstance(g, kind)
+
+
+#: sha256 prefixes of the seed-1 text of each FAMILY_BOUNDS entry, in order.
+FAMILY_TEXT_SHA256 = [
+    "53f51db30d244410", "319bc0709ce76e1b", "e6feb219eea68bf9", "bb692dc519ff894a",
+    "2d30b2e7b223459b", "9ef926aec8f173df", "b2d71927b2c31ddc", "6546e80ecf1aca2f",
+    "91ebfdc7e6dddfa5", "9dae28e817982945", "81771d3890c89b40", "fdbb5e92540be53c",
+]
+
+
+@pytest.mark.parametrize("family, params, digest", [
+    (family, params, digest)
+    for (family, params), digest in zip(FAMILY_BOUNDS, FAMILY_TEXT_SHA256, strict=True)
+])
+def test_generated_texts_pinned(family, params, digest):
+    text = generate(family, seed=1, **params).text
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_generated_texts_exact():
+    assert generate("planted-sink", seed=1, n=6, sink_size=2, volume=3, value=1).text == (
+        "c family planted-sink\nc n 6\nc seed 1\nc planted_value 1\nc volume 3\n"
+        "c planted-value 1\nc planted-sink 5 6\np edge-cap 6 12\n"
+        "a 1 2 28\na 1 3 15\na 1 4 29\na 2 4 23\na 3 2 22\na 3 4 18\na 4 1 25\n"
+        "a 4 2 15\na 5 6 15\na 6 5 15\na 1 5 1\na 6 1 27\n"
+    )
+    assert generate("erdos-renyi-digraph", seed=1, n=3, kind="vertex-cap").text == (
+        "c family erdos-renyi-digraph\nc n 3\nc seed 1\nc strong True\n"
+        "p vertex-cap 3 3\na 1 2\na 2 3\na 3 1\nw 1 4\nw 2 2\nw 3 8\n"
+    )
 
 
 @pytest.mark.parametrize("family, params, name", [
