@@ -250,7 +250,7 @@ def group_capacity(h: DiGraph, supply: list, level_num: int) -> int:
     One group's total demand (level per terminal) is kept within half the
     root's effective out-capacity, the capacities of the arcs ``supply``
     (``supply_arcs``), so groups that are fully connected at the probe
-    level certify at the top of the recursion in two flows instead of
+    level certify at the top of the recursion in one flow instead of
     splitting all the way down.  Never below the classic
     conditioning-based group size, which this dominates.
     """
