@@ -149,19 +149,21 @@ def parse_graph(path):
 
 def serialize_graph(g) -> str:
     """Inverse of parse_text on normalized graphs (round-trips exactly)."""
+    if not isinstance(g, (DiGraph, VertexCapGraph)):
+        raise TypeError(f"cannot serialize {type(g).__name__}")
+    # a numerator at scale 1 is its own decimal text
+    text = str if g.scale == 1 else (lambda c: format_value(g.value(c)))
     lines = []
     if isinstance(g, DiGraph):
         if g.inf_arcs:
             raise ValueError("cannot serialize infinite capacities")
         lines.append(f"p edge-cap {g.n} {g.m}")
         for t, h, c in g.arcs:
-            lines.append(f"a {t + 1} {h + 1} {format_value(g.value(c))}")
-    elif isinstance(g, VertexCapGraph):
+            lines.append(f"a {t + 1} {h + 1} {text(c)}")
+    else:
         lines.append(f"p vertex-cap {g.n} {g.m}")
         for t, h in g.arcs:
             lines.append(f"a {t + 1} {h + 1}")
         for v in range(g.n):
-            lines.append(f"w {v + 1} {format_value(g.value(g.vcaps[v]))}")
-    else:
-        raise TypeError(f"cannot serialize {type(g).__name__}")
+            lines.append(f"w {v + 1} {text(g.vcaps[v])}")
     return "\n".join(lines) + "\n"
