@@ -34,17 +34,17 @@ cut is optimal, as it is on most random graphs, one missed probe just
 below it ends the search.  After the first miss it bisects the levels
 left, and it stops once a cut reaches the lower bound: the smallest
 positive capacity, since zero cuts are found exactly beforehand and
-every other cut crosses a positive arc.  The approximate modes run it on
-a geometric grid of levels computed by index and anchored at the trivial
-cut's value (``level_search``); the grid ratio and the per-probe
-inflation are both epsilon/(2+epsilon), so their product stays within
-the requested (1+epsilon) factor.  The exact small-optimum modes answer
-the lower bound without a flow: a cut of the smallest positive capacity
+every other cut crosses a positive arc.  Every mode answers that lower
+bound first, without a flow: a cut of the smallest positive capacity
 crosses one positive arc, whose head dominates the whole sink, so one
 dominator tree of the root's positive arcs finds it (``_edge_floor_cut``).
-Only when there is none do they run the search, over the levels
-k/scale above the lower bound for integers k, since every cut value is
-a multiple of 1/scale (``integer_search``).  Conditioning gives infinite
+Only when there is none does the search run.  The approximate modes run
+it on a geometric grid of levels computed by index and anchored at the
+trivial cut's value (``level_search``); the grid ratio and the per-probe
+inflation are both epsilon/(2+epsilon), so their product stays within
+the requested (1+epsilon) factor.  The exact small-optimum modes run it
+over the levels k/scale above the lower bound for integers k, since
+every cut value is a multiple of 1/scale (``integer_search``).  Conditioning gives infinite
 arcs the conditioned graph's own sentinel, so no probe sees a cut that
 must cross one; when every cut does, the searches hand the instance to
 the capped oracle.  Vertex cuts run the same drivers with a prober on
@@ -473,8 +473,9 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
     """Search a geometric grid of levels down from the value of the
     certificate ``best`` for the lowest one whose probe finds a cut.
 
-    ``floor`` is a lower bound on the optimum (the smallest positive
-    capacity, once zero cuts are ruled out).  The grid (``_grid_levels``)
+    ``floor`` is a lower bound on the optimum that no cut attains (the
+    smallest positive capacity, once zero cuts and a cut of that value are
+    ruled out, see ``_search_tail``).  The grid (``_grid_levels``)
     runs with ratio 1+eps_in from ``best.value`` down to the first level at
     most ``floor``, and every probe, index i seeded by ``(*seed_parts,
     i)``, runs at tolerance eps_in = epsilon/(2+epsilon), so a cut at the
@@ -494,9 +495,8 @@ def integer_search(probe_at, singleton, floor, scale, seed_parts):
     ``probe_at`` probes level k/scale at tolerance 1/(1+k), so any
     certificate it returns has a numerator of at most k.  ``floor`` is a
     positive lower bound on the optimum, below ``singleton``'s value, that
-    no cut attains: the exact modes answer a cut of the smallest positive
-    capacity without a flow (``_edge_floor_cut``, ``_vertex_floor_cut``)
-    before they search.  So the optimum's numerator lies in lo+1..the
+    no cut attains: every mode answers a cut of the smallest positive
+    capacity without a flow (``_search_tail``) before it searches.  So the optimum's numerator lies in lo+1..the
     singleton's for lo the floor's, and ``bisect_levels`` searches those
     numerators, seeded by ``(*seed_parts, "bin", k)``: it gallops down from
     one below the singleton's, so an optimal singleton costs one probe, and
@@ -506,16 +506,16 @@ def integer_search(probe_at, singleton, floor, scale, seed_parts):
                          lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"), floor)
 
 
-def _search_tail(make_prober, best, floor, search, floor_cut=None) -> CutResult:
+def _search_tail(make_prober, best, floor, search, floor_cut) -> CutResult:
     """``search(make_prober(log), best, floor)`` unless the trivial cut
     ``best`` is at most the lower bound ``floor`` on the optimum, as a
     CutResult with the flow calls and entries of the probe log ``log``.
-    ``floor_cut``, when given, is asked first, before any prober is
-    built: a cut it returns has value ``floor``, so it is optimal and no
-    flow runs."""
+    ``floor_cut()`` is asked first, before any prober is built: a cut it
+    returns has value ``floor``, so it is optimal and no flow runs, and
+    when it returns None no cut attains ``floor``."""
     log = []
     if best.value > floor:
-        cut = floor_cut() if floor_cut else None
+        cut = floor_cut()
         if cut is not None:
             return CutResult(_better(best, cut), 0, ())
         best = search(make_prober(log), best, floor)
@@ -633,17 +633,17 @@ def _on_input(result: CutResult, g: DiGraph, r: int) -> CutResult:
     return replace(result, certificate=rebuilt)
 
 
-def _rooted_search(g: DiGraph, r: int, search, floor_test=False) -> CutResult:
-    """Rooted cut: the best trivial cut, improved by ``search(probe_at,
-    best, c_min)`` with the instance's prober, after ``_edge_floor_cut``
-    when ``floor_test`` is set.  When every rooted cut crosses an infinite
-    arc the capped oracle answers, with its flows counted."""
+def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
+    """Rooted cut: the best trivial cut, else one of value ``c_min`` from
+    ``_edge_floor_cut``, else the trivial cut improved by
+    ``search(probe_at, best, c_min)`` with the instance's prober.  When
+    every rooted cut crosses an infinite arc the capped oracle answers,
+    with its flows counted."""
     gm, best, c_min = _rooted_start(g, r)
     if best.value > c_min and _spans_by_infinite_arcs(gm, r):
         return _rooted_oracle(g, r)
-    floor_cut = partial(_edge_floor_cut, gm, r, c_min) if floor_test else None
     return _on_input(_search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search,
-                                  floor_cut), g, r)
+                                  partial(_edge_floor_cut, gm, r, c_min)), g, r)
 
 
 def approx_rooted_edge_cut(
@@ -657,8 +657,9 @@ def approx_rooted_edge_cut(
 
     The returned certificate is always a valid rooted cut of ``g``.  If some
     vertex is unreachable from the root along positive-capacity arcs the
-    exact zero cut is returned without probing.  ``threads`` is accepted
-    for compatibility and ignored.
+    exact zero cut is returned without probing, and a cut of the smallest
+    positive capacity without a flow.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     eps = clamp_epsilon(epsilon)
     if g.n < 2:
@@ -667,13 +668,13 @@ def approx_rooted_edge_cut(
     return _rooted_search(g, r, search)
 
 
-def _global_search(g: DiGraph, search, floor_test=False) -> CutResult:
+def _global_search(g: DiGraph, search) -> CutResult:
     """Global cut as one search over the union of the instances rooted at
     vertex 0 of ``g`` and of its reversal, started from the best trivial
     cut of either.  A zero cut is returned without probing, and a forward
-    one without looking at the reversal.  ``search(probe_at, best,
-    c_min)`` runs the search with the union prober, after
-    ``_global_edge_floor_cut`` when ``floor_test`` is set.  When the
+    one without looking at the reversal.  A cut of value ``c_min`` from
+    ``_global_edge_floor_cut`` is returned without a flow; else
+    ``search(probe_at, best, c_min)`` runs with the union prober.  When the
     infinite arcs alone strongly connect ``g``, every cut crosses one, and
     the capped oracle answers, with its flows counted."""
     gm, best, c_min = _rooted_start(g, 0)
@@ -684,10 +685,9 @@ def _global_search(g: DiGraph, search, floor_test=False) -> CutResult:
     best = _better(best, replace(rev_best, orientation="reverse"))
     if best.value > c_min and _spans_by_infinite_arcs(gm, 0) and _spans_by_infinite_arcs(rm, 0):
         return _edge_oracle(g)
-    floor_cut = partial(_global_edge_floor_cut, gm, rm, c_min) if floor_test else None
     result = _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
                                                     ("reverse", _edge_prober(rm, 0, log))]),
-                          best, c_min, search, floor_cut)
+                          best, c_min, search, partial(_global_edge_floor_cut, gm, rm, c_min))
     return _on_input(result, rg if result.orientation == "reverse" else g, 0)
 
 
@@ -699,8 +699,10 @@ def approx_global_edge_cut(
 ) -> CutResult:
     """Global minimum cut within (1+epsilon) of optimal w.h.p.: one level
     search over the instances rooted at vertex 0 of the graph and of its
-    reversal.  The certificate is tagged with its orientation.
-    ``threads`` is accepted for compatibility and ignored."""
+    reversal.  The certificate is tagged with its orientation.  A zero
+    cut is returned without probing, and a cut of the smallest positive
+    capacity without a flow.  ``threads`` is accepted for compatibility
+    and ignored."""
     if g.n < 2:
         raise NoCutExistsError("need at least two vertices")
     eps = clamp_epsilon(epsilon)
@@ -794,5 +796,5 @@ def exact_small_edge_cut(
         raise NoCutExistsError("need at least two vertices")
     search = partial(integer_search, scale=g.scale, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(g, root, search, floor_test=True)
-    return _global_search(g, search, floor_test=True)
+        return _rooted_search(g, root, search)
+    return _global_search(g, search)

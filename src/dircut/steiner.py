@@ -3,11 +3,12 @@
 Given a root r, terminals T and a connectivity target, either certify that
 r can push the target amount of flow to a terminal, or produce a rooted
 cut of smaller value whose sink contains that terminal.  Each recursion
-node runs one flow into a supersink fed by per-terminal demand arcs,
-certifies the terminals in the minimal source side (their demand arcs are
-saturated), contracts that side into the root and recurses on the two
-halves of the terminals left; a one-terminal node's flow certifies its
-terminal or cuts it off.
+node runs one flow into a supersink fed by per-terminal demand arcs.  A
+flow that fills every demand arc certifies all the node's terminals;
+otherwise a one-terminal node's flow cuts its terminal off, and a larger
+node certifies the terminals in the minimal source side (their demand
+arcs are saturated), contracts that side into the root and recurses on
+the two halves of the terminals left.
 
 Contraction keeps every vertex id: it drops the arcs into the source side
 and leaves that side's vertices other than the root isolated, so a cut
@@ -149,9 +150,13 @@ def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset
     stats.raw_flow_calls += 1
     if len(terms) == 1:
         stats.leaf_flow_calls += 1
-        t = terms[0]
-        if res.value >= level:
-            return {t: certified}
+    else:
+        stats.internal_depths.add(depth)
+    # each demand arc carries at most the level, so at this value all are
+    # full, though the minimal source side may hold none of the terminals
+    if res.value == level * len(terms):
+        return dict.fromkeys(terms, certified)
+    if len(terms) == 1:
         # below the level the cut avoids the demand arc and every infinite
         # arc, so it is a minimum (r, t)-cut of g; its sink, without the
         # isolated vertices, lies in alive, where contraction kept every
@@ -160,19 +165,18 @@ def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset
         assert cert.value == g.value(res.value), (
             "the instance cut differs from the contracted graph's min cut"
         )
-        return {t: Below(cert)}
+        return {terms[0]: Below(cert)}
 
-    stats.internal_depths.add(depth)
     source_side = res.source_side
-    # a terminal in the minimal source side has its demand arc saturated
+    # a terminal in the minimal source side has its demand arc saturated,
+    # so some terminal with an unfilled demand arc lies outside it
     out = {t: certified for t in terms if t in source_side}
     uncertified = tuple(t for t in terms if t not in source_side)
-    if uncertified:
-        contracted, survivors = contract_into_root(g, r, source_side)
-        stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
-        mid = (len(uncertified) + 1) // 2
-        for half in (uncertified[:mid], uncertified[mid:]):
-            if half:
-                out.update(_solve(top, contracted, r, half, level, alive & survivors,
-                                  depth + 1, stats, certified))
+    contracted, survivors = contract_into_root(g, r, source_side)
+    stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
+    mid = (len(uncertified) + 1) // 2
+    for half in (uncertified[:mid], uncertified[mid:]):
+        if half:
+            out.update(_solve(top, contracted, r, half, level, alive & survivors,
+                              depth + 1, stats, certified))
     return out

@@ -14,10 +14,11 @@ vertex separators.  Rooted and global solves build that prober one way,
 on the instance pruned for its root (``prune_for_root``).  Global cuts
 draw roots once in proportion to capacity and run one search over the
 ``union_prober`` of each distinct root's instances in both orientations.
-The exact small-optimum modes answer a cut at the smallest positive
-capacity from a dominator tree, without a flow, and otherwise search the
-capacity numerators k above it, level k/scale at tolerance 1/(1+k), so
-that every answer comes out exact.
+Every mode answers a cut at the smallest positive capacity from a
+dominator tree, without a flow, before it builds a prober.  Otherwise the
+approximate modes search a geometric grid of levels, and the exact
+small-optimum modes the capacity numerators k above that capacity, level
+k/scale at tolerance 1/(1+k), so that every answer comes out exact.
 """
 
 from __future__ import annotations
@@ -294,11 +295,11 @@ def _global_vertex_floor_cut(ng: VertexCapGraph, c_min: Fraction):
     return best
 
 
-def _rooted_search(ng: VertexCapGraph, r: int, search, floor_test=False) -> CutResult:
+def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
     """Rooted cut: the zero cut onto the vertices ``r`` cannot reach through
-    positive-capacity vertices, else the best admissible singleton,
-    improved by ``search(probe_at, best, c_min)`` with the instance's split
-    prober, after ``_vertex_floor_cut`` when ``floor_test`` is set.
+    positive-capacity vertices, else one of value ``c_min`` from
+    ``_vertex_floor_cut``, else the best admissible singleton improved by
+    ``search(probe_at, best, c_min)`` with the instance's split prober.
     Raises ValueError for a root outside 0..n-1 and NoCutExistsError when
     no rooted vertex cut exists."""
     best = _unreached(ng, r, _positive_arcs(ng, r))
@@ -309,8 +310,8 @@ def _rooted_search(ng: VertexCapGraph, r: int, search, floor_test=False) -> CutR
         singletons = _singletons(ng)
         best = min((singletons[t] for t in admissible), key=attrgetter("rank"))
     c_min = _c_min(ng)
-    floor_cut = partial(_vertex_floor_cut, ng, r, c_min) if floor_test else None
-    return _search_tail(lambda log: _split_prober(ng, r, log), best, c_min, search, floor_cut)
+    return _search_tail(lambda log: _split_prober(ng, r, log), best, c_min, search,
+                        partial(_vertex_floor_cut, ng, r, c_min))
 
 
 def approx_rooted_vertex_cut(
@@ -325,7 +326,8 @@ def approx_rooted_vertex_cut(
     NoCutExistsError when the root's out-neighborhood covers every other
     vertex (no rooted vertex cut exists at all).  A zero cut, found when
     the root cannot reach some vertex through positive-capacity vertices,
-    is returned without probing.
+    is returned without probing, and a cut of the smallest positive
+    capacity without a flow.
     """
     eps = clamp_epsilon(epsilon)
     search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
@@ -429,15 +431,13 @@ def _global_trivial(ng: VertexCapGraph):
     return best
 
 
-def _global_search(ng: VertexCapGraph, best, root_eps, seed, search,
-                   floor_test=False) -> CutResult:
+def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResult:
     """Global cut as one ``search(probe_at, best, c_min)`` over the union of
     the rooted instances of every distinct root that ``sample_roots`` draws
     at tolerance ``root_eps``, in both orientations, each pruned for its
     root and left out when it has no admissible sink.  Nothing is drawn or
     probed when the trivial cut ``best`` is at most ``c_min`` (optimal),
-    or, with ``floor_test``, when ``_global_vertex_floor_cut`` finds a cut
-    of value ``c_min``."""
+    or when ``_global_vertex_floor_cut`` finds a cut of value ``c_min``."""
     def make_prober(log):
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")))
         bases = (("forward", ng), ("reverse", _reverse_topology(ng)))
@@ -446,8 +446,8 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search,
         return union_prober([(o, prober) for o, prober in members if prober is not None])
 
     c_min = _c_min(ng)
-    floor_cut = partial(_global_vertex_floor_cut, ng, c_min) if floor_test else None
-    return _search_tail(make_prober, best, c_min, search, floor_cut)
+    return _search_tail(make_prober, best, c_min, search,
+                        partial(_global_vertex_floor_cut, ng, c_min))
 
 
 def approx_global_vertex_cut(
@@ -462,9 +462,10 @@ def approx_global_vertex_cut(
     one level search over the pruned instances of the distinct roots in
     both orientations.  A zero-valued cut (disconnected graph, zero-valued
     singleton, or zero-capacity vertices cutting the graph) is returned
-    without probing.  Raises NoCutExistsError on complete digraphs, where
-    no vertex cut exists.  ``threads`` is accepted for compatibility and
-    ignored.
+    without probing, and a cut of the smallest positive capacity without
+    a flow or a root draw.  Raises NoCutExistsError on complete digraphs,
+    where no vertex cut exists.  ``threads`` is accepted for compatibility
+    and ignored.
     """
     eps = clamp_epsilon(epsilon)
     ng = _normalize(g)
@@ -500,10 +501,9 @@ def exact_small_vertex_cut(
     ng = _normalize(g)
     search = partial(integer_search, scale=ng.scale, seed_parts=(seed, "small"))
     if root is not None:
-        return _rooted_search(ng, root, search, floor_test=True)
+        return _rooted_search(ng, root, search)
     singleton = _global_trivial(ng)
-    return _global_search(ng, singleton, 1 / (1 + singleton.value * ng.scale), seed, search,
-                          floor_test=True)
+    return _global_search(ng, singleton, 1 / (1 + singleton.value * ng.scale), seed, search)
 
 
 # -- exact oracle ------------------------------------------------------------

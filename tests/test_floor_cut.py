@@ -1,22 +1,34 @@
-"""The exact modes' floor tests against brute force.
+"""The floor tests against brute force.
 
 A cut whose value is the smallest positive capacity ``c_min`` crosses
-one positive arc, or has one positive vertex in its separator, so the
-exact modes answer that level from a dominator tree without a flow
+one positive arc, or has one positive vertex in its separator, so every
+mode answers that level from a dominator tree without a flow
 (``_edge_floor_cut``, ``_vertex_floor_cut`` and their global forms).
 These tests check ``dominators`` against its definition, and each floor
 test against exhaustive enumeration: given no zero cut, it returns a
 certificate exactly when the optimum is ``c_min``, and that certificate
 is a valid cut of value ``c_min``.  Long cycles check that the tests stay
 near-linear and need no recursion, and that exact-small answers a floor
-optimum with no flow.
+optimum with no flow; approx answers it with the same certificate.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircut import DiGraph, NoCutExistsError, VertexCapGraph, exact_small_edge_cut, reverse
+from dircut import (
+    DiGraph,
+    NoCutExistsError,
+    VertexCapGraph,
+    approx_global_edge_cut,
+    approx_global_vertex_cut,
+    approx_rooted_edge_cut,
+    approx_rooted_vertex_cut,
+    exact_small_edge_cut,
+    generate,
+    parse_text,
+    reverse,
+)
 from dircut.edgecut import _edge_floor_cut, _global_edge_floor_cut, _rooted_start
 from dircut.graph import dominators, merge_parallel
 from dircut.vertexcut import (
@@ -236,12 +248,73 @@ def test_exact_small_answers_a_floor_optimum_without_a_flow():
     assert len(res.certificate.sink_set) == half
 
 
-def test_exact_small_vertex_answers_a_floor_optimum_without_a_flow():
-    # vertex 2 is the only way from 0 and 1 into the bidirectional ring
-    # 3..7, and every singleton's separator has two or more vertices
+def _vertex_floor_graph():
+    """Vertex 2 is the only way from 0 and 1 into the bidirectional ring
+    3..7, and every singleton's separator has two or more vertices."""
     arcs = [(0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2), (7, 0)]
     arcs += [(v, 3 + (v - 2) % 5) for v in range(3, 8)]
     arcs += [(3 + (v - 2) % 5, v) for v in range(3, 8)]
-    g = VertexCapGraph(8, arcs, [1] * 8)
+    return VertexCapGraph(8, arcs, [1] * 8)
+
+
+def test_exact_small_vertex_answers_a_floor_optimum_without_a_flow():
+    g = _vertex_floor_graph()
     for res in (exact_small_vertex_cut(g, seed=1), exact_small_vertex_cut(g, root=0, seed=1)):
         assert res.value == 1 and res.flow_calls == 0 and res.probe_log == ()
+
+
+def _same_floor_answer(approx, exact):
+    """``approx`` answers without a flow, with ``exact``'s certificate."""
+    assert approx.flow_calls == 0 and approx.probe_log == ()
+    assert approx.certificate == exact.certificate
+
+
+def test_approx_vertex_answers_a_floor_optimum_without_a_flow():
+    g = _vertex_floor_graph()
+    _same_floor_answer(approx_rooted_vertex_cut(g, 0, "0.2", seed=1),
+                       exact_small_vertex_cut(g, root=0, seed=1))
+    _same_floor_answer(approx_global_vertex_cut(g, "0.2", seed=1),
+                       exact_small_vertex_cut(g, seed=1))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_approx_answers_a_planted_sink_without_a_flow(seed):
+    # the planted crossing arc is the smallest capacity, and its cut optimal
+    g = parse_text(generate("planted-sink", seed=seed, n=50, sink_size=5, volume=14,
+                            value=5, out_degree=3).text)
+    rooted = approx_rooted_edge_cut(g, 0, "0.2", seed=seed)
+    assert rooted.value == 5
+    _same_floor_answer(rooted, exact_small_edge_cut(g, root=0, seed=seed))
+    _same_floor_answer(approx_global_edge_cut(g, "0.2", seed=seed),
+                       exact_small_edge_cut(g, seed=seed))
+
+
+@settings(max_examples=150)
+@given(st.one_of(tiny_graphs(), probing_graphs()), st.data())
+def test_approx_edge_agrees_with_exact_small_at_the_floor(g, data):
+    # whenever exact-small answers c_min without a flow, so does approx
+    r = data.draw(st.integers(0, g.n - 1))
+    c_min = _rooted_start(g, r)[2]
+    for approx, exact in ((lambda: approx_rooted_edge_cut(g, r, "0.2", seed=1),
+                           exact_small_edge_cut(g, root=r, seed=1)),
+                          (lambda: approx_global_edge_cut(g, "0.2", seed=1),
+                           exact_small_edge_cut(g, seed=1))):
+        if exact.flow_calls == 0 and exact.value == c_min:
+            _same_floor_answer(approx(), exact)
+
+
+@settings(max_examples=150)
+@given(VERTEX_GRAPHS, st.data())
+def test_approx_vertex_agrees_with_exact_small_at_the_floor(g, data):
+    r = data.draw(st.integers(0, g.n - 1))
+    c_min = _c_min(g)
+    for approx, exact in ((lambda: approx_rooted_vertex_cut(g, r, "0.2", seed=1),
+                           lambda: exact_small_vertex_cut(g, root=r, seed=1)),
+                          (lambda: approx_global_vertex_cut(g, "0.2", seed=1),
+                           lambda: exact_small_vertex_cut(g, seed=1))):
+        try:
+            exact = exact()
+        except NoCutExistsError:
+            continue
+        if exact.flow_calls == 0 and exact.value == c_min:
+            _same_floor_answer(approx(), exact)

@@ -145,19 +145,23 @@ def test_shrink_wrap_g1_examples():
     assert isinstance(out[2], Below) and out[2].cut.value == 0
 
 
-@pytest.mark.parametrize("g, terminals, level, flows, contractions", [
+@pytest.mark.parametrize("g, terminals, level, flows, contractions, certified", [
     # both demand arcs fill in the root's one flow
-    (DiGraph(3, [(0, 1, 5), (0, 2, 5), (1, 2, 1)]), [1, 2], 2, 1, 0),
-    (DiGraph(5, [(0, v, 5) for v in range(1, 5)]), [1, 2, 3, 4], 2, 1, 0),
+    (DiGraph(3, [(0, 1, 5), (0, 2, 5), (1, 2, 1)]), [1, 2], 2, 1, 0, {1, 2}),
+    (DiGraph(5, [(0, v, 5) for v in range(1, 5)]), [1, 2, 3, 4], 2, 1, 0, {1, 2, 3, 4}),
+    # both demand arcs fill, but the flow saturates the root's only arc,
+    # so the minimal source side is the root alone
+    (DiGraph(3, [(0, 2, 2), (2, 1, 3)]), [1, 2], 1, 1, 0, {1, 2}),
     # the root's flow certifies neither; one contraction, then two leaves
-    (g1(), [1, 2], 3, 3, 1),
+    (g1(), [1, 2], 3, 3, 1, {1}),
     # the unit path certifies nothing: a full binary tree of 7 flows
-    (DiGraph(5, [(v, v + 1, 1) for v in range(4)]), [1, 2, 3, 4], 2, 7, 3),
-], ids=["fan", "star", "g1", "unit-path"])
-def test_one_flow_per_recursion_node(g, terminals, level, flows, contractions):
-    _, stats = shrink_wrap(SteinerInstance(g, 0, frozenset(terminals), level))
+    (DiGraph(5, [(v, v + 1, 1) for v in range(4)]), [1, 2, 3, 4], 2, 7, 3, set()),
+], ids=["fan", "star", "full-root-arc", "g1", "unit-path"])
+def test_one_flow_per_recursion_node(g, terminals, level, flows, contractions, certified):
+    outcome, stats = shrink_wrap(SteinerInstance(g, 0, frozenset(terminals), level))
     assert stats.raw_flow_calls == flows
     assert len(stats.contraction_log) == contractions
+    assert {t for t, result in outcome.items() if isinstance(result, Certified)} == certified
 
 
 def _multi_terminal_outcomes_exact(g, r, terminals, level):
