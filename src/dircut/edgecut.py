@@ -44,15 +44,15 @@ trivial cut's value (``level_search``); the grid ratio and the per-probe
 inflation are both epsilon/(2+epsilon), so their product stays within
 the requested (1+epsilon) factor.  The exact small-optimum modes run it
 over the levels k/scale above the lower bound for integers k, since
-every cut value is a multiple of 1/scale (``integer_search``).  Conditioning gives infinite
-arcs the conditioned graph's own sentinel, so no probe sees a cut that
-must cross one; when every cut does, the searches hand the instance to
-the capped oracle.  Vertex cuts run the same drivers with a prober on
-the split graph.  Certificates of either kind are compared by their
-``rank``.  A global cut runs one search over a ``union_prober`` of rooted
-instances (vertex 0 of the graph and of its reversal, or sampled vertex
-roots), which stops at the first instance that returns a certificate and
-tags it with that instance's orientation.
+every cut value is a multiple of 1/scale (``integer_search``).
+Conditioning gives infinite arcs the conditioned graph's own sentinel,
+so no probe sees a cut that must cross one; when every cut does, the
+searches hand the instance to the capped oracle.  Vertex cuts run the
+same drivers with a prober on the split graph.  Certificates of either
+kind are compared by their ``rank``.  A global cut runs one search over
+a ``union_prober`` of rooted instances (vertex 0 of the graph and of its
+reversal, or sampled vertex roots), which stops at the first instance
+that returns a certificate and tags it with that instance's orientation.
 """
 
 from __future__ import annotations
@@ -496,11 +496,12 @@ def integer_search(probe_at, singleton, floor, scale, seed_parts):
     certificate it returns has a numerator of at most k.  ``floor`` is a
     positive lower bound on the optimum, below ``singleton``'s value, that
     no cut attains: every mode answers a cut of the smallest positive
-    capacity without a flow (``_search_tail``) before it searches.  So the optimum's numerator lies in lo+1..the
-    singleton's for lo the floor's, and ``bisect_levels`` searches those
-    numerators, seeded by ``(*seed_parts, "bin", k)``: it gallops down from
-    one below the singleton's, so an optimal singleton costs one probe, and
-    any other optimum at most about two probes per bit of the gap."""
+    capacity without a flow (``_search_tail``) before it searches.  So
+    the optimum's numerator lies in lo+1..the singleton's for lo the
+    floor's, and ``bisect_levels`` searches those numerators, seeded by
+    ``(*seed_parts, "bin", k)``: it gallops down from one below the
+    singleton's, so an optimal singleton costs one probe, and any other
+    optimum at most about two probes per bit of the gap."""
     return bisect_levels(probe_at, singleton, lambda k: Fraction(k, scale),
                          int(floor * scale) + 1, int(singleton.value * scale),
                          lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"), floor)
@@ -634,11 +635,11 @@ def _on_input(result: CutResult, g: DiGraph, r: int) -> CutResult:
 
 
 def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
-    """Rooted cut: the best trivial cut, else one of value ``c_min`` from
-    ``_edge_floor_cut``, else the trivial cut improved by
-    ``search(probe_at, best, c_min)`` with the instance's prober.  When
-    every rooted cut crosses an infinite arc the capped oracle answers,
-    with its flows counted."""
+    """Rooted cut: the best trivial cut when it is at most ``c_min``, else
+    a cut of value ``c_min`` from ``_edge_floor_cut``, else the trivial
+    cut improved by ``search(probe_at, best, c_min)`` with the instance's
+    prober.  When every rooted cut crosses an infinite arc the capped
+    oracle answers, with its flows counted."""
     gm, best, c_min = _rooted_start(g, r)
     if best.value > c_min and _spans_by_infinite_arcs(gm, r):
         return _rooted_oracle(g, r)

@@ -297,8 +297,9 @@ def _global_vertex_floor_cut(ng: VertexCapGraph, c_min: Fraction):
 
 def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
     """Rooted cut: the zero cut onto the vertices ``r`` cannot reach through
-    positive-capacity vertices, else one of value ``c_min`` from
-    ``_vertex_floor_cut``, else the best admissible singleton improved by
+    positive-capacity vertices, else the best admissible singleton when
+    it is at most ``c_min``, else a cut of value ``c_min`` from
+    ``_vertex_floor_cut``, else that singleton improved by
     ``search(probe_at, best, c_min)`` with the instance's split prober.
     Raises ValueError for a root outside 0..n-1 and NoCutExistsError when
     no rooted vertex cut exists."""
