@@ -308,12 +308,12 @@ def test_approx_edge_agrees_with_exact_small_at_the_floor(g, data):
 def test_approx_vertex_agrees_with_exact_small_at_the_floor(g, data):
     r = data.draw(st.integers(0, g.n - 1))
     c_min = _c_min(g)
-    for approx, exact in ((lambda: approx_rooted_vertex_cut(g, r, "0.2", seed=1),
-                           lambda: exact_small_vertex_cut(g, root=r, seed=1)),
-                          (lambda: approx_global_vertex_cut(g, "0.2", seed=1),
-                           lambda: exact_small_vertex_cut(g, seed=1))):
+    for approx, solve_exact in ((lambda: approx_rooted_vertex_cut(g, r, "0.2", seed=1),
+                                 lambda: exact_small_vertex_cut(g, root=r, seed=1)),
+                                (lambda: approx_global_vertex_cut(g, "0.2", seed=1),
+                                 lambda: exact_small_vertex_cut(g, seed=1))):
         try:
-            exact = exact()
+            exact = solve_exact()
         except NoCutExistsError:
             continue
         if exact.flow_calls == 0 and exact.value == c_min:
