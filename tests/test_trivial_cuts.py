@@ -41,11 +41,15 @@ from dircut.vertexcut import (
     _singletons,
     _sink_certificate,
     _unreached,
-    _vertex_floor_cut,
     sample_roots,
 )
 
-from conftest import rand_vertex_graph, tiny_graphs, zero_heavy_vertex_graphs
+from conftest import (
+    brute_min_separator,
+    rand_vertex_graph,
+    tiny_graphs,
+    zero_heavy_vertex_graphs,
+)
 
 POSITIVE = st.integers(1, 9)
 
@@ -91,10 +95,14 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
         start = _rooted_search(ng, 0, lambda probe_at, best, c_min: best).certificate
         expected = _unreached(ng, 0, _positive_arcs(ng, 0)) or _fold(
             _sink_certificate(ng, frozenset([t])) for t in admissible)
-        # above c_min, a floor cut, when there is one, comes before the search
+        # above c_min, the floor test answers first when a cut of value
+        # c_min exists, which brute force decides; otherwise the fold stands
         c_min = _c_min(ng)
-        floor = _vertex_floor_cut(ng, 0, c_min) if expected.value > c_min else None
-        assert start == (floor or expected)
+        if expected.value > c_min and min(
+                brute_min_separator(ng, 0, t) for t in admissible) == c_min:
+            assert start.value == c_min
+        else:
+            assert start == expected
 
     expected = _global_start(ng) or _fold(
         cert
