@@ -32,7 +32,7 @@ One search (``bisect_levels``) serves both modes.  It starts at the
 trivial cut and gallops down while probes find cuts, so when the trivial
 cut is optimal, as it is on most random graphs, one missed probe just
 below it ends the search.  After the first miss it bisects the levels
-left, and it stops once a cut reaches the lower bound: the smallest
+left, which lie above a lower bound on the optimum: the smallest
 positive capacity, since zero cuts are found exactly beforehand and
 every other cut crosses a positive arc.  Every mode answers that lower
 bound first, without a flow: a cut of the smallest positive capacity
@@ -424,7 +424,7 @@ def _first_at_least(level_at, lo, hi, value):
     return lo
 
 
-def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts, floor):
+def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts):
     """Search indices ``lo..hi`` of a nondecreasing ``level_at`` for the lowest
     level whose probe finds a cut, improving on ``best``, whose value is at
     most ``level_at(hi)``.  Index mid is probed at ``level_at(mid)`` and
@@ -434,10 +434,9 @@ def bisect_levels(probe_at, best, level_at, lo, hi, tolerance, seed_parts, floor
     each step counted from the current ``hi``, while probes find cuts, and
     binary searches what is left after the first miss.  A certificate drops
     ``hi`` to the first index whose level is at least the best value, so no
-    level that a certificate already beats is probed, and a best value at
-    most ``floor``, a lower bound on the optimum, ends the search."""
+    level that a certificate already beats is probed."""
     step = 1  # the gallop's next step, 0 once a probe has missed
-    while lo < hi and best.value > floor:
+    while lo < hi:
         mid = max(lo, hi - step) if step else (lo + hi) // 2
         level = level_at(mid)
         cert = probe_at(level, tolerance(level), (*seed_parts, mid))
@@ -484,8 +483,7 @@ def level_search(probe_at, best, floor, epsilon, seed_parts):
     one level below it misses and ends the search."""
     eps_in = epsilon / (2 + epsilon)
     level_at, top = _grid_levels(floor, eps_in, best.value)
-    return bisect_levels(probe_at, best, level_at, 0, top, lambda _: eps_in, seed_parts,
-                         floor)
+    return bisect_levels(probe_at, best, level_at, 0, top, lambda _: eps_in, seed_parts)
 
 
 def integer_search(probe_at, singleton, floor, scale, seed_parts):
@@ -504,7 +502,7 @@ def integer_search(probe_at, singleton, floor, scale, seed_parts):
     optimum at most about two probes per bit of the gap."""
     return bisect_levels(probe_at, singleton, lambda k: Fraction(k, scale),
                          int(floor * scale) + 1, int(singleton.value * scale),
-                         lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"), floor)
+                         lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"))
 
 
 def _search_tail(make_prober, best, floor, search, floor_cut) -> CutResult:

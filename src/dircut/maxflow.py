@@ -9,11 +9,11 @@ The residual network of a graph is built once and kept on the graph,
 which is immutable: edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its
 reverse, with per-vertex lists of edge ids.  Graphs that differ only in
 capacities can share one set of those arrays (``share_network``).  A
-call copies the capacities; one with demand arcs into a supersink ``g.n``
-also copies the head array and the edge lists it extends, then appends
-the arcs, which is how the Steiner recursion routes to a terminal set
-without building a new graph, and how the exact oracles stop each
-per-sink flow one above the best cut so far.
+call copies only the capacities; one with demand arcs into a supersink
+``g.n`` appends them to those arrays until the flow ends (so threads
+must not share them), which is how the Steiner recursion routes to a
+terminal set without building a new graph, and how the exact oracles
+stop each per-sink flow one above the best cut so far.
 
 Each phase labels vertices by residual distance to the sink, with a
 reverse BFS that stops once the source is labelled, and pushes a blocking
@@ -34,11 +34,12 @@ from .graph import CutCertificate, DiGraph, cut_certificate
 class MaxFlowResult:
     """Flow value plus the canonical minimal source side.
 
-    ``source_side`` is the set of vertices reachable from the source in
-    the residual graph (computed on first read), which makes the induced
-    minimum cut deterministic.  ``residual``, ``head`` and ``adj`` are the
-    flow's network arrays: edge ``2i`` is ``graph.arcs[i]`` and edge
-    ``2i+1`` its reverse, whose residual capacity is the flow on that arc.
+    ``source_side``, the vertices the source reaches in the residual
+    graph, fixes the induced minimum cut.  It is read on first use over
+    ``graph``'s shared arrays, whose demand arcs are gone by then; a
+    maximum flow leaves the supersink unreachable, so none is needed.
+    ``residual`` is the flow's own copy of the capacities: edge ``2i`` is
+    ``graph.arcs[i]``, and edge ``2i+1``, its reverse, holds its flow.
     """
 
     graph: DiGraph
@@ -46,14 +47,13 @@ class MaxFlowResult:
     sink: int
     value: int  # numerator at graph.scale
     residual: list = field(repr=False, compare=False)
-    head: list = field(repr=False, compare=False)
-    adj: list = field(repr=False, compare=False)
     _side: frozenset = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def source_side(self) -> frozenset:
         if self._side is None:
-            head, cap, adj = self.head, self.residual, self.adj
+            head, _, adj, _ = _network(self.graph)
+            cap = self.residual
             seen = [False] * len(adj)
             seen[self.source] = True
             reached = [self.source]
@@ -103,42 +103,44 @@ def share_network(g: DiGraph, like: DiGraph) -> DiGraph:
 def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
     """Exact maximum (s, t)-flow.
 
-    ``demands`` lists ``(vertex, numerator)`` arcs into an extra vertex
-    ``g.n``, the supersink, appended after ``g``'s arcs; infinite arcs
-    then get the sentinel the extended graph would have.  ``residual``
-    then describes the extended network, and ``min_cut_sink_side`` the
-    cut of ``g`` that the source side leaves, whose value is the flow's
-    when that cut crosses no demand arc and no infinite arc.
+    ``demands`` lists ``(vertex, numerator)`` arcs into the sink, which
+    must then be the extra vertex ``g.n``; ``residual`` has them after
+    ``g``'s arcs, and infinite arcs at the extended graph's sentinel.
+    ``min_cut_sink_side`` gives the cut of ``g`` that the source side
+    leaves, of the flow's value when it crosses no demand or infinite arc.
     """
-    n = g.n + 1 if demands else g.n
     if s == t:
         raise ValueError("source and sink coincide")
-    if not (0 <= s < n and 0 <= t < n):
+    if not (0 <= s < g.n and (t == g.n if demands else 0 <= t < g.n)):
         raise ValueError("source or sink out of range")
+    extra = 0
+    for v, c in demands:
+        if not 0 <= v < g.n or c < 0:
+            raise ValueError("demand arc out of range or negative")
+        extra += c
     head, cap, adj, inf_edges = _network(g)
     cap = cap[:]
-    if demands:
-        supersink = g.n
-        head = head[:]
-        adj = adj[:]
-        into_supersink = []
-        extra = 0
-        for v, c in demands:
-            if not 0 <= v < supersink or c < 0:
-                raise ValueError("demand arc out of range or negative")
-            e = len(head)
-            head += (supersink, v)
-            cap += (c, 0)
-            adj[v] = adj[v] + [e]
-            into_supersink.append(e + 1)
-            extra += c
-        adj.append(into_supersink)
-        if extra:
-            sentinel = g.inf_value + extra
-            for e in inf_edges:
-                cap[e] = sentinel
-
-    return MaxFlowResult(g, s, t, _dinic(head, cap, adj, n, s, t), cap, head, adj)
+    if extra:
+        sentinel = g.inf_value + extra
+        for e in inf_edges:
+            cap[e] = sentinel
+    base = e = len(head)
+    into_supersink = []
+    for v, c in demands:
+        adj[v].append(e)
+        into_supersink.append(e + 1)
+        head += (g.n, v)
+        cap += (c, 0)
+        e += 2
+    adj.append(into_supersink)
+    try:
+        value = _dinic(head, cap, adj, g.n + 1, s, t)
+    finally:
+        del head[base:]
+        adj.pop()
+        for v, _ in demands:
+            adj[v].pop()
+    return MaxFlowResult(g, s, t, value, cap)
 
 
 def _dinic(head, cap, adj, n, s, t) -> int:

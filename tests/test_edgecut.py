@@ -275,38 +275,6 @@ def test_integer_search_gallops_through_open_levels_only(floor, above, gap, drop
         assert res is singleton
 
 
-def test_level_search_stops_at_a_cut_of_the_floor_value():
-    # no level below the floor exists, so the first certificate is final
-    best = CutCertificate(frozenset([2]), (), Fraction(100))
-    levels = []
-    assert level_search(_stub_prober(1, levels), best, Fraction(1), Fraction(1, 5), ()).value == 1
-    assert len(levels) == 1
-
-
-@pytest.mark.parametrize("floor", [Fraction(1), Fraction(3, 7), Fraction(10**40 + 1)])
-@pytest.mark.parametrize("earlier", [0, 1, 2])
-def test_level_search_stops_after_the_probe_that_finds_the_floor_value(floor, earlier):
-    # ``earlier`` probes find cuts above the floor, and the next one a cut
-    # of the floor's value; the grid's bottom level lies below the floor
-    # and no probe has missed, so only the floor stop keeps the search from
-    # probing that level next
-    epsilon = Fraction(1, 5)
-    best = CutCertificate(frozenset([2]), (), 1000 * floor)
-    level_at, _ = _grid_levels(floor, epsilon / (2 + epsilon), best.value)
-    assert level_at(0) < floor
-    values = [best.value / 2**k for k in range(1, earlier + 1)] + [floor]
-    levels = []
-
-    def probe_at(level, _epsilon, _seed_parts):
-        levels.append(level)
-        if len(levels) > len(values):
-            return None
-        return CutCertificate(frozenset([1]), (), values[len(levels) - 1])
-
-    assert level_search(probe_at, best, floor, epsilon, ()).value == floor
-    assert len(levels) == len(values)
-
-
 def test_level_search_probes_logarithmically_many_levels():
     # about 1.8e15 grid levels lie between 1 and 10^400 at epsilon 1e-12
     best = CutCertificate(frozenset([2]), (), Fraction(10**400))

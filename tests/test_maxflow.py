@@ -10,6 +10,7 @@ from dircut import (
     max_flow,
     min_cut_sink_side,
 )
+from dircut.maxflow import _network
 
 from conftest import (
     arc_flows,
@@ -142,6 +143,29 @@ def test_demand_arcs_validated():
         max_flow(g, 0, 3, demands=[(1, -1)])
     with pytest.raises(ValueError):
         max_flow(g, 0, 3)
+    with pytest.raises(ValueError):
+        max_flow(g, 3, 0)
+    # the source must be a vertex of g, and the sink the supersink g.n
+    with pytest.raises(ValueError):
+        max_flow(g, 3, 0, demands=[(1, 1)])
+    with pytest.raises(ValueError):
+        max_flow(g, 0, 2, demands=[(1, 1)])
+
+
+def test_rejected_demands_leave_the_shared_arrays_alone():
+    g = g1()
+    first = max_flow(g, 0, g.n, demands=[(1, 2), (2, 1)])
+    head, _, adj, _ = _network(g)
+    before = (len(head), [edges[:] for edges in adj])
+    with pytest.raises(ValueError):
+        max_flow(g, 0, g.n, demands=[(1, 1), (2, 1), (g.n, 1)])
+    assert (len(head), adj) == before
+    fresh = DiGraph(g.n, g.arcs_as_input(), scale=g.scale)
+    again = max_flow(g, 0, g.n, demands=[(2, 1), (1, 2)])
+    theirs = max_flow(fresh, 0, g.n, demands=[(2, 1), (1, 2)])
+    assert (again.value, again.source_side, again.residual) == \
+        (theirs.value, theirs.source_side, theirs.residual)
+    assert first.source_side == frozenset([0])
 
 
 #: Demand numerators, and capacities of arcs into a sink: zero, small and
@@ -203,3 +227,31 @@ def test_demand_flow_stops_once_every_demand_is_met(problem):
     assert ext.value(res.value) == brute_min_st_cut(ext, 0, g.n)
     assert res.source_side == brute_minimal_source_side(ext, 0, g.n)
     assert verify_flow(ext, tuple(res.residual[1::2]), 0, g.n)
+
+
+@st.composite
+def demand_problems(draw):
+    """A tiny graph, a source and demands of any size, repeats allowed, so
+    some demand arcs stay unsaturated and some vertices carry two."""
+    g = draw(tiny_graphs())
+    s = draw(st.integers(0, g.n - 1))
+    demand_arcs = draw(st.lists(st.tuples(st.integers(0, g.n - 1), finite_capacities),
+                                min_size=1, max_size=4))
+    return g, s, demand_arcs
+
+
+@settings(max_examples=300)
+@given(demand_problems())
+def test_demand_flow_matches_brute_force_on_the_extended_graph(problem):
+    g, s, demand_arcs = problem
+    head, _, adj, _ = _network(g)
+    before = (head[:], [edges[:] for edges in adj])
+    res = max_flow(g, s, g.n, demands=demand_arcs)
+    # another demand flow runs before the source side is first read
+    max_flow(g, s, g.n, demands=demand_arcs[::-1])
+    assert (head, adj) == before
+    ext = DiGraph(g.n + 1, g.arcs_as_input() + [(v, g.n, c) for v, c in demand_arcs],
+                  scale=g.scale)
+    assert ext.value(res.value) == brute_min_st_cut(ext, s, g.n)
+    assert res.source_side == brute_minimal_source_side(ext, s, g.n)
+    assert verify_flow(ext, tuple(res.residual[1::2]), s, g.n)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import dircut.steiner
 from dircut import INFINITE, DiGraph, VertexCapGraph, max_flow, prune_for_root, split_transform
 from dircut.edgecut import RootedTopology, _edge_prober, condition_rooted
+from dircut.maxflow import _network
 from dircut.vertexcut import _normalize, _split_prober
 
 from conftest import probing_graphs, tiny_graphs, zero_heavy_vertex_graphs
@@ -76,10 +77,13 @@ def _same_as_from_scratch(base, r, aux_divisor, probes, terminals):
         level_num = int(level * scratch.scale)
         if terminals:
             demands = [(t, level_num) for t in sorted(terminals)]
+            head, _, adj, _ = _network(shared)
+            before = (head[:], [edges[:] for edges in adj])
             ours = max_flow(shared, r, shared.n, demands=demands)
             theirs = max_flow(scratch, r, scratch.n, demands=demands)
             assert (ours.value, ours.source_side) == (theirs.value, theirs.source_side)
-            # the flow left the shared arrays as they were
+            # the flows left the shared arrays as they were
+            assert (head, adj) == before
             assert max_flow(shared, r, shared.n, demands=demands).value == ours.value
 
 
