@@ -19,6 +19,14 @@ dominator tree, without a flow, before it builds a prober.  Otherwise the
 approximate modes search a geometric grid of levels, and the exact
 small-optimum modes the capacity numerators k above that capacity, level
 k/scale at tolerance 1/(1+k), so that every answer comes out exact.
+
+The exact oracle runs one capped flow per admissible sink of a root.  Its
+global cut is the deterministic form of that root draw: every vertex by
+decreasing capacity, in both orientations, until the roots done weigh
+more than the best cut so far.  One of them, r, then lies outside an
+optimal separator W.  If r is on W's source side S, the forward run at r
+finds W's value.  If r is in W's sink U, no arc runs from S into U, so
+S's in-neighbourhood in the reversal lies in W, and the reverse run does.
 """
 
 from __future__ import annotations
@@ -510,58 +518,50 @@ def exact_small_vertex_cut(
 # -- exact oracle ------------------------------------------------------------
 
 
-def _oracle_extract(ng, source, flow_result):
-    side = flow_result.source_side
-    component = frozenset(v for v in range(ng.n) if v != source and v not in side)
-    cert = _sink_certificate(ng, component)
-    assert cert.value == Fraction(flow_result.value, ng.scale), (
-        "split-graph cut does not match its vertex separator"
-    )
+def _oracle_extract(ng, source, flow_result, orientation="forward"):
+    sink = frozenset(range(ng.n)) - flow_result.source_side - {source}
+    cert = _sink_certificate(ng, sink, orientation)
+    assert cert.value == ng.value(flow_result.value), "split-graph cut is not its separator's"
     return cert
 
 
 def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
-    """Exact oracle with the flows it ran counted."""
+    """Exact oracle with the flows it ran counted: the capped root loop of
+    the module docstring at ``root``, or for ``root=None`` at every vertex
+    by decreasing capacity (ties to the smaller id) until the roots done
+    outweigh the best cut.  One cap, at first above every cut, serves all."""
     ng = _normalize(g)
     if root is not None:
-        zero = _unreached(ng, root, ng.arcs)
-        pairs = [(root, t) for t in _admissible_sinks(ng, root)]
-        if not pairs:
+        if not _admissible_sinks(ng, root):
             raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
+        zero, roots, bases = _unreached(ng, root, ng.arcs), [root], [("forward", ng)]
     else:
         zero = _global_start(ng)
-        adjacent = set(ng.arcs)
-        pairs = [
-            (s, t) for s in range(ng.n) for t in range(ng.n)
-            if s != t and (s, t) not in adjacent
-        ]
+        if ng.m == ng.n * (ng.n - 1):
+            raise NoCutExistsError("complete digraph has no vertex cut")
+        roots = sorted(range(ng.n), key=lambda v: (-ng.vcaps[v], v))
+        bases = [("forward", ng), ("reverse", _reverse_topology(ng))]
     if zero is not None:
         return CutResult(zero, 0, ())
-    if not pairs:
-        raise NoCutExistsError("complete digraph has no vertex cut")
-    split = split_transform(ng)
-    # at most the split graph's sentinel, and every pair's cut is finite,
-    # so the sentinel a demand arc raises hides no cut
-    singletons = _singletons(ng)
-    cap = int(min(singletons[t].value for _, t in pairs) * ng.scale) + 1
-    best = None
-    for s, t in pairs:
-        res = max_flow(split, ng.n + s, split.n, demands=[(t, cap)])
-        if res.value < cap:
-            best = _better(best, _oracle_extract(ng, s, res))
-            cap = res.value + 1
-    return CutResult(best, len(pairs), ())
+    splits = [(orientation, h, split_transform(h)) for orientation, h in bases]
+    best, flows, weight, cap = None, 0, 0, sum(ng.vcaps) + 1
+    for r in roots:
+        for orientation, h, split in splits:
+            for t in _admissible_sinks(h, r):
+                res = max_flow(split, h.n + r, split.n, demands=[(t, cap)])
+                flows += 1
+                if res.value < cap:
+                    best = _better(best, _oracle_extract(h, r, res, orientation))
+                    cap = res.value + 1
+        weight += ng.vcaps[r]
+        if weight >= cap:  # more than the best cut's numerator, cap - 1
+            break
+    return CutResult(best, flows, ())
 
 
 def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificate:
-    """Exact minimum vertex cut by pairwise split-graph flows.
-
-    ``root`` given: one flow per admissible sink.  ``root=None``: one flow
-    per ordered nonadjacent pair.  Each flow runs into the supersink
-    through one demand arc at t's in-copy, of capacity one above the best
-    cut so far (at first the least singleton of a sink t, whose separator
-    avoids s), so it stops there; a flow below it is the pair's minimum
-    cut, read from the same minimal source side as an uncapped flow.  Test
-    oracle and CLI --exact mode.
-    """
+    """Exact minimum vertex cut by split-graph flows, each stopped one above
+    the best cut so far, into the admissible sinks of ``root``, or of each
+    vertex by decreasing capacity in both orientations until those done
+    outweigh the best cut (``root=None``).  Test oracle and CLI --exact mode."""
     return _vertex_oracle(g, root).certificate

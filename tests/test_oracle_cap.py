@@ -6,12 +6,21 @@ win.  These tests check that the cap changes nothing but the work: on
 small graphs with parallel, zero, near-2^70 and infinite arcs, at
 rational scales, the capped and the plain oracle (``conftest``) return
 equal ``CutResult``s, certificate (crossing and orientation included) and
-flow count alike, rooted at every vertex and global, and both find the
-brute-force optimum; a later tie of smaller rank still wins.  On the
-benchmark's planted-sink instances the capped oracle still runs one flow
-per sink, and no flow carries more than one unit above the best
-singleton.
+flow count alike, rooted at every vertex and global for edges, and both
+find the brute-force optimum; a later tie of smaller rank still wins.
+The global vertex oracle runs its roots in order of decreasing capacity,
+in both orientations, and stops once the roots done weigh more than the
+best cut: one of them then lies outside an optimal separator, on its
+source side or in its sink, and the forward or the reverse run at that
+root finds the optimum.  It runs other flows than the plain pair loop, so
+it is checked against it and the brute force by value, raises exactly
+when no cut exists, and its certificate is re-validated in its own
+orientation.  On the benchmark's planted-sink instances the capped oracle
+still runs one flow per sink, and no flow carries more than one unit
+above the best singleton.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -107,12 +116,19 @@ def test_capped_vertex_oracle_equals_the_plain_one(g):
         else:
             assert res is NoCutExistsError
     res = _outcome(_vertex_oracle, g, None)
-    assert res == _outcome(plain_vertex_oracle, g, None)
+    plain = _outcome(plain_vertex_oracle, g, None)
     opt = brute_global_vertex_cut(g)
     if opt is None:
-        assert res is NoCutExistsError
-    else:
-        assert res.value == opt
+        assert res is plain is NoCutExistsError
+        return
+    assert res.value == plain.value == opt
+    cert = res.certificate
+    arcs = g.arcs if cert.orientation == "forward" else [(v, u) for u, v in g.arcs]
+    assert cert.sink_component and not cert.sink_component & cert.separator
+    assert len(cert.sink_component | cert.separator) < g.n
+    assert cert.separator == {u for u, v in arcs
+                              if v in cert.sink_component and u not in cert.sink_component}
+    assert cert.value == Fraction(sum(g.vcaps[w] for w in cert.separator), g.scale)
 
 
 def test_a_later_tie_of_smaller_rank_is_kept():

@@ -303,6 +303,52 @@ def test_global_complete_digraph_errors():
         exact_vertex_cut_oracle(k4)
 
 
+def test_global_oracle_finds_a_sink_holding_the_first_root_in_the_reversal():
+    # the optimal separator {1} has the sink {2, 3} and the source side {0};
+    # the heaviest vertex 2 lies in that sink, so its forward run finds only
+    # the separator {0} of value 3, and its reverse run the optimum with
+    # sink {0}.  Its capacity 10 already outweighs the cut, so no other
+    # root runs
+    g = VertexCapGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 2), (2, 0), (3, 0)],
+                       [3, 1, 10, 3])
+    assert dircut.vertexcut._vertex_oracle(g, 2).value == 3
+    res = dircut.vertexcut._vertex_oracle(g)
+    assert res.value == brute_global_vertex_cut(g) == 1
+    assert res.certificate.orientation == "reverse"
+    assert res.certificate.sink_component == frozenset([0])
+    assert res.flow_calls == 2
+    _assert_valid_vertex_cut(g, res.certificate)
+
+
+def test_global_oracle_stops_after_kappa_plus_one_unit_roots(monkeypatch):
+    # the bidirectional 6-cycle with unit capacities has kappa = 2, so the
+    # roots 0, 1 and 2 run, each with three admissible sinks per orientation
+    n = 6
+    g = VertexCapGraph(n, [(v, (v + d) % n) for v in range(n) for d in (1, n - 1)], [1] * n)
+    sources = []
+    real = dircut.vertexcut.max_flow
+
+    def counting(split, source, *args, **kwargs):
+        sources.append(source - n)
+        return real(split, source, *args, **kwargs)
+
+    monkeypatch.setattr(dircut.vertexcut, "max_flow", counting)
+    res = dircut.vertexcut._vertex_oracle(g)
+    assert res.value == 2
+    assert sorted(set(sources)) == [0, 1, 2]
+    assert res.flow_calls == len(sources) == 3 * 2 * 3
+
+
+def test_global_oracle_returns_the_zero_cut_of_zero_capacities():
+    # strongly connected, so only the root loop finds the zero cut; no
+    # root has positive capacity, so every root runs
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    g = VertexCapGraph(4, cycle, [0, 0, 0, 0])
+    cert = exact_vertex_cut_oracle(g)
+    assert cert.value == 0
+    _assert_valid_vertex_cut(g, cert)
+
+
 def test_global_vs_oracle_statistical():
     rng = random.Random(36)
     good = 0
