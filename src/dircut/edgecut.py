@@ -74,7 +74,7 @@ from .graph import (
     reach,
     reverse,
 )
-from .maxflow import max_flow, min_cut_sink_side, share_network
+from .maxflow import max_flow, min_cut_sink_side
 from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
 
 
@@ -177,21 +177,21 @@ def condition_rooted(
     elif topology.base is not base or topology.root != r:
         raise ValueError("topology of another rooted instance")
     quantum = epsilon * level / (aux_divisor * volume)
-    needed = [quantum, floor, level, epsilon * level]
+    if quantum < 0:
+        raise ValueError("negative capacity")
     new_scale = base.scale
-    for q in needed:
+    for q in (quantum, floor, level):
         new_scale = math.lcm(new_scale, q.denominator)
     factor = new_scale // base.scale
     floor_num = int(floor * new_scale)
     cap_num = int(2 * level * new_scale)
     quantum_num = int(quantum * new_scale)
-    # ``with_capacities`` overwrites the entries at infinite arcs
+    # ``_with_capacities`` overwrites the entries at infinite arcs
     clamped = {c: min(max(c * factor, floor_num), cap_num) for c in topology.cap_values}
     root_caps = {deg: quantum_num * deg for deg in topology.degree_values}
     caps = [*map(clamped.__getitem__, topology.base_caps),
             *map(root_caps.__getitem__, topology.root_degrees)]
-    template = topology.template
-    return share_network(template.with_capacities(caps, new_scale), template)
+    return topology.template._with_capacities(caps, new_scale)
 
 
 def precondition_rooted(
@@ -719,9 +719,9 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     lowers ``cap`` to its value + 1, which keeps ties.  The first zero cut
     ends the loop; the certificate is None when no cut lies below the
     ``cap`` given.  On a graph with infinite arcs the flows run on a copy
-    where they are plain arcs at their sentinel, which a demand arc would
-    otherwise raise, hiding the cuts that cross them; the copy has g's
-    arcs, so its certificates are g's."""
+    where they are plain arcs at their sentinel, which a cap reaching it
+    would otherwise raise, hiding the cuts that cross them; the copy has
+    g's arcs, so its certificates are g's."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     if not 0 <= r < g.n:

@@ -49,9 +49,10 @@ class DiGraph:
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
     ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
     counted individually by in-degree and in-volume.  ``_flow_network``
-    holds the graph's residual arrays once ``maxflow`` has built them, or
-    shared those of a graph with the same arcs (``share_network``), so
-    they live as long as the graphs that use them.
+    holds the graph's residual arrays (``_network``), built on the first
+    flow, or those of a graph with the same arcs and its own capacity
+    array (``_with_capacities``), so they live as long as the graphs
+    that use them.
     """
 
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
@@ -87,22 +88,16 @@ class DiGraph:
         )
         self._flow_network = None
 
-    def with_capacities(self, caps, scale) -> "DiGraph":
+    def _with_capacities(self, caps, scale) -> "DiGraph":
         """A graph with this graph's arcs, in order, and its infinite arcs,
-        but the finite numerators ``caps`` (one per arc; the list is
-        modified, and entries at infinite arcs are overwritten) at
-        ``scale``.  Only the capacities are checked; ``maxflow.share_network``
-        then gives it this graph's residual arrays."""
-        _check_scale(scale)
-        if len(caps) != len(self.arcs):
-            raise ValueError("need one capacity per arc")
+        but the finite numerators ``caps`` (one nonnegative int per arc;
+        the list is modified, and entries at infinite arcs are
+        overwritten) at the positive int ``scale``.  It holds this graph's
+        residual arrays with a capacity array of its own.  Nothing is
+        checked: the caller builds ``caps`` from validated capacities."""
         inf_ids = self.inf_arcs
         for i in inf_ids:
             caps[i] = 0
-        if not all(type(c) is int for c in caps):
-            raise TypeError("capacity numerators must be int")
-        if caps and min(caps) < 0:
-            raise ValueError("negative capacity")
         g = DiGraph.__new__(DiGraph)
         g.n = self.n
         g.scale = scale
@@ -111,7 +106,10 @@ class DiGraph:
         for i in inf_ids:
             caps[i] = g.inf_value
         g.arcs = tuple([(t, h, c) for (t, h, _), c in zip(self.arcs, caps)])
-        g._flow_network = None
+        head, _, adj, inf_edges = _network(self)
+        cap = [0] * len(head)
+        cap[0::2] = caps
+        g._flow_network = (head, cap, adj, inf_edges)
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -151,6 +149,30 @@ class DiGraph:
 
     def __repr__(self):
         return f"DiGraph(n={self.n}, m={self.m}, scale={self.scale})"
+
+
+def _network(g: DiGraph):
+    """(head, cap, adj, infinite edge ids) of ``g``, built on first use:
+    edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its reverse, and
+    ``adj[v]`` lists the edges out of v."""
+    net = g._flow_network
+    if net is None:
+        m = g.m
+        head = [0] * (2 * m)
+        cap = [0] * (2 * m)
+        adj = [[] for _ in range(g.n)]
+        if m:
+            tails, heads, caps = zip(*g.arcs)
+            head[0::2] = heads
+            head[1::2] = tails
+            cap[0::2] = caps
+        e = 0
+        for u, v, _ in g.arcs:
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
+        net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
+    return net
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ flows and cut values are exact.  The engine sits behind one function so a
 faster solver could replace it without touching callers.
 
 The residual network of a graph is built once and kept on the graph,
-which is immutable: edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its
-reverse, with per-vertex lists of edge ids.  Graphs that differ only in
-capacities can share one set of those arrays (``share_network``).  A
-call copies only the capacities; one with demand arcs into a supersink
+which is immutable (``graph._network``): edge ``2i`` is ``arcs[i]`` and
+edge ``2i+1`` its reverse, with per-vertex lists of edge ids.  Graphs
+that differ only in capacities share one set of those arrays, each with
+a capacity array of its own (``DiGraph._with_capacities``).  A call
+copies only the capacities; one with demand arcs into a supersink
 ``g.n`` appends them to those arrays until the flow ends (so threads
 must not share them), which is how the Steiner recursion routes to a
 terminal set without building a new graph, and how the exact oracles
-stop each per-sink flow one above the best cut so far.
+stop each per-sink flow one above the best cut so far.  Infinite arcs
+keep ``g``'s sentinel unless the demands total at least that much.
+Below it the supersink's in-arcs form a cheaper cut than any through an
+infinite arc, so raising them would change only their forward residuals.
 
 Each phase labels vertices by residual distance to the sink, with a
 reverse BFS that stops once the source is labelled, and pushes a blocking
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import CutCertificate, DiGraph, cut_certificate
+from .graph import CutCertificate, DiGraph, _network, cut_certificate
 
 
 @dataclass(slots=True)
@@ -40,6 +44,8 @@ class MaxFlowResult:
     maximum flow leaves the supersink unreachable, so none is needed.
     ``residual`` is the flow's own copy of the capacities: edge ``2i`` is
     ``graph.arcs[i]``, and edge ``2i+1``, its reverse, holds its flow.
+    An infinite arc's forward residual starts at the sentinel that
+    ``max_flow`` gave it.
     """
 
     graph: DiGraph
@@ -67,45 +73,15 @@ class MaxFlowResult:
         return self._side
 
 
-def _network(g: DiGraph):
-    """(head, cap, adj, infinite edge ids) of ``g``, built on first use."""
-    net = g._flow_network
-    if net is None:
-        m = g.m
-        head = [0] * (2 * m)
-        cap = [0] * (2 * m)
-        adj = [[] for _ in range(g.n)]
-        if m:
-            tails, heads, caps = zip(*g.arcs)
-            head[0::2] = heads
-            head[1::2] = tails
-            cap[0::2] = caps
-        e = 0
-        for u, v, _ in g.arcs:
-            adj[u].append(e)
-            adj[v].append(e + 1)
-            e += 2
-        net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
-    return net
-
-
-def share_network(g: DiGraph, like: DiGraph) -> DiGraph:
-    """Give ``g`` the residual arrays of ``like``, a graph with the same
-    arcs and infinite arcs but other capacities, so that only ``g``'s
-    capacities are new; returns ``g``."""
-    head, _, adj, inf_edges = _network(like)
-    cap = [0] * len(head)
-    cap[0::2] = [c for _, _, c in g.arcs]
-    g._flow_network = (head, cap, adj, inf_edges)
-    return g
-
-
 def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
     """Exact maximum (s, t)-flow.
 
     ``demands`` lists ``(vertex, numerator)`` arcs into the sink, which
     must then be the extra vertex ``g.n``; ``residual`` has them after
-    ``g``'s arcs, and infinite arcs at the extended graph's sentinel.
+    ``g``'s arcs.  When their total reaches ``g.inf_value``, infinite arcs
+    are raised to the extended graph's sentinel, ``g.inf_value`` plus the
+    total; below it they keep ``g.inf_value``, which changes only their
+    forward residuals, not the value, the source side or any arc's flow.
     ``min_cut_sink_side`` gives the cut of ``g`` that the source side
     leaves, of the flow's value when it crosses no demand or infinite arc.
     """
@@ -120,7 +96,7 @@ def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
         extra += c
     head, cap, adj, inf_edges = _network(g)
     cap = cap[:]
-    if extra:
+    if extra >= g.inf_value:
         sentinel = g.inf_value + extra
         for e in inf_edges:
             cap[e] = sentinel

@@ -184,8 +184,6 @@ def test_scale_must_be_int(scale):
     with pytest.raises(TypeError, match="scale must be int"):
         DiGraph(2, [(0, 1, 1)], scale=scale)
     with pytest.raises(TypeError, match="scale must be int"):
-        DiGraph(2, [(0, 1, 1)]).with_capacities([1], scale)
-    with pytest.raises(TypeError, match="scale must be int"):
         VertexCapGraph(2, [(0, 1)], [1, 1], scale=scale)
     with pytest.raises(ValueError, match="positive"):
         DiGraph(2, [], scale=0)

@@ -232,11 +232,21 @@ def test_demand_flow_stops_once_every_demand_is_met(problem):
 @st.composite
 def demand_problems(draw):
     """A tiny graph, a source and demands of any size, repeats allowed, so
-    some demand arcs stay unsaturated and some vertices carry two."""
+    some demand arcs stay unsaturated and some vertices carry two.  On a
+    graph with INFINITE arcs half the draws cut the demands down to a
+    total of one below, at or one above ``g.inf_value``, where
+    ``max_flow`` starts to raise those arcs to the extended graph's
+    sentinel."""
     g = draw(tiny_graphs())
     s = draw(st.integers(0, g.n - 1))
     demand_arcs = draw(st.lists(st.tuples(st.integers(0, g.n - 1), finite_capacities),
                                 min_size=1, max_size=4))
+    if g.inf_arcs and draw(st.booleans()):
+        left = g.inf_value + draw(st.sampled_from([-1, 0, 1]))
+        for i, (v, c) in enumerate(demand_arcs):
+            c = left if i == len(demand_arcs) - 1 else min(c, left)
+            demand_arcs[i] = (v, c)
+            left -= c
     return g, s, demand_arcs
 
 

@@ -116,8 +116,6 @@ def test_topology_rejects_another_instance_and_bad_capacities():
     # a negative epsilon gives negative root arcs, which a fresh build rejects too
     with pytest.raises(ValueError, match="negative capacity"):
         condition_rooted(g, 0, Fraction(1), 1, Fraction(-1, 2), 2, Fraction(0), topology)
-    with pytest.raises(TypeError, match="must be int"):
-        topology.template.with_capacities([1, 1, 2.5, 1, 1], 1)
 
 
 def _residual_arrays_built(prober, levels):
