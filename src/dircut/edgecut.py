@@ -709,19 +709,72 @@ def approx_global_edge_cut(
     return _global_search(g, search)
 
 
+def _sink_order(sinks, credit, start) -> list:
+    """``sinks`` that no chain of positive ``credit`` pairs reaches from
+    the vertices ``start``, by id, then the others in breadth-first order
+    along those pairs.  The first group have zero cuts, so the first of
+    them ends the sink loop."""
+    rank = {}
+    queue = list(start)
+    for v in queue:
+        if v not in rank:
+            rank[v] = len(rank)
+            queue.extend(w for w, amount in credit[v] if amount)
+    return sorted(sinks, key=lambda t: rank.get(t, t - len(credit)))
+
+
+def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, start, extract):
+    """The capped sink loop of both exact oracles: ``(best, flows, cap)``,
+    the rank-best of the cuts of numerator below ``cap`` into ``sinks``
+    (None when there is none), the flows run and the final cap.
+
+    Sink t's flow runs from ``source`` into the supersink through one
+    demand arc (t, cap), which stops it once cap units arrive.  A flow
+    below ``cap`` is t's minimum cut, read by ``extract`` from the same
+    minimal source side as an uncapped flow, and lowers ``cap`` to its
+    value + 1, which keeps ties; the first zero cut ends the loop, since
+    every zero flow leaves the same source side.  A sink whose flow
+    reaches ``cap`` is certified: no cut below the cap has it in its sink.
+    So are the vertices ``start`` from the outset.  Each certified t adds
+    the ``(vertex, amount)`` pairs of ``credit[t]`` to ``support``, which
+    the caller builds so that every cut below the cap with u in its sink
+    is worth at least ``support[u]``.  Once that reaches the cap, u is
+    certified without a flow: its minimum cut is at least the cap in
+    force, above every cut the loop keeps.  A sink whose minimum cut is
+    the optimum always runs its flow, so the rank-best cut does not
+    change.  Sinks are visited in ``_sink_order``."""
+    support = [0] * len(credit)
+    for v in start:
+        for w, amount in credit[v]:
+            support[w] += amount
+    best, flows = None, 0
+    for t in _sink_order(sinks, credit, start):
+        if support[t] < cap:
+            res = max_flow(flow_graph, source, flow_graph.n, demands=[(t, cap)])
+            flows += 1
+            if res.value < cap:
+                best = _better(best, extract(res))
+                if res.value == 0:
+                    break
+                cap = res.value + 1
+                continue
+        for w, amount in credit[t]:
+            support[w] += amount
+    return best, flows, cap
+
+
 def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     """Exact minimum rooted cut at ``r`` among those of numerator below
     ``cap``, which is lowered to one above the best singleton's, so that
-    without a given ``cap`` some cut always is.  Each non-root sink t gets
-    one flow into the supersink g.n through a demand arc (t, cap), which
-    stops it once cap units arrive.  A flow below ``cap`` is t's minimum
-    cut, read from the same minimal source side as an uncapped flow, and
-    lowers ``cap`` to its value + 1, which keeps ties.  The first zero cut
-    ends the loop; the certificate is None when no cut lies below the
-    ``cap`` given.  On a graph with infinite arcs the flows run on a copy
-    where they are plain arcs at their sentinel, which a cap reaching it
-    would otherwise raise, hiding the cuts that cross them; the copy has
-    g's arcs, so its certificates are g's."""
+    without a given ``cap`` some cut always is; the certificate is None
+    when no cut lies below the ``cap`` given.  ``capped_sinks`` runs the
+    non-root sinks, crediting every arc out of a certified tail t or out
+    of r: a cut below the cap keeps t on its source side, so it crosses
+    every arc (t, u) into a sink vertex u.  On a graph with infinite arcs
+    the flows run on a copy where they are plain arcs at their sentinel,
+    which a cap reaching it would otherwise raise, hiding the cuts that
+    cross them, and the credit counts them there too; the copy has g's
+    arcs, so its certificates are g's."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
     if not 0 <= r < g.n:
@@ -729,19 +782,12 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     singleton = int(_min_singleton_cut(g, r).value * g.scale) + 1
     cap = singleton if cap is None else min(cap, singleton)
     flow_graph = DiGraph(g.n, g.arcs, g.scale) if g.inf_arcs else g
-    best = None
-    calls = 0
-    for t in range(g.n):
-        if t == r:
-            continue
-        res = max_flow(flow_graph, r, g.n, demands=[(t, cap)])
-        calls += 1
-        if res.value < cap:
-            best = _better(best, min_cut_sink_side(res))
-            if res.value == 0:
-                break
-            cap = res.value + 1
-    return CutResult(best, calls, ())
+    credit = [[] for _ in range(g.n)]
+    for t, h, c in g.arcs:
+        credit[t].append((h, c))
+    best, flows, _ = capped_sinks(flow_graph, r, [t for t in range(g.n) if t != r], cap,
+                                  credit, [r], min_cut_sink_side)
+    return CutResult(best, flows, ())
 
 
 def _edge_oracle(g: DiGraph, root=None) -> CutResult:
@@ -762,10 +808,13 @@ def _edge_oracle(g: DiGraph, root=None) -> CutResult:
 
 
 def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
-    """Exact minimum rooted cut via one max-flow per non-root vertex, each
-    stopped one above the best cut so far.  Each flow's cut is read from
-    its residual source side, so a zero cut hidden behind zero-capacity
-    arcs is found too; the first zero cut ends the search."""
+    """Exact minimum rooted cut via at most one max-flow per non-root
+    vertex, in breadth-first order from ``r``, each stopped one above the
+    best cut so far.  A vertex whose arcs from r and from vertices already
+    certified (their flows reached the cap) carry at least the cap needs
+    no flow.  Each flow's cut is read from its residual source side, so a
+    zero cut hidden behind zero-capacity arcs is found too; the first zero
+    cut ends the search."""
     return _rooted_oracle(g, r).certificate
 
 

@@ -42,6 +42,7 @@ from .edgecut import (
     CutResult,
     RootedTopology,
     as_fraction,
+    capped_sinks,
     clamp_epsilon,
     condition_rooted,
     derive_seed,
@@ -57,7 +58,6 @@ from .edgecut import (
     _volume_schedule,
 )
 from .graph import INFINITE, DiGraph, NoCutExistsError, _check_scale, reach
-from .maxflow import max_flow
 
 
 class VertexCapGraph:
@@ -529,7 +529,12 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted: the capped root loop of
     the module docstring at ``root``, or for ``root=None`` at every vertex
     by decreasing capacity (ties to the smaller id) until the roots done
-    outweigh the best cut.  One cap, at first above every cut, serves all."""
+    outweigh the best cut.  One cap, at first above every cut, serves all.
+    Each (root, orientation) runs ``capped_sinks`` on the admissible sinks
+    of its split graph.  Every in-neighbour of a sink vertex lies in the
+    separator or in the sink, and an out-neighbour of the root, or a
+    certified vertex once the cut is below the cap, never lies in the
+    sink: so each of those credits its capacity to its out-neighbours."""
     ng = _normalize(g)
     if root is not None:
         if not _admissible_sinks(ng, root):
@@ -543,16 +548,20 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
         bases = [("forward", ng), ("reverse", _reverse_topology(ng))]
     if zero is not None:
         return CutResult(zero, 0, ())
-    splits = [(orientation, h, split_transform(h)) for orientation, h in bases]
+    splits = []
+    for orientation, h in bases:
+        credit = [[] for _ in range(h.n)]
+        for u, v in h.arcs:
+            credit[u].append((v, h.vcaps[u]))
+        splits.append((orientation, h, split_transform(h), credit))
     best, flows, weight, cap = None, 0, 0, sum(ng.vcaps) + 1
     for r in roots:
-        for orientation, h, split in splits:
-            for t in _admissible_sinks(h, r):
-                res = max_flow(split, h.n + r, split.n, demands=[(t, cap)])
-                flows += 1
-                if res.value < cap:
-                    best = _better(best, _oracle_extract(h, r, res, orientation))
-                    cap = res.value + 1
+        for orientation, h, split, credit in splits:
+            found, k, cap = capped_sinks(
+                split, h.n + r, _admissible_sinks(h, r), cap, credit,
+                [x for u, x in h.arcs if u == r],
+                partial(_oracle_extract, h, r, orientation=orientation))
+            best, flows = _better(best, found), flows + k
         weight += ng.vcaps[r]
         if weight >= cap:  # more than the best cut's numerator, cap - 1
             break
@@ -563,5 +572,9 @@ def exact_vertex_cut_oracle(g: VertexCapGraph, root=None) -> VertexCutCertificat
     """Exact minimum vertex cut by split-graph flows, each stopped one above
     the best cut so far, into the admissible sinks of ``root``, or of each
     vertex by decreasing capacity in both orientations until those done
-    outweigh the best cut (``root=None``).  Test oracle and CLI --exact mode."""
+    outweigh the best cut (``root=None``).  The sinks of a root run in
+    breadth-first order from it, and a sink whose in-neighbours among the
+    root's out-neighbours and the vertices already certified (their flows
+    reached the cap) weigh at least the cap needs no flow.  Test oracle
+    and CLI --exact mode."""
     return _vertex_oracle(g, root).certificate

@@ -414,12 +414,13 @@ def test_union_prober_stops_at_the_first_member_with_a_certificate():
 
 @pytest.mark.parametrize("graph_seed", [7, 8])
 def test_planted_sink_approx_runs_fewer_flows_than_the_oracle(graph_seed):
-    # the benchmark's planted-rooted parameters at n=400: the oracle runs
-    # one flow per sink, n-1 = 399
+    # the benchmark's planted-rooted parameters at n=400: of the n-1 = 399
+    # sinks, the oracle runs a flow only into those that the arcs from the
+    # root and from sinks already certified do not certify
     g = parse_text(generate("planted-sink", seed=graph_seed, n=400,
                             sink_size=4, volume=12, value=5).text)
     oracle = _edge_oracle(g, root=0)
-    assert oracle.flow_calls == 399
+    assert oracle.flow_calls == {7: 9, 8: 7}[graph_seed]
     approx = approx_rooted_edge_cut(g, 0, "0.2", seed=1)
     assert approx.value == oracle.value
     assert approx.flow_calls < oracle.flow_calls
@@ -442,7 +443,8 @@ def test_global_forward_zero_cut_skips_the_reversal():
         assert res.certificate.sink_set == frozenset([7])
     res = _edge_oracle(g)
     assert res.value == 0 and res.orientation == "forward"
-    assert res.flow_calls == _edge_oracle(g, root=0).flow_calls == 7
+    # the root reaches every vertex but 7, whose flow therefore runs first
+    assert res.flow_calls == _edge_oracle(g, root=0).flow_calls == 1
 
 
 def test_global_cycle_and_two_vertex():

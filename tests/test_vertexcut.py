@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dircut.edgecut
 import dircut.vertexcut
 from dircut import (
     NoCutExistsError,
@@ -322,17 +323,20 @@ def test_global_oracle_finds_a_sink_holding_the_first_root_in_the_reversal():
 
 def test_global_oracle_stops_after_kappa_plus_one_unit_roots(monkeypatch):
     # the bidirectional 6-cycle with unit capacities has kappa = 2, so the
-    # roots 0, 1 and 2 run, each with three admissible sinks per orientation
+    # roots 0, 1 and 2 run, each with three admissible sinks per orientation.
+    # Every such sink's minimum cut is the optimum 2, below the cap, so none
+    # is certified without its flow.  The flows run in the one sink loop of
+    # dircut.edgecut
     n = 6
     g = VertexCapGraph(n, [(v, (v + d) % n) for v in range(n) for d in (1, n - 1)], [1] * n)
     sources = []
-    real = dircut.vertexcut.max_flow
+    real = dircut.edgecut.max_flow
 
     def counting(split, source, *args, **kwargs):
         sources.append(source - n)
         return real(split, source, *args, **kwargs)
 
-    monkeypatch.setattr(dircut.vertexcut, "max_flow", counting)
+    monkeypatch.setattr(dircut.edgecut, "max_flow", counting)
     res = dircut.vertexcut._vertex_oracle(g)
     assert res.value == 2
     assert sorted(set(sources)) == [0, 1, 2]
