@@ -176,16 +176,17 @@ def condition_rooted(
         topology = RootedTopology(base, r)
     elif topology.base is not base or topology.root != r:
         raise ValueError("topology of another rooted instance")
-    quantum = epsilon * level / (aux_divisor * volume)
-    if quantum < 0:
+    # the root arcs' quantum epsilon*level/(aux_divisor*volume) is num/den
+    num = epsilon.numerator * level.numerator
+    den = epsilon.denominator * level.denominator * aux_divisor * volume
+    if num * den < 0:
         raise ValueError("negative capacity")
-    new_scale = base.scale
-    for q in (quantum, floor, level):
-        new_scale = math.lcm(new_scale, q.denominator)
+    new_scale = math.lcm(base.scale, den // math.gcd(num, den), floor.denominator,
+                         level.denominator)
     factor = new_scale // base.scale
-    floor_num = int(floor * new_scale)
-    cap_num = int(2 * level * new_scale)
-    quantum_num = int(quantum * new_scale)
+    floor_num = floor.numerator * (new_scale // floor.denominator)
+    cap_num = 2 * level.numerator * (new_scale // level.denominator)
+    quantum_num = num * new_scale // den
     # ``_with_capacities`` overwrites the entries at infinite arcs
     clamped = {c: min(max(c * factor, floor_num), cap_num) for c in topology.cap_values}
     root_caps = {deg: quantum_num * deg for deg in topology.degree_values}
