@@ -265,3 +265,21 @@ def test_demand_flow_matches_brute_force_on_the_extended_graph(problem):
     assert ext.value(res.value) == brute_min_st_cut(ext, s, g.n)
     assert res.source_side == brute_minimal_source_side(ext, s, g.n)
     assert verify_flow(ext, tuple(res.residual[1::2]), s, g.n)
+
+
+def test_demands_totalling_the_sentinel_raise_the_infinite_arcs():
+    # the finite arcs total 3, so the sentinel is 4, and so is the demand
+    # total.  No finite cut of the extended graph lies below 4: the demand
+    # arcs alone cost 4, and the sink {2, 3} costs 5.  The cut onto {1, 2, 3}
+    # crosses only the INFINITE arc (0, 1); at the graph's own sentinel it
+    # would tie the demand arcs and empty the minimal source side, so the
+    # flow must raise that arc to the extended graph's sentinel, 4 + 4
+    g = DiGraph(3, [(0, 1, INFINITE), (1, 2, 3)])
+    assert g.inf_value == 4
+    demand_arcs = [(1, 2), (2, 2)]
+    res = max_flow(g, 0, g.n, demands=demand_arcs)
+    ext = DiGraph(g.n + 1, g.arcs_as_input() + [(v, g.n, c) for v, c in demand_arcs])
+    assert res.value == 4 == brute_min_st_cut(ext, 0, g.n)
+    assert res.source_side == brute_minimal_source_side(ext, 0, g.n) == frozenset([0, 1, 2])
+    assert res.residual[0] == 8 - 4  # the raised arc less its flow
+    assert verify_flow(ext, tuple(res.residual[1::2]), 0, g.n)
