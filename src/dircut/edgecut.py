@@ -795,7 +795,8 @@ def _edge_oracle(g: DiGraph, root=None) -> CutResult:
     """Exact oracle with the flows it ran counted: rooted at ``root``, or
     global (rooted at vertex 0 of the graph and of its reversal; a forward
     zero cut skips the reversal).  Each flow stops one above the best cut
-    so far, and the reversal starts from the forward best."""
+    so far, a sink that certified vertices' arcs prove at least that cap
+    runs none, and the reversal starts from the forward best."""
     if root is not None:
         return _rooted_oracle(g, root)
     forward = _rooted_oracle(g, 0)

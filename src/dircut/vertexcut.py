@@ -20,13 +20,17 @@ approximate modes search a geometric grid of levels, and the exact
 small-optimum modes the capacity numerators k above that capacity, level
 k/scale at tolerance 1/(1+k), so that every answer comes out exact.
 
-The exact oracle runs one capped flow per admissible sink of a root.  Its
-global cut is the deterministic form of that root draw: every vertex by
-decreasing capacity, in both orientations, until the roots done weigh
-more than the best cut so far.  One of them, r, then lies outside an
-optimal separator W.  If r is on W's source side S, the forward run at r
-finds W's value.  If r is in W's sink U, no arc runs from S into U, so
-S's in-neighbourhood in the reversal lies in W, and the reverse run does.
+The exact oracle runs at most one capped flow per admissible sink of a
+root, in the edge module's sink loop (``capped_sinks``).  A sink needs no
+flow once its in-neighbours among the root's out-neighbours and the sinks
+already certified weigh at least the cap: those never lie in a sink of a
+cut below the cap, so they lie in its separator.  Its global cut is the
+deterministic form of that root draw: every vertex by decreasing
+capacity, in both orientations, until the roots done weigh more than the
+best cut so far.  One of them, r, then lies outside an optimal separator
+W.  If r is on W's source side S, the forward run at r finds W's value.
+If r is in W's sink U, no arc runs from S into U, so S's
+in-neighbourhood in the reversal lies in W, and the reverse run does.
 """
 
 from __future__ import annotations
