@@ -720,7 +720,7 @@ def _sink_order(sinks, credit, start) -> list:
     for v in queue:
         if v not in rank:
             rank[v] = len(rank)
-            queue.extend(w for w, amount in credit[v] if amount)
+            queue += [w for w, amount in credit[v] if amount]
     return sorted(sinks, key=lambda t: rank.get(t, t - len(credit)))
 
 
