@@ -171,9 +171,9 @@ def _split_base(split, source):
                                       [c for _, _, c in split.arcs[:n]], split.scale)
 
 
-def _run_recording_skips(oracle, g, root):
-    """``oracle(g, root)`` with every sink loop wrapped: returns the oracle's
-    outcome and, per loop, its flow graph, source and skipped sinks."""
+def _recorded_skips(oracle, g, root):
+    """Runs ``oracle(g, root)`` with every sink loop wrapped, and returns
+    per loop its flow graph, source and skipped sinks."""
     loops, flows = [], []
     real_loop, real_flow = edgecut.capped_sinks, edgecut.max_flow
 
@@ -194,15 +194,15 @@ def _run_recording_skips(oracle, g, root):
         mp.setattr(edgecut, "max_flow", recording_flow)
         mp.setattr(edgecut, "capped_sinks", recording_loop)
         mp.setattr(vertexcut, "capped_sinks", recording_loop)
-        return _outcome(oracle, g, root), loops
+        _outcome(oracle, g, root)
+    return loops
 
 
 @settings(max_examples=150)
 @given(EDGE_GRAPHS)
 def test_edge_sinks_skipped_by_their_credit_are_at_least_the_cap(g):
     for root in [*range(g.n), None]:
-        _, loops = _run_recording_skips(_edge_oracle, g, root)
-        for flow_graph, source, skipped in loops:
+        for flow_graph, source, skipped in _recorded_skips(_edge_oracle, g, root):
             for t, cap in skipped:
                 assert brute_min_st_cut(flow_graph, source, t) >= flow_graph.value(cap)
 
@@ -211,8 +211,7 @@ def test_edge_sinks_skipped_by_their_credit_are_at_least_the_cap(g):
 @given(VERTEX_GRAPHS)
 def test_vertex_sinks_skipped_by_their_credit_are_at_least_the_cap(g):
     for root in [*range(g.n), None]:
-        _, loops = _run_recording_skips(_vertex_oracle, g, root)
-        for split, source, skipped in loops:
+        for split, source, skipped in _recorded_skips(_vertex_oracle, g, root):
             r, h = _split_base(split, source)
             for t, cap in skipped:
                 assert brute_min_separator(h, r, t) >= h.value(cap)
