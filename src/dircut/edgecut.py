@@ -733,8 +733,8 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
     demand arc (t, cap), which stops it once cap units arrive.  A flow
     below ``cap`` is t's minimum cut, read by ``extract`` from the same
     minimal source side as an uncapped flow, and lowers ``cap`` to its
-    value + 1, which keeps ties; the first zero cut ends the loop, since
-    every zero flow leaves the same source side.  A sink whose flow
+    value + 1, which keeps ties; the first zero cut ends the loop at cap
+    1, since every zero flow leaves the same source side.  A sink whose flow
     reaches ``cap`` is certified: no cut below the cap has it in its sink.
     So are the vertices ``start`` from the outset.  Each certified t adds
     the ``(vertex, amount)`` pairs of ``credit[t]`` to ``support``, which
@@ -754,10 +754,9 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
             res = max_flow(flow_graph, source, flow_graph.n, demands=[(t, cap)])
             flows += 1
             if res.value < cap:
-                best = _better(best, extract(res))
+                best, cap = _better(best, extract(res)), res.value + 1
                 if res.value == 0:
                     break
-                cap = res.value + 1
                 continue
         for w, amount in credit[t]:
             support[w] += amount

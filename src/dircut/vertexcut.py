@@ -563,7 +563,7 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
         for orientation, h, split, credit in splits:
             found, k, cap = capped_sinks(
                 split, h.n + r, _admissible_sinks(h, r), cap, credit,
-                [x for u, x in h.arcs if u == r],
+                [x for x, _ in credit[r]],
                 partial(_oracle_extract, h, r, orientation=orientation))
             best, flows = _better(best, found), flows + k
         weight += ng.vcaps[r]

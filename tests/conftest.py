@@ -30,6 +30,7 @@ from dircut.vertexcut import (
     _global_start,
     _normalize,
     _oracle_extract,
+    _reverse_topology,
     _unreached,
     split_transform,
 )
@@ -291,6 +292,34 @@ def plain_vertex_oracle(g, root=None):
     for s, t in pairs:
         best = _better(best, _oracle_extract(ng, s, max_flow(split, ng.n + s, t)))
     return CutResult(best, len(pairs), ())
+
+
+def root_loop_vertex_oracle(g):
+    """The global exact vertex oracle's root loop with every capped flow
+    run, as a CutResult: roots by decreasing capacity, each in both
+    orientations, one flow per admissible sink into a demand arc at the
+    shared cap, until the roots done weigh at least the cap."""
+    ng = _normalize(g)
+    zero = _global_start(ng)
+    if zero is not None:
+        return CutResult(zero, 0, ())
+    if ng.m == ng.n * (ng.n - 1):
+        raise NoCutExistsError("complete digraph has no vertex cut")
+    splits = [(orientation, h, split_transform(h))
+              for orientation, h in (("forward", ng), ("reverse", _reverse_topology(ng)))]
+    best, flows, weight, cap = None, 0, 0, sum(ng.vcaps) + 1
+    for r in sorted(range(ng.n), key=lambda v: (-ng.vcaps[v], v)):
+        for orientation, h, split in splits:
+            for t in _admissible_sinks(h, r):
+                res = max_flow(split, h.n + r, split.n, demands=[(t, cap)])
+                flows += 1
+                if res.value < cap:
+                    best = _better(best, _oracle_extract(h, r, res, orientation))
+                    cap = res.value + 1
+        weight += ng.vcaps[r]
+        if weight >= cap:
+            break
+    return CutResult(best, flows, ())
 
 
 def rand_digraph(rng, n, extra, wmax=10, strong=True, scale=1):

@@ -18,7 +18,9 @@ outside an optimal separator, on its source side or in its sink, and the
 forward or the reverse run at that root finds the optimum.  It runs other
 flows than the plain pair loop, so it is checked against it and the
 brute force by value, raises exactly when no cut exists, and its
-certificate is re-validated in its own orientation.  On the benchmark's
+certificate is re-validated in its own orientation; it equals the
+certificate of the same root loop with every capped flow run
+(``conftest``), with no more flows.  On the benchmark's
 planted-sink instances the capped oracle runs a few dozen of the 399
 sink flows, and no flow carries more than one unit above the best
 singleton.
@@ -50,6 +52,7 @@ from conftest import (
     plain_edge_oracle,
     plain_vertex_oracle,
     probing_graphs,
+    root_loop_vertex_oracle,
     probing_vertex_graphs,
     tiny_graphs,
     zero_heavy_graphs,
@@ -129,6 +132,7 @@ def test_capped_vertex_oracle_equals_the_plain_one(g):
             assert res is NoCutExistsError
     res = _outcome(_vertex_oracle, g, None)
     plain = _outcome(plain_vertex_oracle, g, None)
+    assert _same_answer(res, _outcome(lambda g, _: root_loop_vertex_oracle(g), g, None))
     opt = brute_global_vertex_cut(g)
     if opt is None:
         assert res is plain is NoCutExistsError

@@ -9,6 +9,7 @@ import dircut.vertexcut
 from dircut import (
     NoCutExistsError,
     VertexCapGraph,
+    VertexCutCertificate,
     approx_global_vertex_cut,
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
@@ -317,6 +318,21 @@ def test_global_oracle_finds_a_sink_holding_the_first_root_in_the_reversal():
     assert res.value == brute_global_vertex_cut(g) == 1
     assert res.certificate.orientation == "reverse"
     assert res.certificate.sink_component == frozenset([0])
+    assert res.flow_calls == 2
+    _assert_valid_vertex_cut(g, res.certificate)
+
+
+def test_global_oracle_zero_cut_lowers_the_shared_cap_to_one():
+    # vertices 1 and 2 weigh 0, so the heaviest root 0's first forward flow
+    # finds the zero separator {1, 2} with sink {3, 4}.  That ends the run
+    # at cap 1, and the reverse run's first flow finds the zero separator
+    # {4} with sink {1, 2, 3}, which wins the rank.  Root 0's weight 10
+    # reaches cap 1, so no other root runs: a cap left above 1 let root 3
+    # run and win with the forward zero separator {4} with sink {0, 1}
+    g = VertexCapGraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 0)], [10, 0, 0, 1, 0])
+    res = dircut.vertexcut._vertex_oracle(g)
+    assert res.certificate == VertexCutCertificate(
+        frozenset([4]), frozenset([1, 2, 3]), Fraction(0), "reverse")
     assert res.flow_calls == 2
     _assert_valid_vertex_cut(g, res.certificate)
 
