@@ -36,15 +36,16 @@ left, which lie above a lower bound on the optimum: the smallest
 positive capacity, since zero cuts are found exactly beforehand and
 every other cut crosses a positive arc.  Every mode answers that lower
 bound first, without a flow: a cut of the smallest positive capacity
-crosses one positive arc, whose head dominates the whole sink, so one
-dominator tree of the root's positive arcs finds it (``_edge_floor_cut``).
-Only when there is none does the search run.  The approximate modes run
-it on a geometric grid of levels computed by index and anchored at the
-trivial cut's value (``level_search``); the grid ratio and the per-probe
-inflation are both epsilon/(2+epsilon), so their product stays within
-the requested (1+epsilon) factor.  The exact small-optimum modes run it
-over the levels k/scale above the lower bound for integers k, since
-every cut value is a multiple of 1/scale (``integer_search``).
+crosses one positive arc, whose head dominates the whole sink, so the
+preorder dominator tree of the root's positive arcs (``dominator_tree``)
+finds it (``_edge_floor_cut``).  Only when there is none does the search
+run.  The approximate modes run it on a geometric grid of levels
+computed by index and anchored at the trivial cut's value
+(``level_search``); the grid ratio and the per-probe inflation are both
+epsilon/(2+epsilon), so their product stays within the requested
+(1+epsilon) factor.  The exact small-optimum modes run it over the
+levels k/scale above the lower bound for integers k, since every cut
+value is a multiple of 1/scale (``integer_search``).
 Conditioning gives infinite arcs the conditioned graph's own sentinel,
 so no probe sees a cut that must cross one; when every cut does, the
 searches hand the instance to the capped oracle.  Vertex cuts run the
@@ -69,7 +70,7 @@ from .graph import (
     DiGraph,
     NoCutExistsError,
     cut_certificate,
-    dominators,
+    dominator_tree,
     merge_parallel,
     reach,
     reverse,
@@ -274,9 +275,9 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
     graph ``h`` at connectivity target threshold = (1+epsilon)*level.
 
     ``extract`` maps the sink set of each cut found to a certificate
-    evaluated on the caller's own graph (or None), once per distinct sink
-    set; only certificates of value strictly below ``threshold`` are kept,
-    and the best of them by rank is returned.  ``supply`` is
+    evaluated on the caller's own graph, once per distinct sink set; only
+    certificates of value strictly below ``threshold`` are kept, and the
+    best of them by rank is returned.  ``supply`` is
     ``supply_arcs(h, r)``, which sizes the terminal groups.
     """
     if not terminals:
@@ -299,7 +300,7 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
     best = None
     for sink in sinks:
         cert = extract(sink)
-        if cert is not None and cert.value < threshold:
+        if cert.value < threshold:
             best = _better(best, cert)
     return ProbeReport(best, calls, tuple(all_stats))
 
@@ -522,29 +523,6 @@ def _search_tail(make_prober, best, floor, search, floor_cut) -> CutResult:
     return CutResult(best, sum(calls for _, _, calls in log), tuple(log))
 
 
-def _dominator_intervals(n: int, pairs, r: int):
-    """The dominator tree of the flow graph ``pairs`` rooted at ``r``, in
-    preorder: ``(order, first, size)`` with subtree(v), the vertices that
-    v dominates, equal to ``order[first[v] : first[v] + size[v]]``.  The
-    root must reach every vertex."""
-    idom = dominators(n, pairs, r)
-    children = [[] for _ in range(n)]
-    for v, d in enumerate(idom):
-        if v != r:
-            children[d].append(v)
-    order, first, size = [], [0] * n, [1] * n
-    stack = [r]
-    while stack:
-        v = stack.pop()
-        first[v] = len(order)
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    for v in reversed(order):
-        if v != r:
-            size[idom[v]] += size[v]
-    return order, first, size
-
-
 def _edge_floor_cut(gm: DiGraph, r: int, c_min: Fraction):
     """The rank-best rooted cut of value ``c_min``, the smallest positive
     capacity, among the largest sinks of such cuts, or None when no cut
@@ -559,8 +537,7 @@ def _edge_floor_cut(gm: DiGraph, r: int, c_min: Fraction):
     largest sink.  Equal-size subtrees are disjoint, so only those of the
     least size among the candidates have their vertices listed."""
     c = int(c_min * gm.scale)
-    order, first, size = _dominator_intervals(
-        gm.n, [(t, h) for t, h, cap in gm.arcs if cap > 0], r)
+    order, first, size = dominator_tree(gm.n, [(t, h) for t, h, cap in gm.arcs if cap > 0], r)
     entering = [0] * gm.n
     last = [0] * gm.n  # the capacity of an arc entering subtree(v)
     for t, h, cap in gm.arcs:

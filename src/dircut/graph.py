@@ -285,17 +285,22 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
     return contracted, survivors
 
 
-def dominators(n: int, pairs, root: int) -> list:
-    """Immediate dominators of the flow graph on ``range(n)`` with arcs
-    ``(tail, head)`` in ``pairs``, rooted at ``root``: entry v is the
-    immediate dominator of v, ``root`` for ``root`` itself and None for a
-    vertex that ``root`` cannot reach.  Vertex d dominates v when every
-    path from ``root`` to v passes through d.
+def dominator_tree(n: int, pairs, root: int) -> tuple:
+    """The dominator tree of the flow graph on ``range(n)`` with arcs
+    ``(tail, head)`` in ``pairs``, rooted at ``root``, in preorder:
+    ``(order, first, size)`` with subtree(v), the vertices that v
+    dominates, equal to ``order[first[v] : first[v] + size[v]]``.  Vertex
+    d dominates v when every path from ``root`` to v passes through d.
+    A vertex that ``root`` cannot reach is left out of ``order``, and its
+    interval is empty (size 0).
 
     Lengauer and Tarjan's algorithm with path compression (TOPLAS 1979),
     O(m log n), with an iterative depth-first search and compression, so
     that long chains never reach the recursion limit.  Internally every
-    vertex is named by its depth-first number."""
+    vertex is named by its depth-first number, which is below the number
+    of every vertex it dominates.  So the sizes are summed in one pass
+    backwards over the numbers, and in one pass forwards each vertex
+    takes the next free slot inside its dominator's interval."""
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range 0..{n - 1}")
     succ = [[] for _ in range(n)]
@@ -355,13 +360,25 @@ def dominators(n: int, pairs, root: int) -> list:
             u = evaluate(v)
             idom[v] = u if semi[u] < semi[v] else p
         bucket[p].clear()
-    result = [None] * n
-    result[root] = root
     for w in range(1, k):
         if idom[w] != semi[w]:
             idom[w] = idom[idom[w]]
-        result[order[w]] = order[idom[w]]
-    return result
+    size = [1] * k
+    for w in range(k - 1, 0, -1):
+        size[idom[w]] += size[w]
+    slot = [0] * k
+    free = [1] * k  # the next free slot inside each vertex's interval
+    for w in range(1, k):
+        d = idom[w]
+        slot[w] = free[d]
+        free[w] = free[d] + 1
+        free[d] += size[w]
+    preorder, first, sizes = [0] * k, [0] * n, [0] * n
+    for w, v in enumerate(order):
+        preorder[slot[w]] = v
+        first[v] = slot[w]
+        sizes[v] = size[w]
+    return preorder, first, sizes
 
 
 def reachable(g: DiGraph, source: int) -> frozenset:

@@ -14,11 +14,12 @@ vertex separators.  Rooted and global solves build that prober one way,
 on the instance pruned for its root (``prune_for_root``).  Global cuts
 draw roots once in proportion to capacity and run one search over the
 ``union_prober`` of each distinct root's instances in both orientations.
-Every mode answers a cut at the smallest positive capacity from a
-dominator tree, without a flow, before it builds a prober.  Otherwise the
-approximate modes search a geometric grid of levels, and the exact
-small-optimum modes the capacity numerators k above that capacity, level
-k/scale at tolerance 1/(1+k), so that every answer comes out exact.
+Every mode answers a cut at the smallest positive capacity from the
+preorder dominator tree of the graph module (``dominator_tree``),
+without a flow, before it builds a prober.  Otherwise the approximate
+modes search a geometric grid of levels, and the exact small-optimum
+modes the capacity numerators k above that capacity, level k/scale at
+tolerance 1/(1+k), so that every answer comes out exact.
 
 The exact oracle runs at most one capped flow per admissible sink of a
 root, in the edge module's sink loop (``capped_sinks``).  A sink needs no
@@ -56,12 +57,11 @@ from .edgecut import (
     probe,
     union_prober,
     _better,
-    _dominator_intervals,
     _edge_sample,
     _search_tail,
     _volume_schedule,
 )
-from .graph import INFINITE, DiGraph, NoCutExistsError, _check_scale, reach
+from .graph import INFINITE, DiGraph, NoCutExistsError, _check_scale, dominator_tree, reach
 
 
 class VertexCapGraph:
@@ -237,11 +237,10 @@ def _split_prober(base: VertexCapGraph, r: int, log):
     deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
-        component = sink & admissible
-        if not component:
-            return None
-        cert = _sink_certificate(ng, component)
-        assert r not in cert.separator, "sink component leaked into the root's fan-out"
+        # every sink holds its terminal, the in-copy of an admissible vertex
+        cert = _sink_certificate(ng, sink & admissible)
+        assert cert.sink_component and r not in cert.separator, (
+            "sink component empty or leaked into the root's fan-out")
         return cert
 
     def run(cfg, terminals):
@@ -268,7 +267,7 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
     separators of distinct w differ, so they alone rank the candidates,
     and only the best one's certificate is built."""
     c = int(c_min * ng.scale)
-    order, first, size = _dominator_intervals(ng.n, _positive_arcs(ng, r), r)
+    order, first, size = dominator_tree(ng.n, _positive_arcs(ng, r), r)
     zero_arcs = [(u, v) for u, v in ng.arcs if ng.vcaps[u] == 0 and u != r]
     candidates = []
     for w in range(ng.n):

@@ -151,6 +151,8 @@ def test_probe_config_validation():
         ProbeConfig(level=Fraction(1), volume=3, epsilon=Fraction(1, 2))
     with pytest.raises(ValueError):
         ProbeConfig(level=Fraction(1), volume=2, epsilon=Fraction(2))
+    with pytest.raises(ValueError):
+        ProbeConfig(level=Fraction(0), volume=2, epsilon=Fraction(1, 2))
 
 
 def test_approx_rooted_g1_sweep():
@@ -537,6 +539,9 @@ def test_epsilon_handling():
             approx_global_edge_cut(g1(), tiny)
     res = approx_rooted_edge_cut(g1(), 0, 5, seed=0)  # clamped to 0.99
     assert res.certificate.value >= 2
+    # a float is read as its shortest decimal string
+    res, same = (approx_rooted_edge_cut(g1(), 0, eps, seed=0) for eps in (0.2, "0.2"))
+    assert (res.certificate, res.probe_log) == (same.certificate, same.probe_log)
 
 
 def test_determinism_same_seed_and_threads():

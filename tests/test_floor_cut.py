@@ -4,12 +4,14 @@ A cut whose value is the smallest positive capacity ``c_min`` crosses
 one positive arc, or has one positive vertex in its separator, so every
 mode answers that level from a dominator tree without a flow
 (``_edge_floor_cut``, ``_vertex_floor_cut`` and their global forms).
-These tests check ``dominators`` against its definition, and each floor
-test against exhaustive enumeration: given no zero cut, it returns a
-certificate exactly when the optimum is ``c_min``, and that certificate
-is a valid cut of value ``c_min``.  Long cycles check that the tests stay
-near-linear and need no recursion, and that exact-small answers a floor
-optimum with no flow; approx answers it with the same certificate.
+These tests check the immediate dominators that ``dominator_tree``'s
+intervals imply against the definition, and each floor test against
+exhaustive enumeration: given no zero cut, it returns a certificate
+exactly when the optimum is ``c_min``, and that certificate is a valid
+cut of value ``c_min``.  Long cycles, and a broom whose chain's end and
+root both point at every leaf, check that the tests stay near-linear and
+need no recursion, and that exact-small answers a floor optimum with no
+flow; approx answers it with the same certificate.
 """
 
 import pytest
@@ -30,7 +32,7 @@ from dircut import (
     reverse,
 )
 from dircut.edgecut import _edge_floor_cut, _global_edge_floor_cut, _rooted_start
-from dircut.graph import dominators, merge_parallel
+from dircut.graph import dominator_tree, merge_parallel
 from dircut.vertexcut import (
     _admissible_sinks,
     _c_min,
@@ -74,7 +76,14 @@ def flow_graphs(draw):
 def test_dominators_match_the_definition(case):
     # v dominates x exactly when the root cannot reach x once v is removed
     n, pairs, root = case
-    idom = dominators(n, pairs, root)
+    order, first, size = dominator_tree(n, pairs, root)
+    # the immediate dominator of v: the innermost other interval holding v
+    idom = [None] * n
+    idom[root] = root
+    for v in order:
+        holders = [u for u in range(n) if u != v and first[u] <= first[v] < first[u] + size[u]]
+        if holders:
+            idom[v] = max(holders, key=first.__getitem__)
     reached = topo_reach(n, pairs, root)
     assert idom[root] == root
     for x in range(n):
@@ -92,7 +101,7 @@ def test_dominators_match_the_definition(case):
 
 def test_dominators_reject_a_root_out_of_range():
     with pytest.raises(ValueError):
-        dominators(3, [(0, 1)], 3)
+        dominator_tree(3, [(0, 1)], 3)
 
 
 def _check_edge_floor_cut(g, r):
@@ -233,6 +242,25 @@ def test_vertex_floor_cut_on_long_cycles():
         bidirected = VertexCapGraph(N, BIDIRECTED, [1] * N)
         assert _vertex_floor_cut(bidirected, 0, 1) is None
         assert _global_vertex_floor_cut(bidirected, 1) is None
+
+
+LEAVES = 15000
+# a broom: the chain 0..LEAVES-1, whose last vertex and the root both point
+# at every leaf, and every leaf points back at the root
+BROOM = [(v, v + 1) for v in range(LEAVES - 1)]
+BROOM += [(u, LEAVES + leaf) for leaf in range(LEAVES) for u in (0, LEAVES - 1)]
+BROOM += [(LEAVES + leaf, 0) for leaf in range(LEAVES)]
+
+
+def test_floor_cuts_on_a_broom():
+    # every leaf has two in-arcs, from the root and the chain's end, so the
+    # root is its immediate dominator; a dominator pass that is quadratic
+    # on this fan-in overruns the bound
+    with time_bound(2):
+        edges = merge_parallel(DiGraph(2 * LEAVES, [(u, v, 1) for u, v in BROOM]))
+        assert _edge_floor_cut(edges, 0, 1).sink_set == {LEAVES - 1}
+        cut = _vertex_floor_cut(VertexCapGraph(2 * LEAVES, BROOM, [1] * (2 * LEAVES)), 0, 1)
+        assert cut.separator == {1} and cut.sink_component == frozenset(range(2, LEAVES))
 
 
 def test_exact_small_answers_a_floor_optimum_without_a_flow():

@@ -81,6 +81,8 @@ def test_contract_everything():
 def test_contract_requires_root_in_block():
     with pytest.raises(ValueError):
         contract_into_root(g1(), 0, [1])
+    with pytest.raises(ValueError):
+        contract_into_root(g1(), 0, [0, 3])
 
 
 def test_contract_preserves_surviving_cuts():
@@ -177,6 +179,13 @@ def test_constructor_rejections():
         DiGraph(2, [(0, 5, 1)])
     with pytest.raises(TypeError):
         DiGraph(2, [(0, 1, Fraction(1, 2))])
+    with pytest.raises(ValueError):
+        DiGraph(-1, [])
+    for n, arcs, vcaps in ((-1, [], []), (2, [(0, 1)], [1]), (2, [(0, 1)], [1, 1.0]),
+                           (2, [(0, 1)], [1, -1]), (2, [(0, 2)], [1, 1]),
+                           (2, [(1, 1)], [1, 1])):
+        with pytest.raises(ValueError):
+            VertexCapGraph(n, arcs, vcaps)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), 2.0, True])

@@ -128,6 +128,8 @@ def test_instance_validations():
         SteinerInstance(g1(), 0, frozenset(), 1)
     with pytest.raises(ValueError):
         SteinerInstance(g1(), 0, frozenset([0, 1]), 1)
+    with pytest.raises(ValueError):
+        SteinerInstance(g1(), 0, frozenset([3]), 1)
 
 
 def test_shrink_wrap_g1_examples():

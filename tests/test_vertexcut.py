@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -188,6 +189,11 @@ def test_sample_roots_bounds_and_proportionality():
     assert set(drawn) == {1}
     with pytest.raises(ValueError):
         sample_roots(VertexCapGraph(2, [(0, 1)], [0, 0]), "0.5", random.Random(0))
+    with pytest.raises(ValueError):
+        sample_roots(VertexCapGraph(1, [], [1]), "0.5", random.Random(0))
+    for eps in ("0", "-1/2"):
+        with pytest.raises(ValueError):
+            sample_roots(g, eps, random.Random(0))
 
 
 def test_prune_examples():
@@ -303,6 +309,11 @@ def test_global_complete_digraph_errors():
         exact_small_vertex_cut(k4)
     with pytest.raises(NoCutExistsError):
         exact_vertex_cut_oracle(k4)
+    single = VertexCapGraph(1, [], [1])
+    for solve in (partial(approx_global_vertex_cut, epsilon="0.2"), exact_small_vertex_cut,
+                  exact_vertex_cut_oracle):
+        with pytest.raises(NoCutExistsError):
+            solve(single)
 
 
 def test_global_oracle_finds_a_sink_holding_the_first_root_in_the_reversal():
