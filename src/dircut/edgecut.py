@@ -368,23 +368,26 @@ class CutResult:
         return self.certificate.orientation
 
 
-def level_prober(sample, run_probe, volumes, log):
+def level_prober(sample, run_probe, volumes, log, pool):
     """Prober of one rooted instance: ``probe_at(level, epsilon,
     seed_parts)`` probes ``level`` at tolerance ``epsilon`` at the in-volume
     guesses in ``volumes``, largest (and so cheapest, with the fewest
     terminals) first, the j-th of ``volumes`` seeded by ``(*seed_parts,
     j)``.  It returns the first certificate a probe gives, or None once
-    every guess has missed.  ``sample`` maps a ProbeConfig to its terminals
-    and ``run_probe`` maps a ProbeConfig and those terminals to a
-    ProbeReport; each probe run appends (level, volume, flow calls) to
-    ``log``.  A guess probes only its terminals that no probe earlier in
-    the same call has probed, and is not run when none is left: every
-    earlier probe missed, and the guess's conditioned graph dominates
-    theirs arc by arc, so those terminals would miss again (see the module
-    docstring)."""
+    every guess has missed.  ``sample`` maps a ProbeConfig to its terminals,
+    drawn from ``pool`` vertices, and ``run_probe`` maps a ProbeConfig and
+    those terminals to a ProbeReport; each probe run appends (level,
+    volume, flow calls) to ``log``.  A guess probes only its terminals
+    that no probe earlier in the same call has probed, and is not run when
+    none is left: every earlier probe missed, and the guess's conditioned
+    graph dominates theirs arc by arc, so those terminals would miss again
+    (see the module docstring).  Once every vertex of the pool has missed,
+    no smaller guess is drawn."""
     def probe_at(level, epsilon, seed_parts):
         missed = set()
         for j in reversed(range(len(volumes))):
+            if len(missed) >= pool:
+                break
             cfg = ProbeConfig(level=level, volume=volumes[j], epsilon=epsilon,
                               seed=derive_seed(*seed_parts, j))
             terminals = sample(cfg) - missed
@@ -579,19 +582,22 @@ def _edge_prober(gm: DiGraph, r: int, log):
     return level_prober(
         lambda cfg: _edge_sample(deg, r, cfg),
         lambda cfg, terminals: probe_rooted_edge(gm, r, cfg, terminals, topology),
-        _volume_schedule(gm.m), log,
+        _volume_schedule(gm.m), log, len(topology.root_degrees),
     )
 
 
 def _rooted_start(g: DiGraph, r: int):
     """Parallel arcs merged, the best trivial rooted cut and the smallest
     positive arc capacity ``c_min`` (an infinite arc counts at its sentinel).
+    A graph without parallel finite arcs is used as it is: no cut value,
+    flow value or minimal source side depends on the order of the arcs.
 
     The trivial cut is the zero cut onto the vertices the root cannot
     reach along positive-capacity arcs, else the best singleton; ``reach``
     rejects a root outside 0..n-1.  When no zero cut exists every rooted
     cut crosses a positive arc, so the optimum is at least ``c_min``."""
-    gm = merge_parallel(g)
+    finite = [(t, h) for i, (t, h, _) in enumerate(g.arcs) if i not in g.inf_arcs]
+    gm = g if len(set(finite)) == len(finite) else merge_parallel(g)
     positive = [(t, h) for t, h, c in gm.arcs if c > 0]
     c_min = Fraction(min((c for _, _, c in gm.arcs if c > 0), default=0), gm.scale)
     missing = frozenset(range(gm.n)) - reach(gm.n, positive, r)
@@ -711,7 +717,11 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
     below ``cap`` is t's minimum cut, read by ``extract`` from the same
     minimal source side as an uncapped flow, and lowers ``cap`` to its
     value + 1, which keeps ties; the first zero cut ends the loop at cap
-    1, since every zero flow leaves the same source side.  A sink whose flow
+    1, since every zero flow leaves the same source side.  The best flow
+    so far stays pending, and ``extract`` runs on it once, at the end: a
+    lower flow supersedes it unread, and a tie from a sink in its sink
+    side leaves the same largest minimum sink, so only a tie from its
+    source side is extracted, and both are ranked.  A sink whose flow
     reaches ``cap`` is certified: no cut below the cap has it in its sink.
     So are the vertices ``start`` from the outset.  Each certified t adds
     the ``(vertex, amount)`` pairs of ``credit[t]`` to ``support``, which
@@ -725,18 +735,28 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
     for v in start:
         for w, amount in credit[v]:
             support[w] += amount
-    best, flows = None, 0
+    pending, best, flows = None, None, 0  # best: pending's certificate, once built
     for t in _sink_order(sinks, credit, start):
         if support[t] < cap:
             res = max_flow(flow_graph, source, flow_graph.n, demands=[(t, cap)])
             flows += 1
             if res.value < cap:
-                best, cap = _better(best, extract(res)), res.value + 1
+                if pending is None or res.value < pending.value:
+                    pending, best = res, None
+                elif t in pending.source_side:
+                    if best is None:
+                        best = extract(pending)
+                    cert = extract(res)
+                    if cert.rank < best.rank:
+                        pending, best = res, cert
+                cap = res.value + 1
                 if res.value == 0:
                     break
                 continue
         for w, amount in credit[t]:
             support[w] += amount
+    if pending is not None and best is None:
+        best = extract(pending)
     return best, flows, cap
 
 
@@ -756,12 +776,14 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
         raise NoCutExistsError("graph has no non-root vertex")
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} out of range 0..{g.n - 1}")
-    singleton = int(_min_singleton_cut(g, r).value * g.scale) + 1
-    cap = singleton if cap is None else min(cap, singleton)
     flow_graph = DiGraph(g.n, g.arcs, g.scale) if g.inf_arcs else g
     credit = [[] for _ in range(g.n)]
+    weight = [0] * g.n
     for t, h, c in g.arcs:
         credit[t].append((h, c))
+        weight[h] += c
+    singleton = min(w for v, w in enumerate(weight) if v != r) + 1
+    cap = singleton if cap is None else min(cap, singleton)
     best, flows, _ = capped_sinks(flow_graph, r, [t for t in range(g.n) if t != r], cap,
                                   credit, [r], min_cut_sink_side)
     return CutResult(best, flows, ())
@@ -790,9 +812,10 @@ def exact_rooted_edge_cut_oracle(g: DiGraph, r: int) -> CutCertificate:
     vertex, in breadth-first order from ``r``, each stopped one above the
     best cut so far.  A vertex whose arcs from r and from vertices already
     certified (their flows reached the cap) carry at least the cap needs
-    no flow.  Each flow's cut is read from its residual source side, so a
+    no flow.  A cut is read from its flow's residual source side, so a
     zero cut hidden behind zero-capacity arcs is found too; the first zero
-    cut ends the search."""
+    cut ends the search.  Only the best flow's cut, and ties from outside
+    its sink, are read."""
     return _rooted_oracle(g, r).certificate
 
 

@@ -250,7 +250,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
         return probe(h, root_out, terminals, cfg, extract, topology.supply_arcs)
 
     return level_prober(lambda cfg: _edge_sample(deg, r, cfg), run,
-                        _volume_schedule(max(ng.m, 1)), log)
+                        _volume_schedule(max(ng.m, 1)), log, sum(map(bool, deg)))
 
 
 def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="forward"):

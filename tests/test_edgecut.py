@@ -341,13 +341,14 @@ def _stub_sample(samples=None, configs=None):
 
 
 VOLUMES = [1, 2, 4, 8, 16]
+POOL = 16  # the stub samples draw their terminals from 1..16
 
 
 def test_level_prober_misses_at_every_uncovered_volume_largest_first():
     # no sample is a subset of the others, so a miss probes every volume
     configs, probed, log = [], [], []
     probe_at = level_prober(_stub_sample(), _stub_run_probe({}, configs, probed),
-                            VOLUMES, log)
+                            VOLUMES, log, POOL)
     assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
     # every volume, largest first, each seeded by its index in VOLUMES
     assert [c.volume for c in configs] == [16, 8, 4, 2, 1]
@@ -364,7 +365,7 @@ def test_level_prober_skips_volumes_whose_sample_already_missed():
     samples = {16: [1], 8: [1, 2], 4: [2], 2: [1, 3], 1: []}
     drawn, configs, probed, log = [], [], [], []
     probe_at = level_prober(_stub_sample(samples, drawn),
-                            _stub_run_probe({}, configs, probed), VOLUMES, log)
+                            _stub_run_probe({}, configs, probed), VOLUMES, log, POOL)
     assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
     # every volume is sampled with its own seed; only the uncovered ones run
     assert [c.seed for c in drawn] == [derive_seed("s", 2, j) for j in (4, 3, 2, 1, 0)]
@@ -382,11 +383,24 @@ def test_level_prober_skips_volumes_whose_sample_already_missed():
     assert probed == [frozenset([1]), frozenset([2]), frozenset([3])]
 
 
+def test_level_prober_stops_drawing_once_its_pool_has_missed():
+    # the samples of test_level_prober_skips_volumes_whose_sample_already_missed
+    # from a pool of the 3 terminals 1..3: once volume 2 has missed, all
+    # three have, so volume 1 is not drawn
+    samples = {16: [1], 8: [1, 2], 4: [2], 2: [1, 3], 1: []}
+    drawn, configs, log = [], [], []
+    probe_at = level_prober(_stub_sample(samples, drawn), _stub_run_probe({}, configs),
+                            VOLUMES, log, 3)
+    assert probe_at(Fraction(3), Fraction(1, 4), ("s", 2)) is None
+    assert [c.volume for c in drawn] == [16, 8, 4, 2]
+    assert log == [(3, v, 5) for v in (16, 8, 2)]
+
+
 def test_level_prober_returns_the_first_certificate():
     # volume 2 holds a better cut, but volume 4 is probed first
     configs, log = [], []
     probe_at = level_prober(_stub_sample(), _stub_run_probe({4: 7, 2: 6}, configs),
-                            VOLUMES, log)
+                            VOLUMES, log, POOL)
     cert = probe_at(Fraction(6), Fraction(1, 4), ("s",))
     assert cert.sink_set == frozenset([4]) and cert.value == 7
     assert [c.volume for c in configs] == [16, 8, 4]
@@ -664,3 +678,36 @@ def test_certificates_index_the_callers_arcs_property(g):
             (integral, exact_small_edge_cut(integral, seed=1)))
     for graph, res in runs:
         _assert_crossing_indexes(graph, res)
+
+
+@st.composite
+def _graphs_without_parallel_finite_arcs(draw):
+    """``tiny_graphs`` keeping only the first finite arc of each ordered
+    pair, so that the solvers use the graph unmerged."""
+    g = draw(tiny_graphs())
+    pairs, arcs = set(), []
+    for t, h, c in g.arcs_as_input():
+        if c is not INFINITE:
+            if (t, h) in pairs:
+                continue
+            pairs.add((t, h))
+        arcs.append((t, h, c))
+    return DiGraph(g.n, arcs, scale=g.scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_without_parallel_finite_arcs())
+def test_solvers_do_not_depend_on_the_arc_order(g):
+    # a graph without parallel finite arcs is searched as it is, not in
+    # merge_parallel's sorted order; the order must not change any answer
+    flipped = DiGraph(g.n, g.arcs_as_input()[::-1], scale=g.scale)
+
+    def answers(graph):
+        return [(res.value, res.certificate.sink_set, res.orientation, res.flow_calls,
+                 res.probe_log)
+                for res in (approx_rooted_edge_cut(graph, 0, "0.2", seed=1),
+                            approx_global_edge_cut(graph, "0.2", seed=1),
+                            exact_small_edge_cut(graph, root=0, seed=1),
+                            exact_small_edge_cut(graph, seed=1))]
+
+    assert answers(g) == answers(flipped)

@@ -23,7 +23,11 @@ certificate of the same root loop with every capped flow run
 (``conftest``), with no more flows.  On the benchmark's
 planted-sink instances the capped oracle runs a few dozen of the 399
 sink flows, and no flow carries more than one unit above the best
-singleton.
+singleton.  The best flow below the cap stays pending and its
+certificate is built once, at the end of the loop: a flow that a lower
+one supersedes is never read, and a tie is read only when its sink lies
+outside the pending cut's sink, since from inside it leaves that same
+cut.
 """
 
 from fractions import Fraction
@@ -229,6 +233,54 @@ def test_a_later_tie_of_smaller_rank_is_kept():
     res = _edge_oracle(g, 0)
     assert res == plain_edge_oracle(g, 0)
     assert res.certificate.sink_set == frozenset([3])
+
+
+def _extractions(monkeypatch):
+    """Wraps the edge oracle's flows and certificate extractions: returns
+    the (sink, result) of each flow and the results extracted, in order."""
+    flows, extracted = [], []
+    max_flow, extract = edgecut.max_flow, edgecut.min_cut_sink_side
+
+    def recording_max_flow(graph, source, sink, demands):
+        res = max_flow(graph, source, sink, demands=demands)
+        flows.append((demands[0][0], res))
+        return res
+
+    def recording_extract(res):
+        extracted.append(res)
+        return extract(res)
+
+    monkeypatch.setattr(edgecut, "max_flow", recording_max_flow)
+    monkeypatch.setattr(edgecut, "min_cut_sink_side", recording_extract)
+    return flows, extracted
+
+
+def test_a_superseded_flow_is_never_extracted(monkeypatch):
+    # sinks run in the order 1, 2, 3: sink 1's flow finds its singleton
+    # cut of value 4, then sink 2's finds the cut {2, 3} of value 2, below
+    # it, and sink 3's ties it from inside that sink; only sink 2's flow
+    # is extracted, once, when the loop ends
+    g = DiGraph(4, [(0, 1, 4), (0, 2, 1), (0, 3, 1), (2, 3, 10), (3, 2, 10)])
+    flows, extracted = _extractions(monkeypatch)
+    res = _edge_oracle(g, 0)
+    assert [(t, flow.value) for t, flow in flows] == [(1, 4), (2, 2), (3, 2)]
+    assert extracted == [flows[1][1]]
+    assert res == plain_edge_oracle(g, 0)
+    assert res.certificate.sink_set == frozenset([2, 3])
+
+
+@pytest.mark.parametrize("graph_seed", [7, 8])
+def test_planted_sink_oracle_extracts_only_ties_outside_the_pending_sink(graph_seed,
+                                                                        monkeypatch):
+    # every vertex of the planted sink finds the same cut; only the first
+    # flow below the cap, and ties from sinks outside its sink, are read
+    g = parse_text(generate("planted-sink", seed=graph_seed, n=400,
+                            sink_size=4, volume=12, value=5).text)
+    flows, extracted = _extractions(monkeypatch)
+    res = _edge_oracle(g, root=0)
+    assert len(flows) == res.flow_calls == {7: 9, 8: 7}[graph_seed]
+    assert len(extracted) == {7: 3, 8: 1}[graph_seed]
+    assert res.value == 5
 
 
 @pytest.mark.parametrize("graph_seed", [7, 8])

@@ -8,7 +8,8 @@ soundness tests force-run every probe the rule skips and check that it
 returns no certificate, check that every probe it runs hits exactly when
 its untrimmed sample would, and check the domination lemma directly on
 fixed terminal sets.  The counting tests check that a level ends once a
-probe has sampled every eligible terminal.
+probe has sampled every eligible terminal: no smaller guess draws a
+sample, runs a probe or builds a conditioned graph.
 """
 
 import math
@@ -36,20 +37,20 @@ POSITIVE = st.integers(1, 9)
 
 
 def _prober_parts(module, build):
-    """The (sample, run_probe, volumes) that ``build()`` hands to
+    """The (sample, run_probe, volumes, pool) that ``build()`` hands to
     ``module.level_prober``."""
     captured = []
     with mock.patch.object(module, "level_prober", lambda *args: captured.append(args)):
         build()
-    (sample, run_probe, volumes, _log), = captured
-    return sample, run_probe, volumes
+    (sample, run_probe, volumes, _log, pool), = captured
+    return sample, run_probe, volumes, pool
 
 
 def _skipped_probes_miss(parts, levels, epsilon):
     """Probe each of ``levels`` with one real ``level_prober``, then
     force-run every guess it sampled but did not run and check that each
     misses."""
-    sample, run_probe, volumes = parts
+    sample, run_probe, volumes, pool = parts
     drawn, ran = [], []
 
     def spy_sample(cfg):
@@ -61,7 +62,7 @@ def _skipped_probes_miss(parts, levels, epsilon):
         ran.append(cfg)
         return run_probe(cfg, terminals)
 
-    probe_at = level_prober(spy_sample, spy_run, volumes, [])
+    probe_at = level_prober(spy_sample, spy_run, volumes, [], pool)
     for level in levels:
         probe_at(level, epsilon, ("skip",))
     for cfg, terminals in drawn:
@@ -73,7 +74,7 @@ def _trim_keeps_hits(parts, levels, epsilon):
     """Probe each of ``levels`` with one real ``level_prober``, then check
     at every probe it ran that the whole sample hits exactly when the
     trimmed terminals did."""
-    sample, run_probe, volumes = parts
+    sample, run_probe, volumes, pool = parts
     ran = []
 
     def spy_run(cfg, terminals):
@@ -81,7 +82,7 @@ def _trim_keeps_hits(parts, levels, epsilon):
         ran.append((cfg, report.certificate is None))
         return report
 
-    probe_at = level_prober(sample, spy_run, volumes, [])
+    probe_at = level_prober(sample, spy_run, volumes, [], pool)
     for level in levels:
         probe_at(level, epsilon, ("trim",))
     for cfg, missed in ran:
@@ -91,7 +92,7 @@ def _trim_keeps_hits(parts, levels, epsilon):
 def _misses_go_down(parts, terminals, level, epsilon):
     """For the fixed ``terminals``, a miss at one volume guess implies a
     miss at every smaller guess."""
-    _, run_probe, volumes = parts
+    _, run_probe, volumes, _ = parts
     missed = False
     for j in reversed(range(len(volumes))):
         cfg = ProbeConfig(level=level, volume=volumes[j], epsilon=epsilon,
@@ -175,16 +176,17 @@ def _full_sample_volume(volumes, n, degrees):
     return max(v for v in volumes if v <= 2 * math.log(n) * least)
 
 
-def _counting(module):
-    """Wrap ``module.condition_rooted`` and count its calls."""
+def _counting(module, name, volume_at):
+    """Wrap ``module.<name>`` and record the volume guess, its positional
+    argument ``volume_at``, of each call."""
     calls = []
-    real = module.condition_rooted
+    real = getattr(module, name)
 
     def counted(*args):
-        calls.append(args[3])  # the volume guess
+        calls.append(args[volume_at])
         return real(*args)
 
-    return calls, mock.patch.object(module, "condition_rooted", counted)
+    return calls, mock.patch.object(module, name, counted)
 
 
 def test_edge_level_ends_at_a_full_sample():
@@ -196,15 +198,17 @@ def test_edge_level_ends_at_a_full_sample():
     full = _full_sample_volume(volumes, n, [2] * (n - 1))
     assert full > volumes[0]  # smaller guesses remain after it
     log = []
-    calls, patch = _counting(dircut.edgecut)
-    with patch:
+    calls, patch = _counting(dircut.edgecut, "condition_rooted", 3)
+    drawn, sample_patch = _counting(dircut.edgecut, "sample_terminals", 2)
+    with patch, sample_patch:
         assert _edge_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
-    # no guess below the first one whose sample is full runs a probe or
-    # builds a conditioned graph; the guess at ``full`` runs unless a
-    # larger one already drew every terminal
+    # no guess below the first one whose sample is full draws a sample,
+    # runs a probe or builds a conditioned graph; the guess at ``full``
+    # runs unless a larger one already drew every terminal
     probed = [volume for _, volume, _ in log]
     assert min(probed) >= full
     assert calls == probed
+    assert min(drawn) >= full
 
 
 def test_vertex_level_ends_at_a_full_sample():
@@ -219,9 +223,11 @@ def test_vertex_level_ends_at_a_full_sample():
     full = _full_sample_volume(volumes, n, [2] * len(admissible))
     assert full > volumes[0]
     log = []
-    calls, patch = _counting(dircut.vertexcut)
-    with patch:
+    calls, patch = _counting(dircut.vertexcut, "condition_rooted", 3)
+    drawn, sample_patch = _counting(dircut.edgecut, "sample_terminals", 2)
+    with patch, sample_patch:
         assert _split_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
     probed = [volume for _, volume, _ in log]
     assert min(probed) >= full
     assert calls == probed
+    assert min(drawn) >= full
