@@ -8,10 +8,10 @@ proportional to in-degree, and run the shrink-wrap recursion at a slightly
 inflated connectivity target (``probe``).  Any cut that comes back is
 re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
-statements only govern how good they are.  Every probe of one rooted
-instance conditions the same arcs, so a prober validates them once and
-the flows of its probes share one set of residual arrays
-(``RootedTopology``); a probe computes only its capacities.
+statements only govern how good they are.  The probe functions take one
+rooted instance as its ``RootedTopology``: every probe of it conditions
+the same arcs, validated once, and its flows share one set of residual
+arrays; a probe computes only its capacities.
 
 A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
@@ -130,37 +130,38 @@ class ProbeConfig:
 
 
 class RootedTopology:
-    """The arcs that every conditioned graph of the rooted instance
-    (``base``, ``root``) shares: the base arcs, in their order, then a root
-    arc (root, v) to every non-root vertex v with positive in-degree.  The
-    arcs are validated once (``template``), and their residual arrays are
-    built at the first probe; a probe computes each distinct capacity once.
-    ``supply_arcs`` lists the arcs whose capacities sum to the root's
-    effective out-capacity (see ``group_capacity``)."""
+    """One rooted instance (``base``, ``root``), the handle that every
+    probe-layer function takes, and the arcs that all its conditioned
+    graphs share: the base arcs, in their order, then a root arc (root, v)
+    to every non-root vertex v with positive in-degree.  The arcs are
+    validated once (``template``), and their residual arrays are built at
+    the first probe; a probe computes each distinct capacity once.
+    ``degrees`` holds the base in-degrees, and ``supply_arcs`` the arcs
+    whose capacities sum to the root's effective out-capacity (see
+    ``group_capacity``)."""
 
     def __init__(self, base: DiGraph, root: int):
-        degrees = base.in_degrees()
-        heads = [v for v, deg in enumerate(degrees) if v != root and deg > 0]
+        self.degrees = base.in_degrees()
+        heads = [v for v, deg in enumerate(self.degrees) if v != root and deg > 0]
         self.base = base
         self.root = root
         self.base_caps = [c for _, _, c in base.arcs]
-        self.root_degrees = [degrees[v] for v in heads]
+        self.root_degrees = [self.degrees[v] for v in heads]
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
         self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
         self.supply_arcs = supply_arcs(self.template, root)
 
 
 def condition_rooted(
-    base: DiGraph,
-    r: int,
+    topology: RootedTopology,
     level: Fraction,
     volume: int,
     epsilon: Fraction,
     aux_divisor: int,
     floor: Fraction,
-    topology: RootedTopology | None = None,
 ) -> DiGraph:
-    """Shared preconditioning: per-vertex root arcs plus weight truncation.
+    """Shared preconditioning of the rooted instance ``topology``: per-vertex
+    root arcs plus weight truncation.
 
     Adds an arc (r, v) of capacity epsilon*level*indeg(v)/(aux_divisor*volume)
     for every non-root vertex with positive in-degree, and clamps finite
@@ -168,23 +169,18 @@ def condition_rooted(
     output's arcs are the base arcs first, in their order and with their
     endpoints, then the root arcs.  For every sink set U the cut into U is
     at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
-    measured in the output graph (the conditioning ratio).  ``topology``,
-    the ``RootedTopology`` of (base, r), is built here when omitted.
+    measured in the output graph (the conditioning ratio).
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    if topology is None:
-        topology = RootedTopology(base, r)
-    elif topology.base is not base or topology.root != r:
-        raise ValueError("topology of another rooted instance")
     # the root arcs' quantum epsilon*level/(aux_divisor*volume) is num/den
     num = epsilon.numerator * level.numerator
     den = epsilon.denominator * level.denominator * aux_divisor * volume
     if num * den < 0:
         raise ValueError("negative capacity")
-    new_scale = math.lcm(base.scale, den // math.gcd(num, den), floor.denominator,
-                         level.denominator)
-    factor = new_scale // base.scale
+    scale = topology.base.scale
+    new_scale = math.lcm(scale, den // math.gcd(num, den), floor.denominator, level.denominator)
+    factor = new_scale // scale
     floor_num = floor.numerator * (new_scale // floor.denominator)
     cap_num = 2 * level.numerator * (new_scale // level.denominator)
     quantum_num = num * new_scale // den
@@ -196,15 +192,14 @@ def condition_rooted(
     return topology.template._with_capacities(caps, new_scale)
 
 
-def precondition_rooted(
-    g: DiGraph, r: int, level, volume: int, epsilon, topology=None
-) -> DiGraph:
-    """Edge-cut preconditioning: aux weight eps*level*indeg/(2*volume),
-    original weights clamped into [eps*level/(2m), 2*level]."""
+def precondition_rooted(topology: RootedTopology, level, volume: int, epsilon) -> DiGraph:
+    """Edge-cut preconditioning of ``topology``: aux weight
+    eps*level*indeg/(2*volume), original weights clamped into
+    [eps*level/(2m), 2*level]."""
     level = as_fraction(level)
     epsilon = as_fraction(epsilon)
-    floor = epsilon * level / (2 * max(g.m, 1))
-    return condition_rooted(g, r, level, volume, epsilon, 2, floor, topology)
+    floor = epsilon * level / (2 * max(topology.base.m, 1))
+    return condition_rooted(topology, level, volume, epsilon, 2, floor)
 
 
 def sample_terminals(deg, r: int, volume: int, rng):
@@ -269,16 +264,17 @@ def _better(a, b):
     return a if a.rank <= b.rank else b
 
 
-def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
-          supply: list) -> ProbeReport:
-    """Shrink-wrap every terminal group of one probe on the conditioned
-    graph ``h`` at connectivity target threshold = (1+epsilon)*level.
+def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
+          extract) -> ProbeReport:
+    """Shrink-wrap every terminal group of one probe on ``h``, a conditioned
+    graph of ``topology``, at connectivity target threshold =
+    (1+epsilon)*level.
 
     ``extract`` maps the sink set of each cut found to a certificate
     evaluated on the caller's own graph, once per distinct sink set; only
     certificates of value strictly below ``threshold`` are kept, and the
-    best of them by rank is returned.  ``supply`` is
-    ``supply_arcs(h, r)``, which sizes the terminal groups.
+    best of them by rank is returned.  The topology's ``supply_arcs`` size
+    the terminal groups.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -289,6 +285,7 @@ def probe(h: DiGraph, r: int, terminals, cfg: ProbeConfig, extract,
     sinks = {}  # distinct Below sink sets, in first-seen order
     calls = 0
     all_stats = []
+    r, supply = topology.root, topology.supply_arcs
     for group in partition_terminals(terminals, group_capacity(h, supply, level_num)):
         outcome, stats = shrink_wrap(SteinerInstance(h, r, frozenset(group), level_num))
         calls += stats.raw_flow_calls
@@ -311,23 +308,17 @@ def _edge_sample(deg, r: int, cfg: ProbeConfig) -> frozenset:
     return sample_terminals(deg, r, cfg.volume, random.Random(cfg.seed))
 
 
-def probe_rooted_edge(g: DiGraph, r: int, cfg: ProbeConfig, terminals=None,
-                      topology=None) -> ProbeReport:
-    """One preconditioned shrink-wrap probe of ``terminals``, the sample
-    that ``cfg.seed`` draws (drawn here when None), on the
-    ``RootedTopology`` of (g, r) (built here when None).
+def probe_rooted_edge(topology: RootedTopology, cfg: ProbeConfig, terminals) -> ProbeReport:
+    """One preconditioned shrink-wrap probe of ``terminals`` on the rooted
+    edge instance ``topology``.
 
-    If a certificate is returned it is a valid rooted cut in ``g`` itself,
-    re-evaluated against untruncated capacities, with value strictly below
-    (1+epsilon)*level.  Returning nothing is a legitimate outcome.
+    If a certificate is returned it is a valid rooted cut in the base graph
+    itself, re-evaluated against untruncated capacities, with value strictly
+    below (1+epsilon)*level.  Returning nothing is a legitimate outcome.
     """
-    if terminals is None:
-        terminals = _edge_sample(g.in_degrees(), r, cfg)
-    if topology is None:
-        topology = RootedTopology(g, r)
-    h = precondition_rooted(g, r, cfg.level, cfg.volume, cfg.epsilon, topology)
-    return probe(h, r, terminals, cfg,
-                 lambda sink: cut_certificate(g, sink, root=r), topology.supply_arcs)
+    h = precondition_rooted(topology, cfg.level, cfg.volume, cfg.epsilon)
+    return probe(h, topology, terminals, cfg,
+                 lambda sink: cut_certificate(topology.base, sink, root=topology.root))
 
 
 def _volume_schedule(m: int) -> list:
@@ -577,11 +568,10 @@ def _spans_by_infinite_arcs(g: DiGraph, r: int) -> bool:
 def _edge_prober(gm: DiGraph, r: int, log):
     """``level_prober`` of the rooted edge instance (gm, r), whose probes
     share one ``RootedTopology``."""
-    deg = gm.in_degrees()
     topology = RootedTopology(gm, r)
     return level_prober(
-        lambda cfg: _edge_sample(deg, r, cfg),
-        lambda cfg, terminals: probe_rooted_edge(gm, r, cfg, terminals, topology),
+        lambda cfg: _edge_sample(topology.degrees, r, cfg),
+        lambda cfg, terminals: probe_rooted_edge(topology, cfg, terminals),
         _volume_schedule(gm.m), log, len(topology.root_degrees),
     )
 
@@ -695,16 +685,19 @@ def approx_global_edge_cut(
 
 def _sink_order(sinks, credit, start) -> list:
     """``sinks`` that no chain of positive ``credit`` pairs reaches from
-    the vertices ``start``, by id, then the others in breadth-first order
-    along those pairs.  The first group have zero cuts, so the first of
-    them ends the sink loop."""
-    rank = {}
-    queue = list(start)
-    for v in queue:
-        if v not in rank:
-            rank[v] = len(rank)
-            queue += [w for w, amount in credit[v] if amount]
-    return sorted(sinks, key=lambda t: rank.get(t, t - len(credit)))
+    the vertices ``start``, in their given order, then the others in
+    breadth-first order along those pairs, each at its first enqueue.  Both
+    callers pass ``sinks`` in increasing order.  The first group have zero
+    cuts, so the first of them ends the sink loop."""
+    order = list(dict.fromkeys(start))
+    seen = set(order)
+    for v in order:
+        for w, amount in credit[v]:
+            if amount and w not in seen:
+                seen.add(w)
+                order.append(w)
+    wanted = set(sinks)
+    return [t for t in sinks if t not in seen] + [v for v in order if v in wanted]
 
 
 def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, start, extract):

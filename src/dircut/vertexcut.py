@@ -231,9 +231,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
     admissible = frozenset(_admissible_sinks(ng, r))
     if not admissible:
         return None
-    split = split_transform(ng)
-    root_out = ng.n + r
-    topology = RootedTopology(split, root_out)
+    topology = RootedTopology(split_transform(ng), ng.n + r)
     deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
@@ -245,9 +243,8 @@ def _split_prober(base: VertexCapGraph, r: int, log):
 
     def run(cfg, terminals):
         floor = cfg.epsilon * cfg.level / (4 * ng.n)
-        h = condition_rooted(split, root_out, cfg.level, cfg.volume, cfg.epsilon, 6, floor,
-                             topology)
-        return probe(h, root_out, terminals, cfg, extract, topology.supply_arcs)
+        h = condition_rooted(topology, cfg.level, cfg.volume, cfg.epsilon, 6, floor)
+        return probe(h, topology, terminals, cfg, extract)
 
     return level_prober(lambda cfg: _edge_sample(deg, r, cfg), run,
                         _volume_schedule(max(ng.m, 1)), log, sum(map(bool, deg)))

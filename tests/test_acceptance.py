@@ -13,6 +13,7 @@ from fractions import Fraction
 from dircut import (
     DiGraph,
     NoCutExistsError,
+    RootedTopology,
     SteinerInstance,
     approx_global_edge_cut,
     approx_global_vertex_cut,
@@ -105,7 +106,7 @@ def test_criterion_3_shrink_bound():
         eps = Fraction(rng.randint(1, 3), 4)
         level = Fraction(rng.randint(1, 8))
         volume = 2 ** rng.randint(0, 4)
-        h = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(RootedTopology(g, 0), level, volume, eps)
         terminals = sample_terminals(g.in_degrees(), 0, 1, random.Random(rng.random()))
         if not terminals:
             continue
@@ -132,7 +133,7 @@ def test_criterion_4_conditioning_exhaustive():
         eps = Fraction(rng.randint(1, 3), 4)
         level = Fraction(rng.randint(1, 9))
         volume = 2 ** rng.randint(0, 5)
-        h = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(RootedTopology(g, 0), level, volume, eps)
         phi = conditioning_ratio(level, volume, eps)
         graphs += 1
         for sink in iter_sink_sets(g.n, 0):

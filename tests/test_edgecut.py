@@ -12,6 +12,7 @@ from dircut import (
     CutCertificate,
     DiGraph,
     ProbeConfig,
+    RootedTopology,
     approx_global_edge_cut,
     approx_rooted_edge_cut,
     exact_global_edge_cut_oracle,
@@ -28,6 +29,7 @@ from dircut import (
 from dircut.edgecut import (
     ProbeReport,
     _edge_oracle,
+    _edge_sample,
     _grid_levels,
     derive_seed,
     integer_search,
@@ -51,7 +53,7 @@ from conftest import (
 
 def test_precondition_g1_numbers():
     g = g1()
-    h = precondition_rooted(g, 0, 2, 4, Fraction(1, 2))
+    h = precondition_rooted(RootedTopology(g, 0), 2, 4, Fraction(1, 2))
     aux = [(t, head, h.value(c)) for t, head, c in h.arcs[g.m:]]
     # both non-root vertices have in-degree 2: eps*level*deg/(2*volume) = 1/4
     assert sorted(aux) == [(0, 1, Fraction(1, 4)), (0, 2, Fraction(1, 4))]
@@ -60,7 +62,7 @@ def test_precondition_g1_numbers():
 def test_precondition_truncates_into_band():
     g = DiGraph(3, [(0, 1, 1000), (1, 2, 1)])
     eps = Fraction(1, 2)
-    h = precondition_rooted(g, 0, 4, 2, eps)
+    h = precondition_rooted(RootedTopology(g, 0), 4, 2, eps)
     floor = eps * 4 / (2 * g.m)
     originals = [h.value(c) for _, _, c in h.arcs[:g.m]]
     assert max(originals) == 8  # clamped to 2*level
@@ -70,7 +72,7 @@ def test_precondition_truncates_into_band():
 
 def test_precondition_rejects_nonpositive_level():
     with pytest.raises(ValueError):
-        precondition_rooted(g1(), 0, 0, 2, Fraction(1, 2))
+        precondition_rooted(RootedTopology(g1(), 0), 0, 2, Fraction(1, 2))
 
 
 def test_conditioning_invariant_exhaustive():
@@ -80,7 +82,7 @@ def test_conditioning_invariant_exhaustive():
         eps = Fraction(rng.randint(1, 3), 4)
         level = Fraction(rng.randint(1, 9))
         volume = 2 ** rng.randint(0, 4)
-        h = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(RootedTopology(g, 0), level, volume, eps)
         phi = conditioning_ratio(level, volume, eps)
         for sink in iter_sink_sets(g.n, 0):
             assert cut_value(h, sink) >= phi * in_volume(h, sink)
@@ -114,13 +116,20 @@ def test_sampling_empirical_mean():
     assert abs(mean - exact) <= 0.10 * exact
 
 
+def _sampled_probe(g, cfg):
+    """``probe_rooted_edge`` at root 0 of ``g`` on the terminals that
+    ``cfg.seed`` draws, as a prober draws them."""
+    topology = RootedTopology(g, 0)
+    return probe_rooted_edge(topology, cfg, _edge_sample(topology.degrees, 0, cfg))
+
+
 def test_probe_g1_guarantee_window():
     # min r-cut of G1 is 2 with sink in-volume 2, inside the window of mu=4
     for seed in range(10):
         cfg = ProbeConfig(
             level=Fraction(2), volume=4, epsilon=Fraction(1, 2), seed=seed,
         )
-        report = probe_rooted_edge(g1(), 0, cfg)
+        report = _sampled_probe(g1(), cfg)
         cert = report.certificate
         assert cert is not None
         assert cert.value < Fraction(3)
@@ -137,7 +146,7 @@ def test_probe_soundness_unconditional():
             epsilon=Fraction(rng.randint(1, 3), 4),
             seed=rng.randrange(2**32),
         )
-        report = probe_rooted_edge(g, 0, cfg)
+        report = _sampled_probe(g, cfg)
         if report.certificate is None:
             continue
         cert = report.certificate
@@ -576,12 +585,8 @@ def test_probe_cost_decreases_with_volume():
     level = exact_rooted_edge_cut_oracle(g, 0).value
     small = large = 0
     for seed in range(10):
-        small += probe_rooted_edge(
-            g, 0, ProbeConfig(level, 2, Fraction(1, 4), seed=seed)
-        ).flow_calls
-        large += probe_rooted_edge(
-            g, 0, ProbeConfig(level, 64, Fraction(1, 4), seed=seed)
-        ).flow_calls
+        small += _sampled_probe(g, ProbeConfig(level, 2, Fraction(1, 4), seed=seed)).flow_calls
+        large += _sampled_probe(g, ProbeConfig(level, 64, Fraction(1, 4), seed=seed)).flow_calls
     assert large <= small
 
 

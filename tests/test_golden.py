@@ -188,5 +188,17 @@ def test_golden_flow_calls_are_the_probe_log_total():
     assert mismatched == []
 
 
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    """The python block of the README's ``## Library`` section, run as
+    written, prints the lines that its comments give."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    said = [line.rsplit("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert said == ["frozenset({2}) 2", "2"]
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == said
+
 if __name__ == "__main__":
     golden_main(sys.argv[1:], GOLDEN, lambda: {entry: thunk() for entry, thunk in entries()})

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dircut import (
+    INFINITE,
     DiGraph,
     VertexCapGraph,
     GraphFileError,
@@ -53,6 +54,40 @@ def test_parse_errors_name_lines():
     with pytest.raises(GraphFileError):
         parse_text("p vertex-cap 2 1\na 1 2\nw 1 1\nw 1 2\n")  # duplicate w
 
+
+#: One call per input check, with the error it raises and its full message.
+INPUT_CHECKS = [
+    pytest.param(lambda: generate("cycle", n=1), ValueError, "cycle needs n >= 2",
+                 id="cycle n=1"),
+    pytest.param(lambda: generate("star", n=1), ValueError, "star needs n >= 2", id="star n=1"),
+    pytest.param(lambda: generate("planted-sink", sink_size=1), ValueError,
+                 "need at least 2 ambient and 2 sink vertices", id="planted sink_size=1"),
+    pytest.param(lambda: generate("planted-sink", sink_size=4, volume=4), ValueError,
+                 "volume too small for a strongly connected sink", id="planted volume small"),
+    pytest.param(lambda: generate("planted-sink", sink_size=4, volume=14), ValueError,
+                 "volume too large for a simple sink component", id="planted volume large"),
+    pytest.param(lambda: generate("layered-dag-backarcs", width=0), ValueError,
+                 "need n >= 2 and width >= 1", id="layered width=0"),
+    pytest.param(lambda: parse_text("p edge-cap 2 x\n"), GraphFileError,
+                 "line 1: n and m must be integers", id="p line m not an integer"),
+    pytest.param(lambda: parse_text("p vertex-cap 2.5 0\n"), GraphFileError,
+                 "line 1: n and m must be integers", id="p line n not an integer"),
+    pytest.param(lambda: parse_text("p vertex-cap 2 1\na 1 2\nw 1\n"), GraphFileError,
+                 "line 3: expected 'w <vertex> <capacity>'", id="short w line"),
+    pytest.param(lambda: parse_text("p vertex-cap 2 1\na 1 2\nw 1 2 3\n"), GraphFileError,
+                 "line 3: expected 'w <vertex> <capacity>'", id="long w line"),
+    pytest.param(lambda: serialize_graph("p edge-cap 2 0\n"), TypeError,
+                 "cannot serialize str", id="serialize a non-graph"),
+    pytest.param(lambda: serialize_graph(DiGraph(2, [(0, 1, INFINITE)])), ValueError,
+                 "cannot serialize infinite capacities", id="serialize an infinite arc"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 def test_self_loops_folded_out():
     g = parse_text("p edge-cap 2 2\na 1 1 5\na 1 2 1\n")

@@ -225,6 +225,23 @@ def test_vertex_sinks_skipped_by_their_credit_are_at_least_the_cap(g):
                 assert brute_min_separator(h, r, t) >= h.value(cap)
 
 
+def test_sink_order_on_a_fixed_credit_table():
+    # vertex 0 starts the search and is no sink; 4 and 7 are reached only
+    # along zero pairs or not at all, so they come first, in their given
+    # order, and the others follow in breadth-first order of first enqueue
+    credit = [
+        [(3, 2), (1, 0), (3, 1)],  # a zero pair to 1 and a duplicate pair to 3
+        [(2, 5)],
+        [(6, 1)],
+        [(5, 1), (4, 0), (5, 2)],
+        [],
+        [(1, 3), (3, 1)],
+        [(2, 1)],
+        [(2, 4)],
+    ]
+    assert _sink_order(list(range(1, 8)), credit, [0]) == [4, 7, 3, 5, 1, 2, 6]
+    assert _sink_order([2, 4, 5], credit, [0]) == [4, 5, 2]
+
 def test_a_later_tie_of_smaller_rank_is_kept():
     # sink 1 finds the cut {1, 2} of value 1 first; sink 3's cut {3} has
     # the same value and a smaller sink, so it wins only if the cap after

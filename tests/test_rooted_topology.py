@@ -68,10 +68,11 @@ def _same_as_from_scratch(base, r, aux_divisor, probes, terminals):
     topology = RootedTopology(base, r)
     for level, volume, epsilon, share in probes:
         floor = share * level
-        shared = condition_rooted(base, r, level, volume, epsilon, aux_divisor, floor, topology)
+        shared = condition_rooted(topology, level, volume, epsilon, aux_divisor, floor)
         scratch = _from_scratch(base, r, level, volume, epsilon, aux_divisor, floor)
         assert shared == scratch
-        assert shared == condition_rooted(base, r, level, volume, epsilon, aux_divisor, floor)
+        assert shared == condition_rooted(RootedTopology(base, r), level, volume, epsilon,
+                                          aux_divisor, floor)
         assert shared.inf_value == scratch.inf_value
         assert sum(shared.arcs[i][2] for i in topology.supply_arcs) == _root_supply(scratch, r)
         level_num = int(level * scratch.scale)
@@ -106,16 +107,12 @@ def test_shared_topology_conditions_like_a_fresh_build_split(g, probes, data):
     _same_as_from_scratch(split, g.n, 6, probes, terminals)
 
 
-def test_topology_rejects_another_instance_and_bad_capacities():
+def test_topology_rejects_bad_capacities():
     g = DiGraph(3, [(0, 1, 2), (1, 2, INFINITE), (2, 1, 1)])
     topology = RootedTopology(g, 0)
-    other = DiGraph(3, [(0, 1, 2), (1, 2, INFINITE), (2, 1, 1)])
-    for base, r in ((other, 0), (g, 1)):
-        with pytest.raises(ValueError, match="another rooted instance"):
-            condition_rooted(base, r, Fraction(1), 1, Fraction(1, 2), 2, Fraction(0), topology)
     # a negative epsilon gives negative root arcs, which a fresh build rejects too
     with pytest.raises(ValueError, match="negative capacity"):
-        condition_rooted(g, 0, Fraction(1), 1, Fraction(-1, 2), 2, Fraction(0), topology)
+        condition_rooted(topology, Fraction(1), 1, Fraction(-1, 2), 2, Fraction(0))
 
 
 def _residual_arrays_built(prober, levels):

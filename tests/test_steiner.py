@@ -11,6 +11,7 @@ from dircut import (
     Below,
     Certified,
     DiGraph,
+    RootedTopology,
     SteinerInstance,
     build_steiner_network,
     max_flow,
@@ -252,7 +253,7 @@ def test_shrink_bound_on_conditioned_instances():
         eps = Fraction(1, 2)
         level = Fraction(rng.randint(1, 6))
         volume = 2 ** rng.randint(0, 4)
-        h = precondition_rooted(g, 0, level, volume, eps)
+        h = precondition_rooted(RootedTopology(g, 0), level, volume, eps)
         rng2 = random.Random(rng.random())
         terminals = sample_terminals(g.in_degrees(), 0, 1, rng2)  # dense sample
         if not terminals:

@@ -20,6 +20,7 @@ import dircut.vertexcut
 from dircut import (
     NoCutExistsError,
     ProbeConfig,
+    RootedTopology,
     VertexCapGraph,
     cut_certificate,
     generate,
@@ -27,7 +28,7 @@ from dircut import (
     parse_text,
     precondition_rooted,
 )
-from dircut.edgecut import _better, _min_singleton_cut, _rooted_start, probe, supply_arcs
+from dircut.edgecut import _better, _min_singleton_cut, _rooted_start, probe
 from dircut.steiner import Below
 from dircut.vertexcut import (
     _admissible_sinks,
@@ -200,11 +201,11 @@ def test_probe_evaluates_each_sink_once(monkeypatch):
 
     monkeypatch.setattr(dircut.edgecut, "shrink_wrap", recording)
     cfg = ProbeConfig(level=Fraction(6), volume=16, epsilon=Fraction(1, 5))
-    h = precondition_rooted(g, 0, cfg.level, cfg.volume, cfg.epsilon)
+    topology = RootedTopology(g, 0)
+    h = precondition_rooted(topology, cfg.level, cfg.volume, cfg.epsilon)
     extracted = []
-    rep = probe(h, 0, frozenset(range(1, g.n)), cfg,
-                lambda sink: extracted.append(sink) or cut_certificate(g, sink, root=0),
-                supply_arcs(h, 0))
+    rep = probe(h, topology, frozenset(range(1, g.n)), cfg,
+                lambda sink: extracted.append(sink) or cut_certificate(g, sink, root=0))
     assert len(below) > len(set(below)) >= 1
     assert sorted(map(sorted, extracted)) == sorted(map(sorted, set(below)))
     assert rep.certificate.value == 5

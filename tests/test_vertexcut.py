@@ -21,7 +21,7 @@ from dircut import (
     sample_roots,
     split_transform,
 )
-from dircut.edgecut import condition_rooted
+from dircut.edgecut import RootedTopology, condition_rooted
 
 from conftest import (
     brute_global_vertex_cut,
@@ -115,7 +115,8 @@ def test_vertex_conditioning_ratio_exhaustive():
         eps = Fraction(rng.randint(1, 3), 4)
         level = Fraction(rng.randint(1, 9))
         volume = 2 ** rng.randint(0, 4)
-        h = condition_rooted(split, n + r, level, volume, eps, 6, eps * level / (4 * n))
+        h = condition_rooted(RootedTopology(split, n + r), level, volume, eps, 6,
+                             eps * level / (4 * n))
         phi = conditioning_ratio(level, volume, eps, aux_divisor=6)
         for sink in iter_sink_sets(h.n, n + r):
             assert cut_value(h, sink) >= phi * in_volume(h, sink)

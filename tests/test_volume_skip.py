@@ -198,7 +198,7 @@ def test_edge_level_ends_at_a_full_sample():
     full = _full_sample_volume(volumes, n, [2] * (n - 1))
     assert full > volumes[0]  # smaller guesses remain after it
     log = []
-    calls, patch = _counting(dircut.edgecut, "condition_rooted", 3)
+    calls, patch = _counting(dircut.edgecut, "condition_rooted", 2)
     drawn, sample_patch = _counting(dircut.edgecut, "sample_terminals", 2)
     with patch, sample_patch:
         assert _edge_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
@@ -223,7 +223,7 @@ def test_vertex_level_ends_at_a_full_sample():
     full = _full_sample_volume(volumes, n, [2] * len(admissible))
     assert full > volumes[0]
     log = []
-    calls, patch = _counting(dircut.vertexcut, "condition_rooted", 3)
+    calls, patch = _counting(dircut.vertexcut, "condition_rooted", 2)
     drawn, sample_patch = _counting(dircut.edgecut, "sample_terminals", 2)
     with patch, sample_patch:
         assert _split_prober(g, 0, log)(Fraction(1), Fraction(1, 5), ("guard",)) is None
