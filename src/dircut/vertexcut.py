@@ -346,12 +346,13 @@ def approx_rooted_vertex_cut(
 # -- global reduction --------------------------------------------------------
 
 
-def sample_roots(g: VertexCapGraph, epsilon, rng) -> list:
-    """Root sample for the global reduction.
+def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
+    """Root sample for the global reduction, given ``bound``, the value of
+    some vertex cut of ``g`` and so at least the optimum B.
 
     The sample count is min over the two standard bounds (tolerance-driven
-    and singleton-slack-driven, constant 2), clamped to [1, n]; roots are
-    drawn i.i.d. in proportion to their capacities.
+    and slack-driven, 2·total·ln n/(total − B)), clamped to [1, n]; roots
+    are drawn i.i.d. in proportion to their capacities.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -361,17 +362,13 @@ def sample_roots(g: VertexCapGraph, epsilon, rng) -> list:
     total = sum(g.vcaps)
     if total == 0:
         raise ValueError("all vertex capacities are zero; no root can be sampled")
-    # the least singleton value in either orientation, as a numerator
-    singleton_floor = int(g.scale * min(
-        cert.value for orientation in ("forward", "reverse")
-        for cert in _singletons(g, orientation)
-    ))
+    slack = total - bound * g.scale
     # both bounds compared in exact rationals (the float logarithm taken
     # exactly), so tolerances and capacities beyond float range stay finite
     log_n = Fraction(math.log(g.n))
     count = min(g.n, math.ceil(2 * log_n / eps))
-    if total > singleton_floor:
-        count = min(count, math.ceil(2 * total * log_n / (total - singleton_floor)))
+    if slack > 0:
+        count = min(count, math.ceil(2 * total * log_n / slack))
     count = max(1, count)
     # rng.choices sums the weights as floats: floor capacities beyond float
     # range by a power of two, which moves each probability by < n * 2^-999
@@ -448,7 +445,7 @@ def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResul
     probed when the trivial cut ``best`` is at most ``c_min`` (optimal),
     or when ``_global_vertex_floor_cut`` finds a cut of value ``c_min``."""
     def make_prober(log):
-        roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")))
+        roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")), best.value)
         bases = (("forward", ng), ("reverse", _reverse_topology(ng)))
         members = [(orientation, _split_prober(base, r, log))
                    for r in sorted(set(roots)) for orientation, base in bases]

@@ -122,19 +122,13 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
     assert trivial == expected
 
 
-def _reference_sample_roots(g, eps, rng):
-    """Root sample with the singleton floor summed vertex by vertex."""
+def _reference_sample_roots(g, eps, rng, bound):
+    """Root sample with the slack bound taken in floats."""
     total = sum(g.vcaps)
-    singleton_floor = min(
-        min(
-            sum(g.vcaps[u] for u in g.in_neighbors(v)),
-            sum(g.vcaps[u] for u in g.out_neighbors(v)),
-        )
-        for v in range(g.n)
-    )
+    floor = bound * g.scale
     count = math.ceil(2 * math.log(g.n) / float(eps))
-    if total > singleton_floor:
-        alt = math.ceil(2 * total * math.log(g.n) / (total - singleton_floor))
+    if total > floor:
+        alt = math.ceil(2 * total * math.log(g.n) / (total - floor))
         count = min(count, alt)
     count = max(1, min(count, g.n))
     return rng.choices(range(g.n), weights=g.vcaps, k=count)
@@ -143,11 +137,15 @@ def _reference_sample_roots(g, eps, rng):
 @settings(max_examples=200)
 @given(zero_heavy_vertex_graphs(caps=POSITIVE), st.sampled_from(["1/100", "1/5", "1/2"]),
        st.integers(1, 3))
-def test_sample_roots_matches_per_vertex_floor(g, eps, scale):
+def test_sample_roots_matches_reference(g, eps, scale):
     g = VertexCapGraph(g.n, g.arcs, g.vcaps, scale)
     eps = Fraction(eps)
-    assert (sample_roots(g, eps, random.Random(7))
-            == _reference_sample_roots(g, eps, random.Random(7)))
+    try:
+        bound = _global_trivial(_normalize(g)).value
+    except NoCutExistsError:
+        return  # a complete digraph has no cut to bound the draw
+    assert (sample_roots(g, eps, random.Random(7), bound)
+            == _reference_sample_roots(g, eps, random.Random(7), bound))
 
 
 def test_rooted_start_builds_one_certificate(monkeypatch):
@@ -167,7 +165,8 @@ def test_rooted_start_builds_one_certificate(monkeypatch):
 def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
     """``sample_roots`` and ``_global_trivial`` on a 30-vertex strongly
     connected graph with positive capacities (so no zero cut exists) make
-    no neighbourhood scan at all."""
+    no neighbourhood scan at all, and ``sample_roots`` builds no singleton
+    table: it draws against the trivial cut it is given."""
     g = _normalize(rand_vertex_graph(random.Random(5), 30, p=0.2))
     scans = []
 
@@ -180,8 +179,10 @@ def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
                         counted(VertexCapGraph.out_neighbors))
     monkeypatch.setattr(dircut.vertexcut, "_sink_certificate",
                         counted(dircut.vertexcut._sink_certificate))
-    roots = sample_roots(g, "0.2", random.Random(0))
     trivial = _global_trivial(g)
+    monkeypatch.setattr(dircut.vertexcut, "_singletons",
+                        counted(dircut.vertexcut._singletons))
+    roots = sample_roots(g, "0.2", random.Random(0), trivial.value)
     assert roots and trivial.value > 0
     assert scans == []
 

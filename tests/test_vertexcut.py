@@ -173,7 +173,7 @@ def test_sample_roots_cycle_table():
         out = sum(g.vcaps[u] for u in g.out_neighbors(v))
         floors.append(min(inn, out))
     assert floors == [1, 2, 1] and min(floors) == 1
-    roots = sample_roots(g, "0.2", random.Random(0))
+    roots = sample_roots(g, "0.2", random.Random(0), 1)
     assert 1 <= len(roots) <= 3
     assert all(0 <= r < 3 for r in roots)
 
@@ -181,20 +181,20 @@ def test_sample_roots_cycle_table():
 def test_sample_roots_bounds_and_proportionality():
     g = VertexCapGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, 1, 1, 1])
     eps = Fraction(1, 100)
-    roots = sample_roots(g, eps, random.Random(1))
+    roots = sample_roots(g, eps, random.Random(1), 1)
     assert len(roots) <= math.ceil(2 * math.log(4) / float(eps))
     assert len(roots) <= 4  # clamped to n
     # zero-capacity vertices are never drawn
     g2w = VertexCapGraph(3, [(0, 1), (1, 2), (2, 0)], [0, 5, 0])
-    drawn = sample_roots(g2w, "0.5", random.Random(2))
+    drawn = sample_roots(g2w, "0.5", random.Random(2), 0)
     assert set(drawn) == {1}
     with pytest.raises(ValueError):
-        sample_roots(VertexCapGraph(2, [(0, 1)], [0, 0]), "0.5", random.Random(0))
+        sample_roots(VertexCapGraph(2, [(0, 1)], [0, 0]), "0.5", random.Random(0), 0)
     with pytest.raises(ValueError):
-        sample_roots(VertexCapGraph(1, [], [1]), "0.5", random.Random(0))
+        sample_roots(VertexCapGraph(1, [], [1]), "0.5", random.Random(0), 0)
     for eps in ("0", "-1/2"):
         with pytest.raises(ValueError):
-            sample_roots(g, eps, random.Random(0))
+            sample_roots(g, eps, random.Random(0), 1)
 
 
 def test_prune_examples():
@@ -514,8 +514,8 @@ def _splits_and_roots(monkeypatch, solve):
         splits.append(graph)
         return real_split(graph)
 
-    def recording_sample(graph, epsilon, rng):
-        picked = real_sample(graph, epsilon, rng)
+    def recording_sample(graph, epsilon, rng, bound):
+        picked = real_sample(graph, epsilon, rng, bound)
         roots.update(picked)
         return picked
 
