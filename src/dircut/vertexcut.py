@@ -352,7 +352,8 @@ def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
 
     The sample count is min over the two standard bounds (tolerance-driven
     and slack-driven, 2·total·ln n/(total − B)), clamped to [1, n]; roots
-    are drawn i.i.d. in proportion to their capacities.
+    are drawn i.i.d. in proportion to their capacities, except that a
+    count of n takes every positive-capacity vertex once.
     """
     if g.n < 2:
         raise ValueError("need at least two vertices")
@@ -369,6 +370,8 @@ def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
     count = min(g.n, math.ceil(2 * log_n / eps))
     if slack > 0:
         count = min(count, math.ceil(2 * total * log_n / slack))
+    if count == g.n:
+        return [v for v, c in enumerate(g.vcaps) if c > 0]
     count = max(1, count)
     # rng.choices sums the weights as floats: floor capacities beyond float
     # range by a power of two, which moves each probability by < n * 2^-999

@@ -123,7 +123,8 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
 
 
 def _reference_sample_roots(g, eps, rng, bound):
-    """Root sample with the slack bound taken in floats."""
+    """Root sample with the slack bound taken in floats: every
+    positive-capacity vertex once the count reaches n."""
     total = sum(g.vcaps)
     floor = bound * g.scale
     count = math.ceil(2 * math.log(g.n) / float(eps))
@@ -131,6 +132,8 @@ def _reference_sample_roots(g, eps, rng, bound):
         alt = math.ceil(2 * total * math.log(g.n) / (total - floor))
         count = min(count, alt)
     count = max(1, min(count, g.n))
+    if count == g.n:
+        return [v for v, c in enumerate(g.vcaps) if c > 0]
     return rng.choices(range(g.n), weights=g.vcaps, k=count)
 
 

@@ -197,6 +197,32 @@ def test_sample_roots_bounds_and_proportionality():
             sample_roots(g, eps, random.Random(0), 1)
 
 
+def _hub_graph():
+    """Vertex 0, of capacity 1000, has arcs to and from every other vertex;
+    vertices 1..10 and 11..20, of capacity 5, form two complete digraphs
+    with no arc between them.  The optimum is {0} at 1000, the best valid
+    singleton 1045, and vertex 0's neighbourhood, 100, is not a cut."""
+    arcs = [(0, v) for v in range(1, 21)] + [(v, 0) for v in range(1, 21)]
+    arcs += [(base + u, base + v) for base in (1, 11)
+             for u in range(10) for v in range(10) if u != v]
+    return VertexCapGraph(21, arcs, [1000] + [5] * 20)
+
+
+def test_sample_roots_takes_every_positive_vertex_at_n():
+    # the slack bound at the trivial cut 1045 asks for more than n draws
+    roots = sample_roots(_hub_graph(), Fraction(1, 100), random.Random(0), 1045)
+    assert roots == list(range(21))
+
+
+def test_global_approx_finds_the_hub_separator():
+    # drawing against the least singleton, 100, which is not a cut, took 7
+    # roots, and a draw of only clique vertices missed the optimum
+    g = _hub_graph()
+    for seed in range(20):
+        res = approx_global_vertex_cut(g, Fraction(1, 100), seed=seed)
+        assert res.value == 1000 and res.certificate.separator == {0}
+
+
 def test_prune_examples():
     g = g2()
     assert prune_for_root(g, 0).arcs == g.arcs  # nothing to prune
