@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -262,17 +263,21 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
     dominates, when there are any, form a sink whose separator is w plus
     zero-capacity vertices: no other arc of the flow graph enters D.  The
     separators of distinct w differ, so they alone rank the candidates,
-    and only the best one's certificate is built."""
+    and only the best one's certificate is built.  The arcs out of
+    zero-capacity vertices are sorted once by their head's preorder slot,
+    so each candidate reads only those entering D: the scan costs at most
+    candidates × the zero arcs entering the deepest such D."""
     c = int(c_min * ng.scale)
     order, first, size = dominator_tree(ng.n, _positive_arcs(ng, r), r)
-    zero_arcs = [(u, v) for u, v in ng.arcs if ng.vcaps[u] == 0 and u != r]
+    zero_arcs = sorted((first[v], first[u], u) for u, v in ng.arcs
+                       if ng.vcaps[u] == 0 and u != r)
     candidates = []
     for w in range(ng.n):
         if w == r or ng.vcaps[w] != c or size[w] == 1:
             continue
         lo, hi = first[w] + 1, first[w] + size[w]  # D is order[lo:hi]
-        separator = {w}.union(u for u, v in zero_arcs
-                              if lo <= first[v] < hi and not lo <= first[u] < hi)
+        entering = zero_arcs[bisect_left(zero_arcs, (lo,)):bisect_left(zero_arcs, (hi,))]
+        separator = {w}.union(u for _, slot, u in entering if not lo <= slot < hi)
         candidates.append((len(separator), sorted(separator), lo, hi))
     if not candidates:
         return None

@@ -263,6 +263,16 @@ def test_floor_cuts_on_a_broom():
         assert cut.separator == {1} and cut.sink_component == frozenset(range(2, LEAVES))
 
 
+def test_vertex_floor_cut_on_a_broom_with_zero_capacity_leaves():
+    # every arc out of a leaf is a zero-capacity arc into the root; a test
+    # that rescans those arcs for each of the chain's candidates overruns
+    # the bound
+    g = VertexCapGraph(2 * LEAVES, BROOM, [1] * LEAVES + [0] * LEAVES)
+    with time_bound(2):
+        cut = _vertex_floor_cut(g, 0, 1)
+    assert cut.separator == {1} and cut.sink_component == frozenset(range(2, LEAVES))
+
+
 def test_exact_small_answers_a_floor_optimum_without_a_flow():
     # two bidirectional unit cycles of 1500 vertices, joined by one arc
     # each way: every singleton cut is 2, and the joining arcs cut 1
