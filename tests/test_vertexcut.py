@@ -527,13 +527,14 @@ def test_global_zero_singleton_returns_without_probing():
 
 def _splits_and_roots(monkeypatch, solve):
     """Run ``solve`` on a 10-vertex ER graph and return the result, the
-    number of split graphs built and the set of roots drawn."""
+    number of split graphs built and the set of roots drawn.  The roots
+    are drawn once, against the value of the trivial cut."""
     import dircut.vertexcut as vc
     from dircut import generate, parse_text
 
     g = parse_text(generate("erdos-renyi-digraph", seed=3, n=10, p=0.5,
                             kind="vertex-cap", vcap_max=3).text)
-    splits, roots = [], set()
+    splits, roots, bounds = [], set(), []
     real_split, real_sample = vc.split_transform, vc.sample_roots
 
     def counting_split(graph):
@@ -543,12 +544,14 @@ def _splits_and_roots(monkeypatch, solve):
     def recording_sample(graph, epsilon, rng, bound):
         picked = real_sample(graph, epsilon, rng, bound)
         roots.update(picked)
+        bounds.append(bound)
         return picked
 
     monkeypatch.setattr(vc, "split_transform", counting_split)
     monkeypatch.setattr(vc, "sample_roots", recording_sample)
     res = solve(g)
     monkeypatch.undo()
+    assert bounds == [vc._global_trivial(vc._normalize(g)).value]
     return res, exact_vertex_cut_oracle(g).value, len(splits), roots
 
 
