@@ -12,8 +12,9 @@ the split graph (v_in = v, v_out = n + v): shared conditioning, the edge
 sampler restricted to the admissible sinks, and sink sets mapped back to
 vertex separators.  Rooted and global solves build that prober one way,
 on the instance pruned for its root (``prune_for_root``).  Global cuts
-draw roots once in proportion to capacity and run one search over the
-``union_prober`` of each distinct root's instances in both orientations.
+draw roots once in proportion to capacity, as many as the slack below the
+trivial cut asks for, and run one search over the ``union_prober`` of
+each distinct root's instances in both orientations.
 Every mode answers a cut at the smallest positive capacity from the
 preorder dominator tree of the graph module (``dominator_tree``),
 without a flow, before it builds a prober.  Otherwise the approximate
