@@ -353,8 +353,8 @@ def approx_rooted_vertex_cut(
 
 
 def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
-    """Root sample for the global reduction, given ``bound``, the value of
-    some vertex cut of ``g`` and so at least the optimum B.
+    """Root sample for the global reduction, given ``bound`` = B, the value
+    of some vertex cut of ``g`` and so at least the optimum.
 
     The sample count is min over the two standard bounds (tolerance-driven
     and slack-driven, 2·total·ln n/(total − B)), clamped to [1, n]; roots

@@ -215,8 +215,8 @@ def test_sample_roots_takes_every_positive_vertex_at_n():
 
 
 def test_global_approx_finds_the_hub_separator():
-    # drawing against the least singleton, 100, which is not a cut, took 7
-    # roots, and a draw of only clique vertices missed the optimum
+    # vertex 0's neighbourhood, 100, is not a cut: a draw bounded by it takes
+    # 7 roots, and a draw of clique vertices alone misses the optimum
     g = _hub_graph()
     for seed in range(20):
         res = approx_global_vertex_cut(g, Fraction(1, 100), seed=seed)
