@@ -165,7 +165,8 @@ def test_extraction_always_valid():
 
 
 def test_sample_roots_cycle_table():
-    # cycle r->a->b->r with caps 3,1,2: the singleton floor is 1
+    # cycle r->a->b->r with caps 3,1,2: the least singleton, 1, is a cut
+    # (sink {0} in the reversal) and bounds the draw
     g = VertexCapGraph(3, [(0, 1), (1, 2), (2, 0)], [3, 1, 2])
     floors = []
     for v in range(3):
