@@ -12,6 +12,16 @@ statements only govern how good they are.  The probe functions take one
 rooted instance as its ``RootedTopology``: every probe of it conditions
 the same arcs, validated once, and its flows share one set of residual
 arrays; a probe computes only its capacities.
+Before any flow, a probe certifies terminals by credit
+(``credit_closure``), the rule by which the exact oracles skip sinks
+(``capped_sinks``): starting from the root, a vertex whose arcs from
+the root and from certified vertices carry the probe's threshold in the
+conditioned graph is certified, since every cut below the threshold
+keeps the certified vertices on its source side.  Only the terminals
+left run shrink-wrap, and each group's Certified terminals extend the
+closure for the groups after it.  Almost every probe misses, so most
+need no flow at all; the topology builds the credit lists once, and the
+vertex prober adds the split graph's vertex rule to them.
 
 A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
@@ -138,7 +148,11 @@ class RootedTopology:
     the first probe; a probe computes each distinct capacity once.
     ``degrees`` holds the base in-degrees, and ``supply_arcs`` the arcs
     whose capacities sum to the root's effective out-capacity (see
-    ``group_capacity``)."""
+    ``group_capacity``).  ``credit[t]`` lists the (head, arc index) pairs
+    whose capacities, read from a conditioned graph, a certified t credits
+    to the head (``credit_closure``): here every template arc out of t
+    into a vertex other than the root, to which the vertex prober adds
+    the split graph's vertex rule."""
 
     def __init__(self, base: DiGraph, root: int):
         self.degrees = base.in_degrees()
@@ -150,6 +164,10 @@ class RootedTopology:
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
         self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
         self.supply_arcs = supply_arcs(self.template, root)
+        self.credit = [[] for _ in range(base.n)]
+        for i, (t, w, _) in enumerate(self.template.arcs):
+            if w != root:
+                self.credit[t].append((w, i))
 
 
 def condition_rooted(
@@ -264,6 +282,38 @@ def _better(a, b):
     return a if a.rank <= b.rank else b
 
 
+def _credit(support, pairs) -> None:
+    """Add the amount of each (vertex, amount) of ``pairs`` to that vertex's
+    ``support``: the support step of both credit rules, the sink loop of
+    the exact oracles (``capped_sinks``) and ``credit_closure``."""
+    for w, amount in pairs:
+        support[w] += amount
+
+
+def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
+    """Certify the vertices ``new``, and close the set ``certified`` under
+    credit at ``threshold``: each certified t adds the capacity
+    ``arcs[i]`` of every (head, arc index i) pair of ``credit[t]`` to the
+    head's ``support``, and a vertex whose support reaches ``threshold``
+    is certified, with no flow.
+
+    Sound when the caller builds ``credit`` so that a cut below the
+    threshold with w in its sink, and the certified vertices outside it,
+    crosses every arc that those credit to w, each arc credited to w
+    once: then by induction no such cut holds a certified vertex, so each
+    has connectivity at least the threshold.  An infinite arc counts at
+    its graph's sentinel, a lower bound on what ``max_flow`` gives it."""
+    stack = [v for v in new if v not in certified]
+    certified.update(stack)
+    while stack:
+        pairs = [(w, arcs[i][2]) for w, i in credit[stack.pop()]]
+        _credit(support, pairs)
+        for w, _ in pairs:
+            if support[w] >= threshold and w not in certified:
+                certified.add(w)
+                stack.append(w)
+
+
 def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
           extract) -> ProbeReport:
     """Shrink-wrap every terminal group of one probe on ``h``, a conditioned
@@ -275,6 +325,16 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
     certificates of value strictly below ``threshold`` are kept, and the
     best of them by rank is returned.  The topology's ``supply_arcs`` size
     the terminal groups.
+
+    Before any flow, the root and the topology's ``credit`` certify
+    terminals in ``credit_closure`` at the threshold's numerator; those
+    are dropped before the groups are formed.  Each group's Certified
+    terminals join the closure after its shrink-wrap, so later groups
+    shrink, and a group left empty runs no flow.  Every cut below the
+    threshold keeps the certified vertices on its source side, and
+    ``shrink_wrap`` classifies each terminal exactly, so every terminal's
+    outcome and the probe's hit or miss stay those of probing every
+    terminal; only which Below sinks a hit finds can change.
     """
     if not terminals:
         return ProbeReport(None, 0, ())
@@ -286,14 +346,22 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
     calls = 0
     all_stats = []
     r, supply = topology.root, topology.supply_arcs
-    for group in partition_terminals(terminals, group_capacity(h, supply, level_num)):
-        outcome, stats = shrink_wrap(SteinerInstance(h, r, frozenset(group), level_num))
+    certified = set()
+    certify = partial(credit_closure, topology.credit, h.arcs, level_num, [0] * h.n, certified)
+    certify([r])
+    left = [t for t in terminals if t not in certified]
+    for group in partition_terminals(left, group_capacity(h, supply, level_num)):
+        group = frozenset(t for t in group if t not in certified)
+        if not group:
+            continue
+        outcome, stats = shrink_wrap(SteinerInstance(h, r, group, level_num))
         calls += stats.raw_flow_calls
         all_stats.append(stats)
         for t in sorted(outcome):
             result = outcome[t]
             if isinstance(result, Below):
                 sinks.setdefault(result.cut.sink_set)
+        certify([t for t, result in outcome.items() if not isinstance(result, Below)])
     best = None
     for sink in sinks:
         cert = extract(sink)
@@ -723,11 +791,13 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
     certified without a flow: its minimum cut is at least the cap in
     force, above every cut the loop keeps.  A sink whose minimum cut is
     the optimum always runs its flow, so the rank-best cut does not
-    change.  Sinks are visited in ``_sink_order``."""
+    change.  Sinks are visited in ``_sink_order``, and support is summed
+    by ``_credit``, the step that ``probe``'s ``credit_closure`` runs at
+    a fixed threshold, where this loop checks each sink when it is
+    visited, against the cap then in force."""
     support = [0] * len(credit)
     for v in start:
-        for w, amount in credit[v]:
-            support[w] += amount
+        _credit(support, credit[v])
     pending, best, flows = None, None, 0  # best: pending's certificate, once built
     for t in _sink_order(sinks, credit, start):
         if support[t] < cap:
@@ -746,8 +816,7 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
                 if res.value == 0:
                     break
                 continue
-        for w, amount in credit[t]:
-            support[w] += amount
+        _credit(support, credit[t])
     if pending is not None and best is None:
         best = extract(pending)
     return best, flows, cap

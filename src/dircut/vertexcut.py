@@ -11,10 +11,18 @@ Rooted cuts run the edge module's probe and search drivers (``probe``,
 the split graph (v_in = v, v_out = n + v): shared conditioning, the edge
 sampler restricted to the admissible sinks, and sink sets mapped back to
 vertex separators.  Rooted and global solves build that prober one way,
-on the instance pruned for its root (``prune_for_root``).  Global cuts
-draw roots once in proportion to capacity, as many as the slack below the
-trivial cut asks for, and run one search over the ``union_prober`` of
-each distinct root's instances in both orientations.
+on the instance pruned for its root (``prune_for_root``).  A probe's
+credit (``credit_closure``) stalls on the split graph with the edge rule
+alone, since an out-copy's only finite in-arc is its own split arc, so
+the prober's topology adds the vertex rule (``_split_topology``): for
+every arc u→w, a certified u_in credits its split arc to w_in, and the
+root credits its conditioning arc into u_out to w_in.  Both arcs cross
+every cut below the threshold whose sink holds w_in, because that sink
+holds u_out too: otherwise the cut would cross the infinite arc
+u_out→w_in.  Global cuts draw roots once in proportion to capacity, as
+many as the slack below the trivial cut asks for, and run one search
+over the ``union_prober`` of each distinct root's instances in both
+orientations.
 Every mode answers a cut at the smallest positive capacity from the
 preorder dominator tree of the graph module (``dominator_tree``),
 without a flow, before it builds a prober.  Otherwise the approximate
@@ -220,12 +228,30 @@ def _singletons(g: VertexCapGraph, orientation="forward") -> list:
 # -- rooted approximation ----------------------------------------------------
 
 
+def _split_topology(ng: VertexCapGraph, r: int) -> RootedTopology:
+    """The ``RootedTopology`` of the split graph of ``ng`` rooted at r's
+    out-copy, with the vertex rule added to its credit: for every arc
+    u→w of ``ng``, a certified u_in credits its split arc, arc u, to
+    w_in, and the root credits its conditioning arc into u_out to w_in
+    (see the module docstring)."""
+    topology = RootedTopology(split_transform(ng), ng.n + r)
+    credit, root = topology.credit, topology.root
+    # the root's arcs into out-copies are all conditioning arcs
+    into_out = dict(credit[root])
+    for u, w in ng.arcs:
+        credit[u].append((w, u))
+        if u != r:
+            credit[root].append((w, into_out[ng.n + u]))
+    return topology
+
+
 def _split_prober(base: VertexCapGraph, r: int, log):
     """``level_prober`` of the rooted instance of ``base`` at ``r``, pruned
     for ``r``, or None when it has no admissible sink: the shared probe on
-    the split graph, rooted at r's out-copy, on one ``RootedTopology``,
-    with in-copies of terminals drawn by the edge sampler from the
-    in-degrees of the admissible sinks.
+    the split graph, rooted at r's out-copy, on one ``RootedTopology``
+    with the vertex rule's credit (``_split_topology``), with in-copies
+    of terminals drawn by the edge sampler from the in-degrees of the
+    admissible sinks.
     Pruning keeps the in-neighbourhood of every admissible sink, so no
     vertex cut changes.  Certificates are re-evaluated against the raw
     vertex capacities before acceptance."""
@@ -233,7 +259,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
     admissible = frozenset(_admissible_sinks(ng, r))
     if not admissible:
         return None
-    topology = RootedTopology(split_transform(ng), ng.n + r)
+    topology = _split_topology(ng, r)
     deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):

@@ -143,15 +143,19 @@ def _residual_arrays_built(prober, levels):
 
 def test_one_prober_builds_its_residual_arrays_once():
     # the bidirectional 8-cycle with capacities 5, whose rooted cuts are at
-    # least 10: levels below miss at several volume guesses, levels above hit
+    # least 10: levels below miss at several volume guesses, levels above hit.
+    # Below about 5 the arcs from the root certify every terminal by credit,
+    # with no flow, so the missed levels lie between 5 and 10
     n = 8
     g = DiGraph(n, [(v, (v + d) % n, 5) for v in range(n) for d in (1, n - 1)])
     probes, built = _residual_arrays_built(
-        _edge_prober(g, 0, []), [Fraction(1), Fraction(4), Fraction(12), Fraction(30)])
+        _edge_prober(g, 0, []), [Fraction(5), Fraction(8), Fraction(12), Fraction(30)])
     assert probes >= 4
     assert built == 1
+    # the bidirectional 7-cycle with vertex capacities 3, whose rooted vertex
+    # cuts are at least 6; credit certifies every terminal below about 3
     vg = VertexCapGraph(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 6)], [3] * 7)
     probes, built = _residual_arrays_built(
-        _split_prober(vg, 0, []), [Fraction(1), Fraction(4), Fraction(9), Fraction(20)])
+        _split_prober(vg, 0, []), [Fraction(3), Fraction(5), Fraction(9), Fraction(20)])
     assert probes >= 4
     assert built == 1
