@@ -303,7 +303,7 @@ def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
     once: then by induction no such cut holds a certified vertex, so each
     has connectivity at least the threshold.  An infinite arc counts at
     its graph's sentinel, a lower bound on what ``max_flow`` gives it."""
-    stack = [v for v in new if v not in certified]
+    stack = list(set(new).difference(certified))  # each credits once
     certified.update(stack)
     while stack:
         pairs = [(w, arcs[i][2]) for w, i in credit[stack.pop()]]
