@@ -10,8 +10,8 @@ re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.  The probe functions take one
 rooted instance as its ``RootedTopology``: every probe of it conditions
-the same arcs, validated once, and its flows share one set of residual
-arrays; a probe computes only its capacities.
+the same arcs and computes only its capacities, and its flows share one
+set of residual arrays, built at the topology's first flow.
 Before any flow, a probe certifies terminals by credit
 (``credit_closure``), the rule by which the exact oracles skip sinks
 (``capped_sinks``): starting from the root, a vertex whose arcs from
@@ -73,12 +73,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, cached_property, partial
 
 from .graph import (
     CutCertificate,
     DiGraph,
     NoCutExistsError,
+    _arrays,
     cut_certificate,
     dominator_tree,
     merge_parallel,
@@ -142,32 +143,43 @@ class ProbeConfig:
 class RootedTopology:
     """One rooted instance (``base``, ``root``), the handle that every
     probe-layer function takes, and the arcs that all its conditioned
-    graphs share: the base arcs, in their order, then a root arc (root, v)
-    to every non-root vertex v with positive in-degree.  The arcs are
-    validated once (``template``), and their residual arrays are built at
-    the first probe; a probe computes each distinct capacity once.
-    ``degrees`` holds the base in-degrees, and ``supply_arcs`` the arcs
-    whose capacities sum to the root's effective out-capacity (see
-    ``group_capacity``).  ``credit[t]`` lists the (head, arc index) pairs
+    graphs share, as ``tails`` and ``heads``: the base arcs, in order,
+    then a root arc (root, v) to every non-root v of positive in-degree.
+    The base validated them.  Their residual arrays (``flow_arrays``) are
+    built at the topology's first flow, and ``supply_arcs`` at its first
+    read; a probe computes each distinct capacity once.  ``degrees`` holds
+    the base in-degrees, and ``credit[t]`` the (head, arc index) pairs
     whose capacities, read from a conditioned graph, a certified t credits
-    to the head (``credit_closure``): here every template arc out of t
-    into a vertex other than the root, to which the vertex prober adds
-    the split graph's vertex rule."""
+    to the head (``credit_closure``): here every arc out of t into a
+    vertex other than the root, to which the vertex prober adds the split
+    graph's vertex rule."""
 
     def __init__(self, base: DiGraph, root: int):
         self.degrees = base.in_degrees()
-        heads = [v for v, deg in enumerate(self.degrees) if v != root and deg > 0]
-        self.base = base
-        self.root = root
-        self.base_caps = [c for _, _, c in base.arcs]
-        self.root_degrees = [self.degrees[v] for v in heads]
+        fed = [v for v, deg in enumerate(self.degrees) if v != root and deg > 0]
+        self.base, self.root = base, root
+        tails, heads, self.base_caps = zip(*base.arcs) if base.arcs else ((), (), ())
+        self.tails, self.heads = (*tails, *[root] * len(fed)), (*heads, *fed)
+        self.root_degrees = [self.degrees[v] for v in fed]
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
-        self.template = DiGraph(base.n, base.arcs_as_input() + [(root, v, 0) for v in heads])
-        self.supply_arcs = supply_arcs(self.template, root)
+        self.flow_arrays = cache(partial(_arrays, base.n, self.tails, self.heads, base.inf_arcs))
         self.credit = [[] for _ in range(base.n)]
-        for i, (t, w, _) in enumerate(self.template.arcs):
+        for i, (t, w) in enumerate(zip(self.tails, self.heads)):
             if w != root:
                 self.credit[t].append((w, i))
+
+    @cached_property
+    def supply_arcs(self) -> list:
+        """The arcs whose capacities sum to the root's effective
+        out-capacity (``group_capacity``): every finite arc out of the root,
+        and the finite arcs out of the head of each infinite one."""
+        tails, inf_arcs = self.tails, self.base.inf_arcs
+        finite_out = [[] for _ in range(self.base.n)]
+        for i, t in enumerate(tails):
+            if i not in inf_arcs:
+                finite_out[t].append(i)
+        return [j for i, (t, head) in enumerate(zip(tails, self.heads)) if t == self.root
+                for j in (finite_out[head] if i in inf_arcs else (i,))]
 
 
 def condition_rooted(
@@ -187,7 +199,8 @@ def condition_rooted(
     output's arcs are the base arcs first, in their order and with their
     endpoints, then the root arcs.  For every sink set U the cut into U is
     at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
-    measured in the output graph (the conditioning ratio).
+    measured in the output graph (the conditioning ratio).  Its flows use
+    the topology's arrays, built at the topology's first flow.
     """
     if level <= 0:
         raise ValueError("level must be positive")
@@ -202,12 +215,13 @@ def condition_rooted(
     floor_num = floor.numerator * (new_scale // floor.denominator)
     cap_num = 2 * level.numerator * (new_scale // level.denominator)
     quantum_num = num * new_scale // den
-    # ``_with_capacities`` overwrites the entries at infinite arcs
+    # ``DiGraph._unchecked`` overwrites the entries at infinite arcs
     clamped = {c: min(max(c * factor, floor_num), cap_num) for c in topology.cap_values}
     root_caps = {deg: quantum_num * deg for deg in topology.degree_values}
     caps = [*map(clamped.__getitem__, topology.base_caps),
             *map(root_caps.__getitem__, topology.root_degrees)]
-    return topology.template._with_capacities(caps, new_scale)
+    return DiGraph._unchecked(topology.base.n, topology.tails, topology.heads, caps, new_scale,
+                              topology.base.inf_arcs, topology.flow_arrays)
 
 
 def precondition_rooted(topology: RootedTopology, level, volume: int, epsilon) -> DiGraph:
@@ -241,22 +255,6 @@ class ProbeReport:
     certificate: object
     flow_calls: int
     steiner_stats: tuple
-
-
-def supply_arcs(h: DiGraph, r: int) -> list:
-    """The arcs whose capacities sum to the root's effective out-capacity:
-    every finite arc out of ``r``, and for every infinite arc out of ``r``
-    the finite arcs out of its head (in a split graph that is the head's
-    own split arc)."""
-    finite_out = [[] for _ in range(h.n)]
-    for i, (t, _, _) in enumerate(h.arcs):
-        if i not in h.inf_arcs:
-            finite_out[t].append(i)
-    arcs = []
-    for i, (t, head, _) in enumerate(h.arcs):
-        if t == r:
-            arcs.extend(finite_out[head] if i in h.inf_arcs else (i,))
-    return arcs
 
 
 def group_capacity(h: DiGraph, supply: list, level_num: int) -> int:
@@ -345,12 +343,14 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
     sinks = {}  # distinct Below sink sets, in first-seen order
     calls = 0
     all_stats = []
-    r, supply = topology.root, topology.supply_arcs
+    r = topology.root
     certified = set()
     certify = partial(credit_closure, topology.credit, h.arcs, level_num, [0] * h.n, certified)
     certify([r])
     left = [t for t in terminals if t not in certified]
-    for group in partition_terminals(left, group_capacity(h, supply, level_num)):
+    if not left:
+        return ProbeReport(None, 0, ())
+    for group in partition_terminals(left, group_capacity(h, topology.supply_arcs, level_num)):
         group = frozenset(t for t in group if t not in certified)
         if not group:
             continue

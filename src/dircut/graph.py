@@ -49,10 +49,9 @@ class DiGraph:
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
     ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
     counted individually by in-degree and in-volume.  ``_flow_network``
-    holds the graph's residual arrays (``_network``), built on the first
-    flow, or those of a graph with the same arcs and its own capacity
-    array (``_with_capacities``), so they live as long as the graphs
-    that use them.
+    holds the graph's residual arrays (``_network``), built at its first
+    flow; until then a graph from ``_unchecked`` holds the function that
+    returns the arrays it shares with the graphs of the same arcs.
     """
 
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
@@ -88,28 +87,21 @@ class DiGraph:
         )
         self._flow_network = None
 
-    def _with_capacities(self, caps, scale) -> "DiGraph":
-        """A graph with this graph's arcs, in order, and its infinite arcs,
-        but the finite numerators ``caps`` (one nonnegative int per arc;
-        the list is modified, and entries at infinite arcs are
-        overwritten) at the positive int ``scale``.  It holds this graph's
-        residual arrays with a capacity array of its own.  Nothing is
-        checked: the caller builds ``caps`` from validated capacities."""
-        inf_ids = self.inf_arcs
-        for i in inf_ids:
+    @classmethod
+    def _unchecked(cls, n, tails, heads, caps, scale, inf_arcs, arrays) -> "DiGraph":
+        """The graph on ``range(n)`` with arcs (tails[i], heads[i], caps[i])
+        at the positive int ``scale``, the arc ids ``inf_arcs`` infinite
+        (``caps`` is overwritten there), whose flows run on the arrays
+        that ``arrays()`` returns (``_arrays``), read at its first flow.
+        Nothing is checked: the caller builds it from validated arcs."""
+        for i in inf_arcs:
             caps[i] = 0
-        g = DiGraph.__new__(DiGraph)
-        g.n = self.n
-        g.scale = scale
-        g.inf_arcs = inf_ids
+        g = cls.__new__(cls)
+        g.n, g.scale, g.inf_arcs = n, scale, inf_arcs
         g.inf_value = sum(caps) + 1
-        for i in inf_ids:
+        for i in inf_arcs:
             caps[i] = g.inf_value
-        g.arcs = tuple([(t, h, c) for (t, h, _), c in zip(self.arcs, caps)])
-        head, _, adj, inf_edges = _network(self)
-        cap = [0] * len(head)
-        cap[0::2] = caps
-        g._flow_network = (head, cap, adj, inf_edges)
+        g.arcs, g._flow_network = tuple(zip(tails, heads, caps)), arrays
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -151,27 +143,32 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={self.m}, scale={self.scale})"
 
 
-def _network(g: DiGraph):
-    """(head, cap, adj, infinite edge ids) of ``g``, built on first use:
-    edge ``2i`` is ``arcs[i]`` and edge ``2i+1`` its reverse, and
+def _arrays(n: int, tails, heads, inf_arcs) -> tuple:
+    """(head, adj, infinite edge ids) of the arcs (tails[i], heads[i]) on
+    ``range(n)``: edge ``2i`` is arc i and edge ``2i+1`` its reverse, and
     ``adj[v]`` lists the edges out of v."""
+    head = [0] * (2 * len(heads))
+    head[0::2] = heads
+    head[1::2] = tails
+    adj = [[] for _ in range(n)]
+    e = 0
+    for u, v in zip(tails, heads):
+        adj[u].append(e)
+        adj[v].append(e + 1)
+        e += 2
+    return head, adj, [2 * i for i in sorted(inf_arcs)]
+
+
+def _network(g: DiGraph):
+    """(head, cap, adj, infinite edge ids) of ``g``, built at its first flow:
+    ``_arrays``, built here or shared, and the graph's own capacities."""
     net = g._flow_network
-    if net is None:
-        m = g.m
-        head = [0] * (2 * m)
-        cap = [0] * (2 * m)
-        adj = [[] for _ in range(g.n)]
-        if m:
-            tails, heads, caps = zip(*g.arcs)
-            head[0::2] = heads
-            head[1::2] = tails
-            cap[0::2] = caps
-        e = 0
-        for u, v, _ in g.arcs:
-            adj[u].append(e)
-            adj[v].append(e + 1)
-            e += 2
-        net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
+    if type(net) is not tuple:
+        tails, heads, caps = zip(*g.arcs) if g.arcs else ((), (), ())
+        head, adj, inf_edges = net() if net else _arrays(g.n, tails, heads, g.inf_arcs)
+        cap = [0] * len(head)
+        cap[0::2] = caps
+        net = g._flow_network = (head, cap, adj, inf_edges)
     return net
 
 

@@ -5,19 +5,20 @@ All arithmetic is on integer capacity numerators, so flow values, per-arc
 flows and cut values are exact.  The engine sits behind one function so a
 faster solver could replace it without touching callers.
 
-The residual network of a graph is built once and kept on the graph,
-which is immutable (``graph._network``): edge ``2i`` is ``arcs[i]`` and
-edge ``2i+1`` its reverse, with per-vertex lists of edge ids.  Graphs
-that differ only in capacities share one set of those arrays, each with
-a capacity array of its own (``DiGraph._with_capacities``).  A call
-copies only the capacities; one with demand arcs into a supersink
-``g.n`` appends them to those arrays until the flow ends (so threads
-must not share them), which is how the Steiner recursion routes to a
-terminal set without building a new graph, and how the exact oracles
-stop each per-sink flow one above the best cut so far.  Infinite arcs
-keep ``g``'s sentinel unless the demands total at least that much.
-Below it the supersink's in-arcs form a cheaper cut than any through an
-infinite arc, so raising them would change only their forward residuals.
+The residual network of a graph is built at its first flow and kept on
+the graph, which is immutable (``graph._network``): edge ``2i`` is
+``arcs[i]`` and edge ``2i+1`` its reverse, with per-vertex lists of edge
+ids.  Graphs that differ only in capacities (``DiGraph._unchecked``)
+share those arrays, built at the first flow of any, each with its own
+capacity array.  A call copies only the capacities; one with demand arcs
+into a supersink ``g.n`` appends them to those arrays until the flow
+ends (so threads must not share them), which is how the Steiner
+recursion routes to a terminal set without building a new graph, and how
+the exact oracles stop each per-sink flow one above the best cut so far.
+Infinite arcs keep ``g``'s sentinel unless the demands total at least
+that much.  Below it the supersink's in-arcs form a cheaper cut than any
+through an infinite arc, so raising them would change only their forward
+residuals.
 
 Each phase labels vertices by residual distance to the sink, with a
 reverse BFS that stops once the source is labelled, and pushes a blocking

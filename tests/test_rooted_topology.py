@@ -2,10 +2,13 @@
 
 Every probe of a rooted instance conditions the same arcs (the base arcs,
 then a root arc to every vertex with positive in-degree) and differs only
-in capacities and scale.  ``RootedTopology`` validates those arcs once and
-the probes share its residual arrays.  These tests check that a graph
-conditioned on a shared topology equals the one built from scratch, flows
-the same, and that one prober builds its residual arrays once.
+in capacities and scale.  ``RootedTopology`` keeps those arcs, which the
+base validated, and its probes share their residual arrays, built at the
+topology's first flow; its supply arcs are computed at their first read.
+These tests check that a graph conditioned on a shared topology equals
+the one built from scratch and flows the same, that one prober builds
+its residual arrays once, that a probe which credit settles builds none,
+and that a probe does not depend on what earlier probes built.
 """
 
 import math
@@ -13,14 +16,37 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dircut.steiner
-from dircut import INFINITE, DiGraph, VertexCapGraph, max_flow, prune_for_root, split_transform
-from dircut.edgecut import RootedTopology, _edge_prober, condition_rooted
+from dircut import (
+    INFINITE,
+    DiGraph,
+    SteinerInstance,
+    VertexCapGraph,
+    cut_certificate,
+    max_flow,
+    prune_for_root,
+    shrink_wrap,
+    split_transform,
+)
+from dircut.edgecut import (
+    ProbeConfig,
+    RootedTopology,
+    _edge_prober,
+    condition_rooted,
+    precondition_rooted,
+    probe,
+)
 from dircut.maxflow import _network
-from dircut.vertexcut import _normalize, _split_prober
+from dircut.vertexcut import (
+    _admissible_sinks,
+    _normalize,
+    _sink_certificate,
+    _split_prober,
+    _split_topology,
+)
 
 from conftest import probing_graphs, tiny_graphs, zero_heavy_vertex_graphs
 
@@ -159,3 +185,98 @@ def test_one_prober_builds_its_residual_arrays_once():
         _split_prober(vg, 0, []), [Fraction(3), Fraction(5), Fraction(9), Fraction(20)])
     assert probes >= 4
     assert built == 1
+
+
+def _topologies_built():
+    """Patch ``RootedTopology`` to record every topology built while the
+    patch holds, in the list it returns alongside the patch."""
+    built, init = [], RootedTopology.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    return built, mock.patch.object(RootedTopology, "__init__", record)
+
+
+def _probe_levels(make_prober, settled, flowing):
+    """Probe the levels ``settled``, then ``flowing``, on the prober that
+    ``make_prober(log)`` builds, and check that its topology builds its
+    residual arrays and supply arcs only once the second levels flow."""
+    log = []
+    built, patch = _topologies_built()
+    with patch:
+        prober = make_prober(log)
+    (topology,) = built
+    for i, level in enumerate(settled):
+        prober(level, Fraction(1, 5), ("settled", i))
+    # credit certified every terminal: no flow ran, and nothing flow-related exists
+    assert log and all(calls == 0 for _, _, calls in log)
+    assert topology.flow_arrays.cache_info().misses == 0
+    assert "supply_arcs" not in vars(topology)
+    for i, level in enumerate(flowing):
+        prober(level, Fraction(1, 5), ("flowing", i))
+    assert sum(calls for _, _, calls in log) > 0
+    assert topology.flow_arrays.cache_info().misses == 1
+    assert "supply_arcs" in vars(topology)
+
+
+def test_a_probe_that_credit_settles_builds_no_flow_arrays():
+    # the cycles of the test above.  At level 4 the 8-cycle's threshold is
+    # 24/5, below its capacities 5, and at levels 2 and 5/2 the 7-cycle's
+    # is at most its capacities 3, so the arcs from the root and from
+    # certified vertices certify every terminal; at level 3 it is 18/5
+    n = 8
+    g = DiGraph(n, [(v, (v + d) % n, 5) for v in range(n) for d in (1, n - 1)])
+    _probe_levels(lambda log: _edge_prober(g, 0, log),
+                  [Fraction(4)], [Fraction(5), Fraction(8), Fraction(12), Fraction(30)])
+    vg = VertexCapGraph(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 6)], [3] * 7)
+    _probe_levels(lambda log: _split_prober(vg, 0, log), [Fraction(2), Fraction(5, 2)],
+                  [Fraction(3), Fraction(5), Fraction(9), Fraction(20)])
+
+
+def _cold_and_warm(make_topology, condition, extract, candidates, cfg, warm_cfg, terminals):
+    """Probe ``cfg`` on a fresh topology and on one that a probe of every
+    candidate at ``warm_cfg`` flowed on first, and check the two reports
+    are the same.  Should credit settle that probe, a flow of all the
+    candidates on its conditioned graph stands in for it."""
+    warm = make_topology()
+    h = condition(warm, warm_cfg)
+    if not probe(h, warm, candidates, warm_cfg, extract).flow_calls:
+        level_num = (1 + warm_cfg.epsilon) * warm_cfg.level * h.scale
+        shrink_wrap(SteinerInstance(h, warm.root, candidates, int(level_num)))
+    assert warm.flow_arrays.cache_info().misses == 1
+    assert warm.supply_arcs is not None
+    cold = make_topology()
+    reports = [probe(condition(t, cfg), t, terminals, cfg, extract) for t in (cold, warm)]
+    assert reports[0] == reports[1]
+
+
+CONFIGS = st.builds(ProbeConfig, LEVELS, VOLUMES, EPSILONS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(probing_graphs(), CONFIGS, CONFIGS, st.data())
+def test_cold_and_warm_topologies_probe_alike_edge(g, cfg, warm_cfg, data):
+    candidates = frozenset(range(1, g.n))
+    terminals = data.draw(st.frozensets(st.sampled_from(sorted(candidates)), min_size=1))
+    _cold_and_warm(lambda: RootedTopology(g, 0),
+                   lambda t, c: precondition_rooted(t, c.level, c.volume, c.epsilon),
+                   lambda sink: cut_certificate(g, sink, root=0),
+                   candidates, cfg, warm_cfg, terminals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_heavy_vertex_graphs(caps=st.sampled_from([0, 1, 2, 2**70])), CONFIGS, CONFIGS,
+       st.data())
+def test_cold_and_warm_topologies_probe_alike_split(g, cfg, warm_cfg, data):
+    # pruned, conditioned and extracted as the vertex prober does
+    ng = prune_for_root(_normalize(g), 0)
+    admissible = frozenset(_admissible_sinks(ng, 0))
+    assume(admissible)
+    terminals = data.draw(st.frozensets(st.sampled_from(sorted(admissible)), min_size=1))
+    _cold_and_warm(lambda: _split_topology(ng, 0),
+                   lambda t, c: condition_rooted(t, c.level, c.volume, c.epsilon, 6,
+                                                 c.epsilon * c.level / (4 * ng.n)),
+                   lambda sink: _sink_certificate(ng, sink & admissible),
+                   admissible, cfg, warm_cfg, terminals)
