@@ -266,13 +266,9 @@ _PROBLEMS = {
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    for key in ("n", "p", "wmax", "cap", "vcap_max", "kind", "sink_size",
-                "volume", "value", "width", "out_degree", "hub_out",
-                "ensure_strong"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
+    # every option but the command's own fields is a generator parameter
+    params = {key: v for key, v in vars(args).items()
+              if v is not None and key not in ("command", "handler", "family", "out", "seed")}
     instance = generate(args.family, seed=args.seed, **params)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(instance.text)

@@ -10,8 +10,9 @@ re-evaluated against the untruncated input capacities, so returned
 certificates are always valid regardless of randomness; the probability
 statements only govern how good they are.  The probe functions take one
 rooted instance as its ``RootedTopology``: every probe of it conditions
-the same arcs and computes only its capacities, and its flows share one
-set of residual arrays, built at the topology's first flow.
+the same arcs and computes only its capacities.  Each conditioned graph
+owns its residual arrays, built at its first flow, so a probe that runs
+no flow builds none.
 Before any flow, a probe certifies terminals by credit
 (``credit_closure``), the rule by which the exact oracles skip sinks
 (``capped_sinks``): starting from the root, a vertex whose arcs from
@@ -73,13 +74,12 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 from .graph import (
     CutCertificate,
     DiGraph,
     NoCutExistsError,
-    _arrays,
     cut_certificate,
     dominator_tree,
     merge_parallel,
@@ -145,14 +145,14 @@ class RootedTopology:
     probe-layer function takes, and the arcs that all its conditioned
     graphs share, as ``tails`` and ``heads``: the base arcs, in order,
     then a root arc (root, v) to every non-root v of positive in-degree.
-    The base validated them.  Their residual arrays (``flow_arrays``) are
-    built at the topology's first flow, and ``supply_arcs`` at its first
-    read; a probe computes each distinct capacity once.  ``degrees`` holds
-    the base in-degrees, and ``credit[t]`` the (head, arc index) pairs
-    whose capacities, read from a conditioned graph, a certified t credits
-    to the head (``credit_closure``): here every arc out of t into a
-    vertex other than the root, to which the vertex prober adds the split
-    graph's vertex rule."""
+    The base validated them.  Each conditioned graph builds its own
+    residual arrays at its first flow, ``supply_arcs`` is computed at its
+    first read, and a probe computes each distinct capacity once.
+    ``degrees`` holds the base in-degrees, and ``credit[t]`` the (head,
+    arc index) pairs whose capacities, read from a conditioned graph, a
+    certified t credits to the head (``credit_closure``): here every arc
+    out of t into a vertex other than the root, to which the vertex
+    prober adds the split graph's vertex rule."""
 
     def __init__(self, base: DiGraph, root: int):
         self.degrees = base.in_degrees()
@@ -162,7 +162,6 @@ class RootedTopology:
         self.tails, self.heads = (*tails, *[root] * len(fed)), (*heads, *fed)
         self.root_degrees = [self.degrees[v] for v in fed]
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
-        self.flow_arrays = cache(partial(_arrays, base.n, self.tails, self.heads, base.inf_arcs))
         self.credit = [[] for _ in range(base.n)]
         for i, (t, w) in enumerate(zip(self.tails, self.heads)):
             if w != root:
@@ -199,8 +198,8 @@ def condition_rooted(
     output's arcs are the base arcs first, in their order and with their
     endpoints, then the root arcs.  For every sink set U the cut into U is
     at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
-    measured in the output graph (the conditioning ratio).  Its flows use
-    the topology's arrays, built at the topology's first flow.
+    measured in the output graph (the conditioning ratio).  The output
+    builds its own residual arrays at its first flow.
     """
     if level <= 0:
         raise ValueError("level must be positive")
@@ -221,7 +220,7 @@ def condition_rooted(
     caps = [*map(clamped.__getitem__, topology.base_caps),
             *map(root_caps.__getitem__, topology.root_degrees)]
     return DiGraph._unchecked(topology.base.n, topology.tails, topology.heads, caps, new_scale,
-                              topology.base.inf_arcs, topology.flow_arrays)
+                              topology.base.inf_arcs)
 
 
 def precondition_rooted(topology: RootedTopology, level, volume: int, epsilon) -> DiGraph:

@@ -9,6 +9,8 @@ one compare greater than every finite cut in the same graph.
 
 Graphs are immutable after construction.  All operations here are pure
 functions returning new graphs, so concurrent readers need no locking.
+Each graph owns the residual arrays that its flows run on, built at its
+first flow (``_network``); no two graphs share them.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ class DiGraph:
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
     ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
     counted individually by in-degree and in-volume.  ``_flow_network``
-    holds the graph's residual arrays (``_network``), built at its first
-    flow; until then a graph from ``_unchecked`` holds the function that
-    returns the arrays it shares with the graphs of the same arcs.
+    holds the graph's own residual arrays (``_network``), None until its
+    first flow builds them.
     """
 
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
@@ -68,7 +69,7 @@ class DiGraph:
                 raise ValueError(f"arc {i}: endpoint out of range")
             if tail == head:
                 raise ValueError(f"arc {i}: self-loop {tail}->{head}")
-            if cap is INFINITE or isinstance(cap, _InfiniteCapacity):
+            if isinstance(cap, _InfiniteCapacity):
                 inf_idx.append(i)
             else:
                 if not isinstance(cap, int) or isinstance(cap, bool):
@@ -88,12 +89,11 @@ class DiGraph:
         self._flow_network = None
 
     @classmethod
-    def _unchecked(cls, n, tails, heads, caps, scale, inf_arcs, arrays) -> "DiGraph":
+    def _unchecked(cls, n, tails, heads, caps, scale, inf_arcs) -> "DiGraph":
         """The graph on ``range(n)`` with arcs (tails[i], heads[i], caps[i])
         at the positive int ``scale``, the arc ids ``inf_arcs`` infinite
-        (``caps`` is overwritten there), whose flows run on the arrays
-        that ``arrays()`` returns (``_arrays``), read at its first flow.
-        Nothing is checked: the caller builds it from validated arcs."""
+        (``caps`` is overwritten there).  Nothing is checked: the caller
+        builds it from validated arcs."""
         for i in inf_arcs:
             caps[i] = 0
         g = cls.__new__(cls)
@@ -101,7 +101,7 @@ class DiGraph:
         g.inf_value = sum(caps) + 1
         for i in inf_arcs:
             caps[i] = g.inf_value
-        g.arcs, g._flow_network = tuple(zip(tails, heads, caps)), arrays
+        g.arcs, g._flow_network = tuple(zip(tails, heads, caps)), None
         return g
 
     # -- basic accessors -------------------------------------------------
@@ -143,32 +143,25 @@ class DiGraph:
         return f"DiGraph(n={self.n}, m={self.m}, scale={self.scale})"
 
 
-def _arrays(n: int, tails, heads, inf_arcs) -> tuple:
-    """(head, adj, infinite edge ids) of the arcs (tails[i], heads[i]) on
-    ``range(n)``: edge ``2i`` is arc i and edge ``2i+1`` its reverse, and
-    ``adj[v]`` lists the edges out of v."""
-    head = [0] * (2 * len(heads))
-    head[0::2] = heads
-    head[1::2] = tails
-    adj = [[] for _ in range(n)]
-    e = 0
-    for u, v in zip(tails, heads):
-        adj[u].append(e)
-        adj[v].append(e + 1)
-        e += 2
-    return head, adj, [2 * i for i in sorted(inf_arcs)]
-
-
 def _network(g: DiGraph):
-    """(head, cap, adj, infinite edge ids) of ``g``, built at its first flow:
-    ``_arrays``, built here or shared, and the graph's own capacities."""
+    """(head, cap, adj, infinite edge ids) of ``g``, built at its first flow
+    and kept on the graph: edge ``2i`` is arc i and edge ``2i+1`` its
+    reverse, and ``adj[v]`` lists the edges out of v."""
     net = g._flow_network
-    if type(net) is not tuple:
+    if net is None:
         tails, heads, caps = zip(*g.arcs) if g.arcs else ((), (), ())
-        head, adj, inf_edges = net() if net else _arrays(g.n, tails, heads, g.inf_arcs)
+        head = [0] * (2 * g.m)
+        head[0::2] = heads
+        head[1::2] = tails
         cap = [0] * len(head)
         cap[0::2] = caps
-        net = g._flow_network = (head, cap, adj, inf_edges)
+        adj = [[] for _ in range(g.n)]
+        e = 0
+        for u, v in zip(tails, heads):
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
+        net = g._flow_network = (head, cap, adj, [2 * i for i in sorted(g.inf_arcs)])
     return net
 
 

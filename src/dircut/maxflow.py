@@ -8,11 +8,10 @@ faster solver could replace it without touching callers.
 The residual network of a graph is built at its first flow and kept on
 the graph, which is immutable (``graph._network``): edge ``2i`` is
 ``arcs[i]`` and edge ``2i+1`` its reverse, with per-vertex lists of edge
-ids.  Graphs that differ only in capacities (``DiGraph._unchecked``)
-share those arrays, built at the first flow of any, each with its own
-capacity array.  A call copies only the capacities; one with demand arcs
-into a supersink ``g.n`` appends them to those arrays until the flow
-ends (so threads must not share them), which is how the Steiner
+ids.  Every graph owns its arrays; no two graphs share them.  A call
+copies only the capacities; one with demand arcs into a supersink
+``g.n`` appends them to those arrays until the flow ends (so threads
+must not flow on one graph at once), which is how the Steiner
 recursion routes to a terminal set without building a new graph, and how
 the exact oracles stop each per-sink flow one above the best cut so far.
 Infinite arcs keep ``g``'s sentinel unless the demands total at least
@@ -41,7 +40,7 @@ class MaxFlowResult:
 
     ``source_side``, the vertices the source reaches in the residual
     graph, fixes the induced minimum cut.  It is read on first use over
-    ``graph``'s shared arrays, whose demand arcs are gone by then; a
+    ``graph``'s arrays, whose demand arcs are gone by then; a
     maximum flow leaves the supersink unreachable, so none is needed.
     ``residual`` is the flow's own copy of the capacities: edge ``2i`` is
     ``graph.arcs[i]``, and edge ``2i+1``, its reverse, holds its flow.

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import dircut.cli
 from dircut import (
     INFINITE,
     DiGraph,
@@ -15,8 +17,8 @@ from dircut import (
     parse_text,
     serialize_graph,
 )
-from dircut.cli import main
-from dircut.generators import FAMILIES
+from dircut.cli import _build_parser, main
+from dircut.generators import FAMILIES, GeneratedInstance
 from dircut.fileio import format_value
 
 from conftest import rand_digraph, rand_vertex_graph
@@ -542,6 +544,34 @@ def test_cli_generate_and_json_report(tmp_path, capsys):
     data = jsonlib.loads(json_path.read_text())
     assert data["problem"] == "edge-cut"
     assert f"value: {data['value']}" in out
+
+
+def test_every_generate_option_reaches_the_generator(tmp_path, monkeypatch, capsys):
+    # each generator option of the generate command, given alone, reaches
+    # ``generate`` under its dest, so an option added without plumbing fails
+    (commands,) = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = [a for a in commands.choices["generate"]._actions
+               if a.option_strings and a.dest not in ("help", "family", "out", "seed")]
+    assert len(options) >= 13
+    calls = []
+
+    def record(family, seed, **params):
+        calls.append(params)
+        return GeneratedInstance("", {})
+
+    monkeypatch.setattr(dircut.cli, "generate", record)
+    for action in options:
+        if action.nargs == 0:  # a flag
+            values, expected = [], action.const
+        else:
+            expected = action.choices[0] if action.choices else action.type("3")
+            values = [str(expected)]
+        argv = ["generate", "--family", "cycle", "--out", str(tmp_path / "g.gr"),
+                action.option_strings[0], *values]
+        assert main(argv) == 0
+        assert calls.pop() == {action.dest: expected}
+    capsys.readouterr()
 
 
 def test_cli_verify_smoke(capsys):

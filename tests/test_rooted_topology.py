@@ -3,12 +3,13 @@
 Every probe of a rooted instance conditions the same arcs (the base arcs,
 then a root arc to every vertex with positive in-degree) and differs only
 in capacities and scale.  ``RootedTopology`` keeps those arcs, which the
-base validated, and its probes share their residual arrays, built at the
-topology's first flow; its supply arcs are computed at their first read.
+base validated; its supply arcs are computed at their first read.  Each
+conditioned graph owns its residual arrays, built at its first flow.
 These tests check that a graph conditioned on a shared topology equals
-the one built from scratch and flows the same, that one prober builds
-its residual arrays once, that a probe which credit settles builds none,
-and that a probe does not depend on what earlier probes built.
+the one built from scratch and flows the same, that a probe which credit
+settles runs no flow and builds no arrays, that every conditioned graph
+that flows builds its own arrays once, sharing none with another, and
+that a probe does not depend on what earlier probes built.
 """
 
 import math
@@ -141,50 +142,31 @@ def test_topology_rejects_bad_capacities():
         condition_rooted(topology, Fraction(1), 1, Fraction(-1, 2), 2, Fraction(0))
 
 
-def _residual_arrays_built(prober, levels):
-    """Probe ``levels`` and return (probes that ran a flow, distinct
-    residual arrays those flows used on the conditioned graphs).  Graphs
-    that the recursion contracts build their own arrays and are left out."""
-    contracted, conditioned, arrays = [], [], []
-    real_flow, real_contract = dircut.steiner.max_flow, dircut.steiner.contract_into_root
+def _conditioned_flows(prober, levels, tag):
+    """Probe ``levels``; return the number of ``max_flow`` calls and, per
+    conditioned graph built, (graph, the ``_flow_network`` that each flow
+    on it found at its start).  Graphs that the recursion contracts are
+    left out."""
+    conditioned, found, flows = [], {}, []
+    real_unchecked, real_flow = DiGraph._unchecked, dircut.steiner.max_flow
+
+    def unchecked(cls, *args):
+        g = real_unchecked(*args)
+        conditioned.append(g)  # keeps every id in ``found`` unique
+        found[id(g)] = []
+        return g
 
     def flow(g, *args, **kwargs):
-        result = real_flow(g, *args, **kwargs)
-        if not any(g is h for h in contracted + conditioned):
-            conditioned.append(g)
-            arrays.append(g._flow_network[0])  # the head array
-        return result
+        flows.append(g)
+        if id(g) in found:
+            found[id(g)].append(g._flow_network)
+        return real_flow(g, *args, **kwargs)
 
-    def contract(g, *args):
-        out = real_contract(g, *args)
-        contracted.append(out[0])
-        return out
-
-    with mock.patch.object(dircut.steiner, "max_flow", flow), \
-            mock.patch.object(dircut.steiner, "contract_into_root", contract):
+    with mock.patch.object(DiGraph, "_unchecked", classmethod(unchecked)), \
+            mock.patch.object(dircut.steiner, "max_flow", flow):
         for i, level in enumerate(levels):
-            prober(level, Fraction(1, 5), ("arrays", i))
-    return len(conditioned), len({id(head) for head in arrays})
-
-
-def test_one_prober_builds_its_residual_arrays_once():
-    # the bidirectional 8-cycle with capacities 5, whose rooted cuts are at
-    # least 10: levels below miss at several volume guesses, levels above hit.
-    # Below about 5 the arcs from the root certify every terminal by credit,
-    # with no flow, so the missed levels lie between 5 and 10
-    n = 8
-    g = DiGraph(n, [(v, (v + d) % n, 5) for v in range(n) for d in (1, n - 1)])
-    probes, built = _residual_arrays_built(
-        _edge_prober(g, 0, []), [Fraction(5), Fraction(8), Fraction(12), Fraction(30)])
-    assert probes >= 4
-    assert built == 1
-    # the bidirectional 7-cycle with vertex capacities 3, whose rooted vertex
-    # cuts are at least 6; credit certifies every terminal below about 3
-    vg = VertexCapGraph(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 6)], [3] * 7)
-    probes, built = _residual_arrays_built(
-        _split_prober(vg, 0, []), [Fraction(3), Fraction(5), Fraction(9), Fraction(20)])
-    assert probes >= 4
-    assert built == 1
+            prober(level, Fraction(1, 5), (tag, i))
+    return len(flows), [(g, found[id(g)]) for g in conditioned]
 
 
 def _topologies_built():
@@ -201,38 +183,66 @@ def _topologies_built():
 
 def _probe_levels(make_prober, settled, flowing):
     """Probe the levels ``settled``, then ``flowing``, on the prober that
-    ``make_prober(log)`` builds, and check that its topology builds its
-    residual arrays and supply arcs only once the second levels flow."""
+    ``make_prober(log)`` builds, and check that the first run no flow and
+    build neither residual arrays nor supply arcs, and that the second
+    flow and read the supply arcs."""
     log = []
     built, patch = _topologies_built()
     with patch:
         prober = make_prober(log)
     (topology,) = built
-    for i, level in enumerate(settled):
-        prober(level, Fraction(1, 5), ("settled", i))
+    calls, graphs = _conditioned_flows(prober, settled, "settled")
     # credit certified every terminal: no flow ran, and nothing flow-related exists
-    assert log and all(calls == 0 for _, _, calls in log)
-    assert topology.flow_arrays.cache_info().misses == 0
+    assert log and all(c == 0 for _, _, c in log)
+    assert calls == 0
+    assert len(graphs) == len(log)
+    assert all(g._flow_network is None for g, _ in graphs)
     assert "supply_arcs" not in vars(topology)
-    for i, level in enumerate(flowing):
-        prober(level, Fraction(1, 5), ("flowing", i))
-    assert sum(calls for _, _, calls in log) > 0
-    assert topology.flow_arrays.cache_info().misses == 1
+    calls, _ = _conditioned_flows(prober, flowing, "flowing")
+    assert calls > 0
     assert "supply_arcs" in vars(topology)
 
 
+# (make_prober, levels that credit settles, levels that flow) on two cycles.
+# The bidirectional 8-cycle with capacities 5, whose rooted cuts are at
+# least 10: levels 5 and 8 miss at several volume guesses, levels 12 and 30
+# hit.  At level 4 the threshold is 24/5, below the capacities 5, so the
+# arcs from the root and from certified vertices certify every terminal.
+# The bidirectional 7-cycle with vertex capacities 3, whose rooted vertex
+# cuts are at least 6: at levels 2 and 5/2 the threshold is at most its
+# capacities 3; at level 3 it is 18/5
+CYCLE_8 = DiGraph(8, [(v, (v + d) % 8, 5) for v in range(8) for d in (1, 7)])
+VERTEX_CYCLE_7 = VertexCapGraph(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 6)],
+                                [3] * 7)
+CYCLE_PROBERS = [
+    (lambda log: _edge_prober(CYCLE_8, 0, log),
+     [Fraction(4)], [Fraction(5), Fraction(8), Fraction(12), Fraction(30)]),
+    (lambda log: _split_prober(VERTEX_CYCLE_7, 0, log),
+     [Fraction(2), Fraction(5, 2)], [Fraction(3), Fraction(5), Fraction(9), Fraction(20)]),
+]
+
+
 def test_a_probe_that_credit_settles_builds_no_flow_arrays():
-    # the cycles of the test above.  At level 4 the 8-cycle's threshold is
-    # 24/5, below its capacities 5, and at levels 2 and 5/2 the 7-cycle's
-    # is at most its capacities 3, so the arcs from the root and from
-    # certified vertices certify every terminal; at level 3 it is 18/5
-    n = 8
-    g = DiGraph(n, [(v, (v + d) % n, 5) for v in range(n) for d in (1, n - 1)])
-    _probe_levels(lambda log: _edge_prober(g, 0, log),
-                  [Fraction(4)], [Fraction(5), Fraction(8), Fraction(12), Fraction(30)])
-    vg = VertexCapGraph(7, [(v, (v + d) % 7) for v in range(7) for d in (1, 6)], [3] * 7)
-    _probe_levels(lambda log: _split_prober(vg, 0, log), [Fraction(2), Fraction(5, 2)],
-                  [Fraction(3), Fraction(5), Fraction(9), Fraction(20)])
+    for make_prober, settled, flowing in CYCLE_PROBERS:
+        _probe_levels(make_prober, settled, flowing)
+
+
+def test_each_conditioned_graph_builds_its_own_residual_arrays_once():
+    for make_prober, _, flowing in CYCLE_PROBERS:
+        _, graphs = _conditioned_flows(make_prober([]), flowing, "own")
+        flowed = [g for g, found in graphs if found]
+        assert len(flowed) >= 4
+        for g, found in graphs:
+            if found:
+                assert found[0] is None  # built at the first flow
+                assert all(net is g._flow_network for net in found[1:])  # and only then
+            else:
+                assert g._flow_network is None
+        # no two conditioned graphs share a head array or an edge list
+        heads = [g._flow_network[0] for g in flowed]
+        assert len({id(head) for head in heads}) == len(heads)
+        edge_lists = [edges for g in flowed for edges in g._flow_network[2]]
+        assert len({id(edges) for edges in edge_lists}) == len(edge_lists)
 
 
 def _cold_and_warm(make_topology, condition, extract, candidates, cfg, warm_cfg, terminals):
@@ -245,7 +255,7 @@ def _cold_and_warm(make_topology, condition, extract, candidates, cfg, warm_cfg,
     if not probe(h, warm, candidates, warm_cfg, extract).flow_calls:
         level_num = (1 + warm_cfg.epsilon) * warm_cfg.level * h.scale
         shrink_wrap(SteinerInstance(h, warm.root, candidates, int(level_num)))
-    assert warm.flow_arrays.cache_info().misses == 1
+    assert h._flow_network is not None
     assert warm.supply_arcs is not None
     cold = make_topology()
     reports = [probe(condition(t, cfg), t, terminals, cfg, extract) for t in (cold, warm)]
