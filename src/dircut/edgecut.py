@@ -21,8 +21,8 @@ conditioned graph is certified, since every cut below the threshold
 keeps the certified vertices on its source side.  Only the terminals
 left run shrink-wrap, and each group's Certified terminals extend the
 closure for the groups after it.  Almost every probe misses, so most
-need no flow at all; the topology builds the credit lists once, and the
-vertex prober adds the split graph's vertex rule to them.
+need no flow at all; the topology builds the credit lists once, by one
+rule that the split graph of the vertex prober shares.
 
 A prober (``level_prober``) binds one rooted instance's sample, probe,
 in-volume guesses and probe log once, and probes a level at its in-volume
@@ -148,11 +148,13 @@ class RootedTopology:
     The base validated them.  Each conditioned graph builds its own
     residual arrays at its first flow, ``supply_arcs`` is computed at its
     first read, and a probe computes each distinct capacity once.
-    ``degrees`` holds the base in-degrees, and ``credit[t]`` the (head,
+    ``degrees`` holds the base in-degrees, and ``credit[t]`` the (vertex,
     arc index) pairs whose capacities, read from a conditioned graph, a
-    certified t credits to the head (``credit_closure``): here every arc
-    out of t into a vertex other than the root, to which the vertex
-    prober adds the split graph's vertex rule."""
+    certified t credits to the vertex (``credit_closure``): an arc t→y
+    credits y and, once each, the head w ≠ root of every infinite base arc
+    y→w, since a cut below the threshold that holds w holds y too.  On a
+    split graph that carries a certified in-copy's split arc, and the
+    root's arc into an out-copy, on to the out-neighbours' in-copies."""
 
     def __init__(self, base: DiGraph, root: int):
         self.degrees = base.in_degrees()
@@ -162,10 +164,22 @@ class RootedTopology:
         self.tails, self.heads = (*tails, *[root] * len(fed)), (*heads, *fed)
         self.root_degrees = [self.degrees[v] for v in fed]
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
-        self.credit = [[] for _ in range(base.n)]
-        for i, (t, w) in enumerate(zip(self.tails, self.heads)):
-            if w != root:
-                self.credit[t].append((w, i))
+        credit = self.credit = [[] for _ in range(base.n)]
+        if not base.inf_arcs:  # nothing passes through, and this loop is faster
+            for i, (t, y) in enumerate(zip(self.tails, self.heads)):
+                if y != root:
+                    credit[t].append((y, i))
+        else:
+            through = [[] for _ in range(base.n)]  # y's infinite heads w != root
+            # once each: the infinite arcs share one sentinel, so equal ones are parallel
+            for y, w, _ in dict.fromkeys(base.arcs[i] for i in sorted(base.inf_arcs)):
+                if w != root:
+                    through[y].append(w)
+            for i, (t, y) in enumerate(zip(self.tails, self.heads)):
+                if y != root:
+                    credit[t].append((y, i))
+                for w in through[y]:
+                    credit[t].append((w, i))
 
     @cached_property
     def supply_arcs(self) -> list:
@@ -290,16 +304,16 @@ def _credit(support, pairs) -> None:
 def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
     """Certify the vertices ``new``, and close the set ``certified`` under
     credit at ``threshold``: each certified t adds the capacity
-    ``arcs[i]`` of every (head, arc index i) pair of ``credit[t]`` to the
-    head's ``support``, and a vertex whose support reaches ``threshold``
-    is certified, with no flow.
+    ``arcs[i]`` of every (vertex, arc index i) pair of ``credit[t]`` to
+    the vertex's ``support``, and a vertex whose support reaches
+    ``threshold`` is certified, with no flow.
 
-    Sound when the caller builds ``credit`` so that a cut below the
-    threshold with w in its sink, and the certified vertices outside it,
-    crosses every arc that those credit to w, each arc credited to w
-    once: then by induction no such cut holds a certified vertex, so each
-    has connectivity at least the threshold.  An infinite arc counts at
-    its graph's sentinel, a lower bound on what ``max_flow`` gives it."""
+    Sound for the ``credit`` of ``RootedTopology``: a cut below the
+    threshold with w in its sink crosses every arc that the certified
+    vertices outside it credit to w, each credited to w once, so by
+    induction no such cut holds a certified vertex, and each has
+    connectivity at least the threshold.  An infinite arc counts at its
+    graph's sentinel, a lower bound on what ``max_flow`` gives it."""
     stack = list(set(new).difference(certified))  # each credits once
     certified.update(stack)
     while stack:

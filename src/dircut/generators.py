@@ -15,15 +15,6 @@ from .fileio import serialize_graph
 from .graph import DiGraph
 from .vertexcut import VertexCapGraph
 
-FAMILIES = (
-    "erdos-renyi-digraph",
-    "planted-sink",
-    "cycle",
-    "star",
-    "layered-dag-backarcs",
-)
-
-
 @dataclass(frozen=True)
 class GeneratedInstance:
     text: str
@@ -195,12 +186,13 @@ def _reject_extra(extra):
 
 
 _DISPATCH = {
-    "cycle": _cycle,
-    "star": _star,
     "erdos-renyi-digraph": _erdos_renyi,
     "planted-sink": _planted_sink,
+    "cycle": _cycle,
+    "star": _star,
     "layered-dag-backarcs": _layered,
 }
+FAMILIES = tuple(_DISPATCH)
 
 
 def generate(family: str, seed: int = 0, **params) -> GeneratedInstance:

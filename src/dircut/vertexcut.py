@@ -12,17 +12,15 @@ the split graph (v_in = v, v_out = n + v): shared conditioning, the edge
 sampler restricted to the admissible sinks, and sink sets mapped back to
 vertex separators.  Rooted and global solves build that prober one way,
 on the instance pruned for its root (``prune_for_root``).  A probe's
-credit (``credit_closure``) stalls on the split graph with the edge rule
-alone, since an out-copy's only finite in-arc is its own split arc, so
-the prober's topology adds the vertex rule (``_split_topology``): for
-every arc u→w, a certified u_in credits its split arc to w_in, and the
-root credits its conditioning arc into u_out to w_in.  Both arcs cross
-every cut below the threshold whose sink holds w_in, because that sink
-holds u_out too: otherwise the cut would cross the infinite arc
-u_out→w_in.  Global cuts draw roots once in proportion to capacity, as
-many as the slack below the trivial cut asks for, and run one search
-over the ``union_prober`` of each distinct root's instances in both
-orientations.
+credit (``credit_closure``) is the one rule of ``RootedTopology``, which
+passes an arc's credit on through the infinite arcs out of its head: a
+cut below the threshold whose sink holds w_in holds u_out too for every
+arc u→w, so a certified u_in credits its split arc to w_in, and the
+root its conditioning arc into u_out.  Global cuts draw roots once in
+proportion to capacity, as many as the slack below the trivial cut asks
+for, and run one search over the ``union_prober`` of each distinct
+root's instances in both orientations.  A global solve builds the
+reversal once (``_orientations``) and hands the pair to every step.
 Every mode answers a cut at the smallest positive capacity from the
 preorder dominator tree of the graph module (``dominator_tree``),
 without a flow, before it builds a prober.  Otherwise the approximate
@@ -71,7 +69,7 @@ from .edgecut import (
     _search_tail,
     _volume_schedule,
 )
-from .graph import INFINITE, DiGraph, NoCutExistsError, _check_scale, dominator_tree, reach
+from .graph import DiGraph, NoCutExistsError, _check_scale, dominator_tree, reach
 
 
 class VertexCapGraph:
@@ -157,10 +155,13 @@ class VertexCutCertificate:
 def split_transform(g: VertexCapGraph) -> DiGraph:
     """Edge-capacitated model on 2n vertices, v_in = v and v_out = n + v:
     the finite arc (v_in, v_out) of each vertex v, in vertex order, then
-    the infinite arc (u_out, v_in) of each original arc (u, v)."""
-    arcs = [(v, g.n + v, g.vcaps[v]) for v in range(g.n)]
-    arcs.extend((g.n + u, v, INFINITE) for u, v in g.arcs)
-    return DiGraph(2 * g.n, arcs, scale=g.scale)
+    the infinite arc (u_out, v_in) of each original arc (u, v).  ``g``
+    validated every endpoint and capacity, so the graph is built
+    unchecked (``DiGraph._unchecked``)."""
+    tails, heads = zip(*g.arcs) if g.arcs else ((), ())
+    return DiGraph._unchecked(2 * g.n, [*range(g.n), *[g.n + u for u in tails]],
+                              [*range(g.n, 2 * g.n), *heads], [*g.vcaps, *[0] * g.m], g.scale,
+                              frozenset(range(g.n, g.n + g.m)))
 
 
 def _normalize(g: VertexCapGraph) -> VertexCapGraph:
@@ -169,8 +170,11 @@ def _normalize(g: VertexCapGraph) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
-def _reverse_topology(g: VertexCapGraph) -> VertexCapGraph:
-    return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
+def _orientations(g: VertexCapGraph) -> tuple:
+    """The (orientation, graph) pairs that a global solve runs on: ``g``
+    and its reversal, built once per solve."""
+    return (("forward", g),
+            ("reverse", VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)))
 
 
 def _sink_certificate(g: VertexCapGraph, component: frozenset,
@@ -210,13 +214,10 @@ def _c_min(g: VertexCapGraph) -> Fraction:
 
 
 def _singletons(g: VertexCapGraph, orientation="forward") -> list:
-    """The vertex cut of every single-vertex sink, indexed by vertex, from
-    one pass over the arcs.  In the reverse orientation the in-neighbours
-    are those in the reversal, that is the out-neighbours in ``g``."""
+    """The vertex cut of every single-vertex sink of ``g``, indexed by
+    vertex and tagged with ``orientation``, from one pass over the arcs."""
     neighbours = [set() for _ in range(g.n)]
     for u, v in g.arcs:
-        if orientation == "reverse":
-            u, v = v, u
         neighbours[v].add(u)
     return [
         VertexCutCertificate(frozenset(sep), frozenset([v]),
@@ -228,29 +229,12 @@ def _singletons(g: VertexCapGraph, orientation="forward") -> list:
 # -- rooted approximation ----------------------------------------------------
 
 
-def _split_topology(ng: VertexCapGraph, r: int) -> RootedTopology:
-    """The ``RootedTopology`` of the split graph of ``ng`` rooted at r's
-    out-copy, with the vertex rule added to its credit: for every arc
-    u→w of ``ng``, a certified u_in credits its split arc, arc u, to
-    w_in, and the root credits its conditioning arc into u_out to w_in
-    (see the module docstring)."""
-    topology = RootedTopology(split_transform(ng), ng.n + r)
-    credit, root = topology.credit, topology.root
-    # the root's arcs into out-copies are all conditioning arcs
-    into_out = dict(credit[root])
-    for u, w in ng.arcs:
-        credit[u].append((w, u))
-        if u != r:
-            credit[root].append((w, into_out[ng.n + u]))
-    return topology
-
-
 def _split_prober(base: VertexCapGraph, r: int, log):
     """``level_prober`` of the rooted instance of ``base`` at ``r``, pruned
     for ``r``, or None when it has no admissible sink: the shared probe on
-    the split graph, rooted at r's out-copy, on one ``RootedTopology``
-    with the vertex rule's credit (``_split_topology``), with in-copies
-    of terminals drawn by the edge sampler from the in-degrees of the
+    the split graph, rooted at r's out-copy, on one ``RootedTopology``,
+    whose credit passes through the infinite arcs, with in-copies of
+    terminals drawn by the edge sampler from the in-degrees of the
     admissible sinks.
     Pruning keeps the in-neighbourhood of every admissible sink, so no
     vertex cut changes.  Certificates are re-evaluated against the raw
@@ -259,7 +243,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
     admissible = frozenset(_admissible_sinks(ng, r))
     if not admissible:
         return None
-    topology = _split_topology(ng, r)
+    topology = RootedTopology(split_transform(ng), ng.n + r)
     deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
 
     def extract(sink):
@@ -315,23 +299,23 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
     return cert
 
 
-def _global_vertex_floor_cut(ng: VertexCapGraph, c_min: Fraction):
+def _global_vertex_floor_cut(oriented, c_min: Fraction):
     """The rank-best global vertex cut of value ``c_min`` that
     ``_vertex_floor_cut`` finds at r, the first positive-capacity vertex,
-    in ``ng`` and in its reversal, or None.  Every such cut leaves r on
-    its source side in one orientation, unless r is the positive vertex
-    of its separator, so when r has capacity ``c_min`` a second positive
-    root is tried too.  ``ng``'s best trivial global cut lies above
+    in each graph of ``oriented``, the ``_orientations`` of ``ng``, or
+    None.  Every such cut leaves r on its source side in one orientation,
+    unless r is the positive vertex of its separator, so when r has
+    capacity ``c_min`` a second positive root is tried too.  ``ng``'s best trivial global cut lies above
     ``c_min``, so a second positive root exists when one is needed: with
     r the only positive vertex, a floor cut's sink would hold a singleton
     of value ``c_min``."""
+    ng = oriented[0][1]
     positive = [v for v, c in enumerate(ng.vcaps) if c > 0]
     roots = positive[:2] if ng.value(ng.vcaps[positive[0]]) == c_min else positive[:1]
-    reverse = _reverse_topology(ng)
     best = None
     for r in roots:
-        best = _better(best, _vertex_floor_cut(ng, r, c_min))
-        best = _better(best, _vertex_floor_cut(reverse, r, c_min, "reverse"))
+        for orientation, graph in oriented:
+            best = _better(best, _vertex_floor_cut(graph, r, c_min, orientation))
     return best
 
 
@@ -424,29 +408,32 @@ def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
-def _oriented_zero(ng: VertexCapGraph, r: int, arcs_of):
+def _oriented_zero(oriented, r: int, arcs_of):
     """The zero cut onto the vertices ``r`` cannot reach along
-    ``arcs_of(graph)`` in ``ng``, else in its reversal, tagged with its
-    orientation; None when ``r`` reaches every vertex in both."""
-    for orientation, graph in (("forward", ng), ("reverse", _reverse_topology(ng))):
+    ``arcs_of(graph)`` in the first graph of ``oriented`` where there is
+    one, tagged with its orientation; None when ``r`` reaches every vertex
+    in each."""
+    for orientation, graph in oriented:
         cert = _unreached(graph, r, arcs_of(graph), orientation)
         if cert is not None:
             return cert
     return None
 
 
-def _global_start(ng: VertexCapGraph):
-    """Zero-value certificate when ``ng`` is not strongly connected, else
-    None.  The sink component is closed under incoming arcs in the
-    reported orientation, so the empty separator is genuinely N-in(U).
-    Raises NoCutExistsError for fewer than two vertices."""
-    if ng.n < 2:
+def _global_start(oriented):
+    """Zero-value certificate when ``ng``, the first graph of its
+    ``_orientations`` ``oriented``, is not strongly connected, else None.
+    The sink component is closed under incoming arcs in the reported
+    orientation, so the empty separator is genuinely N-in(U).  Raises
+    NoCutExistsError for fewer than two vertices."""
+    if oriented[0][1].n < 2:
         raise NoCutExistsError("need at least two vertices")
-    return _oriented_zero(ng, 0, lambda graph: graph.arcs)
+    return _oriented_zero(oriented, 0, attrgetter("arcs"))
 
 
-def _global_trivial(ng: VertexCapGraph):
-    """The solvers' best trivial global cut: the zero cut of
+def _global_trivial(oriented):
+    """The solvers' best trivial global cut of ``ng``, the first graph of
+    its ``_orientations`` ``oriented``: the zero cut of
     ``_global_start`` or the best valid singleton over both orientations
     (one that leaves a vertex outside its separator and sink), replaced by
     an exact zero cut when that singleton is positive.  A zero global
@@ -458,9 +445,10 @@ def _global_trivial(ng: VertexCapGraph):
     ``_c_min(ng)``.  Raises NoCutExistsError when no global vertex cut
     exists: a strongly connected graph without a valid singleton is a
     complete digraph."""
-    best = _global_start(ng) or min(
-        (cert for orientation in ("forward", "reverse")
-         for cert in _singletons(ng, orientation)
+    ng = oriented[0][1]
+    best = _global_start(oriented) or min(
+        (cert for orientation, graph in oriented
+         for cert in _singletons(graph, orientation)
          if len(cert.separator) + 1 < ng.n),
         key=attrgetter("rank"), default=None,
     )
@@ -468,27 +456,30 @@ def _global_trivial(ng: VertexCapGraph):
         raise NoCutExistsError("complete digraph has no vertex cut")
     if best.value > 0:  # so some vertex has positive capacity
         r = next(v for v, c in enumerate(ng.vcaps) if c > 0)
-        best = _oriented_zero(ng, r, lambda graph: _positive_arcs(graph, r)) or best
+        best = _oriented_zero(oriented, r, lambda graph: _positive_arcs(graph, r)) or best
     return best
 
 
-def _global_search(ng: VertexCapGraph, best, root_eps, seed, search) -> CutResult:
-    """Global cut as one ``search(probe_at, best, c_min)`` over the union of
-    the rooted instances of every distinct root that ``sample_roots`` draws
-    at tolerance ``root_eps``, in both orientations, each pruned for its
-    root and left out when it has no admissible sink.  Nothing is drawn or
-    probed when the trivial cut ``best`` is at most ``c_min`` (optimal),
-    or when ``_global_vertex_floor_cut`` finds a cut of value ``c_min``."""
+def _global_search(oriented, best, root_eps, seed, search) -> CutResult:
+    """Global cut of ``ng``, the first graph of its ``_orientations``
+    ``oriented``, as one ``search(probe_at, best, c_min)`` over the union
+    of the rooted instances of every distinct root that ``sample_roots``
+    draws at tolerance ``root_eps``, in both orientations, each pruned for
+    its root and left out when it has no admissible sink.  Nothing is
+    drawn or probed when the trivial cut ``best`` is at most ``c_min``
+    (optimal), or when ``_global_vertex_floor_cut`` finds a cut of value
+    ``c_min``."""
+    ng = oriented[0][1]
+
     def make_prober(log):
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")), best.value)
-        bases = (("forward", ng), ("reverse", _reverse_topology(ng)))
         members = [(orientation, _split_prober(base, r, log))
-                   for r in sorted(set(roots)) for orientation, base in bases]
+                   for r in sorted(set(roots)) for orientation, base in oriented]
         return union_prober([(o, prober) for o, prober in members if prober is not None])
 
     c_min = _c_min(ng)
     return _search_tail(make_prober, best, c_min, search,
-                        partial(_global_vertex_floor_cut, ng, c_min))
+                        partial(_global_vertex_floor_cut, oriented, c_min))
 
 
 def approx_global_vertex_cut(
@@ -509,9 +500,9 @@ def approx_global_vertex_cut(
     and ignored.
     """
     eps = clamp_epsilon(epsilon)
-    ng = _normalize(g)
+    oriented = _orientations(_normalize(g))
     search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
-    return _global_search(ng, _global_trivial(ng), eps, seed, search)
+    return _global_search(oriented, _global_trivial(oriented), eps, seed, search)
 
 
 # -- exact modes -------------------------------------------------------------
@@ -543,8 +534,9 @@ def exact_small_vertex_cut(
     search = partial(integer_search, scale=ng.scale, seed_parts=(seed, "small"))
     if root is not None:
         return _rooted_search(ng, root, search)
-    singleton = _global_trivial(ng)
-    return _global_search(ng, singleton, 1 / (1 + singleton.value * ng.scale), seed, search)
+    oriented = _orientations(ng)
+    singleton = _global_trivial(oriented)
+    return _global_search(oriented, singleton, 1 / (1 + singleton.value * ng.scale), seed, search)
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -573,11 +565,11 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
             raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
         zero, roots, bases = _unreached(ng, root, ng.arcs), [root], [("forward", ng)]
     else:
-        zero = _global_start(ng)
+        bases = _orientations(ng)
+        zero = _global_start(bases)
         if ng.m == ng.n * (ng.n - 1):
             raise NoCutExistsError("complete digraph has no vertex cut")
         roots = sorted(range(ng.n), key=lambda v: (-ng.vcaps[v], v))
-        bases = [("forward", ng), ("reverse", _reverse_topology(ng))]
     if zero is not None:
         return CutResult(zero, 0, ())
     splits = []

@@ -163,6 +163,17 @@ def test_family_bounds_cover_every_family():
     assert {family for family, _ in FAMILY_BOUNDS} == set(FAMILIES)
 
 
+def test_family_names_keep_their_order():
+    # FAMILIES is read off the generators' dispatch table; its order is
+    # that of --help and of the "choose from" message
+    assert FAMILIES == ("erdos-renyi-digraph", "planted-sink", "cycle", "star",
+                        "layered-dag-backarcs")
+    with pytest.raises(ValueError, match=r"choose from \('erdos-renyi-digraph', "
+                                         r"'planted-sink', 'cycle', 'star', "
+                                         r"'layered-dag-backarcs'\)"):
+        generate("torus")
+
+
 @pytest.mark.parametrize("family, params", FAMILY_BOUNDS)
 def test_generated_files_parse_back(family, params):
     for seed in range(3):

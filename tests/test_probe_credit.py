@@ -2,11 +2,14 @@
 
 ``probe`` closes the set of certified vertices of its conditioned graph
 under credit (``credit_closure``) from the root, at the probe's threshold
-numerator, and drops those terminals before it runs a flow.  These tests
-check that the closure is sound on edge graphs and on split graphs with
-the vertex rule, that a probe still hits exactly when one of its
-terminals lies below the threshold, and pin the flows the vertex rule
-saves on a vertex Erdős–Rényi graph.
+numerator, and drops those terminals before it runs a flow.  One rule
+builds the credit (``RootedTopology``): an arc t→y credits y and, once
+each, the head of every infinite arc out of y.  These tests check that
+the closure is sound on edge graphs and on split graphs, that a probe
+still hits exactly when one of its terminals lies below the threshold,
+that on split graphs the rule gives the credit of the edge rule plus the
+vertex rule it replaced, and pin the flows that passing credit through
+infinite arcs saves, on an edge graph and on a vertex Erdős–Rényi graph.
 """
 
 from fractions import Fraction
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dircut import (
+    INFINITE,
     DiGraph,
     approx_global_vertex_cut,
     cut_certificate,
@@ -23,6 +27,7 @@ from dircut import (
     max_flow,
     parse_text,
     prune_for_root,
+    split_transform,
 )
 from dircut.edgecut import (
     ProbeConfig,
@@ -32,7 +37,7 @@ from dircut.edgecut import (
     precondition_rooted,
     probe,
 )
-from dircut.vertexcut import _admissible_sinks, _normalize, _sink_certificate, _split_topology
+from dircut.vertexcut import _admissible_sinks, _normalize, _sink_certificate
 
 from conftest import probing_graphs, probing_vertex_graphs, zero_heavy_vertex_graphs
 
@@ -94,7 +99,7 @@ def test_credit_certifies_only_terminals_at_the_threshold_split(g, level, volume
     r = data.draw(st.integers(0, g.n - 1))
     ng = prune_for_root(_normalize(g), r)
     admissible = frozenset(_admissible_sinks(ng, r))
-    topology = _split_topology(ng, r)
+    topology = RootedTopology(split_transform(ng), ng.n + r)
     cfg = ProbeConfig(level=level, volume=volume, epsilon=epsilon)
     h = condition_rooted(topology, level, volume, epsilon, 6, epsilon * level / (4 * ng.n))
     terminals = data.draw(st.frozensets(st.sampled_from(sorted(admissible)), min_size=1)
@@ -116,10 +121,65 @@ def test_a_probe_whose_terminals_credit_certifies_runs_no_flow():
     assert (report.certificate, report.flow_calls, report.steiner_stats) == (None, 0, ())
 
 
+def test_credit_passes_through_an_infinite_arc():
+    # at level 3 the threshold is 18/5: the arc 0→1 of capacity 3 credits
+    # 1 too little, but it also crosses every cut below the threshold whose
+    # sink holds 2, which then holds 1 (or the cut would cross 1→2), so
+    # with the arc 0→2 it credits 2 past the threshold; without passing
+    # through 1→2 the probe of {2} runs a flow
+    g = DiGraph(3, [(0, 1, 3), (1, 2, INFINITE), (0, 2, 2)])
+    topology = RootedTopology(g, 0)
+    cfg = ProbeConfig(level=Fraction(3), volume=64, epsilon=Fraction(1, 5))
+    h = precondition_rooted(topology, cfg.level, cfg.volume, cfg.epsilon)
+    assert _certified(topology, h, _level_num(h, cfg)) == {0, 2}
+
+    def extract(sink):
+        return cut_certificate(g, sink, root=0)
+
+    report = probe(h, topology, frozenset([2]), cfg, extract)
+    assert (report.certificate, report.flow_calls) == (None, 0)
+    report = probe(h, topology, frozenset([1]), cfg, extract)
+    assert report.certificate.sink_set == {1} and report.certificate.value == 3
+
+
+def _edge_and_vertex_rule(ng, r):
+    """The credit lists of the split graph of ``ng`` rooted at r's
+    out-copy, built as the edge rule plus the vertex rule, the two rules
+    that the one rule of ``RootedTopology`` replaced, each pair as (vertex,
+    arc index) of the conditioned arcs: the split graph's arcs, then a
+    root arc to every non-root vertex of positive in-degree."""
+    split, root = split_transform(ng), ng.n + r
+    degrees = split.in_degrees()
+    arcs = [(t, h) for t, h, _ in split.arcs]
+    arcs += [(root, v) for v in range(split.n) if v != root and degrees[v] > 0]
+    credit = [[] for _ in range(split.n)]
+    for i, (t, w) in enumerate(arcs):  # the edge rule
+        if w != root:
+            credit[t].append((w, i))
+    into_out = {h: i for i, (t, h) in enumerate(arcs) if t == root and i >= split.m}
+    for u, w in ng.arcs:  # the vertex rule: split arc u, and the root's arc into u_out
+        credit[u].append((w, u))
+        if u != r:
+            credit[root].append((w, into_out[ng.n + u]))
+    return arcs, credit
+
+
+@settings(max_examples=200, deadline=None)
+@given(VERTEX_GRAPHS)
+def test_split_credit_is_the_edge_rule_plus_the_vertex_rule(g):
+    for r in range(g.n):
+        for ng in (_normalize(g), prune_for_root(_normalize(g), r)):
+            topology = RootedTopology(split_transform(ng), ng.n + r)
+            arcs, credit = _edge_and_vertex_rule(ng, r)
+            assert list(zip(topology.tails, topology.heads)) == arcs
+            assert list(map(sorted, topology.credit)) == list(map(sorted, credit))
+
+
 def test_the_vertex_rule_removes_most_flows_on_vertex_er_40():
-    # with the edge rule alone every terminal of the split graph still ran
-    # its flows here (426 flows); an out-copy's only finite in-arc is its
-    # own split arc, so the vertex rule credits in-copies through it
+    # without passing credit through infinite arcs every terminal of the
+    # split graph still ran its flows here (426 flows): an out-copy's only
+    # finite in-arc is its own split arc, and the infinite arcs out of the
+    # out-copy carry that arc's credit on to the out-neighbours' in-copies
     text = generate("erdos-renyi-digraph", seed=1, n=40, p=0.5, kind="vertex-cap",
                     vcap_max=3).text
     g = parse_text(text)

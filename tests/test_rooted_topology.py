@@ -46,7 +46,6 @@ from dircut.vertexcut import (
     _normalize,
     _sink_certificate,
     _split_prober,
-    _split_topology,
 )
 
 from conftest import probing_graphs, tiny_graphs, zero_heavy_vertex_graphs
@@ -285,7 +284,7 @@ def test_cold_and_warm_topologies_probe_alike_split(g, cfg, warm_cfg, data):
     admissible = frozenset(_admissible_sinks(ng, 0))
     assume(admissible)
     terminals = data.draw(st.frozensets(st.sampled_from(sorted(admissible)), min_size=1))
-    _cold_and_warm(lambda: _split_topology(ng, 0),
+    _cold_and_warm(lambda: RootedTopology(split_transform(ng), ng.n),
                    lambda t, c: condition_rooted(t, c.level, c.volume, c.epsilon, 6,
                                                  c.epsilon * c.level / (4 * ng.n)),
                    lambda sink: _sink_certificate(ng, sink & admissible),

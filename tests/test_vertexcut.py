@@ -4,10 +4,14 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dircut.edgecut
 import dircut.vertexcut
 from dircut import (
+    INFINITE,
+    DiGraph,
     NoCutExistsError,
     VertexCapGraph,
     VertexCutCertificate,
@@ -32,6 +36,7 @@ from conftest import (
     iter_sink_sets,
     rand_vertex_graph,
     topo_reach,
+    zero_heavy_vertex_graphs,
 )
 
 
@@ -51,6 +56,23 @@ def _assert_valid_vertex_cut(g, cert, root=None):
 def test_split_counts():
     h = split_transform(g2())
     assert h.n == 8 and h.m == 8  # 2n vertices, m+n arcs
+
+
+@settings(max_examples=200)
+@given(zero_heavy_vertex_graphs(caps=st.sampled_from([0, 1, 2**70])), st.sampled_from([1, 3]))
+@example(VertexCapGraph(2, [], [0, 2**70]), 1)
+def test_split_graph_equals_the_validated_build(g, scale):
+    # built unchecked, it equals the graph that DiGraph validates from the
+    # split arcs with explicit INFINITE arcs, sentinel included
+    g = VertexCapGraph(g.n, g.arcs, g.vcaps, scale)
+    arcs = [(v, g.n + v, g.vcaps[v]) for v in range(g.n)]
+    arcs += [(g.n + u, v, INFINITE) for u, v in g.arcs]
+    validated = DiGraph(2 * g.n, arcs, scale=scale)
+    split = split_transform(g)
+    assert split == validated
+    assert (split.arcs, split.inf_arcs, split.inf_value, split.scale) == (
+        validated.arcs, validated.inf_arcs, validated.inf_value, validated.scale)
+    assert split._flow_network is None
 
 
 def test_split_path_example():
@@ -552,8 +574,44 @@ def _splits_and_roots(monkeypatch, solve):
     monkeypatch.setattr(vc, "sample_roots", recording_sample)
     res = solve(g)
     monkeypatch.undo()
-    assert bounds == [vc._global_trivial(vc._normalize(g)).value]
+    assert bounds == [vc._global_trivial(vc._orientations(vc._normalize(g))).value]
     return res, exact_vertex_cut_oracle(g).value, len(splits), roots
+
+
+def _reversals(monkeypatch, solve, g):
+    """Run ``solve(g)`` and count the vertex graphs it builds whose arcs
+    are those of ``g``'s reversal, in order."""
+    reversal = [(v, u) for u, v in g.arcs]
+    built = []
+    real = VertexCapGraph.__init__
+
+    def recording(self, n, arcs, *args, **kwargs):
+        arcs = list(arcs)
+        built.append(arcs == reversal)
+        real(self, n, arcs, *args, **kwargs)
+
+    monkeypatch.setattr(VertexCapGraph, "__init__", recording)
+    solve(g)
+    monkeypatch.undo()
+    return sum(built)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: approx_global_vertex_cut(g, "0.2", seed=1),
+    lambda g: exact_small_vertex_cut(g, seed=1),
+    exact_vertex_cut_oracle,
+], ids=["approx", "exact_small", "oracle"])
+def test_a_global_vertex_solve_builds_the_reversal_once(monkeypatch, solve):
+    # the 10-vertex ER graph of _splits_and_roots is strongly connected and
+    # its optimum lies above its smallest capacity, so each solve reaches
+    # its search, or its root loop, in both orientations; its arcs come
+    # sorted and without parallels, so normalizing keeps them
+    from dircut import generate, parse_text
+
+    g = parse_text(generate("erdos-renyi-digraph", seed=3, n=10, p=0.5,
+                            kind="vertex-cap", vcap_max=3).text)
+    assert list(g.arcs) == sorted(set(g.arcs))
+    assert _reversals(monkeypatch, solve, g) == 1
 
 
 def test_global_exact_small_builds_one_split_graph_per_root_and_orientation(monkeypatch):
