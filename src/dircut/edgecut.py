@@ -152,9 +152,12 @@ class RootedTopology:
     arc index) pairs whose capacities, read from a conditioned graph, a
     certified t credits to the vertex (``credit_closure``): an arc t→y
     credits y and, once each, the head w ≠ root of every infinite base arc
-    y→w, since a cut below the threshold that holds w holds y too.  On a
-    split graph that carries a certified in-copy's split arc, and the
-    root's arc into an out-copy, on to the out-neighbours' in-copies."""
+    y→w, since a cut below the threshold that holds w holds y too: a flow
+    gives an infinite arc more than its demands' total (``max_flow``), so
+    no cut below the threshold crosses one, however small the conditioned
+    graph's sentinel.  On a split graph that carries a certified
+    in-copy's split arc, and the root's arc into an out-copy, on to the
+    out-neighbours' in-copies."""
 
     def __init__(self, base: DiGraph, root: int):
         self.degrees = base.in_degrees()
@@ -165,21 +168,16 @@ class RootedTopology:
         self.root_degrees = [self.degrees[v] for v in fed]
         self.cap_values, self.degree_values = set(self.base_caps), set(self.root_degrees)
         credit = self.credit = [[] for _ in range(base.n)]
-        if not base.inf_arcs:  # nothing passes through, and this loop is faster
-            for i, (t, y) in enumerate(zip(self.tails, self.heads)):
-                if y != root:
-                    credit[t].append((y, i))
-        else:
-            through = [[] for _ in range(base.n)]  # y's infinite heads w != root
-            # once each: the infinite arcs share one sentinel, so equal ones are parallel
-            for y, w, _ in dict.fromkeys(base.arcs[i] for i in sorted(base.inf_arcs)):
-                if w != root:
-                    through[y].append(w)
-            for i, (t, y) in enumerate(zip(self.tails, self.heads)):
-                if y != root:
-                    credit[t].append((y, i))
-                for w in through[y]:
-                    credit[t].append((w, i))
+        through = [[] for _ in range(base.n)]  # y's infinite heads w != root
+        # once each: the infinite arcs share one sentinel, so equal ones are parallel
+        for y, w, _ in dict.fromkeys(base.arcs[i] for i in sorted(base.inf_arcs)):
+            if w != root:
+                through[y].append(w)
+        for i, (t, y) in enumerate(zip(self.tails, self.heads)):
+            if y != root:
+                credit[t].append((y, i))
+            for w in through[y]:
+                credit[t].append((w, i))
 
     @cached_property
     def supply_arcs(self) -> list:
@@ -313,7 +311,9 @@ def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
     vertices outside it credit to w, each credited to w once, so by
     induction no such cut holds a certified vertex, and each has
     connectivity at least the threshold.  An infinite arc counts at its
-    graph's sentinel, a lower bound on what ``max_flow`` gives it."""
+    graph's sentinel, a lower bound on what ``max_flow`` gives it, and no
+    cut below the threshold crosses one, since ``max_flow`` gives it more
+    than its demands' total."""
     stack = list(set(new).difference(certified))  # each credits once
     certified.update(stack)
     while stack:

@@ -20,7 +20,7 @@ root its conditioning arc into u_out.  Global cuts draw roots once in
 proportion to capacity, as many as the slack below the trivial cut asks
 for, and run one search over the ``union_prober`` of each distinct
 root's instances in both orientations.  A global solve builds the
-reversal once (``_orientations``) and hands the pair to every step.
+reversal once (``_reversal``) and hands it to every step.
 Every mode answers a cut at the smallest positive capacity from the
 preorder dominator tree of the graph module (``dominator_tree``),
 without a flow, before it builds a prober.  Otherwise the approximate
@@ -170,11 +170,9 @@ def _normalize(g: VertexCapGraph) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
-def _orientations(g: VertexCapGraph) -> tuple:
-    """The (orientation, graph) pairs that a global solve runs on: ``g``
-    and its reversal, built once per solve."""
-    return (("forward", g),
-            ("reverse", VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)))
+def _reversal(g: VertexCapGraph) -> VertexCapGraph:
+    """``g`` with every arc reversed, which a global solve builds once."""
+    return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
 
 
 def _sink_certificate(g: VertexCapGraph, component: frozenset,
@@ -299,22 +297,22 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
     return cert
 
 
-def _global_vertex_floor_cut(oriented, c_min: Fraction):
+def _global_vertex_floor_cut(ng: VertexCapGraph, reversal: VertexCapGraph,
+                             c_min: Fraction):
     """The rank-best global vertex cut of value ``c_min`` that
     ``_vertex_floor_cut`` finds at r, the first positive-capacity vertex,
-    in each graph of ``oriented``, the ``_orientations`` of ``ng``, or
-    None.  Every such cut leaves r on its source side in one orientation,
-    unless r is the positive vertex of its separator, so when r has
-    capacity ``c_min`` a second positive root is tried too.  ``ng``'s best trivial global cut lies above
-    ``c_min``, so a second positive root exists when one is needed: with
-    r the only positive vertex, a floor cut's sink would hold a singleton
-    of value ``c_min``."""
-    ng = oriented[0][1]
+    in ``ng`` and in its ``reversal``, or None.  Every such cut leaves r
+    on its source side in one orientation, unless r is the positive
+    vertex of its separator, so when r has capacity ``c_min`` a second
+    positive root is tried too.  ``ng``'s best trivial global cut lies
+    above ``c_min``, so a second positive root exists when one is needed:
+    with r the only positive vertex, a floor cut's sink would hold a
+    singleton of value ``c_min``."""
     positive = [v for v, c in enumerate(ng.vcaps) if c > 0]
     roots = positive[:2] if ng.value(ng.vcaps[positive[0]]) == c_min else positive[:1]
     best = None
     for r in roots:
-        for orientation, graph in oriented:
+        for orientation, graph in (("forward", ng), ("reverse", reversal)):
             best = _better(best, _vertex_floor_cut(graph, r, c_min, orientation))
     return best
 
@@ -408,32 +406,29 @@ def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
     return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
 
 
-def _oriented_zero(oriented, r: int, arcs_of):
+def _oriented_zero(ng: VertexCapGraph, reversal: VertexCapGraph, r: int, arcs_of):
     """The zero cut onto the vertices ``r`` cannot reach along
-    ``arcs_of(graph)`` in the first graph of ``oriented`` where there is
-    one, tagged with its orientation; None when ``r`` reaches every vertex
-    in each."""
-    for orientation, graph in oriented:
+    ``arcs_of(graph)`` in ``ng``, else in its ``reversal``, tagged with
+    its orientation; None when ``r`` reaches every vertex in both."""
+    for orientation, graph in (("forward", ng), ("reverse", reversal)):
         cert = _unreached(graph, r, arcs_of(graph), orientation)
         if cert is not None:
             return cert
     return None
 
 
-def _global_start(oriented):
-    """Zero-value certificate when ``ng``, the first graph of its
-    ``_orientations`` ``oriented``, is not strongly connected, else None.
-    The sink component is closed under incoming arcs in the reported
-    orientation, so the empty separator is genuinely N-in(U).  Raises
-    NoCutExistsError for fewer than two vertices."""
-    if oriented[0][1].n < 2:
+def _global_start(ng: VertexCapGraph, reversal: VertexCapGraph):
+    """Zero-value certificate when ``ng`` is not strongly connected, else
+    None.  The sink component is closed under incoming arcs in the
+    reported orientation, so the empty separator is genuinely N-in(U).
+    Raises NoCutExistsError for fewer than two vertices."""
+    if ng.n < 2:
         raise NoCutExistsError("need at least two vertices")
-    return _oriented_zero(oriented, 0, attrgetter("arcs"))
+    return _oriented_zero(ng, reversal, 0, attrgetter("arcs"))
 
 
-def _global_trivial(oriented):
-    """The solvers' best trivial global cut of ``ng``, the first graph of
-    its ``_orientations`` ``oriented``: the zero cut of
+def _global_trivial(ng: VertexCapGraph, reversal: VertexCapGraph):
+    """The solvers' best trivial global cut of ``ng``: the zero cut of
     ``_global_start`` or the best valid singleton over both orientations
     (one that leaves a vertex outside its separator and sink), replaced by
     an exact zero cut when that singleton is positive.  A zero global
@@ -445,9 +440,8 @@ def _global_trivial(oriented):
     ``_c_min(ng)``.  Raises NoCutExistsError when no global vertex cut
     exists: a strongly connected graph without a valid singleton is a
     complete digraph."""
-    ng = oriented[0][1]
-    best = _global_start(oriented) or min(
-        (cert for orientation, graph in oriented
+    best = _global_start(ng, reversal) or min(
+        (cert for orientation, graph in (("forward", ng), ("reverse", reversal))
          for cert in _singletons(graph, orientation)
          if len(cert.separator) + 1 < ng.n),
         key=attrgetter("rank"), default=None,
@@ -456,30 +450,28 @@ def _global_trivial(oriented):
         raise NoCutExistsError("complete digraph has no vertex cut")
     if best.value > 0:  # so some vertex has positive capacity
         r = next(v for v, c in enumerate(ng.vcaps) if c > 0)
-        best = _oriented_zero(oriented, r, lambda graph: _positive_arcs(graph, r)) or best
+        best = _oriented_zero(ng, reversal, r, lambda graph: _positive_arcs(graph, r)) or best
     return best
 
 
-def _global_search(oriented, best, root_eps, seed, search) -> CutResult:
-    """Global cut of ``ng``, the first graph of its ``_orientations``
-    ``oriented``, as one ``search(probe_at, best, c_min)`` over the union
-    of the rooted instances of every distinct root that ``sample_roots``
-    draws at tolerance ``root_eps``, in both orientations, each pruned for
-    its root and left out when it has no admissible sink.  Nothing is
-    drawn or probed when the trivial cut ``best`` is at most ``c_min``
-    (optimal), or when ``_global_vertex_floor_cut`` finds a cut of value
-    ``c_min``."""
-    ng = oriented[0][1]
-
+def _global_search(ng: VertexCapGraph, reversal: VertexCapGraph, best, root_eps, seed,
+                   search) -> CutResult:
+    """Global cut as one ``search(probe_at, best, c_min)`` over the union of
+    the rooted instances of every distinct root that ``sample_roots`` draws
+    at tolerance ``root_eps``, in ``ng`` and in its ``reversal``, each
+    pruned for its root and left out when it has no admissible sink.
+    Nothing is drawn or probed when the trivial cut ``best`` is at most
+    ``c_min`` (optimal), or when ``_global_vertex_floor_cut`` finds a cut
+    of value ``c_min``."""
     def make_prober(log):
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")), best.value)
-        members = [(orientation, _split_prober(base, r, log))
-                   for r in sorted(set(roots)) for orientation, base in oriented]
+        members = [(orientation, _split_prober(base, r, log)) for r in sorted(set(roots))
+                   for orientation, base in (("forward", ng), ("reverse", reversal))]
         return union_prober([(o, prober) for o, prober in members if prober is not None])
 
     c_min = _c_min(ng)
     return _search_tail(make_prober, best, c_min, search,
-                        partial(_global_vertex_floor_cut, oriented, c_min))
+                        partial(_global_vertex_floor_cut, ng, reversal, c_min))
 
 
 def approx_global_vertex_cut(
@@ -500,9 +492,10 @@ def approx_global_vertex_cut(
     and ignored.
     """
     eps = clamp_epsilon(epsilon)
-    oriented = _orientations(_normalize(g))
+    ng = _normalize(g)
+    reversal = _reversal(ng)
     search = partial(level_search, epsilon=eps, seed_parts=(seed, "vertex"))
-    return _global_search(oriented, _global_trivial(oriented), eps, seed, search)
+    return _global_search(ng, reversal, _global_trivial(ng, reversal), eps, seed, search)
 
 
 # -- exact modes -------------------------------------------------------------
@@ -534,9 +527,10 @@ def exact_small_vertex_cut(
     search = partial(integer_search, scale=ng.scale, seed_parts=(seed, "small"))
     if root is not None:
         return _rooted_search(ng, root, search)
-    oriented = _orientations(ng)
-    singleton = _global_trivial(oriented)
-    return _global_search(oriented, singleton, 1 / (1 + singleton.value * ng.scale), seed, search)
+    reversal = _reversal(ng)
+    singleton = _global_trivial(ng, reversal)
+    return _global_search(ng, reversal, singleton, 1 / (1 + singleton.value * ng.scale), seed,
+                          search)
 
 
 # -- exact oracle ------------------------------------------------------------
@@ -565,8 +559,8 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
             raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
         zero, roots, bases = _unreached(ng, root, ng.arcs), [root], [("forward", ng)]
     else:
-        bases = _orientations(ng)
-        zero = _global_start(bases)
+        reversal = _reversal(ng)
+        zero, bases = _global_start(ng, reversal), [("forward", ng), ("reverse", reversal)]
         if ng.m == ng.n * (ng.n - 1):
             raise NoCutExistsError("complete digraph has no vertex cut")
         roots = sorted(range(ng.n), key=lambda v: (-ng.vcaps[v], v))

@@ -30,7 +30,7 @@ from dircut.vertexcut import (
     _global_start,
     _normalize,
     _oracle_extract,
-    _orientations,
+    _reversal,
     _unreached,
     split_transform,
 )
@@ -277,7 +277,7 @@ def plain_vertex_oracle(g, root=None):
         if not pairs:
             raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
     else:
-        zero = _global_start(_orientations(ng))
+        zero = _global_start(ng, _reversal(ng))
         adjacent = set(ng.arcs)
         pairs = [
             (s, t) for s in range(ng.n) for t in range(ng.n)
@@ -300,13 +300,14 @@ def root_loop_vertex_oracle(g):
     orientations, one flow per admissible sink into a demand arc at the
     shared cap, until the roots done weigh at least the cap."""
     ng = _normalize(g)
-    oriented = _orientations(ng)
-    zero = _global_start(oriented)
+    reversal = _reversal(ng)
+    zero = _global_start(ng, reversal)
     if zero is not None:
         return CutResult(zero, 0, ())
     if ng.m == ng.n * (ng.n - 1):
         raise NoCutExistsError("complete digraph has no vertex cut")
-    splits = [(orientation, h, split_transform(h)) for orientation, h in oriented]
+    splits = [(orientation, h, split_transform(h))
+              for orientation, h in (("forward", ng), ("reverse", reversal))]
     best, flows, weight, cap = None, 0, 0, sum(ng.vcaps) + 1
     for r in sorted(range(ng.n), key=lambda v: (-ng.vcaps[v], v)):
         for orientation, h, split in splits:

@@ -39,8 +39,8 @@ from dircut.vertexcut import (
     _global_trivial,
     _global_vertex_floor_cut,
     _normalize,
-    _orientations,
     _positive_arcs,
+    _reversal,
     _unreached,
     _vertex_floor_cut,
     exact_small_vertex_cut,
@@ -183,17 +183,17 @@ def test_vertex_floor_cut_matches_brute_force(g):
         if cut is not None:
             assert r not in cut.sink_component | cut.separator
             _check_vertex_cut(ng, cut, c_min)
-    oriented = _orientations(ng)
+    reversal = _reversal(ng)
     try:
-        trivial = _global_trivial(oriented)
+        trivial = _global_trivial(ng, reversal)
     except NoCutExistsError:
         return
     if trivial.value <= c_min:
         return  # no search; a lone positive vertex may then cut at c_min
-    cut = _global_vertex_floor_cut(oriented, c_min)
+    cut = _global_vertex_floor_cut(ng, reversal, c_min)
     assert (cut is not None) == (brute_global_vertex_cut(g) == c_min)
     if cut is not None:
-        _check_vertex_cut(dict(oriented)[cut.orientation], cut, c_min)
+        _check_vertex_cut(reversal if cut.orientation == "reverse" else ng, cut, c_min)
 
 
 def test_global_vertex_floor_cut_whose_separator_is_the_first_root():
@@ -202,7 +202,7 @@ def test_global_vertex_floor_cut_whose_separator_is_the_first_root():
     # the second root 1 finds the cut
     pairs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     g = VertexCapGraph(5, pairs + [(v, u) for u, v in pairs], [1, 2, 2, 2, 2])
-    cut = _global_vertex_floor_cut(_orientations(g), 1)
+    cut = _global_vertex_floor_cut(g, _reversal(g), 1)
     assert cut.separator == {0} and cut.sink_component == {3, 4}
     assert cut.orientation == "forward" and cut.value == 1
     res = exact_small_vertex_cut(g, seed=1)
@@ -237,11 +237,11 @@ def test_vertex_floor_cut_on_long_cycles():
         directed = VertexCapGraph(N, DIRECTED, [1] * N)
         cut = _vertex_floor_cut(directed, 0, 1)
         assert cut.separator == {1} and cut.sink_component == frozenset(range(2, N))
-        cut = _global_vertex_floor_cut(_orientations(directed), 1)
+        cut = _global_vertex_floor_cut(directed, _reversal(directed), 1)
         assert cut.separator == {0} and cut.orientation == "reverse"
         bidirected = VertexCapGraph(N, BIDIRECTED, [1] * N)
         assert _vertex_floor_cut(bidirected, 0, 1) is None
-        assert _global_vertex_floor_cut(_orientations(bidirected), 1) is None
+        assert _global_vertex_floor_cut(bidirected, _reversal(bidirected), 1) is None
 
 
 LEAVES = 15000

@@ -21,7 +21,9 @@ from dircut import (
     INFINITE,
     DiGraph,
     approx_global_vertex_cut,
+    approx_rooted_edge_cut,
     cut_certificate,
+    exact_rooted_edge_cut_oracle,
     exact_vertex_cut_oracle,
     generate,
     max_flow,
@@ -140,6 +142,30 @@ def test_credit_passes_through_an_infinite_arc():
     assert (report.certificate, report.flow_calls) == (None, 0)
     report = probe(h, topology, frozenset([1]), cfg, extract)
     assert report.certificate.sink_set == {1} and report.certificate.value == 3
+
+
+def test_credit_through_infinite_arcs_below_the_sentinel_is_sound():
+    # every base arc is infinite, so the conditioned graph's sentinel is the
+    # root arcs' total + 1, below the threshold, and the cut {2} weighs one
+    # sentinel plus a root arc, below the threshold too; still no flow puts
+    # that cut below it, since ``max_flow`` raises infinite arcs above its
+    # demands, so 2 fills its demand arc, the closure certifies it with no
+    # flow, and the probe of {2} misses, as the edge rule alone does after
+    # 1 flow; the rooted solve still returns the cut {2} through 1→2, of
+    # value 1, the base graph's sentinel
+    g = DiGraph(3, [(0, 1, INFINITE), (2, 1, INFINITE), (1, 2, INFINITE)])
+    topology = RootedTopology(g, 0)
+    cfg = ProbeConfig(level=Fraction(1), volume=1, epsilon=Fraction(99, 100))
+    h = precondition_rooted(topology, cfg.level, cfg.volume, cfg.epsilon)
+    level_num = _level_num(h, cfg)
+    assert h.inf_value + h.arcs[-1][2] < level_num
+    assert _certified(topology, h, level_num) == {0, 1, 2}
+    _check(topology, h, cfg, frozenset([2]), None)
+    report = probe(h, topology, frozenset([2]), cfg, None)
+    assert (report.certificate, report.flow_calls) == (None, 0)
+    res = approx_rooted_edge_cut(g, 0, cfg.epsilon, seed=1)
+    assert res.certificate.sink_set == {2}
+    assert res.value == 1 == exact_rooted_edge_cut_oracle(g, 0).value
 
 
 def _edge_and_vertex_rule(ng, r):

@@ -36,8 +36,8 @@ from dircut.vertexcut import (
     _global_start,
     _global_trivial,
     _normalize,
-    _orientations,
     _positive_arcs,
+    _reversal,
     _rooted_search,
     _singletons,
     _sink_certificate,
@@ -74,7 +74,7 @@ def test_edge_singleton_matches_per_vertex_fold(g):
 
 
 def _oriented(g, orientation):
-    return dict(_orientations(g))[orientation]
+    return g if orientation == "forward" else _reversal(g)
 
 
 @settings(max_examples=200)
@@ -105,7 +105,7 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
         else:
             assert start == expected
 
-    expected = _global_start(_orientations(ng)) or _fold(
+    expected = _global_start(ng, _reversal(ng)) or _fold(
         cert
         for orientation in ("forward", "reverse")
         for cert in (_sink_certificate(_oriented(ng, orientation), frozenset([v]),
@@ -114,9 +114,9 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
     )
     if expected is None:
         with pytest.raises(NoCutExistsError):
-            _global_trivial(_orientations(ng))
+            _global_trivial(ng, _reversal(ng))
         return
-    trivial = _global_trivial(_orientations(ng))
+    trivial = _global_trivial(ng, _reversal(ng))
     if expected.value > 0 and trivial.value == 0:
         return  # the exact zero test found a zero cut below the singleton
     assert trivial == expected
@@ -143,8 +143,9 @@ def _reference_sample_roots(g, eps, rng, bound):
 def test_sample_roots_matches_reference(g, eps, scale):
     g = VertexCapGraph(g.n, g.arcs, g.vcaps, scale)
     eps = Fraction(eps)
+    ng = _normalize(g)
     try:
-        bound = _global_trivial(_orientations(_normalize(g))).value
+        bound = _global_trivial(ng, _reversal(ng)).value
     except NoCutExistsError:
         return  # a complete digraph has no cut to bound the draw
     assert (sample_roots(g, eps, random.Random(7), bound)
@@ -182,7 +183,7 @@ def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
                         counted(VertexCapGraph.out_neighbors))
     monkeypatch.setattr(dircut.vertexcut, "_sink_certificate",
                         counted(dircut.vertexcut._sink_certificate))
-    trivial = _global_trivial(_orientations(g))
+    trivial = _global_trivial(g, _reversal(g))
     monkeypatch.setattr(dircut.vertexcut, "_singletons",
                         counted(dircut.vertexcut._singletons))
     roots = sample_roots(g, "0.2", random.Random(0), trivial.value)

@@ -574,7 +574,8 @@ def _splits_and_roots(monkeypatch, solve):
     monkeypatch.setattr(vc, "sample_roots", recording_sample)
     res = solve(g)
     monkeypatch.undo()
-    assert bounds == [vc._global_trivial(vc._orientations(vc._normalize(g))).value]
+    ng = vc._normalize(g)
+    assert bounds == [vc._global_trivial(ng, vc._reversal(ng)).value]
     return res, exact_vertex_cut_oracle(g).value, len(splits), roots
 
 
