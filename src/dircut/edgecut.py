@@ -291,20 +291,22 @@ def _better(a, b):
     return a if a.rank <= b.rank else b
 
 
-def _credit(support, pairs) -> None:
-    """Add the amount of each (vertex, amount) of ``pairs`` to that vertex's
-    ``support``: the support step of both credit rules, the sink loop of
-    the exact oracles (``capped_sinks``) and ``credit_closure``."""
-    for w, amount in pairs:
-        support[w] += amount
+def _tag(cert, orientation):
+    """``cert`` (None allowed) tagged with ``orientation``; a "forward"
+    tag leaves it as it is, since every certificate is built forward."""
+    if cert is None or orientation == "forward":
+        return cert
+    return replace(cert, orientation=orientation)
 
 
 def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
     """Certify the vertices ``new``, and close the set ``certified`` under
-    credit at ``threshold``: each certified t adds the capacity
-    ``arcs[i]`` of every (vertex, arc index i) pair of ``credit[t]`` to
-    the vertex's ``support``, and a vertex whose support reaches
-    ``threshold`` is certified, with no flow.
+    credit at ``threshold``, in one loop: each certified t adds the
+    capacity ``arcs[i]`` of every (vertex, arc index i) pair of
+    ``credit[t]`` to the vertex's ``support`` and tests the vertex at
+    once: one whose support reaches ``threshold`` is certified, with no
+    flow.  The closure is the least fixpoint of that rule, so the order
+    in which the vertices credit does not change it.
 
     Sound for the ``credit`` of ``RootedTopology``: a cut below the
     threshold with w in its sink crosses every arc that the certified
@@ -317,9 +319,8 @@ def credit_closure(credit, arcs, threshold, support, certified, new) -> None:
     stack = list(set(new).difference(certified))  # each credits once
     certified.update(stack)
     while stack:
-        pairs = [(w, arcs[i][2]) for w, i in credit[stack.pop()]]
-        _credit(support, pairs)
-        for w, _ in pairs:
+        for w, i in credit[stack.pop()]:
+            support[w] += arcs[i][2]
             if support[w] >= threshold and w not in certified:
                 certified.add(w)
                 stack.append(w)
@@ -484,7 +485,7 @@ def union_prober(probers):
         for k, (orientation, prober) in enumerate(probers):
             cert = prober(level, epsilon, (*seed_parts, k))
             if cert is not None:
-                return replace(cert, orientation=orientation)
+                return _tag(cert, orientation)
         return None
     return probe_at
 
@@ -632,9 +633,7 @@ def _edge_floor_cut(gm: DiGraph, r: int, c_min: Fraction):
 def _global_edge_floor_cut(gm: DiGraph, rm: DiGraph, c_min: Fraction):
     """``_edge_floor_cut`` at vertex 0 of ``gm`` and of its merged reversal
     ``rm``, tagged "reverse", whichever is better by rank."""
-    backward = _edge_floor_cut(rm, 0, c_min)
-    return _better(_edge_floor_cut(gm, 0, c_min),
-                   backward and replace(backward, orientation="reverse"))
+    return _better(_edge_floor_cut(gm, 0, c_min), _tag(_edge_floor_cut(rm, 0, c_min), "reverse"))
 
 
 def _spans_by_infinite_arcs(g: DiGraph, r: int) -> bool:
@@ -736,7 +735,7 @@ def _global_search(g: DiGraph, search) -> CutResult:
         return _on_input(CutResult(best, 0, ()), g, 0)
     rg = reverse(g)
     rm, rev_best, _ = _rooted_start(rg, 0)
-    best = _better(best, replace(rev_best, orientation="reverse"))
+    best = _better(best, _tag(rev_best, "reverse"))
     if best.value > c_min and _spans_by_infinite_arcs(gm, 0) and _spans_by_infinite_arcs(rm, 0):
         return _edge_oracle(g)
     result = _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
@@ -804,13 +803,14 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
     certified without a flow: its minimum cut is at least the cap in
     force, above every cut the loop keeps.  A sink whose minimum cut is
     the optimum always runs its flow, so the rank-best cut does not
-    change.  Sinks are visited in ``_sink_order``, and support is summed
-    by ``_credit``, the step that ``probe``'s ``credit_closure`` runs at
-    a fixed threshold, where this loop checks each sink when it is
+    change.  Sinks are visited in ``_sink_order``.  Support is summed as
+    in ``probe``'s ``credit_closure``, which tests each vertex against a
+    fixed threshold as it credits; this loop tests each sink when it is
     visited, against the cap then in force."""
     support = [0] * len(credit)
     for v in start:
-        _credit(support, credit[v])
+        for w, amount in credit[v]:
+            support[w] += amount
     pending, best, flows = None, None, 0  # best: pending's certificate, once built
     for t in _sink_order(sinks, credit, start):
         if support[t] < cap:
@@ -829,7 +829,8 @@ def capped_sinks(flow_graph: DiGraph, source: int, sinks, cap: int, credit, star
                 if res.value == 0:
                     break
                 continue
-        _credit(support, credit[t])
+        for w, amount in credit[t]:
+            support[w] += amount
     if pending is not None and best is None:
         best = extract(pending)
     return best, flows, cap
@@ -851,7 +852,7 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
         raise NoCutExistsError("graph has no non-root vertex")
     if not 0 <= r < g.n:
         raise ValueError(f"root {r} out of range 0..{g.n - 1}")
-    flow_graph = DiGraph(g.n, g.arcs, g.scale) if g.inf_arcs else g
+    flow_graph = DiGraph._unchecked(g.n, *zip(*g.arcs), g.scale, frozenset()) if g.inf_arcs else g
     credit = [[] for _ in range(g.n)]
     weight = [0] * g.n
     for t, h, c in g.arcs:
@@ -876,9 +877,7 @@ def _edge_oracle(g: DiGraph, root=None) -> CutResult:
     if forward.value == 0:
         return forward
     backward = _rooted_oracle(reverse(g), 0, int(forward.value * g.scale) + 1)
-    best = forward.certificate
-    if backward.certificate is not None:
-        best = _better(best, replace(backward.certificate, orientation="reverse"))
+    best = _better(forward.certificate, _tag(backward.certificate, "reverse"))
     return CutResult(best, forward.flow_calls + backward.flow_calls, ())
 
 

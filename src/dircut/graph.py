@@ -7,6 +7,10 @@ are materialized with a sentinel numerator equal to (sum of all finite
 numerators) + 1, computed at construction, which makes any cut crossing
 one compare greater than every finite cut in the same graph.
 
+Only outside input is validated (``DiGraph(n, arcs, scale)``); every
+graph derived from a validated one is built by ``DiGraph._unchecked``.
+Both store through ``DiGraph._store``, which computes the sentinel.
+
 Graphs are immutable after construction.  All operations here are pure
 functions returning new graphs, so concurrent readers need no locking.
 Each graph owns the residual arrays that its flows run on, built at its
@@ -18,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 
 class NoCutExistsError(ValueError):
@@ -49,10 +52,12 @@ class DiGraph:
     """Immutable directed multigraph.
 
     Arcs are ``(tail, head, numerator)`` triples with dense vertex ids
-    ``0..n-1``.  Self-loops are rejected; parallel arcs are permitted and
-    counted individually by in-degree and in-volume.  ``_flow_network``
-    holds the graph's own residual arrays (``_network``), None until its
-    first flow builds them.
+    ``0..n-1``, the arc ids in ``inf_arcs`` at the sentinel
+    ``inf_value``.  The constructor validates input arcs, in which
+    ``INFINITE`` marks an infinite arc; self-loops are rejected, parallel
+    arcs are permitted and counted individually by in-degree and
+    in-volume.  ``_flow_network`` holds the graph's own residual arrays
+    (``_network``), None until its first flow builds them.
     """
 
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
@@ -61,48 +66,45 @@ class DiGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         _check_scale(scale)
-        raw = list(arcs)
-        inf_idx = []
-        total = 0
-        for i, (tail, head, cap) in enumerate(raw):
+        tails, heads, caps, inf_arcs = [], [], [], []
+        for i, (tail, head, cap) in enumerate(arcs):
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {i}: endpoint out of range")
             if tail == head:
                 raise ValueError(f"arc {i}: self-loop {tail}->{head}")
             if isinstance(cap, _InfiniteCapacity):
-                inf_idx.append(i)
-            else:
-                if not isinstance(cap, int) or isinstance(cap, bool):
-                    raise TypeError(f"arc {i}: capacity numerator must be int")
-                if cap < 0:
-                    raise ValueError(f"arc {i}: negative capacity")
-                total += cap
-        inf_value = total + 1
-        self.n = n
-        self.scale = scale
-        self.inf_arcs = frozenset(inf_idx)
-        self.inf_value = inf_value
-        self.arcs = tuple(
-            (t, h, inf_value if i in self.inf_arcs else c)
-            for i, (t, h, c) in enumerate(raw)
-        )
-        self._flow_network = None
+                inf_arcs.append(i)
+            elif not isinstance(cap, int) or isinstance(cap, bool):
+                raise TypeError(f"arc {i}: capacity numerator must be int")
+            elif cap < 0:
+                raise ValueError(f"arc {i}: negative capacity")
+            tails.append(tail)
+            heads.append(head)
+            caps.append(cap)
+        self._store(n, tails, heads, caps, scale, frozenset(inf_arcs))
 
     @classmethod
     def _unchecked(cls, n, tails, heads, caps, scale, inf_arcs) -> "DiGraph":
         """The graph on ``range(n)`` with arcs (tails[i], heads[i], caps[i])
-        at the positive int ``scale``, the arc ids ``inf_arcs`` infinite
-        (``caps`` is overwritten there).  Nothing is checked: the caller
-        builds it from validated arcs."""
+        at the positive int ``scale``, the arc ids ``inf_arcs`` (a
+        frozenset) infinite.  Nothing is checked: the caller builds it from
+        a validated graph.  ``_store`` overwrites ``caps`` at the infinite
+        ids, so when there are any it must be a list of the caller's own."""
+        g = cls.__new__(cls)
+        g._store(n, tails, heads, caps, scale, inf_arcs)
+        return g
+
+    def _store(self, n, tails, heads, caps, scale, inf_arcs) -> None:
+        """Set every field, the one place that computes the sentinel: what
+        ``caps`` holds at ``inf_arcs`` is replaced by the sum of its other
+        entries + 1."""
         for i in inf_arcs:
             caps[i] = 0
-        g = cls.__new__(cls)
-        g.n, g.scale, g.inf_arcs = n, scale, inf_arcs
-        g.inf_value = sum(caps) + 1
+        self.n, self.scale, self.inf_arcs = n, scale, inf_arcs
+        self.inf_value = sum(caps) + 1
         for i in inf_arcs:
-            caps[i] = g.inf_value
-        g.arcs, g._flow_network = tuple(zip(tails, heads, caps)), None
-        return g
+            caps[i] = self.inf_value
+        self.arcs, self._flow_network = tuple(zip(tails, heads, caps)), None
 
     # -- basic accessors -------------------------------------------------
 
@@ -115,7 +117,8 @@ class DiGraph:
         return Fraction(numerator, self.scale)
 
     def arcs_as_input(self):
-        """Arcs with INFINITE restored, suitable for building derived graphs."""
+        """Arcs with INFINITE restored: input for ``DiGraph`` outside the
+        library, which builds its derived graphs unchecked."""
         return [
             (t, h, INFINITE if i in self.inf_arcs else c)
             for i, (t, h, c) in enumerate(self.arcs)
@@ -209,11 +212,8 @@ def cut_certificate(g: DiGraph, sink, root=None) -> CutCertificate:
 
 def reverse(g: DiGraph) -> DiGraph:
     """Graph with every arc reversed; an involution."""
-    arcs = [
-        (h, t, INFINITE if i in g.inf_arcs else c)
-        for i, (t, h, c) in enumerate(g.arcs)
-    ]
-    return DiGraph(g.n, arcs, scale=g.scale)
+    tails, heads, caps = zip(*g.arcs) if g.arcs else ((), (), ())
+    return DiGraph._unchecked(g.n, heads, tails, list(caps), g.scale, g.inf_arcs)
 
 
 def in_volume(g: DiGraph, vertices) -> int:
@@ -236,15 +236,17 @@ def merge_parallel(g: DiGraph) -> DiGraph:
     merge first when they need stable degrees.
     """
     finite: dict = {}
-    infinite = []
+    arcs = []  # (tail, head, infinite?, numerator)
     for i, (t, h, c) in enumerate(g.arcs):
         if i in g.inf_arcs:
-            infinite.append((t, h, INFINITE))
+            arcs.append((t, h, True, c))
         else:
             finite[(t, h)] = finite.get((t, h), 0) + c
-    arcs = [(t, h, c) for (t, h), c in finite.items()] + infinite
-    arcs.sort(key=itemgetter(0, 1))  # stable: finite first within a pair
-    return DiGraph(g.n, arcs, scale=g.scale)
+    arcs += [(t, h, False, c) for (t, h), c in finite.items()]
+    arcs.sort()  # finite first within a pair
+    tails, heads, infinite, caps = zip(*arcs) if arcs else ((), (), (), ())
+    return DiGraph._unchecked(g.n, tails, heads, list(caps), g.scale,
+                              frozenset(i for i, inf in enumerate(infinite) if inf))
 
 
 def contract_into_root(g: DiGraph, r: int, block) -> tuple:
@@ -265,12 +267,11 @@ def contract_into_root(g: DiGraph, r: int, block) -> tuple:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     survivors = frozenset(range(g.n)) - block_set
-    arcs = [
-        (r if t in block_set else t, h, INFINITE if i in g.inf_arcs else c)
-        for i, (t, h, c) in enumerate(g.arcs)
-        if h not in block_set
-    ]
-    contracted = DiGraph(g.n, arcs, scale=g.scale)
+    kept = [(i, r if t in block_set else t, h, c) for i, (t, h, c) in enumerate(g.arcs)
+            if h not in block_set]
+    ids, tails, heads, caps = zip(*kept) if kept else ((), (), (), ())
+    contracted = DiGraph._unchecked(g.n, tails, heads, list(caps), g.scale,
+                                    frozenset(j for j, i in enumerate(ids) if i in g.inf_arcs))
     assert contracted.m <= in_volume(g, survivors)
     return contracted, survivors
 

@@ -106,11 +106,10 @@ def build_steiner_network(inst: SteinerInstance):
     instance graph instead of building this graph.
     """
     g = inst.graph
-    arcs = g.arcs_as_input()
-    supersink = g.n
-    for t in sorted(inst.terminals):
-        arcs.append((t, supersink, inst.level))
-    return DiGraph(g.n + 1, arcs, scale=g.scale), supersink
+    terms = sorted(inst.terminals)
+    tails, heads, caps = zip(*g.arcs) if g.arcs else ((), (), ())
+    return DiGraph._unchecked(g.n + 1, [*tails, *terms], [*heads, *[g.n] * len(terms)],
+                              [*caps, *[inst.level] * len(terms)], g.scale, g.inf_arcs), g.n
 
 
 def partition_terminals(terminals, cap: int):

@@ -67,6 +67,7 @@ from .edgecut import (
     _better,
     _edge_sample,
     _search_tail,
+    _tag,
     _volume_schedule,
 )
 from .graph import DiGraph, NoCutExistsError, _check_scale, dominator_tree, reach
@@ -175,13 +176,12 @@ def _reversal(g: VertexCapGraph) -> VertexCapGraph:
     return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
 
 
-def _sink_certificate(g: VertexCapGraph, component: frozenset,
-                      orientation="forward") -> VertexCutCertificate:
+def _sink_certificate(g: VertexCapGraph, component: frozenset) -> VertexCutCertificate:
     """The vertex cut of a sink component: its in-neighborhood, valued at
     the raw vertex capacities."""
     separator = frozenset(u for u, v in g.arcs if v in component and u not in component)
     value = Fraction(sum(g.vcaps[w] for w in separator), g.scale)
-    return VertexCutCertificate(separator, component, value, orientation)
+    return VertexCutCertificate(separator, component, value)
 
 
 def _admissible_sinks(g: VertexCapGraph, r: int):
@@ -191,11 +191,11 @@ def _admissible_sinks(g: VertexCapGraph, r: int):
     return tuple(v for v in range(g.n) if v not in blocked)
 
 
-def _unreached(g: VertexCapGraph, r: int, arcs, orientation="forward"):
+def _unreached(g: VertexCapGraph, r: int, arcs):
     """The zero cut onto the vertices ``r`` cannot reach along ``arcs``
     (pairs of ``g``), or None when it reaches them all."""
     missing = frozenset(range(g.n)) - reach(g.n, arcs, r)
-    return _sink_certificate(g, missing, orientation) if missing else None
+    return _sink_certificate(g, missing) if missing else None
 
 
 def _positive_arcs(g: VertexCapGraph, r: int) -> list:
@@ -211,15 +211,15 @@ def _c_min(g: VertexCapGraph) -> Fraction:
     return Fraction(min((c for c in g.vcaps if c > 0), default=0), g.scale)
 
 
-def _singletons(g: VertexCapGraph, orientation="forward") -> list:
+def _singletons(g: VertexCapGraph) -> list:
     """The vertex cut of every single-vertex sink of ``g``, indexed by
-    vertex and tagged with ``orientation``, from one pass over the arcs."""
+    vertex, from one pass over the arcs."""
     neighbours = [set() for _ in range(g.n)]
     for u, v in g.arcs:
         neighbours[v].add(u)
     return [
         VertexCutCertificate(frozenset(sep), frozenset([v]),
-                             g.value(sum(g.vcaps[w] for w in sep)), orientation)
+                             g.value(sum(g.vcaps[w] for w in sep)))
         for v, sep in enumerate(neighbours)
     ]
 
@@ -260,7 +260,7 @@ def _split_prober(base: VertexCapGraph, r: int, log):
                         _volume_schedule(max(ng.m, 1)), log, sum(map(bool, deg)))
 
 
-def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="forward"):
+def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction):
     """The rank-best rooted vertex cut at ``r`` of value ``c_min``, the
     smallest positive capacity, among the largest sinks of such cuts, or
     None when no cut has that value; no flow runs.  ``r`` reaches every
@@ -291,7 +291,7 @@ def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction, orientation="
     if not candidates:
         return None
     _, separator, lo, hi = min(candidates)
-    cert = _sink_certificate(ng, frozenset(order[lo:hi]), orientation)
+    cert = _sink_certificate(ng, frozenset(order[lo:hi]))
     assert cert.value == c_min and sorted(cert.separator) == separator, (
         "a dominator subtree's vertex cut is not at the floor")
     return cert
@@ -313,7 +313,7 @@ def _global_vertex_floor_cut(ng: VertexCapGraph, reversal: VertexCapGraph,
     best = None
     for r in roots:
         for orientation, graph in (("forward", ng), ("reverse", reversal)):
-            best = _better(best, _vertex_floor_cut(graph, r, c_min, orientation))
+            best = _better(best, _tag(_vertex_floor_cut(graph, r, c_min), orientation))
     return best
 
 
@@ -411,9 +411,9 @@ def _oriented_zero(ng: VertexCapGraph, reversal: VertexCapGraph, r: int, arcs_of
     ``arcs_of(graph)`` in ``ng``, else in its ``reversal``, tagged with
     its orientation; None when ``r`` reaches every vertex in both."""
     for orientation, graph in (("forward", ng), ("reverse", reversal)):
-        cert = _unreached(graph, r, arcs_of(graph), orientation)
+        cert = _unreached(graph, r, arcs_of(graph))
         if cert is not None:
-            return cert
+            return _tag(cert, orientation)
     return None
 
 
@@ -440,14 +440,14 @@ def _global_trivial(ng: VertexCapGraph, reversal: VertexCapGraph):
     ``_c_min(ng)``.  Raises NoCutExistsError when no global vertex cut
     exists: a strongly connected graph without a valid singleton is a
     complete digraph."""
-    best = _global_start(ng, reversal) or min(
-        (cert for orientation, graph in (("forward", ng), ("reverse", reversal))
-         for cert in _singletons(graph, orientation)
-         if len(cert.separator) + 1 < ng.n),
-        key=attrgetter("rank"), default=None,
-    )
+    best = _global_start(ng, reversal)
     if best is None:
-        raise NoCutExistsError("complete digraph has no vertex cut")
+        for orientation, graph in (("forward", ng), ("reverse", reversal)):
+            valid = (cert for cert in _singletons(graph) if len(cert.separator) + 1 < ng.n)
+            best = _better(best, _tag(min(valid, key=attrgetter("rank"), default=None),
+                                      orientation))
+        if best is None:
+            raise NoCutExistsError("complete digraph has no vertex cut")
     if best.value > 0:  # so some vertex has positive capacity
         r = next(v for v, c in enumerate(ng.vcaps) if c > 0)
         best = _oriented_zero(ng, reversal, r, lambda graph: _positive_arcs(graph, r)) or best
@@ -536,9 +536,9 @@ def exact_small_vertex_cut(
 # -- exact oracle ------------------------------------------------------------
 
 
-def _oracle_extract(ng, source, flow_result, orientation="forward"):
+def _oracle_extract(ng, source, flow_result):
     sink = frozenset(range(ng.n)) - flow_result.source_side - {source}
-    cert = _sink_certificate(ng, sink, orientation)
+    cert = _sink_certificate(ng, sink)
     assert cert.value == ng.value(flow_result.value), "split-graph cut is not its separator's"
     return cert
 
@@ -577,9 +577,8 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
         for orientation, h, split, credit in splits:
             found, k, cap = capped_sinks(
                 split, h.n + r, _admissible_sinks(h, r), cap, credit,
-                [x for x, _ in credit[r]],
-                partial(_oracle_extract, h, r, orientation=orientation))
-            best, flows = _better(best, found), flows + k
+                [x for x, _ in credit[r]], partial(_oracle_extract, h, r))
+            best, flows = _better(best, _tag(found, orientation)), flows + k
         weight += ng.vcaps[r]
         if weight >= cap:  # more than the best cut's numerator, cap - 1
             break

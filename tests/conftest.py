@@ -315,7 +315,8 @@ def root_loop_vertex_oracle(g):
                 res = max_flow(split, h.n + r, split.n, demands=[(t, cap)])
                 flows += 1
                 if res.value < cap:
-                    best = _better(best, _oracle_extract(h, r, res, orientation))
+                    cert = replace(_oracle_extract(h, r, res), orientation=orientation)
+                    best = _better(best, cert)
                     cap = res.value + 1
         weight += ng.vcaps[r]
         if weight >= cap:

@@ -1,22 +1,34 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dircut.edgecut
 from dircut import (
     INFINITE,
     DiGraph,
+    SteinerInstance,
     VertexCapGraph,
+    build_steiner_network,
     contract_into_root,
     cut_certificate,
+    exact_rooted_edge_cut_oracle,
     in_volume,
     merge_parallel,
     reverse,
 )
 
-from conftest import brute_min_rooted_cut, cut_value, g1, iter_sink_sets, rand_digraph
+from conftest import (
+    brute_min_rooted_cut,
+    cut_value,
+    g1,
+    iter_sink_sets,
+    rand_digraph,
+    tiny_graphs,
+)
 
 
 def test_reverse_single_arc():
@@ -171,15 +183,18 @@ def test_sentinel_recomputed_on_derived_graphs():
 
 
 def test_constructor_rejections():
-    with pytest.raises(ValueError):
-        DiGraph(2, [(0, 0, 1)])
-    with pytest.raises(ValueError):
+    # each message names the arc's index in the input
+    with pytest.raises(ValueError, match=r"^arc 1: self-loop 0->0$"):
+        DiGraph(2, [(0, 1, 1), (0, 0, 1)])
+    with pytest.raises(ValueError, match=r"^arc 0: negative capacity$"):
         DiGraph(2, [(0, 1, -1)])
-    with pytest.raises(ValueError):
-        DiGraph(2, [(0, 5, 1)])
-    with pytest.raises(TypeError):
-        DiGraph(2, [(0, 1, Fraction(1, 2))])
-    with pytest.raises(ValueError):
+    for arc in ((0, 5, 1), (-1, 1, 1), (0, 2, INFINITE)):
+        with pytest.raises(ValueError, match=r"^arc 1: endpoint out of range$"):
+            DiGraph(2, [(1, 0, 2), arc])
+    for cap in (Fraction(1, 2), 1.0, True, "1", None):
+        with pytest.raises(TypeError, match=r"^arc 0: capacity numerator must be int$"):
+            DiGraph(2, [(0, 1, cap)])
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
         DiGraph(-1, [])
     for n, arcs, vcaps in ((-1, [], []), (2, [(0, 1)], [1]), (2, [(0, 1)], [1, 1.0]),
                            (2, [(0, 1)], [1, -1]), (2, [(0, 2)], [1, 1]),
@@ -209,3 +224,68 @@ def test_reverse_and_merge_properties(raw):
     assert merge_parallel(merged) == merged
     pair_count = len({(t, h) for t, h, _ in merged.arcs})
     assert pair_count == merged.m
+
+
+def _fields(g):
+    return g.n, g.arcs, g.inf_arcs, g.inf_value, g.scale
+
+
+def _merged_reference(g):
+    """``merge_parallel`` rebuilt from ``arcs_as_input``: each pair's
+    finite arcs summed, its infinite arcs after them, pairs in order."""
+    finite, infinite = {}, []
+    for t, h, c in g.arcs_as_input():
+        if c is INFINITE:
+            infinite.append((t, h, c))
+        else:
+            finite[(t, h)] = finite.get((t, h), 0) + c
+    arcs = [(t, h, c) for (t, h), c in finite.items()] + infinite
+    return DiGraph(g.n, sorted(arcs, key=lambda arc: arc[:2]), scale=g.scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_graphs(), st.data())
+def test_derived_graphs_equal_their_validated_builds(g, data):
+    """Every graph derived from a validated one is built unchecked; each
+    equals the graph that ``DiGraph`` builds from the same arcs given as
+    input, with INFINITE restored, in every field, the sentinel
+    included."""
+    arcs = g.arcs_as_input()
+    assert _fields(reverse(g)) == _fields(
+        DiGraph(g.n, [(h, t, c) for t, h, c in arcs], scale=g.scale))
+    assert _fields(merge_parallel(g)) == _fields(_merged_reference(g))
+    r = data.draw(st.integers(0, g.n - 1))
+    block = {r} | data.draw(st.sets(st.integers(0, g.n - 1)))
+    contracted, _ = contract_into_root(g, r, block)
+    assert _fields(contracted) == _fields(DiGraph(
+        g.n, [(r if t in block else t, h, c) for t, h, c in arcs if h not in block],
+        scale=g.scale))
+    terminals = data.draw(st.frozensets(st.sampled_from(sorted(set(range(g.n)) - {r})),
+                                        min_size=1))
+    level = data.draw(st.sampled_from([1, 7, 2**70]))
+    network, supersink = build_steiner_network(SteinerInstance(g, r, terminals, level))
+    assert supersink == g.n
+    assert _fields(network) == _fields(DiGraph(
+        g.n + 1, arcs + [(t, g.n, level) for t in sorted(terminals)], scale=g.scale))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_graphs())
+def test_the_edge_oracle_flows_on_plain_arcs_at_the_sentinel(g):
+    """The rooted oracle's flow graph is ``g`` itself, or, when ``g`` has
+    infinite arcs, the graph of its arcs as plain finite arcs at the
+    sentinel, as ``DiGraph`` builds it from ``g.arcs``."""
+    flow_graphs = []
+    real = dircut.edgecut.capped_sinks
+
+    def recording(flow_graph, *args):
+        flow_graphs.append(flow_graph)
+        return real(flow_graph, *args)
+
+    with mock.patch.object(dircut.edgecut, "capped_sinks", recording):
+        exact_rooted_edge_cut_oracle(g, 0)
+    (flow_graph,) = flow_graphs
+    if not g.inf_arcs:
+        assert flow_graph is g
+    else:
+        assert _fields(flow_graph) == _fields(DiGraph(g.n, g.arcs, scale=g.scale))

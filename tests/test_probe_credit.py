@@ -5,11 +5,13 @@ under credit (``credit_closure``) from the root, at the probe's threshold
 numerator, and drops those terminals before it runs a flow.  One rule
 builds the credit (``RootedTopology``): an arc t→y credits y and, once
 each, the head of every infinite arc out of y.  These tests check that
-the closure is sound on edge graphs and on split graphs, that a probe
-still hits exactly when one of its terminals lies below the threshold,
-that on split graphs the rule gives the credit of the edge rule plus the
-vertex rule it replaced, and pin the flows that passing credit through
-infinite arcs saves, on an edge graph and on a vertex Erdős–Rényi graph.
+the closure certifies exactly the least fixpoint of its rule, also across
+calls that share its state, that it is sound on edge graphs and on split
+graphs, that a probe still hits exactly when one of its terminals lies
+below the threshold, that on split graphs the rule gives the credit of
+the edge rule plus the vertex rule it replaced, and pin the flows that
+passing credit through infinite arcs saves, on an edge graph and on a
+vertex Erdős–Rényi graph.
 """
 
 from fractions import Fraction
@@ -41,7 +43,12 @@ from dircut.edgecut import (
 )
 from dircut.vertexcut import _admissible_sinks, _normalize, _sink_certificate
 
-from conftest import probing_graphs, probing_vertex_graphs, zero_heavy_vertex_graphs
+from conftest import (
+    probing_graphs,
+    probing_vertex_graphs,
+    tiny_graphs,
+    zero_heavy_vertex_graphs,
+)
 
 LEVELS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(3),
                           Fraction(5), Fraction(2**70)])
@@ -79,6 +86,66 @@ def _check(topology, h, cfg, terminals, extract):
     assert (report.certificate is not None) == (not all(map(fills, terminals)))
     if report.certificate is not None:
         assert report.certificate.value < (1 + cfg.epsilon) * cfg.level
+
+
+def _least_fixpoint(credit, arcs, threshold, starts):
+    """The certified set and support that ``credit_closure`` must reach
+    from ``starts``, by the rule repeated until nothing changes: each
+    round sums every certified vertex's credit afresh and certifies every
+    vertex whose support reaches ``threshold``."""
+    certified = set(starts)
+    while True:
+        support = [0] * len(credit)
+        for t in certified:
+            for w, i in credit[t]:
+                support[w] += arcs[i][2]
+        more = {w for w, total in enumerate(support) if total >= threshold} - certified
+        if not more:
+            return certified, support
+        certified |= more
+
+
+def _closes_to_the_least_fixpoint(topology, h, level_num, batches, data):
+    """Close from the root, then from each batch in turn on the same
+    ``support`` and ``certified``, as ``probe`` does group after group,
+    and compare both with the least fixpoint after every call.  The
+    threshold is the probe's ``level_num`` or a capacity of ``h``, which
+    some support then meets exactly."""
+    level_num = data.draw(st.sampled_from(sorted({level_num}.union(
+        c for _, _, c in h.arcs if c > 0))))
+    support, certified, starts = [0] * h.n, set(), set()
+    for batch in [[topology.root], *batches]:
+        credit_closure(topology.credit, h.arcs, level_num, support, certified, batch)
+        starts.update(batch)
+        assert (certified, support) == _least_fixpoint(topology.credit, h.arcs, level_num,
+                                                       starts)
+
+
+BATCHES = st.lists(st.lists(st.integers(0, 20)), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tiny_graphs(), probing_graphs()), LEVELS, VOLUMES, EPSILONS, BATCHES,
+       st.data())
+def test_closure_is_the_least_fixpoint_edge(g, level, volume, epsilon, batches, data):
+    # tiny graphs carry INFINITE, zero and parallel arcs
+    topology = RootedTopology(g, data.draw(st.integers(0, g.n - 1)))
+    h = precondition_rooted(topology, level, volume, epsilon)
+    cfg = ProbeConfig(level=level, volume=volume, epsilon=epsilon)
+    _closes_to_the_least_fixpoint(topology, h, _level_num(h, cfg),
+                                  [[v % g.n for v in batch] for batch in batches], data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VERTEX_GRAPHS, LEVELS, VOLUMES, EPSILONS, BATCHES, st.data())
+def test_closure_is_the_least_fixpoint_split(g, level, volume, epsilon, batches, data):
+    r = data.draw(st.integers(0, g.n - 1))
+    ng = prune_for_root(_normalize(g), r)
+    topology = RootedTopology(split_transform(ng), ng.n + r)
+    h = condition_rooted(topology, level, volume, epsilon, 6, epsilon * level / (4 * ng.n))
+    cfg = ProbeConfig(level=level, volume=volume, epsilon=epsilon)
+    _closes_to_the_least_fixpoint(topology, h, _level_num(h, cfg),
+                                  [[v % h.n for v in batch] for batch in batches], data)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dircut.edgecut
 import dircut.steiner
+import dircut.vertexcut
 from dircut import (
     INFINITE,
     DiGraph,
@@ -147,10 +149,10 @@ def _conditioned_flows(prober, levels, tag):
     on it found at its start).  Graphs that the recursion contracts are
     left out."""
     conditioned, found, flows = [], {}, []
-    real_unchecked, real_flow = DiGraph._unchecked, dircut.steiner.max_flow
+    real_condition, real_flow = condition_rooted, dircut.steiner.max_flow
 
-    def unchecked(cls, *args):
-        g = real_unchecked(*args)
+    def condition(*args):
+        g = real_condition(*args)
         conditioned.append(g)  # keeps every id in ``found`` unique
         found[id(g)] = []
         return g
@@ -161,7 +163,10 @@ def _conditioned_flows(prober, levels, tag):
             found[id(g)].append(g._flow_network)
         return real_flow(g, *args, **kwargs)
 
-    with mock.patch.object(DiGraph, "_unchecked", classmethod(unchecked)), \
+    # both modules call conditioning by name; the edge prober through
+    # ``precondition_rooted``
+    with mock.patch.object(dircut.edgecut, "condition_rooted", condition), \
+            mock.patch.object(dircut.vertexcut, "condition_rooted", condition), \
             mock.patch.object(dircut.steiner, "max_flow", flow):
         for i, level in enumerate(levels):
             prober(level, Fraction(1, 5), (tag, i))

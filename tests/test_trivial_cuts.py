@@ -9,6 +9,7 @@ scan comes back.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -82,8 +83,8 @@ def _oriented(g, orientation):
 def test_vertex_singleton_tables_match_per_vertex_certificates(g):
     for orientation in ("forward", "reverse"):
         graph = _oriented(g, orientation)
-        assert _singletons(graph, orientation) == [
-            _sink_certificate(graph, frozenset([v]), orientation) for v in range(g.n)
+        assert _singletons(graph) == [
+            _sink_certificate(graph, frozenset([v])) for v in range(g.n)
         ]
 
 
@@ -108,8 +109,8 @@ def test_vertex_trivial_cuts_match_per_vertex_fold(g):
     expected = _global_start(ng, _reversal(ng)) or _fold(
         cert
         for orientation in ("forward", "reverse")
-        for cert in (_sink_certificate(_oriented(ng, orientation), frozenset([v]),
-                                       orientation) for v in range(ng.n))
+        for cert in (replace(_sink_certificate(_oriented(ng, orientation), frozenset([v])),
+                             orientation=orientation) for v in range(ng.n))
         if len(cert.separator) + 1 < ng.n
     )
     if expected is None:
