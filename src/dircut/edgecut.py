@@ -348,8 +348,6 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
     outcome and the probe's hit or miss stay those of probing every
     terminal; only which Below sinks a hit finds can change.
     """
-    if not terminals:
-        return ProbeReport(None, 0, ())
     threshold = (1 + cfg.epsilon) * as_fraction(cfg.level)
     level_num = threshold * h.scale
     assert level_num.denominator == 1

@@ -7,9 +7,13 @@ are materialized with a sentinel numerator equal to (sum of all finite
 numerators) + 1, computed at construction, which makes any cut crossing
 one compare greater than every finite cut in the same graph.
 
-Only outside input is validated (``DiGraph(n, arcs, scale)``); every
-graph derived from a validated one is built by ``DiGraph._unchecked``.
-Both store through ``DiGraph._store``, which computes the sentinel.
+Only outside input is validated, by ``DiGraph(n, arcs, scale)`` and
+``vertexcut.VertexCapGraph(n, arcs, vcaps, scale)``, which share the
+checks of the vertex count, the scale and each arc's endpoints
+(``_check_shape``, ``_check_arc``): counts and ids must be ints, not
+bools.  Every graph of either type derived from a validated one is built
+by its ``_unchecked``.  ``DiGraph.__init__`` and ``DiGraph._unchecked``
+store through ``DiGraph._store``, which computes the sentinel.
 
 Graphs are immutable after construction.  All operations here are pure
 functions returning new graphs, so concurrent readers need no locking.
@@ -39,13 +43,34 @@ class _InfiniteCapacity:
 INFINITE = _InfiniteCapacity()
 
 
-def _check_scale(scale) -> None:
-    """Reject a capacity denominator that is not a positive int: a bool,
-    float or Fraction would fail deep inside a solver, or pass as 1."""
-    if not isinstance(scale, int) or isinstance(scale, bool):
-        raise TypeError(f"scale must be int, not {type(scale).__name__}")
+def _check_int(field, value) -> None:
+    """Reject a ``value`` of ``field`` that is not an int: a float or
+    Fraction would fail deep inside a solver, and a bool pass as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{field} must be int, not {type(value).__name__}")
+
+
+def _check_shape(n, scale) -> None:
+    """Reject a vertex count that is not a nonnegative int, or a scale
+    (the capacity denominator) that is not a positive int."""
+    _check_int("vertex count", n)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    _check_int("scale", scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
+
+
+def _check_arc(i, tail, head, n) -> None:
+    """Reject input arc ``i`` unless its endpoints are two distinct ints
+    of ``range(n)``."""
+    if (not (isinstance(tail, int) and isinstance(head, int))
+            or isinstance(tail, bool) or isinstance(head, bool)):
+        raise TypeError(f"arc {i}: endpoints must be int")
+    if not (0 <= tail < n and 0 <= head < n):
+        raise ValueError(f"arc {i}: endpoint out of range")
+    if tail == head:
+        raise ValueError(f"arc {i}: self-loop {tail}->{head}")
 
 
 class DiGraph:
@@ -63,15 +88,10 @@ class DiGraph:
     __slots__ = ("n", "arcs", "scale", "inf_arcs", "inf_value", "_flow_network")
 
     def __init__(self, n, arcs, scale=1):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        _check_scale(scale)
+        _check_shape(n, scale)
         tails, heads, caps, inf_arcs = [], [], [], []
         for i, (tail, head, cap) in enumerate(arcs):
-            if not (0 <= tail < n and 0 <= head < n):
-                raise ValueError(f"arc {i}: endpoint out of range")
-            if tail == head:
-                raise ValueError(f"arc {i}: self-loop {tail}->{head}")
+            _check_arc(i, tail, head, n)
             if isinstance(cap, _InfiniteCapacity):
                 inf_arcs.append(i)
             elif not isinstance(cap, int) or isinstance(cap, bool):

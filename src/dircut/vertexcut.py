@@ -70,18 +70,26 @@ from .edgecut import (
     _tag,
     _volume_schedule,
 )
-from .graph import DiGraph, NoCutExistsError, _check_scale, dominator_tree, reach
+from .graph import DiGraph, NoCutExistsError, _check_arc, _check_shape, dominator_tree, reach
 
 
 class VertexCapGraph:
-    """Directed graph topology with exact scaled-integer vertex capacities."""
+    """Directed graph topology with exact scaled-integer vertex capacities.
+
+    Arcs are ``(tail, head)`` pairs with dense vertex ids ``0..n-1``, and
+    ``vcaps[v]`` is vertex v's capacity numerator at ``scale``.  The
+    constructor validates outside input with the graph module's checks of
+    the count, the scale and each arc (ints, not bools; no self-loops;
+    parallel arcs permitted), plus one nonnegative int capacity per
+    vertex.  Every graph the library derives from a validated one
+    (``_normalize``, ``_reversal``, ``prune_for_root``) is built by
+    ``_unchecked``.
+    """
 
     __slots__ = ("n", "arcs", "vcaps", "scale")
 
     def __init__(self, n, arcs, vcaps, scale=1):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        _check_scale(scale)
+        _check_shape(n, scale)
         vcaps = tuple(vcaps)
         if len(vcaps) != n:
             raise ValueError("need one capacity per vertex")
@@ -90,14 +98,18 @@ class VertexCapGraph:
                 raise ValueError(f"vertex {v}: capacity must be a nonnegative int")
         arcs = tuple(arcs)
         for i, (u, v) in enumerate(arcs):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc {i}: endpoint out of range")
-            if u == v:
-                raise ValueError(f"arc {i}: self-loop")
-        self.n = n
-        self.arcs = arcs
-        self.vcaps = vcaps
-        self.scale = scale
+            _check_arc(i, u, v, n)
+        self.n, self.arcs, self.vcaps, self.scale = n, arcs, vcaps, scale
+
+    @classmethod
+    def _unchecked(cls, n, arcs, vcaps, scale) -> "VertexCapGraph":
+        """The graph on ``range(n)`` with the arcs ``arcs``, stored as a
+        tuple, and the tuple ``vcaps`` at ``scale``.  Nothing is checked:
+        the caller derives it from a validated graph and passes that
+        graph's ``vcaps``."""
+        g = cls.__new__(cls)
+        g.n, g.arcs, g.vcaps, g.scale = n, tuple(arcs), vcaps, scale
+        return g
 
     @property
     def m(self) -> int:
@@ -156,8 +168,9 @@ class VertexCutCertificate:
 def split_transform(g: VertexCapGraph) -> DiGraph:
     """Edge-capacitated model on 2n vertices, v_in = v and v_out = n + v:
     the finite arc (v_in, v_out) of each vertex v, in vertex order, then
-    the infinite arc (u_out, v_in) of each original arc (u, v).  ``g``
-    validated every endpoint and capacity, so the graph is built
+    the infinite arc (u_out, v_in) of each original arc (u, v).  Every
+    ``VertexCapGraph`` was validated or derived from a validated one, so
+    its endpoints and capacities are sound and the graph is built
     unchecked (``DiGraph._unchecked``)."""
     tails, heads = zip(*g.arcs) if g.arcs else ((), ())
     return DiGraph._unchecked(2 * g.n, [*range(g.n), *[g.n + u for u in tails]],
@@ -167,13 +180,12 @@ def split_transform(g: VertexCapGraph) -> DiGraph:
 
 def _normalize(g: VertexCapGraph) -> VertexCapGraph:
     """Deduplicate parallel arcs; topology duplicates carry no information."""
-    arcs = sorted(set(g.arcs))
-    return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
+    return VertexCapGraph._unchecked(g.n, sorted(set(g.arcs)), g.vcaps, g.scale)
 
 
 def _reversal(g: VertexCapGraph) -> VertexCapGraph:
     """``g`` with every arc reversed, which a global solve builds once."""
-    return VertexCapGraph(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
+    return VertexCapGraph._unchecked(g.n, [(v, u) for u, v in g.arcs], g.vcaps, g.scale)
 
 
 def _sink_certificate(g: VertexCapGraph, component: frozenset) -> VertexCutCertificate:
@@ -242,7 +254,8 @@ def _split_prober(base: VertexCapGraph, r: int, log):
     if not admissible:
         return None
     topology = RootedTopology(split_transform(ng), ng.n + r)
-    deg = [d if v in admissible else 0 for v, d in enumerate(ng.in_degrees())]
+    # an in-copy's in-degree in the split graph is its vertex's in ng
+    deg = [d if v in admissible else 0 for v, d in enumerate(topology.degrees[:ng.n])]
 
     def extract(sink):
         # every sink holds its terminal, the in-copy of an admissible vertex
@@ -396,14 +409,12 @@ def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
 def prune_for_root(g: VertexCapGraph, r: int) -> VertexCapGraph:
     """Drop arcs that cannot matter for r-connectivity: every arc into an
     out-neighbor of r other than the arc from r itself, and every arc into
-    r.  The rooted connectivity value is unchanged."""
+    r.  The rooted connectivity value is unchanged.  ``g`` is trusted, as
+    every ``VertexCapGraph`` is validated or derived from a validated one,
+    so the pruned graph is built unchecked (``VertexCapGraph._unchecked``)."""
     fanout = g.out_neighbors(r)
-    arcs = [
-        (u, v)
-        for u, v in g.arcs
-        if v != r and not (v in fanout and u != r)
-    ]
-    return VertexCapGraph(g.n, arcs, g.vcaps, g.scale)
+    arcs = [(u, v) for u, v in g.arcs if v != r and not (v in fanout and u != r)]
+    return VertexCapGraph._unchecked(g.n, arcs, g.vcaps, g.scale)
 
 
 def _oriented_zero(ng: VertexCapGraph, reversal: VertexCapGraph, r: int, arcs_of):

@@ -196,11 +196,54 @@ def test_constructor_rejections():
             DiGraph(2, [(0, 1, cap)])
     with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
         DiGraph(-1, [])
-    for n, arcs, vcaps in ((-1, [], []), (2, [(0, 1)], [1]), (2, [(0, 1)], [1, 1.0]),
-                           (2, [(0, 1)], [1, -1]), (2, [(0, 2)], [1, 1]),
-                           (2, [(1, 1)], [1, 1])):
-        with pytest.raises(ValueError):
-            VertexCapGraph(n, arcs, vcaps)
+    # a bad count or scale is reported before any arc, and in one arc a
+    # bad endpoint before its capacity
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
+        DiGraph(-1, [(0, 0, -1)], scale=0)
+    with pytest.raises(ValueError, match=r"^scale must be positive$"):
+        DiGraph(2, [(0, 0, -1)], scale=0)
+    with pytest.raises(TypeError, match=r"^arc 0: endpoints must be int$"):
+        DiGraph(2, [(0, 1.0, -1)])
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((-1, [], []), ValueError, r"^vertex count must be nonnegative$"),
+    ((2, [], [1, 1], 0), ValueError, r"^scale must be positive$"),
+    ((2, [(0, 1)], [1]), ValueError, r"^need one capacity per vertex$"),
+    ((2, [(0, 1)], [1, 1.0]), ValueError, r"^vertex 1: capacity must be a nonnegative int$"),
+    ((2, [(0, 1)], [1, -1]), ValueError, r"^vertex 1: capacity must be a nonnegative int$"),
+    ((2, [(0, 1)], [True, 1]), ValueError, r"^vertex 0: capacity must be a nonnegative int$"),
+    ((2, [(1, 0), (0, 2)], [1, 1]), ValueError, r"^arc 1: endpoint out of range$"),
+    ((2, [(-1, 1)], [1, 1]), ValueError, r"^arc 0: endpoint out of range$"),
+    ((2, [(0, 1), (1, 1)], [1, 1]), ValueError, r"^arc 1: self-loop 1->1$"),
+    ((2, [(0, 1.0)], [1, 1]), TypeError, r"^arc 0: endpoints must be int$"),
+    ((2.0, [], [1, 1]), TypeError, r"^vertex count must be int, not float$"),
+], ids=["count", "scale", "vcaps-length", "vcap-float", "vcap-negative", "vcap-bool",
+        "endpoint-high", "endpoint-negative", "self-loop", "endpoint-float", "count-float"])
+def test_vertex_constructor_rejections(args, error, message):
+    # the count, the scale and each arc are checked as by DiGraph
+    with pytest.raises(error, match=message):
+        VertexCapGraph(*args)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, Fraction(3), "3", None])
+def test_vertex_count_must_be_int(n):
+    # 2.5 and 3.0 fail deep in a solver, and True would pass as one vertex
+    message = rf"^vertex count must be int, not {type(n).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        DiGraph(n, [])
+    with pytest.raises(TypeError, match=message):
+        VertexCapGraph(n, [], [1])
+
+
+@pytest.mark.parametrize("arc", [(0, 1.0), (1.0, 2), (True, 2), (0, False), (Fraction(0), 1),
+                                 ("0", 1), (None, 1)])
+def test_endpoints_must_be_int(arc):
+    # a float id fails deep in a solver, and True would pass as vertex 1
+    with pytest.raises(TypeError, match=r"^arc 1: endpoints must be int$"):
+        DiGraph(3, [(1, 2, 1), (*arc, 1), (2, 0, 1)])
+    with pytest.raises(TypeError, match=r"^arc 1: endpoints must be int$"):
+        VertexCapGraph(3, [(1, 2), arc, (2, 0)], [1, 1, 1])
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), 2.0, True])

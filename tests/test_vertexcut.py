@@ -26,6 +26,7 @@ from dircut import (
     split_transform,
 )
 from dircut.edgecut import RootedTopology, condition_rooted
+from dircut.vertexcut import _normalize, _reversal
 
 from conftest import (
     brute_global_vertex_cut,
@@ -579,19 +580,55 @@ def _splits_and_roots(monkeypatch, solve):
     return res, exact_vertex_cut_oracle(g).value, len(splits), roots
 
 
+@st.composite
+def parallel_vertex_graphs(draw, max_n=6):
+    """A validated vertex graph with parallel arcs, zero capacities and a
+    scale of 1-4."""
+    n = draw(st.integers(2, max_n))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda arc: arc[0] != arc[1]), max_size=14))
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=6))
+    arcs = draw(st.permutations(arcs))
+    vcaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return VertexCapGraph(n, arcs, vcaps, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_vertex_graphs())
+def test_derived_vertex_graphs_equal_their_validated_builds(g):
+    """``_normalize``, ``_reversal`` and ``prune_for_root`` build unchecked;
+    each equals the graph that ``VertexCapGraph`` validates from the same
+    arcs, the capacities given as a list, in every field, ``==`` and hash,
+    and shares its parent's capacity tuple."""
+    ng = _normalize(g)
+    derived = [(g, ng, sorted(set(g.arcs))), (ng, _reversal(ng), [(v, u) for u, v in ng.arcs])]
+    for r in range(ng.n):
+        fanout = {v for u, v in ng.arcs if u == r}
+        derived.append((ng, prune_for_root(ng, r), [
+            (u, v) for u, v in ng.arcs if v != r and (u == r or v not in fanout)]))
+    for parent, graph, arcs in derived:
+        checked = VertexCapGraph(parent.n, arcs, list(parent.vcaps), parent.scale)
+        assert (graph.n, graph.arcs, graph.vcaps, graph.scale) == (
+            checked.n, checked.arcs, checked.vcaps, checked.scale)
+        assert graph == checked and hash(graph) == hash(checked)
+        assert graph.vcaps is parent.vcaps
+
+
 def _reversals(monkeypatch, solve, g):
-    """Run ``solve(g)`` and count the vertex graphs it builds whose arcs
-    are those of ``g``'s reversal, in order."""
+    """Run ``solve(g)`` and count the vertex graphs it derives whose arcs
+    are those of ``g``'s reversal, in order.  The library derives every
+    vertex graph through ``VertexCapGraph._unchecked``."""
     reversal = [(v, u) for u, v in g.arcs]
     built = []
-    real = VertexCapGraph.__init__
+    real = VertexCapGraph._unchecked
 
-    def recording(self, n, arcs, *args, **kwargs):
+    def recording(n, arcs, vcaps, scale):
         arcs = list(arcs)
         built.append(arcs == reversal)
-        real(self, n, arcs, *args, **kwargs)
+        return real(n, arcs, vcaps, scale)
 
-    monkeypatch.setattr(VertexCapGraph, "__init__", recording)
+    monkeypatch.setattr(VertexCapGraph, "_unchecked", recording)
     solve(g)
     monkeypatch.undo()
     return sum(built)
