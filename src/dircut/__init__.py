@@ -1,39 +1,21 @@
 """Approximate and exact minimum rooted/global edge and vertex cuts in
-weighted directed graphs, with exact rational arithmetic throughout."""
+weighted directed graphs, with exact rational arithmetic throughout.
 
-from .graph import (
-    INFINITE,
-    CutCertificate,
-    DiGraph,
-    NoCutExistsError,
-    contract_into_root,
-    cut_certificate,
-    in_volume,
-    merge_parallel,
-    reachable,
-    reverse,
-)
-from .maxflow import MaxFlowResult, max_flow, min_cut_sink_side
-from .steiner import (
-    Below,
-    Certified,
-    SteinerInstance,
-    build_steiner_network,
-    partition_terminals,
-    shrink_wrap,
-)
+The package exports the solvers and the types they take and return, the
+graph-file functions and the generator.  The layers beneath them (max
+flow, the Steiner recursion, preconditioning, the split graph, ...) are
+imported from their modules, such as ``dircut.maxflow.max_flow`` or
+``dircut.steiner.shrink_wrap``; they are not part of the public surface
+and may change from one release to the next."""
+
+from .graph import INFINITE, CutCertificate, DiGraph, NoCutExistsError, cut_certificate, reverse
 from .edgecut import (
     CutResult,
-    ProbeConfig,
-    RootedTopology,
     approx_global_edge_cut,
     approx_rooted_edge_cut,
     exact_global_edge_cut_oracle,
     exact_rooted_edge_cut_oracle,
     exact_small_edge_cut,
-    precondition_rooted,
-    probe_rooted_edge,
-    sample_terminals,
 )
 from .vertexcut import (
     VertexCapGraph,
@@ -42,9 +24,6 @@ from .vertexcut import (
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
     exact_vertex_cut_oracle,
-    prune_for_root,
-    sample_roots,
-    split_transform,
 )
 from .fileio import GraphFileError, parse_graph, parse_text, serialize_graph
 from .generators import generate
@@ -54,41 +33,20 @@ __all__ = [
     "CutCertificate",
     "DiGraph",
     "NoCutExistsError",
-    "contract_into_root",
     "cut_certificate",
-    "in_volume",
-    "merge_parallel",
-    "reachable",
     "reverse",
-    "MaxFlowResult",
-    "max_flow",
-    "min_cut_sink_side",
-    "Below",
-    "Certified",
-    "SteinerInstance",
-    "build_steiner_network",
-    "partition_terminals",
-    "shrink_wrap",
     "CutResult",
-    "ProbeConfig",
-    "RootedTopology",
     "approx_global_edge_cut",
     "approx_rooted_edge_cut",
     "exact_global_edge_cut_oracle",
     "exact_rooted_edge_cut_oracle",
     "exact_small_edge_cut",
-    "precondition_rooted",
-    "probe_rooted_edge",
-    "sample_terminals",
     "VertexCapGraph",
     "VertexCutCertificate",
     "approx_global_vertex_cut",
     "approx_rooted_vertex_cut",
     "exact_small_vertex_cut",
     "exact_vertex_cut_oracle",
-    "prune_for_root",
-    "sample_roots",
-    "split_transform",
     "GraphFileError",
     "parse_graph",
     "parse_text",

@@ -80,6 +80,7 @@ from .graph import (
     CutCertificate,
     DiGraph,
     NoCutExistsError,
+    _check_root,
     cut_certificate,
     dominator_tree,
     merge_parallel,
@@ -661,8 +662,8 @@ def _rooted_start(g: DiGraph, r: int):
     flow value or minimal source side depends on the order of the arcs.
 
     The trivial cut is the zero cut onto the vertices the root cannot
-    reach along positive-capacity arcs, else the best singleton; ``reach``
-    rejects a root outside 0..n-1.  When no zero cut exists every rooted
+    reach along positive-capacity arcs, else the best singleton; the
+    caller has checked the root.  When no zero cut exists every rooted
     cut crosses a positive arc, so the optimum is at least ``c_min``."""
     finite = [(t, h) for i, (t, h, _) in enumerate(g.arcs) if i not in g.inf_arcs]
     gm = g if len(set(finite)) == len(finite) else merge_parallel(g)
@@ -689,7 +690,9 @@ def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
     a cut of value ``c_min`` from ``_edge_floor_cut``, else the trivial
     cut improved by ``search(probe_at, best, c_min)`` with the instance's
     prober.  When every rooted cut crosses an infinite arc the capped
-    oracle answers, with its flows counted."""
+    oracle answers, with its flows counted.  Raises TypeError for a root
+    that is not an int and ValueError for one outside 0..n-1."""
+    _check_root(r, g.n)
     gm, best, c_min = _rooted_start(g, r)
     if best.value > c_min and _spans_by_infinite_arcs(gm, r):
         return _rooted_oracle(g, r)
@@ -848,8 +851,7 @@ def _rooted_oracle(g: DiGraph, r: int, cap=None) -> CutResult:
     arcs, so its certificates are g's."""
     if g.n < 2:
         raise NoCutExistsError("graph has no non-root vertex")
-    if not 0 <= r < g.n:
-        raise ValueError(f"root {r} out of range 0..{g.n - 1}")
+    _check_root(r, g.n)
     flow_graph = DiGraph._unchecked(g.n, *zip(*g.arcs), g.scale, frozenset()) if g.inf_arcs else g
     credit = [[] for _ in range(g.n)]
     weight = [0] * g.n

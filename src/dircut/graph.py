@@ -11,9 +11,11 @@ Only outside input is validated, by ``DiGraph(n, arcs, scale)`` and
 ``vertexcut.VertexCapGraph(n, arcs, vcaps, scale)``, which share the
 checks of the vertex count, the scale and each arc's endpoints
 (``_check_shape``, ``_check_arc``): counts and ids must be ints, not
-bools.  Every graph of either type derived from a validated one is built
-by its ``_unchecked``.  ``DiGraph.__init__`` and ``DiGraph._unchecked``
-store through ``DiGraph._store``, which computes the sentinel.
+bools.  A rooted solve checks its root the same way, once, where it
+starts (``_check_root``).  Every graph of either type derived from a
+validated one is built by its ``_unchecked``.  ``DiGraph.__init__`` and
+``DiGraph._unchecked`` store through ``DiGraph._store``, which computes
+the sentinel.
 
 Graphs are immutable after construction.  All operations here are pure
 functions returning new graphs, so concurrent readers need no locking.
@@ -59,6 +61,14 @@ def _check_shape(n, scale) -> None:
     _check_int("scale", scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
+
+
+def _check_root(r, n) -> None:
+    """Reject a root that is not an int of ``range(n)``; each rooted solve
+    checks its root once, where it starts."""
+    _check_int("root", r)
+    if not 0 <= r < n:
+        raise ValueError(f"root {r} out of range 0..{n - 1}")
 
 
 def _check_arc(i, tail, head, n) -> None:

@@ -45,12 +45,12 @@ class MaxFlowResult:
     ``residual`` is the flow's own copy of the capacities: edge ``2i`` is
     ``graph.arcs[i]``, and edge ``2i+1``, its reverse, holds its flow.
     An infinite arc's forward residual starts at the sentinel that
-    ``max_flow`` gave it.
+    ``max_flow`` gave it.  The sink is not kept: the cut's sink side is
+    the complement of ``source_side``.
     """
 
     graph: DiGraph
     source: int
-    sink: int
     value: int  # numerator at graph.scale
     residual: list = field(repr=False, compare=False)
     _side: frozenset = field(default=None, init=False, repr=False, compare=False)
@@ -116,7 +116,7 @@ def max_flow(g: DiGraph, s: int, t: int, demands=()) -> MaxFlowResult:
         adj.pop()
         for v, _ in demands:
             adj[v].pop()
-    return MaxFlowResult(g, s, t, value, cap)
+    return MaxFlowResult(g, s, value, cap)
 
 
 def _dinic(head, cap, adj, n, s, t) -> int:

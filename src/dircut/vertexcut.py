@@ -70,7 +70,8 @@ from .edgecut import (
     _tag,
     _volume_schedule,
 )
-from .graph import DiGraph, NoCutExistsError, _check_arc, _check_shape, dominator_tree, reach
+from .graph import DiGraph, NoCutExistsError, dominator_tree, reach
+from .graph import _check_arc, _check_root, _check_shape
 
 
 class VertexCapGraph:
@@ -118,17 +119,8 @@ class VertexCapGraph:
     def value(self, numerator: int) -> Fraction:
         return Fraction(numerator, self.scale)
 
-    def in_degrees(self):
-        deg = [0] * self.n
-        for _, v in self.arcs:
-            deg[v] += 1
-        return deg
-
     def out_neighbors(self, v):
         return frozenset(h for t, h in self.arcs if t == v)
-
-    def in_neighbors(self, v):
-        return frozenset(t for t, h in self.arcs if h == v)
 
     def __eq__(self, other):
         return (
@@ -336,8 +328,9 @@ def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
     it is at most ``c_min``, else a cut of value ``c_min`` from
     ``_vertex_floor_cut``, else that singleton improved by
     ``search(probe_at, best, c_min)`` with the instance's split prober.
-    Raises ValueError for a root outside 0..n-1 and NoCutExistsError when
-    no rooted vertex cut exists."""
+    Raises TypeError for a root that is not an int, ValueError for one
+    outside 0..n-1 and NoCutExistsError when no rooted vertex cut exists."""
+    _check_root(r, ng.n)
     best = _unreached(ng, r, _positive_arcs(ng, r))
     admissible = _admissible_sinks(ng, r)
     if not admissible:
@@ -566,6 +559,7 @@ def _vertex_oracle(g: VertexCapGraph, root=None) -> CutResult:
     sink: so each of those credits its capacity to its out-neighbours."""
     ng = _normalize(g)
     if root is not None:
+        _check_root(root, ng.n)
         if not _admissible_sinks(ng, root):
             raise NoCutExistsError("every vertex is the root or a direct out-neighbor")
         zero, roots, bases = _unreached(ng, root, ng.arcs), [root], [("forward", ng)]

@@ -178,6 +178,11 @@ def brute_minimal_source_side(g, s, t):
     return side
 
 
+def in_neighbors(g, v):
+    """The in-neighbours of ``v`` in the vertex graph ``g``."""
+    return frozenset(t for t, h in g.arcs if h == v)
+
+
 def topo_reach(n, arcs, source, removed=frozenset()):
     """Reachability in a plain arc list with some vertices removed."""
     removed = set(removed)

@@ -13,34 +13,29 @@ from fractions import Fraction
 from dircut import (
     DiGraph,
     NoCutExistsError,
-    RootedTopology,
-    SteinerInstance,
     approx_global_edge_cut,
     approx_global_vertex_cut,
     approx_rooted_edge_cut,
     approx_rooted_vertex_cut,
-    build_steiner_network,
-    contract_into_root,
     exact_rooted_edge_cut_oracle,
     exact_small_vertex_cut,
     exact_vertex_cut_oracle,
     generate,
-    in_volume,
-    max_flow,
     parse_text,
-    precondition_rooted,
-    prune_for_root,
-    sample_terminals,
-    shrink_wrap,
-    split_transform,
 )
 from dircut.cli import main
+from dircut.edgecut import RootedTopology, precondition_rooted, sample_terminals
+from dircut.graph import contract_into_root, in_volume
+from dircut.maxflow import max_flow
+from dircut.steiner import SteinerInstance, build_steiner_network, shrink_wrap
+from dircut.vertexcut import prune_for_root, split_transform
 
 from conftest import (
     brute_min_separator,
     brute_min_st_cut,
     conditioning_ratio,
     cut_value,
+    in_neighbors,
     iter_sink_sets,
     rand_digraph,
     rand_vertex_graph,
@@ -273,12 +268,12 @@ def test_criterion_8_prune_safety_and_yield():
         caps = g.vcaps
         cv = sum(caps)
         exact = sum(
-            (caps[v] + sum(caps[w] for w in g.in_neighbors(v)) - caps[u]) / cv
+            (caps[v] + sum(caps[w] for w in in_neighbors(g, v)) - caps[u]) / cv
             for u, v in g.arcs
         )
         floor = min(
             min(
-                sum(caps[w] for w in g.in_neighbors(v)),
+                sum(caps[w] for w in in_neighbors(g, v)),
                 sum(caps[w] for w in g.out_neighbors(v)),
             )
             for v in range(g.n)

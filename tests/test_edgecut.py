@@ -11,23 +11,19 @@ from dircut import (
     INFINITE,
     CutCertificate,
     DiGraph,
-    ProbeConfig,
-    RootedTopology,
     approx_global_edge_cut,
     approx_rooted_edge_cut,
     exact_global_edge_cut_oracle,
     exact_rooted_edge_cut_oracle,
     exact_small_edge_cut,
     generate,
-    in_volume,
     parse_text,
-    precondition_rooted,
-    probe_rooted_edge,
     reverse,
-    sample_terminals,
 )
 from dircut.edgecut import (
+    ProbeConfig,
     ProbeReport,
+    RootedTopology,
     _edge_oracle,
     _edge_sample,
     _grid_levels,
@@ -35,8 +31,12 @@ from dircut.edgecut import (
     integer_search,
     level_prober,
     level_search,
+    precondition_rooted,
+    probe_rooted_edge,
+    sample_terminals,
     union_prober,
 )
+from dircut.graph import in_volume
 
 from conftest import (
     brute_min_rooted_cut,

@@ -10,16 +10,13 @@ import dircut.edgecut
 from dircut import (
     INFINITE,
     DiGraph,
-    SteinerInstance,
     VertexCapGraph,
-    build_steiner_network,
-    contract_into_root,
     cut_certificate,
     exact_rooted_edge_cut_oracle,
-    in_volume,
-    merge_parallel,
     reverse,
 )
+from dircut.graph import contract_into_root, in_volume, merge_parallel
+from dircut.steiner import SteinerInstance, build_steiner_network
 
 from conftest import (
     brute_min_rooted_cut,

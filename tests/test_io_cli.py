@@ -156,6 +156,7 @@ FAMILY_BOUNDS = [
     ("planted-sink", dict(n=12, sink_size=4, volume=13, value=2**70, out_degree=9)),
     ("layered-dag-backarcs", dict(n=2, width=1, p=0, wmax=1)),
     ("layered-dag-backarcs", dict(n=9, width=9, p=1, wmax=2**70)),
+    ("layered-dag-backarcs", dict(n=12, width=4, p=0.5, wmax=10)),
 ]
 
 
@@ -188,6 +189,7 @@ FAMILY_TEXT_SHA256 = [
     "53f51db30d244410", "319bc0709ce76e1b", "e6feb219eea68bf9", "bb692dc519ff894a",
     "2d30b2e7b223459b", "9ef926aec8f173df", "b2d71927b2c31ddc", "6546e80ecf1aca2f",
     "91ebfdc7e6dddfa5", "9dae28e817982945", "81771d3890c89b40", "fdbb5e92540be53c",
+    "66606c8bddd29aad",
 ]
 
 
@@ -198,6 +200,20 @@ FAMILY_TEXT_SHA256 = [
 def test_generated_texts_pinned(family, params, digest):
     text = generate(family, seed=1, **params).text
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_layered_arcs_go_one_layer_on_or_round_the_cycle():
+    # layers {0..3}, {4..7}, {8..11}: each vertex of a layer but the last
+    # sends an arc into the next one, and at p = 0.5 some vertex whose
+    # cycle arc stays in its layer sends two
+    n, width = 12, 4
+    for seed in range(5):
+        g = parse_text(generate("layered-dag-backarcs", seed=seed, n=n, width=width, p=0.5).text)
+        forward = [(u, v) for u, v, _ in g.arcs if v // width == u // width + 1]
+        assert all((u, v) in forward or v == (u + 1) % n for u, v, _ in g.arcs)
+        fanout = [sum(u == w for u, _ in forward) for w in range(n - width)]
+        assert min(fanout) >= 1, (seed, fanout)
+        assert any(fanout[w] >= 2 for w in range(n - width) if (w + 1) % width), (seed, fanout)
 
 
 def test_generated_texts_exact():
@@ -273,7 +289,7 @@ def test_planted_sink_is_semi_oracle():
         from conftest import cut_value
 
         assert cut_value(g, sink) == planted
-        from dircut import in_volume
+        from dircut.graph import in_volume
 
         assert in_volume(g, sink) == inst.meta["volume"]
 

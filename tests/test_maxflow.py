@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircut import (
-    INFINITE,
-    DiGraph,
-    max_flow,
-    min_cut_sink_side,
-)
-from dircut.maxflow import _network
+from dircut import INFINITE, DiGraph
+from dircut.maxflow import _network, max_flow, min_cut_sink_side
 
 from conftest import (
     arc_flows,

@@ -28,10 +28,7 @@ from dircut import (
     exact_rooted_edge_cut_oracle,
     exact_vertex_cut_oracle,
     generate,
-    max_flow,
     parse_text,
-    prune_for_root,
-    split_transform,
 )
 from dircut.edgecut import (
     ProbeConfig,
@@ -41,7 +38,14 @@ from dircut.edgecut import (
     precondition_rooted,
     probe,
 )
-from dircut.vertexcut import _admissible_sinks, _normalize, _sink_certificate
+from dircut.maxflow import max_flow
+from dircut.vertexcut import (
+    _admissible_sinks,
+    _normalize,
+    _sink_certificate,
+    prune_for_root,
+    split_transform,
+)
 
 from conftest import (
     probing_graphs,

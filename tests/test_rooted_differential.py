@@ -162,14 +162,25 @@ ROOTED_ENTRY_POINTS = {
 }
 
 
+def _root_check_graph(entry):
+    if entry.endswith("edge"):
+        return DiGraph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 1), (3, 0, 5), (0, 2, 5), (1, 0, 5)])
+    return VertexCapGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 0)], [5, 5, 1, 5])
+
+
 @pytest.mark.parametrize("root", [-1, 4])
 @pytest.mark.parametrize("entry", sorted(ROOTED_ENTRY_POINTS))
 def test_root_out_of_range_is_a_value_error(entry, root):
     # a root of -1 would index vertex 3, whose best cut (value 5) differs
     # from the sink {3} of value 1 that root 0 sees
-    if entry.endswith("edge"):
-        g = DiGraph(4, [(0, 1, 5), (1, 2, 5), (2, 3, 1), (3, 0, 5), (0, 2, 5), (1, 0, 5)])
-    else:
-        g = VertexCapGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 0)], [5, 5, 1, 5])
-    with pytest.raises(ValueError, match="out of range"):
-        ROOTED_ENTRY_POINTS[entry](g, root)
+    with pytest.raises(ValueError, match=rf"^root {root} out of range 0\.\.3$"):
+        ROOTED_ENTRY_POINTS[entry](_root_check_graph(entry), root)
+
+
+@pytest.mark.parametrize("root", [1.0, True])
+@pytest.mark.parametrize("entry", sorted(ROOTED_ENTRY_POINTS))
+def test_root_that_is_not_an_int_is_a_type_error(entry, root):
+    # a float root would fail deep inside the solve, and True would be
+    # solved as vertex 1
+    with pytest.raises(TypeError, match=rf"^root must be int, not {type(root).__name__}$"):
+        ROOTED_ENTRY_POINTS[entry](_root_check_graph(entry), root)

@@ -23,17 +23,7 @@ from hypothesis import strategies as st
 import dircut.edgecut
 import dircut.steiner
 import dircut.vertexcut
-from dircut import (
-    INFINITE,
-    DiGraph,
-    SteinerInstance,
-    VertexCapGraph,
-    cut_certificate,
-    max_flow,
-    prune_for_root,
-    shrink_wrap,
-    split_transform,
-)
+from dircut import INFINITE, DiGraph, VertexCapGraph, cut_certificate
 from dircut.edgecut import (
     ProbeConfig,
     RootedTopology,
@@ -42,12 +32,15 @@ from dircut.edgecut import (
     precondition_rooted,
     probe,
 )
-from dircut.maxflow import _network
+from dircut.maxflow import _network, max_flow
+from dircut.steiner import SteinerInstance, shrink_wrap
 from dircut.vertexcut import (
     _admissible_sinks,
     _normalize,
     _sink_certificate,
     _split_prober,
+    prune_for_root,
+    split_transform,
 )
 
 from conftest import probing_graphs, tiny_graphs, zero_heavy_vertex_graphs

@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dircut import (
-    INFINITE,
+from dircut import INFINITE, DiGraph
+from dircut.edgecut import RootedTopology, precondition_rooted, sample_terminals
+from dircut.maxflow import max_flow, min_cut_sink_side
+from dircut.steiner import (
     Below,
     Certified,
-    DiGraph,
-    RootedTopology,
     SteinerInstance,
     build_steiner_network,
-    max_flow,
-    min_cut_sink_side,
     partition_terminals,
-    precondition_rooted,
-    sample_terminals,
     shrink_wrap,
 )
 
@@ -236,7 +232,7 @@ def test_wrap_invariant_value_preserved_in_contraction():
         uncertified = [t for t in terminals if t not in res.source_side]
         if not uncertified:
             continue
-        from dircut import contract_into_root
+        from dircut.graph import contract_into_root
 
         contracted, _ = contract_into_root(g, 0, block)
         for t in uncertified:

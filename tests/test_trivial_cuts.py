@@ -18,18 +18,17 @@ from hypothesis import strategies as st
 
 import dircut.edgecut
 import dircut.vertexcut
-from dircut import (
-    NoCutExistsError,
+from dircut import NoCutExistsError, VertexCapGraph, cut_certificate, generate, parse_text
+from dircut.edgecut import (
     ProbeConfig,
     RootedTopology,
-    VertexCapGraph,
-    cut_certificate,
-    generate,
-    merge_parallel,
-    parse_text,
+    _better,
+    _min_singleton_cut,
+    _rooted_start,
     precondition_rooted,
+    probe,
 )
-from dircut.edgecut import _better, _min_singleton_cut, _rooted_start, probe
+from dircut.graph import merge_parallel
 from dircut.steiner import Below
 from dircut.vertexcut import (
     _admissible_sinks,
@@ -178,8 +177,6 @@ def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
     def counted(fn):
         return lambda *a, **k: scans.append(fn.__name__) or fn(*a, **k)
 
-    monkeypatch.setattr(VertexCapGraph, "in_neighbors",
-                        counted(VertexCapGraph.in_neighbors))
     monkeypatch.setattr(VertexCapGraph, "out_neighbors",
                         counted(VertexCapGraph.out_neighbors))
     monkeypatch.setattr(dircut.vertexcut, "_sink_certificate",

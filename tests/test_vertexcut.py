@@ -19,14 +19,11 @@ from dircut import (
     approx_rooted_vertex_cut,
     exact_small_vertex_cut,
     exact_vertex_cut_oracle,
-    in_volume,
-    max_flow,
-    prune_for_root,
-    sample_roots,
-    split_transform,
 )
 from dircut.edgecut import RootedTopology, condition_rooted
-from dircut.vertexcut import _normalize, _reversal
+from dircut.graph import in_volume
+from dircut.maxflow import max_flow
+from dircut.vertexcut import _normalize, _reversal, prune_for_root, sample_roots, split_transform
 
 from conftest import (
     brute_global_vertex_cut,
@@ -34,6 +31,7 @@ from conftest import (
     conditioning_ratio,
     cut_value,
     g2,
+    in_neighbors,
     iter_sink_sets,
     rand_vertex_graph,
     topo_reach,
@@ -115,7 +113,7 @@ def test_finite_split_cuts_use_only_split_arcs():
                 if s == t or (s, t) in adjacent:
                     continue
                 res = max_flow(h, g.n + s, t)
-                from dircut import min_cut_sink_side
+                from dircut.maxflow import min_cut_sink_side
 
                 cert = min_cut_sink_side(res)
                 for i in cert.crossing:
@@ -193,7 +191,7 @@ def test_sample_roots_cycle_table():
     g = VertexCapGraph(3, [(0, 1), (1, 2), (2, 0)], [3, 1, 2])
     floors = []
     for v in range(3):
-        inn = sum(g.vcaps[u] for u in g.in_neighbors(v))
+        inn = sum(g.vcaps[u] for u in in_neighbors(g, v))
         out = sum(g.vcaps[u] for u in g.out_neighbors(v))
         floors.append(min(inn, out))
     assert floors == [1, 2, 1] and min(floors) == 1
@@ -312,11 +310,11 @@ def test_prune_yield_matches_probability_calculation():
         cv = sum(caps)
         exact = 0.0
         for u, v in g.arcs:
-            inn = sum(caps[w] for w in g.in_neighbors(v))
+            inn = sum(caps[w] for w in in_neighbors(g, v))
             exact += (caps[v] + inn - caps[u]) / cv
         floor = min(
             min(
-                sum(caps[w] for w in g.in_neighbors(v)),
+                sum(caps[w] for w in in_neighbors(g, v)),
                 sum(caps[w] for w in g.out_neighbors(v)),
             )
             for v in range(g.n)

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 import dircut.edgecut
 import dircut.vertexcut
-from dircut import DiGraph, ProbeConfig, VertexCapGraph, merge_parallel
-from dircut.edgecut import _edge_prober, _volume_schedule, derive_seed, level_prober
+from dircut import DiGraph, VertexCapGraph
+from dircut.edgecut import ProbeConfig, _edge_prober, _volume_schedule, derive_seed, level_prober
+from dircut.graph import merge_parallel
 from dircut.vertexcut import _admissible_sinks, _normalize, _split_prober, prune_for_root
 
 from conftest import (
