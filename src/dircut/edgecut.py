@@ -83,6 +83,7 @@ from .graph import (
     _check_root,
     cut_certificate,
     dominator_tree,
+    max_adjacency_bound,
     merge_parallel,
     reach,
     reverse,
@@ -474,17 +475,31 @@ def level_prober(sample, run_probe, volumes, log, pool):
     return probe_at
 
 
-def union_prober(probers):
+def union_prober(members, log, indexed=True):
     """Prober of a union of rooted instances given as ``(orientation,
-    level_prober)`` pairs: probes the k-th pair with seed parts
-    ``(*seed_parts, k)``, in order, and returns the first certificate
-    found, tagged with the orientation of its instance (or None once
-    every instance has missed)."""
+    bound, build)`` members: ``bound`` is at most every cut of the
+    instance (``max_adjacency_bound``), and ``build(log)`` returns its
+    ``level_prober``, built at its first probe.  At threshold
+    (1+epsilon)*level it probes, in order, the k-th member whose bound is
+    below the threshold, with seed parts ``(*seed_parts, k)`` (the seed
+    parts themselves when ``indexed`` is false, as for a lone rooted
+    instance), and returns the first certificate found, tagged with the
+    orientation of its instance (or None once every instance has missed).
+    A member whose bound reaches the threshold is skipped: its probe keeps
+    only cuts below the threshold, and its credit closure certifies every
+    terminal in the bound's order, so it would return nothing and run no
+    flow."""
+    probers = {}
+
     def probe_at(level, epsilon, seed_parts):
-        for k, (orientation, prober) in enumerate(probers):
-            cert = prober(level, epsilon, (*seed_parts, k))
-            if cert is not None:
-                return _tag(cert, orientation)
+        threshold = (1 + epsilon) * level
+        for k, (orientation, bound, build) in enumerate(members):
+            if bound < threshold:
+                if k not in probers:
+                    probers[k] = build(log)
+                cert = probers[k](level, epsilon, (*seed_parts, k) if indexed else seed_parts)
+                if cert is not None:
+                    return _tag(cert, orientation)
         return None
     return probe_at
 
@@ -582,19 +597,23 @@ def integer_search(probe_at, singleton, floor, scale, seed_parts):
                          lambda level: 1 / (1 + level * scale), (*seed_parts, "bin"))
 
 
-def _search_tail(make_prober, best, floor, search, floor_cut) -> CutResult:
-    """``search(make_prober(log), best, floor)`` unless the trivial cut
-    ``best`` is at most the lower bound ``floor`` on the optimum, as a
-    CutResult with the flow calls and entries of the probe log ``log``.
-    ``floor_cut()`` is asked first, before any prober is built: a cut it
-    returns has value ``floor``, so it is optimal and no flow runs, and
-    when it returns None no cut attains ``floor``."""
+def _search_tail(instances, best, floor, search, floor_cut, indexed=True) -> CutResult:
+    """``search(union_prober(instances(), log, indexed), best, floor)``
+    unless the trivial cut ``best`` is at most the lower bound ``floor`` on
+    the optimum, as a CutResult with the flow calls and entries of the
+    probe log ``log``; a rooted solve searches one instance, not indexed.  ``floor_cut()`` is asked first, before any bound or
+    prober is built: a cut it returns has value ``floor``, so it is
+    optimal and no flow runs, and when it returns None no cut attains
+    ``floor``.  When ``best`` is at most the bound of every member, no
+    member has a cut below it, so it is returned with no search."""
     log = []
     if best.value > floor:
         cut = floor_cut()
         if cut is not None:
             return CutResult(_better(best, cut), 0, ())
-        best = search(make_prober(log), best, floor)
+        members = instances()
+        if any(best.value > bound for _, bound, _ in members):
+            best = search(union_prober(members, log, indexed), best, floor)
     return CutResult(best, sum(calls for _, _, calls in log), tuple(log))
 
 
@@ -655,6 +674,18 @@ def _edge_prober(gm: DiGraph, r: int, log):
     )
 
 
+def _edge_member(gm: DiGraph, r: int, orientation="forward"):
+    """The ``union_prober`` member of the rooted edge instance (gm, r) and
+    its ``_edge_prober``: its bound from {r}, an arc weighing its capacity
+    (an infinite one its sentinel), capped at the total finite capacity.
+    A conditioned graph's sentinel exceeds that total or the probe's
+    threshold, so every probe the bound skips certifies all its terminals
+    by credit; uncapped, an instance whose every cut crosses an infinite
+    arc would skip probes that run flows."""
+    bound = min(max_adjacency_bound(gm.n, gm.arcs, [r]), gm.inf_value - 1)
+    return orientation, gm.value(bound), partial(_edge_prober, gm, r)
+
+
 def _rooted_start(g: DiGraph, r: int):
     """Parallel arcs merged, the best trivial rooted cut and the smallest
     positive arc capacity ``c_min`` (an infinite arc counts at its sentinel).
@@ -696,8 +727,8 @@ def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
     gm, best, c_min = _rooted_start(g, r)
     if best.value > c_min and _spans_by_infinite_arcs(gm, r):
         return _rooted_oracle(g, r)
-    return _on_input(_search_tail(lambda log: _edge_prober(gm, r, log), best, c_min, search,
-                                  partial(_edge_floor_cut, gm, r, c_min)), g, r)
+    return _on_input(_search_tail(lambda: [_edge_member(gm, r)], best, c_min, search,
+                                  partial(_edge_floor_cut, gm, r, c_min), indexed=False), g, r)
 
 
 def approx_rooted_edge_cut(
@@ -739,8 +770,7 @@ def _global_search(g: DiGraph, search) -> CutResult:
     best = _better(best, _tag(rev_best, "reverse"))
     if best.value > c_min and _spans_by_infinite_arcs(gm, 0) and _spans_by_infinite_arcs(rm, 0):
         return _edge_oracle(g)
-    result = _search_tail(lambda log: union_prober([("forward", _edge_prober(gm, 0, log)),
-                                                    ("reverse", _edge_prober(rm, 0, log))]),
+    result = _search_tail(lambda: [_edge_member(gm, 0), _edge_member(rm, 0, "reverse")],
                           best, c_min, search, partial(_global_edge_floor_cut, gm, rm, c_min))
     return _on_input(result, rg if result.orientation == "reverse" else g, 0)
 
@@ -909,8 +939,9 @@ def exact_small_edge_cut(
     positive capacity (``_edge_floor_cut``, one dominator tree per
     orientation), are found exactly, without a flow; else
     ``integer_search`` searches the numerators k above that capacity's
-    down from the trivial cut (10 flows on the bidirectional 6-cycle with
-    capacities 10^400, whose trivial cut is optimal), level k/scale at
+    down from the trivial cut (9 flows for the global cut of the
+    bidirectional 6-cycle with capacities 10^400, whose trivial cut is
+    optimal), level k/scale at
     tolerance 1/(1+k), which makes every answer exact.  A probe can miss,
     so the value is exact only w.h.p.; the certificate is always a valid
     cut.  When every cut crosses an infinite arc the capped oracle

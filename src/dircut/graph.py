@@ -25,6 +25,7 @@ first flow (``_network``); no two graphs share them.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +74,10 @@ def _check_root(r, n) -> None:
 
 def _check_arc(i, tail, head, n) -> None:
     """Reject input arc ``i`` unless its endpoints are two distinct ints
-    of ``range(n)``."""
-    if (not (isinstance(tail, int) and isinstance(head, int))
+    of ``range(n)``.  Plain ints skip the ``isinstance`` tests, which
+    accept every other int subclass but bool."""
+    if not (type(tail) is int and type(head) is int) and (
+            not (isinstance(tail, int) and isinstance(head, int))
             or isinstance(tail, bool) or isinstance(head, bool)):
         raise TypeError(f"arc {i}: endpoints must be int")
     if not (0 <= tail < n and 0 <= head < n):
@@ -104,7 +107,7 @@ class DiGraph:
             _check_arc(i, tail, head, n)
             if isinstance(cap, _InfiniteCapacity):
                 inf_arcs.append(i)
-            elif not isinstance(cap, int) or isinstance(cap, bool):
+            elif type(cap) is not int and (not isinstance(cap, int) or isinstance(cap, bool)):
                 raise TypeError(f"arc {i}: capacity numerator must be int")
             elif cap < 0:
                 raise ValueError(f"arc {i}: negative capacity")
@@ -400,6 +403,49 @@ def dominator_tree(n: int, pairs, root: int) -> tuple:
         first[v] = slot[w]
         sizes[v] = size[w]
     return preorder, first, sizes
+
+
+def max_adjacency_bound(n: int, weighted_arcs, start):
+    """The least support in the maximum-adjacency order of ``range(n)``
+    from the vertices ``start``, or None when they are all of it.  Each
+    step adds the vertex with the most weight arriving from the vertices
+    already added (its support) along the ``(tail, head, weight)`` arcs
+    ``weighted_arcs``, ties to the smaller id, as Nagamochi and Ibaraki
+    (SIAM J. Discrete Math. 1992) and Stoer and Wagner (J. ACM 1997)
+    order them.  Every cut whose sink avoids ``start`` weighs at least
+    that: the vertices before its first sink vertex u in the order lie
+    outside the sink, so the cut crosses every arc of u's support.  One
+    heap pass, O(m log n); a vertex that ``start`` cannot reach has
+    support 0."""
+    out = [[] for _ in range(n)]
+    for t, h, w in weighted_arcs:
+        out[t].append((h, w))
+    support = [0] * n
+    added = [False] * n
+    new = list(dict.fromkeys(start))
+    for v in new:
+        added[v] = True
+    left = n - len(new)
+    if not left:
+        return None
+    heap, bound = [], None
+    while True:
+        for v in new:
+            for h, w in out[v]:
+                if not added[h]:
+                    support[h] += w
+                    heapq.heappush(heap, (-support[h], h))
+        while heap and (added[heap[0][1]] or -heap[0][0] != support[heap[0][1]]):
+            heapq.heappop(heap)  # stale: added already, or pushed before its support grew
+        if not heap:
+            return 0  # the vertices left have no arc from the order
+        _, v = heapq.heappop(heap)
+        added[v] = True
+        bound = support[v] if bound is None else min(bound, support[v])
+        left -= 1
+        if not left or not bound:
+            return bound
+        new = [v]
 
 
 def reachable(g: DiGraph, source: int) -> frozenset:

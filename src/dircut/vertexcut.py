@@ -63,14 +63,13 @@ from .edgecut import (
     level_prober,
     level_search,
     probe,
-    union_prober,
     _better,
     _edge_sample,
     _search_tail,
     _tag,
     _volume_schedule,
 )
-from .graph import DiGraph, NoCutExistsError, dominator_tree, reach
+from .graph import DiGraph, NoCutExistsError, dominator_tree, max_adjacency_bound, reach
 from .graph import _check_arc, _check_root, _check_shape
 
 
@@ -265,6 +264,22 @@ def _split_prober(base: VertexCapGraph, r: int, log):
                         _volume_schedule(max(ng.m, 1)), log, sum(map(bool, deg)))
 
 
+def _split_member(base: VertexCapGraph, r: int, orientation="forward"):
+    """The ``union_prober`` member of the rooted instance of ``base`` at
+    ``r``, or None when it has no admissible sink: its bound from r and
+    r's out-neighbours, an arc u→v weighing u's capacity and the arcs out
+    of r left out, and its ``_split_prober``.  The first sink vertex u in
+    the bound's order has its in-neighbours added before it, all outside
+    the sink and none of them r, in its separator.  Pruning for r drops
+    only arcs into r and its out-neighbours, which the order starts from,
+    so the bound is that of the pruned instance, which is not built here."""
+    bound = max_adjacency_bound(base.n, [(u, v, base.vcaps[u]) for u, v in base.arcs if u != r],
+                                [r, *(v for u, v in base.arcs if u == r)])
+    if bound is None:
+        return None
+    return orientation, base.value(bound), partial(_split_prober, base, r)
+
+
 def _vertex_floor_cut(ng: VertexCapGraph, r: int, c_min: Fraction):
     """The rank-best rooted vertex cut at ``r`` of value ``c_min``, the
     smallest positive capacity, among the largest sinks of such cuts, or
@@ -339,8 +354,8 @@ def _rooted_search(ng: VertexCapGraph, r: int, search) -> CutResult:
         singletons = _singletons(ng)
         best = min((singletons[t] for t in admissible), key=attrgetter("rank"))
     c_min = _c_min(ng)
-    return _search_tail(lambda log: _split_prober(ng, r, log), best, c_min, search,
-                        partial(_vertex_floor_cut, ng, r, c_min))
+    return _search_tail(lambda: [_split_member(ng, r)], best, c_min, search,
+                        partial(_vertex_floor_cut, ng, r, c_min), indexed=False)
 
 
 def approx_rooted_vertex_cut(
@@ -467,14 +482,14 @@ def _global_search(ng: VertexCapGraph, reversal: VertexCapGraph, best, root_eps,
     Nothing is drawn or probed when the trivial cut ``best`` is at most
     ``c_min`` (optimal), or when ``_global_vertex_floor_cut`` finds a cut
     of value ``c_min``."""
-    def make_prober(log):
+    def instances():
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")), best.value)
-        members = [(orientation, _split_prober(base, r, log)) for r in sorted(set(roots))
+        members = [_split_member(base, r, orientation) for r in sorted(set(roots))
                    for orientation, base in (("forward", ng), ("reverse", reversal))]
-        return union_prober([(o, prober) for o, prober in members if prober is not None])
+        return [member for member in members if member is not None]
 
     c_min = _c_min(ng)
-    return _search_tail(make_prober, best, c_min, search,
+    return _search_tail(instances, best, c_min, search,
                         partial(_global_vertex_floor_cut, ng, reversal, c_min))
 
 

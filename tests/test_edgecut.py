@@ -417,24 +417,60 @@ def test_level_prober_returns_the_first_certificate():
     assert log == [(6, 16, 5), (6, 8, 5), (6, 4, 5)]
 
 
-def test_union_prober_stops_at_the_first_member_with_a_certificate():
-    calls = []
+def _stub_member(calls, built, k, value, orientation="forward", bound=Fraction(0)):
+    """Union member ``k`` whose prober records each call in ``calls`` and
+    returns a cut of ``value`` into {k} (None for no cut); each build
+    records k and its log in ``built``."""
+    def build(log):
+        built.append((k, log))
 
-    def member(k, value):
         def probe_at(level, epsilon, seed_parts):
             calls.append((k, level, epsilon, seed_parts))
             return None if value is None else CutCertificate(frozenset([k]), (), Fraction(value))
         return probe_at
+    return orientation, bound, build
 
-    probe_at = union_prober([("forward", member(0, None)), ("reverse", member(1, 5)),
-                             ("forward", member(2, 4))])
+
+def test_union_prober_stops_at_the_first_member_with_a_certificate():
+    calls, built, log = [], [], []
+    probe_at = union_prober([_stub_member(calls, built, 0, None),
+                             _stub_member(calls, built, 1, 5, "reverse"),
+                             _stub_member(calls, built, 2, 4)], log)
     cert = probe_at(Fraction(5), Fraction(1, 8), ("s", 3))
     assert cert.sink_set == frozenset([1]) and cert.orientation == "reverse"
     assert calls == [(0, 5, Fraction(1, 8), ("s", 3, 0)), (1, 5, Fraction(1, 8), ("s", 3, 1))]
+    # each prober is built at its first probe, with the union's log, and kept
+    assert built == [(0, log), (1, log)]
+    probe_at(Fraction(6), Fraction(1, 8), ("s", 4))
+    assert len(built) == 2
     calls.clear()
-    none = union_prober([("forward", member(0, None)), ("reverse", member(1, None))])
+    none = union_prober([_stub_member(calls, [], 0, None),
+                         _stub_member(calls, [], 1, None, "reverse")], [])
     assert none(Fraction(5), Fraction(1, 8), ("s",)) is None
     assert [k for k, *_ in calls] == [0, 1]
+    # not indexed, as a rooted solve probes its one instance
+    calls.clear()
+    lone = union_prober([_stub_member(calls, [], 0, None)], [], indexed=False)
+    assert lone(Fraction(5), Fraction(1, 8), ("s",)) is None
+    assert calls == [(0, 5, Fraction(1, 8), ("s",))]
+
+
+def test_union_prober_skips_members_whose_bound_reaches_the_threshold():
+    # thresholds (1 + 1/4) * level: 5 at level 4, 15/4 at level 3
+    calls, built = [], []
+    probe_at = union_prober([_stub_member(calls, built, 0, 4, bound=Fraction(5)),
+                             _stub_member(calls, built, 1, None, "reverse", Fraction(3)),
+                             _stub_member(calls, built, 2, 3, bound=Fraction(15, 4))], [])
+    # member 0's bound reaches the threshold 5, so member 1 is probed first
+    # and member 2 answers, with its own index in the seed parts
+    cert = probe_at(Fraction(4), Fraction(1, 4), ("s",))
+    assert cert.sink_set == frozenset([2])
+    assert [(k, parts) for k, _, _, parts in calls] == [(1, ("s", 1)), (2, ("s", 2))]
+    # at threshold 15/4 only member 1 is below it; a skipped member is never built
+    calls.clear()
+    assert probe_at(Fraction(3), Fraction(1, 4), ("s",)) is None
+    assert [k for k, *_ in calls] == [1]
+    assert [k for k, _ in built] == [1, 2]
 
 
 @pytest.mark.parametrize("graph_seed", [7, 8])

@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 from unittest import mock
@@ -241,6 +242,27 @@ def test_endpoints_must_be_int(arc):
         DiGraph(3, [(1, 2, 1), (*arc, 1), (2, 0, 1)])
     with pytest.raises(TypeError, match=r"^arc 1: endpoints must be int$"):
         VertexCapGraph(3, [(1, 2), arc, (2, 0)], [1, 1, 1])
+
+
+class Vertex(enum.IntEnum):
+    A = 0
+    B = 1
+    C = 2
+
+
+def test_int_subclasses_other_than_bool_are_ints():
+    # plain ints take a fast path; other int subclasses still pass the
+    # isinstance tests, and bool still fails them
+    g = DiGraph(3, [(Vertex.A, Vertex.B, Vertex.C), (Vertex.B, Vertex.C, 1)])
+    assert g.arcs == ((0, 1, 2), (1, 2, 1))
+    vg = VertexCapGraph(3, [(Vertex.A, Vertex.B), (Vertex.B, Vertex.C)], [1, 1, 1])
+    assert vg.arcs == ((0, 1), (1, 2))
+    with pytest.raises(TypeError, match=r"^arc 0: endpoints must be int$"):
+        DiGraph(3, [(Vertex.A, True, 1)])
+    with pytest.raises(TypeError, match=r"^arc 0: endpoints must be int$"):
+        VertexCapGraph(3, [(True, Vertex.B)], [1, 1, 1])
+    with pytest.raises(TypeError, match=r"^arc 0: capacity numerator must be int$"):
+        DiGraph(3, [(Vertex.A, Vertex.B, True)])
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), 2.0, True])

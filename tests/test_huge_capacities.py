@@ -6,8 +6,8 @@ or rationals.  Every mode runs on the bidirectional 6-cycle, whose
 optimum 2 * 10^400 is its trivial cut.  The exact small-optimum modes
 answer a cut at the smallest capacity from a dominator tree and
 otherwise gallop down the capacity numerators from one below the
-trivial cut, so on that cycle they run 10 edge and 30 vertex flows in
-the global modes, under a bound of 200 checked here; so they do on the
+trivial cut, so on that cycle they run 9 edge and 30 vertex flows in
+the global modes, pinned here, and stay under a bound of 200 on the
 same cycle with capacities (10^400 + 1) / 10^400, whose numerators lie
 at scale 10^400.  They also run on bridged graphs whose optimum is their
 smallest capacity; the global vertex mode still draws its roots at the
@@ -98,6 +98,13 @@ def test_exact_small_cuts_on_the_cycle(root):
     _check_edge(edge, EDGE_CYCLE, 2 * HUGE)
     _check_vertex(vertex, VERTEX_CYCLE, 2 * HUGE)
     assert edge.flow_calls <= 200 and vertex.flow_calls <= 200
+
+
+def test_exact_small_flows_on_the_cycle():
+    # the counts that the docstrings of exact_small_edge_cut and
+    # exact_small_vertex_cut give for the global cut
+    assert exact_small_edge_cut(EDGE_CYCLE).flow_calls == 9
+    assert exact_small_vertex_cut(VERTEX_CYCLE).flow_calls == 30
 
 
 @pytest.mark.parametrize("root", [0, None], ids=["rooted", "global"])
