@@ -57,6 +57,15 @@ epsilon/(2+epsilon), so their product stays within the requested
 (1+epsilon) factor.  The exact small-optimum modes run it over the
 levels k/scale above the lower bound for integers k, since every cut
 value is a multiple of 1/scale (``integer_search``).
+A lower bound B on each rooted instance skips probes that cannot hit
+(``max_adjacency_bound``): ordered greedily from the root by the weight
+arriving from the vertices already ordered (their support), the vertices
+before a sink's first vertex u all lie outside it, so every cut is at
+least u's support, and so at least B, the least support.  A probe whose
+threshold is at most B keeps no cut, and its credit closure certifies
+every terminal in that order, so it would return nothing with no flow;
+the searches skip it (``union_prober``), and skip the whole search when
+the trivial cut is at most B (``_search_tail``).
 Conditioning gives infinite arcs the conditioned graph's own sentinel,
 so no probe sees a cut that must cross one; when every cut does, the
 searches hand the instance to the capped oracle.  Vertex cuts run the
@@ -601,11 +610,12 @@ def _search_tail(instances, best, floor, search, floor_cut, indexed=True) -> Cut
     """``search(union_prober(instances(), log, indexed), best, floor)``
     unless the trivial cut ``best`` is at most the lower bound ``floor`` on
     the optimum, as a CutResult with the flow calls and entries of the
-    probe log ``log``; a rooted solve searches one instance, not indexed.  ``floor_cut()`` is asked first, before any bound or
-    prober is built: a cut it returns has value ``floor``, so it is
-    optimal and no flow runs, and when it returns None no cut attains
-    ``floor``.  When ``best`` is at most the bound of every member, no
-    member has a cut below it, so it is returned with no search."""
+    probe log ``log``; a rooted solve searches one instance, not indexed.
+    ``floor_cut()`` is asked first, before any bound or prober is built:
+    a cut it returns has value ``floor``, so it is optimal and no flow
+    runs, and when it returns None no cut attains ``floor``.  When
+    ``best`` is at most the bound of every member, no member has a cut
+    below it, so it is returned with no search."""
     log = []
     if best.value > floor:
         cut = floor_cut()

@@ -426,10 +426,8 @@ def max_adjacency_bound(n: int, weighted_arcs, start):
     for v in new:
         added[v] = True
     left = n - len(new)
-    if not left:
-        return None
     heap, bound = [], None
-    while True:
+    while left:
         for v in new:
             for h, w in out[v]:
                 if not added[h]:
@@ -443,9 +441,8 @@ def max_adjacency_bound(n: int, weighted_arcs, start):
         added[v] = True
         bound = support[v] if bound is None else min(bound, support[v])
         left -= 1
-        if not left or not bound:
-            return bound
         new = [v]
+    return bound
 
 
 def reachable(g: DiGraph, source: int) -> frozenset:

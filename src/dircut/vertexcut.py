@@ -481,7 +481,13 @@ def _global_search(ng: VertexCapGraph, reversal: VertexCapGraph, best, root_eps,
     pruned for its root and left out when it has no admissible sink.
     Nothing is drawn or probed when the trivial cut ``best`` is at most
     ``c_min`` (optimal), or when ``_global_vertex_floor_cut`` finds a cut
-    of value ``c_min``."""
+    of value ``c_min``.  Each instance has a bound B (``_split_member``):
+    ordered from r and its out-neighbours, the first sink vertex u of a cut
+    has its in-neighbours ordered before it in the separator, so the cut
+    is at least u's support and so at least B.  An instance is not probed
+    at a threshold at most its B, and nothing is probed when ``best`` is
+    at most every instance's B.  That does not prove ``best`` optimal,
+    only that no drawn root's instance holds a better cut."""
     def instances():
         roots = sample_roots(ng, root_eps, random.Random(derive_seed(seed, "roots")), best.value)
         members = [_split_member(base, r, orientation) for r in sorted(set(roots))
