@@ -433,8 +433,8 @@ def max_adjacency_bound(n: int, weighted_arcs, start):
                 if not added[h]:
                     support[h] += w
                     heapq.heappush(heap, (-support[h], h))
-        while heap and (added[heap[0][1]] or -heap[0][0] != support[heap[0][1]]):
-            heapq.heappop(heap)  # stale: added already, or pushed before its support grew
+        while heap and added[heap[0][1]]:
+            heapq.heappop(heap)  # an entry of a vertex added under a newer, larger one
         if not heap:
             return 0  # the vertices left have no arc from the order
         _, v = heapq.heappop(heap)
