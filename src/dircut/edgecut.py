@@ -49,14 +49,15 @@ every other cut crosses a positive arc.  Every mode answers that lower
 bound first, without a flow: a cut of the smallest positive capacity
 crosses one positive arc, whose head dominates the whole sink, so the
 preorder dominator tree of the root's positive arcs (``dominator_tree``)
-finds it (``_edge_floor_cut``).  Only when there is none does the search
-run.  The approximate modes run it on a geometric grid of levels
-computed by index and anchored at the trivial cut's value
-(``level_search``); the grid ratio and the per-probe inflation are both
-epsilon/(2+epsilon), so their product stays within the requested
-(1+epsilon) factor.  The exact small-optimum modes run it over the
-levels k/scale above the lower bound for integers k, since every cut
-value is a multiple of 1/scale (``integer_search``).
+finds it (``_edge_floor_cut``), built only on the vertices that the root
+cannot reach along heavier arcs, since no such sink holds one.  Only
+when there is none does the search run.  The approximate modes run it
+on a geometric grid of levels computed by index and anchored at the
+trivial cut's value (``level_search``); the grid ratio and the per-probe
+inflation are both epsilon/(2+epsilon), so their product stays within
+the requested (1+epsilon) factor.  The exact small-optimum modes run it
+over the levels k/scale above the lower bound for integers k, since
+every cut value is a multiple of 1/scale (``integer_search``).
 A lower bound B on each rooted instance skips probes that cannot hit
 (``max_adjacency_bound``): ordered greedily from the root by the weight
 arriving from the vertices already ordered (their support), the vertices
@@ -639,13 +640,27 @@ def _edge_floor_cut(gm: DiGraph, r: int, c_min: Fraction):
     positive arc that enters subtree(x) from outside ends at x, and when
     exactly one does, at numerator ``c_min``, subtree(x) is a floor cut's
     largest sink.  Equal-size subtrees are disjoint, so only those of the
-    least size among the candidates have their vertices listed."""
+    least size among the candidates have their vertices listed.
+
+    The tree is built only outside H, the vertices that ``r`` reaches
+    along arcs heavier than ``c_min`` (an infinite arc at its sentinel).
+    No floor sink meets H, since a heavy path from ``r`` would enter it
+    through an arc other than its one arc of ``c_min``.  So H is
+    contracted into ``r``: the arcs into H are dropped and the tails in H
+    renamed ``r``.  H is reachable from ``r`` inside H, so dominance
+    among the other vertices, and so every subtree that can be a sink,
+    stays as it is."""
     c = int(c_min * gm.scale)
-    order, first, size = dominator_tree(gm.n, [(t, h) for t, h, cap in gm.arcs if cap > 0], r)
+    heavy = reach(gm.n, [(t, h) for t, h, cap in gm.arcs if cap > c], r)
+    if len(heavy) == gm.n:
+        return None
+    arcs = [(r if t in heavy else t, h, cap) for t, h, cap in gm.arcs
+            if cap > 0 and h not in heavy]
+    order, first, size = dominator_tree(gm.n, [(t, h) for t, h, _ in arcs], r)
     entering = [0] * gm.n
     last = [0] * gm.n  # the capacity of an arc entering subtree(v)
-    for t, h, cap in gm.arcs:
-        if cap > 0 and not first[h] <= first[t] < first[h] + size[h]:
+    for t, h, cap in arcs:
+        if not first[h] <= first[t] < first[h] + size[h]:
             entering[h] += 1
             last[h] = cap
     candidates = [v for v in range(gm.n) if entering[v] == 1 and last[v] == c]
@@ -946,8 +961,8 @@ def exact_small_edge_cut(
 ) -> CutResult:
     """Exact minimum cut w.h.p., efficient when the optimum's numerator at
     the graph's scale is small.  A zero cut, and a cut of the smallest
-    positive capacity (``_edge_floor_cut``, one dominator tree per
-    orientation), are found exactly, without a flow; else
+    positive capacity (``_edge_floor_cut``, at most one dominator tree
+    per orientation), are found exactly, without a flow; else
     ``integer_search`` searches the numerators k above that capacity's
     down from the trivial cut (9 flows for the global cut of the
     bidirectional 6-cycle with capacities 10^400, whose trivial cut is

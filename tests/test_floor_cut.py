@@ -12,6 +12,12 @@ cut of value ``c_min``.  Long cycles, and a broom whose chain's end and
 root both point at every leaf, check that the tests stay near-linear and
 need no recursion, and that exact-small answers a floor optimum with no
 flow; approx answers it with the same certificate.
+
+The edge floor test builds its tree only on the vertices that the root
+cannot reach along arcs heavier than ``c_min``.  It is checked against
+the same test on the whole graph (``_whole_graph_edge_floor_cut``) on
+Hypothesis graphs, and pinned where the heavy reach covers every vertex,
+leaves only a planted sink, or meets light and infinite arcs.
 """
 
 import pytest
@@ -19,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dircut import (
+    INFINITE,
     DiGraph,
     NoCutExistsError,
     VertexCapGraph,
@@ -26,13 +33,14 @@ from dircut import (
     approx_global_vertex_cut,
     approx_rooted_edge_cut,
     approx_rooted_vertex_cut,
+    edgecut,
     exact_small_edge_cut,
     generate,
     parse_text,
     reverse,
 )
-from dircut.edgecut import _edge_floor_cut, _global_edge_floor_cut, _rooted_start
-from dircut.graph import dominator_tree, merge_parallel
+from dircut.edgecut import _better, _edge_floor_cut, _global_edge_floor_cut, _rooted_start, _tag
+from dircut.graph import cut_certificate, dominator_tree, merge_parallel
 from dircut.vertexcut import (
     _admissible_sinks,
     _c_min,
@@ -136,6 +144,120 @@ def test_edge_floor_cut_matches_brute_force(g):
         oriented = reverse(g) if cut.orientation == "reverse" else g
         assert 0 not in cut.sink_set
         assert cut.value == cut_value(oriented, cut.sink_set) == c_min
+
+
+def _whole_graph_edge_floor_cut(gm, r, c_min):
+    """The edge floor test with no vertex contracted: one dominator tree
+    of all of ``gm``'s positive arcs, read as ``_edge_floor_cut`` reads
+    its tree; the reference that the pruned test must match."""
+    c = int(c_min * gm.scale)
+    order, first, size = dominator_tree(gm.n, [(t, h) for t, h, cap in gm.arcs if cap > 0], r)
+    entering, last = [0] * gm.n, [0] * gm.n
+    for t, h, cap in gm.arcs:
+        if cap > 0 and not first[h] <= first[t] < first[h] + size[h]:
+            entering[h] += 1
+            last[h] = cap
+    candidates = [v for v in range(gm.n) if entering[v] == 1 and last[v] == c]
+    if not candidates:
+        return None
+    least = min(size[v] for v in candidates)
+    sink = min(sorted(order[first[v]:first[v] + least]) for v in candidates if size[v] == least)
+    return cut_certificate(gm, sink, root=r)
+
+
+@settings(max_examples=300)
+@given(st.one_of(tiny_graphs(), probing_graphs()))
+def test_pruned_edge_floor_cut_matches_the_whole_graph_test(g):
+    # the same certificate (value, sink and crossing arcs) at every root
+    # with no zero cut, and in the global test the same orientation too
+    for r in range(g.n):
+        gm, trivial, c_min = _rooted_start(g, r)
+        if trivial.value > 0:
+            assert _edge_floor_cut(gm, r, c_min) == _whole_graph_edge_floor_cut(gm, r, c_min)
+    gm, forward, c_min = _rooted_start(g, 0)
+    rm, backward, _ = _rooted_start(reverse(g), 0)
+    if forward.value > 0 and backward.value > 0:
+        whole = _better(_whole_graph_edge_floor_cut(gm, 0, c_min),
+                        _tag(_whole_graph_edge_floor_cut(rm, 0, c_min), "reverse"))
+        assert _global_edge_floor_cut(gm, rm, c_min) == whole
+
+
+def _spy_on_dominator_tree(monkeypatch):
+    """The arcs that each call of ``dominator_tree`` from the edge floor
+    test receives, one list a call."""
+    calls = []
+
+    def spy(n, pairs, root):
+        calls.append(list(pairs))
+        return dominator_tree(n, calls[-1], root)
+
+    monkeypatch.setattr(edgecut, "dominator_tree", spy)
+    return calls
+
+
+def test_edge_floor_cut_builds_no_tree_when_heavy_arcs_reach_every_vertex(monkeypatch):
+    # at seed 1 the root 0 of the graph and of its reversal reaches all 16
+    # vertices along arcs above c_min = 1, so neither orientation has a
+    # floor cut, and no dominator tree is built
+    def refuse(*args):
+        raise AssertionError("dominator_tree called")
+
+    monkeypatch.setattr(edgecut, "dominator_tree", refuse)
+    g = parse_text(generate("erdos-renyi-digraph", seed=1, n=16, p=0.3).text)
+    gm, trivial, c_min = _rooted_start(g, 0)
+    rm = _rooted_start(reverse(g), 0)[0]
+    assert trivial.value > c_min == 1
+    assert _edge_floor_cut(gm, 0, c_min) is None
+    assert _global_edge_floor_cut(gm, rm, c_min) is None
+
+
+def test_edge_floor_cut_builds_the_tree_on_the_planted_sink_only(monkeypatch):
+    # every arc but the planted one weighs more than the value 5, so the
+    # heavy reach covers the 396 ambient vertices in the graph and all 400
+    # in its reversal; the one tree built has only arcs into the sink
+    instance = generate("planted-sink", seed=7, n=400, sink_size=4, volume=12, value=5)
+    g = parse_text(instance.text)
+    sink = frozenset(instance.meta["sink"])
+    calls = _spy_on_dominator_tree(monkeypatch)
+    gm, _, c_min = _rooted_start(g, 0)
+    rm = _rooted_start(reverse(g), 0)[0]
+    for cut in (_edge_floor_cut(gm, 0, c_min), _global_edge_floor_cut(gm, rm, c_min)):
+        assert cut.sink_set == sink and cut.value == 5 and cut.orientation == "forward"
+    assert len(calls) == 2
+    assert all(h in sink for pairs in calls for _, h in pairs)
+
+
+@pytest.mark.parametrize("arcs, sink", [
+    # 3 -> 1 is light, but 0 -> 1 heavy; only 0 -> 2 enters {2, 3}
+    ([(0, 1, 2), (3, 1, 1), (0, 2, 1), (2, 3, 2), (3, 0, 2), (1, 0, 2)], {2, 3}),
+    # 2 -> 1 is light, but 0 -> 1 heavy; two unit arcs enter {2}, {3} and
+    # {2, 3}, so no cut is at 1
+    ([(0, 1, 2), (2, 1, 1), (0, 2, 1), (0, 3, 1), (2, 3, 1), (3, 2, 1)], None),
+])
+def test_a_light_arc_into_a_heavily_reached_vertex_makes_no_candidate(arcs, sink):
+    # vertex 1 is reached along the heavy arc 0 -> 1; its light in-arc
+    # must give it no candidate, whose subtree in the pruned tree is empty
+    g = DiGraph(4, arcs)
+    gm, _, c_min = _rooted_start(g, 0)
+    cut = _edge_floor_cut(gm, 0, c_min)
+    assert cut == _whole_graph_edge_floor_cut(gm, 0, c_min)
+    assert (None if cut is None else cut.sink_set) == sink
+
+
+def test_an_infinite_arc_counts_as_heavy(monkeypatch):
+    # 0 -> 1 is infinite, so vertex 1 is reached and the tree holds only
+    # the arc into 2, which is then the floor cut's sink; with 1 -> 0 the
+    # only finite arc, the infinite arc reaches every vertex and no tree
+    # is built
+    calls = _spy_on_dominator_tree(monkeypatch)
+    g = DiGraph(3, [(0, 1, INFINITE), (1, 2, 1), (2, 0, 1)])
+    gm, _, c_min = _rooted_start(g, 0)
+    assert _edge_floor_cut(gm, 0, c_min).sink_set == {2}
+    assert calls == [[(0, 2)]]
+    g = DiGraph(2, [(0, 1, INFINITE), (1, 0, 1)])
+    gm, _, c_min = _rooted_start(g, 0)
+    assert _edge_floor_cut(gm, 0, c_min) is None
+    assert len(calls) == 1
 
 
 def _check_vertex_cut(g, cut, c_min):
