@@ -19,7 +19,7 @@ Before any flow, a probe certifies terminals by credit
 the root and from certified vertices carry the probe's threshold in the
 conditioned graph is certified, since every cut below the threshold
 keeps the certified vertices on its source side.  Only the terminals
-left run shrink-wrap, and each group's Certified terminals extend the
+left run shrink-wrap, and each group's certified terminals extend the
 closure for the groups after it.  Almost every probe misses, so most
 need no flow at all; the topology builds the credit lists once, by one
 rule that the split graph of the vertex prober shares.
@@ -99,7 +99,7 @@ from .graph import (
     reverse,
 )
 from .maxflow import max_flow, min_cut_sink_side
-from .steiner import Below, SteinerInstance, partition_terminals, shrink_wrap
+from .steiner import partition_terminals, shrink_wrap
 
 
 def derive_seed(*parts) -> int:
@@ -136,20 +136,15 @@ def clamp_epsilon(epsilon) -> Fraction:
 @dataclass(frozen=True)
 class ProbeConfig:
     """Parameters of one well-conditioned probe: connectivity guess,
-    in-volume guess (a power of two), tolerance, seed."""
+    in-volume guess (a power of two), tolerance, seed.  Only the probers
+    build one, from a positive level, a volume of ``_volume_schedule`` and
+    a tolerance in (0, 1) that the searches derive from checked input, so
+    nothing is checked here."""
 
     level: Fraction
     volume: int
     epsilon: Fraction
     seed: int = 0
-
-    def __post_init__(self):
-        if self.level <= 0:
-            raise ValueError("level must be positive")
-        if self.volume < 1 or self.volume & (self.volume - 1):
-            raise ValueError("volume must be a power of two")
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
 
 
 class RootedTopology:
@@ -223,15 +218,13 @@ def condition_rooted(
     endpoints, then the root arcs.  For every sink set U the cut into U is
     at least epsilon*level/(2*aux_divisor*volume) times the in-volume of U
     measured in the output graph (the conditioning ratio).  The output
-    builds its own residual arrays at its first flow.
+    builds its own residual arrays at its first flow.  The probers pass a
+    positive level and tolerance, so every capacity is nonnegative;
+    nothing is checked.
     """
-    if level <= 0:
-        raise ValueError("level must be positive")
     # the root arcs' quantum epsilon*level/(aux_divisor*volume) is num/den
     num = epsilon.numerator * level.numerator
     den = epsilon.denominator * level.denominator * aux_divisor * volume
-    if num * den < 0:
-        raise ValueError("negative capacity")
     scale = topology.base.scale
     new_scale = math.lcm(scale, den // math.gcd(num, den), floor.denominator, level.denominator)
     factor = new_scale // scale
@@ -352,7 +345,7 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
 
     Before any flow, the root and the topology's ``credit`` certify
     terminals in ``credit_closure`` at the threshold's numerator; those
-    are dropped before the groups are formed.  Each group's Certified
+    are dropped before the groups are formed.  Each group's certified
     terminals join the closure after its shrink-wrap, so later groups
     shrink, and a group left empty runs no flow.  Every cut below the
     threshold keeps the certified vertices on its source side, and
@@ -378,14 +371,13 @@ def probe(h: DiGraph, topology: RootedTopology, terminals, cfg: ProbeConfig,
         group = frozenset(t for t in group if t not in certified)
         if not group:
             continue
-        outcome, stats = shrink_wrap(SteinerInstance(h, r, group, level_num))
+        outcome, stats = shrink_wrap(h, r, group, level_num)
         calls += stats.raw_flow_calls
         all_stats.append(stats)
         for t in sorted(outcome):
-            result = outcome[t]
-            if isinstance(result, Below):
-                sinks.setdefault(result.cut.sink_set)
-        certify([t for t, result in outcome.items() if not isinstance(result, Below)])
+            if outcome[t] is not None:
+                sinks.setdefault(outcome[t].cut.sink_set)
+        certify([t for t, below in outcome.items() if below is None])
     best = None
     for sink in sinks:
         cert = extract(sink)
@@ -683,9 +675,9 @@ def _spans_by_infinite_arcs(g: DiGraph, r: int) -> bool:
     """Whether ``r`` reaches every vertex along infinite arcs alone, so
     that every rooted cut at ``r`` crosses one.  The probes cannot see
     such a cut: conditioning gives infinite arcs the conditioned graph's
-    own sentinel, above every threshold."""
-    arcs = [(t, h) for i, (t, h, _) in enumerate(g.arcs) if i in g.inf_arcs]
-    return len(reach(g.n, arcs, r)) == g.n
+    own sentinel, above every threshold.  With no infinite arc and at
+    least two vertices it does not, and no adjacency is built."""
+    return bool(g.inf_arcs) and len(reach(g.n, [g.arcs[i][:2] for i in g.inf_arcs], r)) == g.n
 
 
 def _edge_prober(gm: DiGraph, r: int, log):

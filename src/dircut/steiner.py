@@ -15,48 +15,20 @@ and leaves that side's vertices other than the root isolated, so a cut
 found deeper in the recursion names the same vertices in the instance
 graph.  Contraction preserves every surviving cut value exactly, so each
 such cut is built once in the instance graph.
+
+The probe layer is the only caller, and it passes values that the solvers
+computed from checked input: a nonempty set of terminals in range and
+apart from the root, a positive level and a group cap of at least one.
+None of them is checked again here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graph import CutCertificate, DiGraph, contract_into_root, cut_certificate
 from .maxflow import max_flow
-
-
-@dataclass(frozen=True)
-class SteinerInstance:
-    """One rooted Steiner connectivity question.
-
-    ``level`` is the connectivity target as a numerator at ``graph.scale``.
-    """
-
-    graph: DiGraph
-    root: int
-    terminals: frozenset
-    level: int
-
-    def __post_init__(self):
-        if not self.terminals:
-            raise ValueError("terminal set must be nonempty")
-        if self.root in self.terminals:
-            raise ValueError("root may not be a terminal")
-        for t in self.terminals:
-            if not (0 <= t < self.graph.n):
-                raise ValueError(f"terminal {t} out of range")
-        if self.level <= 0:
-            raise ValueError("connectivity level must be positive")
-
-
-@dataclass(frozen=True)
-class Certified:
-    """Terminal whose root connectivity is at least the level; witness is
-    the flow value routed to it, which every flow stops at the level."""
-
-    witness: Fraction
 
 
 @dataclass(frozen=True)
@@ -96,43 +68,43 @@ class ShrinkWrapStats:
         return math.ceil(math.log2(self.group_size)) if self.group_size > 1 else 0
 
 
-def build_steiner_network(inst: SteinerInstance):
+def build_steiner_network(graph: DiGraph, terminals, level: int):
     """Attach a supersink fed by one demand arc per terminal.
 
     Returns the extended graph and the supersink id.  Each terminal t gets
-    an arc (t, supersink) of capacity ``level``, so a max flow from the
-    root simultaneously tries to route ``level`` units to every terminal.
-    The recursion runs the same network as ``max_flow`` demand arcs on the
-    instance graph instead of building this graph.
+    an arc (t, supersink) of capacity ``level``, a numerator at
+    ``graph.scale``, so a max flow from the root simultaneously tries to
+    route ``level`` units to every terminal.  The recursion runs the same
+    network as ``max_flow`` demand arcs on the instance graph instead of
+    building this graph.
     """
-    g = inst.graph
-    terms = sorted(inst.terminals)
-    tails, heads, caps = zip(*g.arcs) if g.arcs else ((), (), ())
-    return DiGraph._unchecked(g.n + 1, [*tails, *terms], [*heads, *[g.n] * len(terms)],
-                              [*caps, *[inst.level] * len(terms)], g.scale, g.inf_arcs), g.n
+    terms = sorted(terminals)
+    tails, heads, caps = zip(*graph.arcs) if graph.arcs else ((), (), ())
+    return DiGraph._unchecked(graph.n + 1, [*tails, *terms], [*heads, *[graph.n] * len(terms)],
+                              [*caps, *[level] * len(terms)], graph.scale, graph.inf_arcs), graph.n
 
 
 def partition_terminals(terminals, cap: int):
-    """Split terminals into ceil(|T|/cap) sorted groups of size at most cap."""
-    if cap < 1:
-        raise ValueError("group capacity must be at least 1")
+    """Split terminals into ceil(|T|/cap) sorted groups of size at most
+    cap, a positive int (``group_capacity`` returns at least 1)."""
     ordered = sorted(terminals)
     return [tuple(ordered[i : i + cap]) for i in range(0, len(ordered), cap)]
 
 
-def shrink_wrap(inst: SteinerInstance):
-    """Resolve every terminal of the instance.
+def shrink_wrap(graph: DiGraph, root: int, terminals, level: int):
+    """Resolve every terminal of the rooted Steiner instance: can ``root``
+    send ``level``, a numerator at ``graph.scale``, to each of
+    ``terminals`` in ``graph``?  The probe passes a nonempty set of
+    non-root vertices and a positive level, unchecked.
 
-    Returns (outcome, stats) where outcome maps each terminal to Certified
-    or Below.  Below cuts are valid in the instance graph with value
-    strictly below the level; Certified terminals have root connectivity
-    at least the level in the instance graph.
+    Returns (outcome, stats) where outcome maps each terminal to None when
+    it is certified (its root connectivity in ``graph`` is at least the
+    level), else to Below, whose cut is valid in ``graph`` with value
+    strictly below the level.
     """
-    g = inst.graph
-    stats = ShrinkWrapStats(group_size=len(inst.terminals))
-    certified = Certified(g.value(inst.level))  # contraction keeps the scale
-    outcome = _solve(g, g, inst.root, tuple(sorted(inst.terminals)), inst.level,
-                     frozenset(range(g.n)), 0, stats, certified)
+    stats = ShrinkWrapStats(group_size=len(terminals))
+    outcome = _solve(graph, graph, root, tuple(sorted(terminals)), level,
+                     frozenset(range(graph.n)), 0, stats)
     assert len(stats.internal_depths) <= stats.depth_bound(), (
         "shrink-wrap exceeded its recursion-depth flow budget"
     )
@@ -140,7 +112,7 @@ def shrink_wrap(inst: SteinerInstance):
 
 
 def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset, depth: int,
-           stats, certified) -> dict:
+           stats) -> dict:
     """Outcomes of ``terms`` in ``g``, the instance graph ``top`` with the
     vertices outside ``alive`` contracted into the root (left isolated)."""
     stats.max_depth = max(stats.max_depth, depth)
@@ -154,7 +126,7 @@ def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset
     # each demand arc carries at most the level, so at this value all are
     # full, though the minimal source side may hold none of the terminals
     if res.value == level * len(terms):
-        return dict.fromkeys(terms, certified)
+        return dict.fromkeys(terms)
     if len(terms) == 1:
         # below the level the cut avoids the demand arc and every infinite
         # arc, so it is a minimum (r, t)-cut of g; its sink, without the
@@ -169,7 +141,7 @@ def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset
     source_side = res.source_side
     # a terminal in the minimal source side has its demand arc saturated,
     # so some terminal with an unfilled demand arc lies outside it
-    out = {t: certified for t in terms if t in source_side}
+    out = dict.fromkeys(t for t in terms if t in source_side)
     uncertified = tuple(t for t in terms if t not in source_side)
     contracted, survivors = contract_into_root(g, r, source_side)
     stats.contraction_log.append((depth + 1, contracted.m, len(uncertified)))
@@ -177,5 +149,5 @@ def _solve(top: DiGraph, g: DiGraph, r: int, terms, level: int, alive: frozenset
     for half in (uncertified[:mid], uncertified[mid:]):
         if half:
             out.update(_solve(top, contracted, r, half, level, alive & survivors,
-                              depth + 1, stats, certified))
+                              depth + 1, stats))
     return out

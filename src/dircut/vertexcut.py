@@ -388,16 +388,13 @@ def sample_roots(g: VertexCapGraph, epsilon, rng, bound) -> list:
     The sample count is min over the two standard bounds (tolerance-driven
     and slack-driven, 2·total·ln n/(total − B)), clamped to [1, n]; roots
     are drawn i.i.d. in proportion to their capacities, except that a
-    count of n takes every positive-capacity vertex once.
+    count of n takes every positive-capacity vertex once.  The global
+    solvers draw only for a graph of at least two vertices whose trivial
+    cut ``bound`` is positive, so some capacity is, at a positive
+    tolerance; none of that is checked here.
     """
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
     eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
     total = sum(g.vcaps)
-    if total == 0:
-        raise ValueError("all vertex capacities are zero; no root can be sampled")
     slack = total - bound * g.scale
     # both bounds compared in exact rationals (the float logarithm taken
     # exactly), so tolerances and capacities beyond float range stay finite

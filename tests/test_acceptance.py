@@ -27,7 +27,7 @@ from dircut.cli import main
 from dircut.edgecut import RootedTopology, precondition_rooted, sample_terminals
 from dircut.graph import contract_into_root, in_volume
 from dircut.maxflow import max_flow
-from dircut.steiner import SteinerInstance, build_steiner_network, shrink_wrap
+from dircut.steiner import build_steiner_network, shrink_wrap
 from dircut.vertexcut import prune_for_root, split_transform
 
 from conftest import (
@@ -71,8 +71,7 @@ def test_criterion_2_wrap_invariant():
         g = rand_digraph(rng, rng.randint(6, 14), rng.randint(6, 30))
         terminals = sorted(v for v in range(1, g.n) if rng.random() < 0.5) or [1]
         level = rng.randint(2, 12)
-        inst = SteinerInstance(g, 0, frozenset(terminals), level)
-        net, supersink = build_steiner_network(inst)
+        net, supersink = build_steiner_network(g, frozenset(terminals), level)
         res = max_flow(net, 0, supersink)
         block = [v for v in range(g.n) if v in res.source_side]
         uncertified = [t for t in terminals if t not in res.source_side]
@@ -106,7 +105,7 @@ def test_criterion_3_shrink_bound():
         if not terminals:
             continue
         level_num = (1 + eps) * level * h.scale
-        _, stats = shrink_wrap(SteinerInstance(h, 0, terminals, int(level_num)))
+        _, stats = shrink_wrap(h, 0, terminals, int(level_num))
         instances += 1
         bound_level = Fraction(int(level_num), h.scale)
         phi = conditioning_ratio(level, volume, eps)
@@ -346,9 +345,7 @@ def test_criterion_10_flow_call_accounting():
         terminals = frozenset(
             v for v in range(1, g.n) if rng.random() < 0.7
         ) or frozenset([1])
-        _, stats = shrink_wrap(
-            SteinerInstance(g, 0, terminals, rng.randint(1, 10))
-        )
+        _, stats = shrink_wrap(g, 0, terminals, rng.randint(1, 10))
         k = len(terminals)
         bound = 2 * (math.ceil(math.log2(k)) if k > 1 else 0)
         if stats.paper_flow_calls > bound + stats.leaf_flow_calls:

@@ -70,11 +70,6 @@ def test_precondition_truncates_into_band():
     assert all(floor <= v <= 8 for v in originals)
 
 
-def test_precondition_rejects_nonpositive_level():
-    with pytest.raises(ValueError):
-        precondition_rooted(RootedTopology(g1(), 0), 0, 2, Fraction(1, 2))
-
-
 def test_conditioning_invariant_exhaustive():
     rng = random.Random(21)
     for _ in range(12):
@@ -153,15 +148,6 @@ def test_probe_soundness_unconditional():
         assert cert.value == cut_value(g, cert.sink_set)
         assert 0 not in cert.sink_set
         assert cert.value < (1 + cfg.epsilon) * cfg.level
-
-
-def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        ProbeConfig(level=Fraction(1), volume=3, epsilon=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ProbeConfig(level=Fraction(1), volume=2, epsilon=Fraction(2))
-    with pytest.raises(ValueError):
-        ProbeConfig(level=Fraction(0), volume=2, epsilon=Fraction(1, 2))
 
 
 def test_approx_rooted_g1_sweep():

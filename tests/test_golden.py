@@ -190,14 +190,18 @@ def test_golden_flow_calls_are_the_probe_log_total():
 
 
 def test_readme_library_example_prints_what_it_says(capsys):
-    """The python block of the README's ``## Library`` section, run as
-    written, prints the lines that its comments give."""
+    """The python blocks of the README's ``## Library`` section, the
+    solvers' example and then the lower layers' one, run as written in one
+    namespace, print the lines that their comments give (up to a colon)."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    said = [line.rsplit("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
-    assert said == ["frozenset({2}) 2", "2"]
-    exec(code, {})
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    said = [line.rsplit("# ", 1)[1].split(":", 1)[0]
+            for code in blocks for line in code.splitlines() if line.startswith("print(")]
+    assert said == ["frozenset({2}) 2", "2", "6 20"]
+    namespace = {}
+    for code in blocks:
+        exec(code, namespace)
     assert capsys.readouterr().out.splitlines() == said
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dircut import (
     reverse,
 )
 from dircut.graph import contract_into_root, in_volume, merge_parallel
-from dircut.steiner import SteinerInstance, build_steiner_network
+from dircut.steiner import build_steiner_network
 
 from conftest import (
     brute_min_rooted_cut,
@@ -325,7 +325,7 @@ def test_derived_graphs_equal_their_validated_builds(g, data):
     terminals = data.draw(st.frozensets(st.sampled_from(sorted(set(range(g.n)) - {r})),
                                         min_size=1))
     level = data.draw(st.sampled_from([1, 7, 2**70]))
-    network, supersink = build_steiner_network(SteinerInstance(g, r, terminals, level))
+    network, supersink = build_steiner_network(g, terminals, level)
     assert supersink == g.n
     assert _fields(network) == _fields(DiGraph(
         g.n + 1, arcs + [(t, g.n, level) for t in sorted(terminals)], scale=g.scale))

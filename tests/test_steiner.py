@@ -11,8 +11,6 @@ from dircut.edgecut import RootedTopology, precondition_rooted, sample_terminals
 from dircut.maxflow import max_flow, min_cut_sink_side
 from dircut.steiner import (
     Below,
-    Certified,
-    SteinerInstance,
     build_steiner_network,
     partition_terminals,
     shrink_wrap,
@@ -29,8 +27,7 @@ from conftest import (
 
 
 def test_network_construction_g1():
-    inst = SteinerInstance(g1(), 0, frozenset([1, 2]), 3)
-    net, supersink = build_steiner_network(inst)
+    net, supersink = build_steiner_network(g1(), frozenset([1, 2]), 3)
     assert supersink == 3 and net.n == 4
     added = sorted(net.arcs[-2:])
     assert added == [(1, 3, 3), (2, 3, 3)]
@@ -42,15 +39,14 @@ def test_network_singleton_equals_capped_flow():
         g = rand_digraph(rng, rng.randint(3, 7), rng.randint(0, 10))
         t = rng.randrange(1, g.n)
         level = rng.randint(1, 8)
-        inst = SteinerInstance(g, 0, frozenset([t]), level)
-        net, supersink = build_steiner_network(inst)
+        net, supersink = build_steiner_network(g, frozenset([t]), level)
         capped = max_flow(net, 0, supersink).value
         direct = max_flow(g, 0, t).value
         assert capped == min(direct, level)
 
 
 def _same_flow_as_built_network(g, r, terminals, level):
-    net, supersink = build_steiner_network(SteinerInstance(g, r, terminals, level))
+    net, supersink = build_steiner_network(g, terminals, level)
     built = max_flow(net, r, supersink)
     suffix = max_flow(g, r, g.n, demands=[(t, level) for t in sorted(terminals)])
     assert suffix.value == built.value
@@ -86,13 +82,13 @@ def _leaf_matches_uncapped_flow(g, r, t, level):
     is the minimum (r, t)-cut with the minimal source side.  A flow of
     ``g.inf_value`` or more crosses an infinite arc in every cut, which the
     leaf certifies whatever the level."""
-    outcome, stats = shrink_wrap(SteinerInstance(g, r, frozenset([t]), level))
+    outcome, stats = shrink_wrap(g, r, frozenset([t]), level)
     assert stats.raw_flow_calls == stats.leaf_flow_calls == 1
     uncapped = max_flow(g, r, t)
     if uncapped.value < min(level, g.inf_value):
         assert outcome[t] == Below(min_cut_sink_side(uncapped))
     else:
-        assert outcome[t] == Certified(g.value(level))
+        assert outcome[t] is None
 
 
 @settings(max_examples=300)
@@ -115,32 +111,18 @@ def test_capped_leaf_matches_uncapped_flow_random():
         _leaf_matches_uncapped_flow(g, r, t, rng.choice([1, rng.randint(1, 30), 2**70]))
 
 
-def test_zero_level_rejected():
-    with pytest.raises(ValueError):
-        SteinerInstance(g1(), 0, frozenset([1]), 0)
-
-
-def test_instance_validations():
-    with pytest.raises(ValueError):
-        SteinerInstance(g1(), 0, frozenset(), 1)
-    with pytest.raises(ValueError):
-        SteinerInstance(g1(), 0, frozenset([0, 1]), 1)
-    with pytest.raises(ValueError):
-        SteinerInstance(g1(), 0, frozenset([3]), 1)
-
-
 def test_shrink_wrap_g1_examples():
-    out, _ = shrink_wrap(SteinerInstance(g1(), 0, frozenset([1, 2]), 3))
-    assert isinstance(out[1], Certified) and out[1].witness >= 3
+    out, _ = shrink_wrap(g1(), 0, frozenset([1, 2]), 3)
+    assert out[1] is None
     assert isinstance(out[2], Below)
     assert out[2].cut.sink_set == frozenset([2]) and out[2].cut.value == 2
 
-    out, _ = shrink_wrap(SteinerInstance(g1(), 0, frozenset([2]), 1))
-    assert isinstance(out[2], Certified)
+    out, _ = shrink_wrap(g1(), 0, frozenset([2]), 1)
+    assert out[2] is None
 
     # no path from the root: the empty cut separates
     g = DiGraph(3, [(1, 2, 5)])
-    out, _ = shrink_wrap(SteinerInstance(g, 0, frozenset([2]), 1))
+    out, _ = shrink_wrap(g, 0, frozenset([2]), 1)
     assert isinstance(out[2], Below) and out[2].cut.value == 0
 
 
@@ -157,10 +139,10 @@ def test_shrink_wrap_g1_examples():
     (DiGraph(5, [(v, v + 1, 1) for v in range(4)]), [1, 2, 3, 4], 2, 7, 3, set()),
 ], ids=["fan", "star", "full-root-arc", "g1", "unit-path"])
 def test_one_flow_per_recursion_node(g, terminals, level, flows, contractions, certified):
-    outcome, stats = shrink_wrap(SteinerInstance(g, 0, frozenset(terminals), level))
+    outcome, stats = shrink_wrap(g, 0, frozenset(terminals), level)
     assert stats.raw_flow_calls == flows
     assert len(stats.contraction_log) == contractions
-    assert {t for t, result in outcome.items() if isinstance(result, Certified)} == certified
+    assert {t for t, result in outcome.items() if result is None} == certified
 
 
 def _multi_terminal_outcomes_exact(g, r, terminals, level):
@@ -168,12 +150,12 @@ def _multi_terminal_outcomes_exact(g, r, terminals, level):
     infinite one counting as ``g.inf_value``) reaches the level, each Below
     cut is a minimum (r, t)-cut of ``g`` itself, and the k-terminal
     recursion runs at most 2k - 1 flows, one per node."""
-    outcome, stats = shrink_wrap(SteinerInstance(g, r, terminals, level))
+    outcome, stats = shrink_wrap(g, r, terminals, level)
     assert set(outcome) == set(terminals)
     for t, result in outcome.items():
         flow = max_flow(g, r, t).value
         if flow >= min(level, g.inf_value):
-            assert result == Certified(g.value(level))
+            assert result is None
         else:
             cert = result.cut
             assert t in cert.sink_set and r not in cert.sink_set
@@ -201,11 +183,11 @@ def test_outcomes_cover_all_terminals_and_are_sound():
             v for v in range(1, g.n) if rng.random() < 0.6
         ) or frozenset([1])
         level = rng.randint(1, 12)
-        out, _ = shrink_wrap(SteinerInstance(g, 0, terminals, level))
+        out, _ = shrink_wrap(g, 0, terminals, level)
         assert set(out) == set(terminals)
         for t, result in out.items():
             true_value = max_flow(g, 0, t).value
-            if isinstance(result, Certified):
+            if result is None:
                 assert true_value >= level
             else:
                 cert = result.cut
@@ -225,8 +207,7 @@ def test_wrap_invariant_value_preserved_in_contraction():
             v for v in range(1, g.n) if rng.random() < 0.5
         ) or [1]
         level = rng.randint(2, 10)
-        inst = SteinerInstance(g, 0, frozenset(terminals), level)
-        net, supersink = build_steiner_network(inst)
+        net, supersink = build_steiner_network(g, frozenset(terminals), level)
         res = max_flow(net, 0, supersink)
         block = [v for v in range(g.n) if v in res.source_side]
         uncertified = [t for t in terminals if t not in res.source_side]
@@ -255,8 +236,7 @@ def test_shrink_bound_on_conditioned_instances():
         if not terminals:
             continue
         level_num = (1 + eps) * level * h.scale
-        inst = SteinerInstance(h, 0, terminals, int(level_num))
-        _, stats = shrink_wrap(inst)
+        _, stats = shrink_wrap(h, 0, terminals, int(level_num))
         bound_level = Fraction(int(level_num), h.scale)
         phi = conditioning_ratio(level, volume, eps)
         for depth, edges, survivors in stats.contraction_log:
@@ -271,6 +251,7 @@ def test_partition_examples():
     assert [len(grp) for grp in partition_terminals(range(5), 1)] == [1] * 5
     groups = partition_terminals([5, 3, 9], 2)
     assert sorted(t for grp in groups for t in grp) == [3, 5, 9]
+    # a cap of 0 has no groups: range() rejects the zero step
     with pytest.raises(ValueError):
         partition_terminals(range(3), 0)
 
@@ -283,7 +264,7 @@ def test_flow_call_budget():
             v for v in range(1, g.n) if rng.random() < 0.7
         ) or frozenset([1])
         level = rng.randint(1, 10)
-        _, stats = shrink_wrap(SteinerInstance(g, 0, terminals, level))
+        _, stats = shrink_wrap(g, 0, terminals, level)
         k = len(terminals)
         bound = 2 * (math.ceil(math.log2(k)) if k > 1 else 0)
         assert stats.paper_flow_calls <= bound + stats.leaf_flow_calls

@@ -197,8 +197,8 @@ def test_probe_evaluates_each_sink_once(monkeypatch):
     below = []
     real = dircut.edgecut.shrink_wrap
 
-    def recording(instance):
-        outcome, stats = real(instance)
+    def recording(*args):
+        outcome, stats = real(*args)
         below.extend(o.cut.sink_set for o in outcome.values() if isinstance(o, Below))
         return outcome, stats
 
