@@ -91,6 +91,7 @@ from .graph import (
     DiGraph,
     NoCutExistsError,
     _check_root,
+    _reach_out,
     cut_certificate,
     dominator_tree,
     max_adjacency_bound,
@@ -413,17 +414,6 @@ def _volume_schedule(m: int) -> list:
     return vols
 
 
-def _min_singleton_cut(g: DiGraph, r: int) -> CutCertificate:
-    """The best singleton cut by rank, from one pass over the arcs: the
-    least in-weight (an infinite arc at its sentinel), ties to the smaller
-    vertex."""
-    weight = [0] * g.n
-    for _, h, c in g.arcs:
-        weight[h] += c
-    t = min((v for v in range(g.n) if v != r), key=lambda v: (weight[v], v))
-    return cut_certificate(g, [t], root=r)
-
-
 @dataclass
 class CutResult:
     """A solver's answer: the certificate (an edge ``CutCertificate`` or a
@@ -705,32 +695,37 @@ def _edge_member(gm: DiGraph, r: int, orientation="forward"):
 
 def _rooted_start(g: DiGraph, r: int):
     """Parallel arcs merged, the best trivial rooted cut and the smallest
-    positive arc capacity ``c_min`` (an infinite arc counts at its sentinel).
-    A graph without parallel finite arcs is used as it is: no cut value,
-    flow value or minimal source side depends on the order of the arcs.
-
-    The trivial cut is the zero cut onto the vertices the root cannot
-    reach along positive-capacity arcs, else the best singleton; the
-    caller has checked the root.  When no zero cut exists every rooted
-    cut crosses a positive arc, so the optimum is at least ``c_min``."""
+    positive capacity ``c_min`` (an infinite arc at its sentinel, 0 when
+    none is positive), from one pass over the arcs and one traversal.  A
+    graph without parallel finite arcs is used as it is: no cut, flow or
+    minimal source side depends on the order of its arcs.  The trivial cut
+    is the zero cut onto the vertices that ``r``, a checked root, cannot
+    reach along positive arcs, else the singleton of least in-weight (ties
+    to the smaller vertex).  When no zero cut exists every rooted cut
+    crosses a positive arc, so the optimum is at least ``c_min``."""
     finite = [(t, h) for i, (t, h, _) in enumerate(g.arcs) if i not in g.inf_arcs]
     gm = g if len(set(finite)) == len(finite) else merge_parallel(g)
-    positive = [(t, h) for t, h, c in gm.arcs if c > 0]
-    c_min = Fraction(min((c for _, _, c in gm.arcs if c > 0), default=0), gm.scale)
-    missing = frozenset(range(gm.n)) - reach(gm.n, positive, r)
-    if missing:
-        return gm, cut_certificate(gm, missing, root=r), c_min
-    return gm, _min_singleton_cut(gm, r), c_min
+    weight, out, c_min = [0] * gm.n, [[] for _ in range(gm.n)], 0
+    for t, h, c in gm.arcs:
+        weight[h] += c
+        if c > 0:
+            out[t].append(h)
+            if c_min == 0 or c < c_min:
+                c_min = c
+    sink = frozenset(range(gm.n)) - _reach_out(out, r)
+    sink = sink or [min((w, v) for v, w in enumerate(weight) if v != r)[1]]
+    return gm, cut_certificate(gm, sink, root=r), Fraction(c_min, gm.scale)
 
 
-def _on_input(result: CutResult, g: DiGraph, r: int) -> CutResult:
-    """``result`` with its certificate, found on ``g`` (or its reversal)
-    with parallel arcs merged, rebuilt on ``g`` itself, so that its
-    crossing arcs index ``g``'s arcs; the value does not change."""
-    cert = result.certificate
-    rebuilt = replace(cut_certificate(g, cert.sink_set, root=r), orientation=cert.orientation)
-    assert rebuilt.value == cert.value, "merging parallel arcs changed a cut value"
-    return replace(result, certificate=rebuilt)
+def _on_input(result: CutResult, g: DiGraph, gm: DiGraph) -> CutResult:
+    """``result``, found on ``gm`` (``g`` or its reversal with parallel arcs
+    merged), on ``g``: as it is when ``gm`` is ``g``, else with the
+    certificate rebuilt so that its crossing arcs index ``g``'s arcs."""
+    if gm is g:
+        return result
+    rebuilt = cut_certificate(g, result.certificate.sink_set)
+    assert rebuilt.value == result.value, "merging parallel arcs changed a cut value"
+    return replace(result, certificate=replace(rebuilt, orientation=result.orientation))
 
 
 def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
@@ -745,7 +740,7 @@ def _rooted_search(g: DiGraph, r: int, search) -> CutResult:
     if best.value > c_min and _spans_by_infinite_arcs(gm, r):
         return _rooted_oracle(g, r)
     return _on_input(_search_tail(lambda: [_edge_member(gm, r)], best, c_min, search,
-                                  partial(_edge_floor_cut, gm, r, c_min), indexed=False), g, r)
+                                  partial(_edge_floor_cut, gm, r, c_min), indexed=False), g, gm)
 
 
 def approx_rooted_edge_cut(
@@ -781,7 +776,7 @@ def _global_search(g: DiGraph, search) -> CutResult:
     the capped oracle answers, with its flows counted."""
     gm, best, c_min = _rooted_start(g, 0)
     if best.value == 0:
-        return _on_input(CutResult(best, 0, ()), g, 0)
+        return _on_input(CutResult(best, 0, ()), g, gm)
     rg = reverse(g)
     rm, rev_best, _ = _rooted_start(rg, 0)
     best = _better(best, _tag(rev_best, "reverse"))
@@ -789,7 +784,8 @@ def _global_search(g: DiGraph, search) -> CutResult:
         return _edge_oracle(g)
     result = _search_tail(lambda: [_edge_member(gm, 0), _edge_member(rm, 0, "reverse")],
                           best, c_min, search, partial(_global_edge_floor_cut, gm, rm, c_min))
-    return _on_input(result, rg if result.orientation == "reverse" else g, 0)
+    graphs = (rg, rm) if result.orientation == "reverse" else (g, gm)
+    return _on_input(result, *graphs)
 
 
 def approx_global_edge_cut(

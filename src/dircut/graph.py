@@ -12,10 +12,10 @@ Only outside input is validated, by ``DiGraph(n, arcs, scale)`` and
 checks of the vertex count, the scale and each arc's endpoints
 (``_check_shape``, ``_check_arc``): counts and ids must be ints, not
 bools.  A rooted solve checks its root the same way, once, where it
-starts (``_check_root``).  Every graph of either type derived from a
-validated one is built by its ``_unchecked``.  ``DiGraph.__init__`` and
-``DiGraph._unchecked`` store through ``DiGraph._store``, which computes
-the sentinel.
+starts (``_check_root``), and ``cut_certificate`` its root and sink.
+Every graph of either type derived from a validated one is built by its
+``_unchecked``.  ``DiGraph.__init__`` and ``DiGraph._unchecked`` store
+through ``DiGraph._store``, which computes the sentinel.
 
 Graphs are immutable after construction.  All operations here are pure
 functions returning new graphs, so concurrent readers need no locking.
@@ -26,7 +26,6 @@ first flow (``_network``); no two graphs share them.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,21 +224,22 @@ class CutCertificate:
 
 
 def cut_certificate(g: DiGraph, sink, root=None) -> CutCertificate:
-    """Build the exact certificate for the cut whose sink component is ``sink``."""
+    """Build the exact certificate for the cut whose sink component is
+    ``sink``; its vertices and ``root`` are checked as ``_check_root`` does."""
     sink_set = frozenset(sink)
     if not sink_set:
         raise ValueError("sink set must be nonempty")
     for v in sink_set:
+        if type(v) is not int:
+            _check_int("sink vertex", v)
         if not (0 <= v < g.n):
             raise ValueError(f"sink vertex {v} out of range")
-    if root is not None and root in sink_set:
-        raise ValueError("root may not lie in the sink set")
-    crossing = []
-    total = 0
-    for i, (t, h, c) in enumerate(g.arcs):
-        if h in sink_set and t not in sink_set:
-            crossing.append(i)
-            total += c
+    if root is not None:
+        _check_root(root, g.n)
+        if root in sink_set:
+            raise ValueError("root may not lie in the sink set")
+    crossing = [i for i, (t, h, _) in enumerate(g.arcs) if h in sink_set and t not in sink_set]
+    total = sum(g.arcs[i][2] for i in crossing)
     return CutCertificate(sink_set, tuple(crossing), Fraction(total, g.scale))
 
 
@@ -452,20 +452,23 @@ def reachable(g: DiGraph, source: int) -> frozenset:
 
 def reach(n: int, pairs, source: int) -> frozenset:
     """Vertices of ``range(n)`` reachable from ``source`` along the arcs
-    ``(tail, head)`` in ``pairs``.  Raises ValueError for a ``source``
-    outside ``range(n)``, so a root of -1 is not read as vertex n-1."""
+    ``(tail, head)`` in ``pairs`` (``_reach_out``).  Raises ValueError for
+    a ``source`` outside ``range(n)``, so -1 is not read as vertex n-1."""
     if not 0 <= source < n:
         raise ValueError(f"root {source} out of range 0..{n - 1}")
     adj = [[] for _ in range(n)]
     for t, h in pairs:
         adj[t].append(h)
-    seen = [False] * n
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return frozenset(v for v in range(n) if seen[v])
+    return _reach_out(adj, source)
+
+
+def _reach_out(out, source: int) -> frozenset:
+    """The vertices reachable from ``source`` along the out-lists ``out``:
+    the one traversal, shared by ``reach`` and ``edgecut._rooted_start``."""
+    seen, stack = {source}, [source]
+    while stack:
+        for v in out[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return frozenset(seen)

@@ -16,7 +16,7 @@ from dircut import (
     exact_rooted_edge_cut_oracle,
     reverse,
 )
-from dircut.graph import contract_into_root, in_volume, merge_parallel
+from dircut.graph import contract_into_root, in_volume, merge_parallel, reach
 from dircut.steiner import build_steiner_network
 
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     iter_sink_sets,
     rand_digraph,
     tiny_graphs,
+    topo_reach,
 )
 
 
@@ -162,6 +163,49 @@ def test_certificate_validations():
         cut_certificate(g, [9])
 
 
+@pytest.mark.parametrize("sink, root, error, message", [
+    ([1], -1, ValueError, r"^root -1 out of range 0\.\.2$"),
+    ([1], 5, ValueError, r"^root 5 out of range 0\.\.2$"),
+    ([1], True, TypeError, r"^root must be int, not bool$"),
+    ([1], 0.0, TypeError, r"^root must be int, not float$"),
+    ([True], None, TypeError, r"^sink vertex must be int, not bool$"),
+    ([1.0], None, TypeError, r"^sink vertex must be int, not float$"),
+    ([Fraction(1)], None, TypeError, r"^sink vertex must be int, not Fraction$"),
+    (["1"], None, TypeError, r"^sink vertex must be int, not str$"),
+])
+def test_certificate_rejects_vertices_that_do_not_exist(sink, root, error, message):
+    g = DiGraph(3, [(0, 1, 2), (1, 2, 3), (2, 0, 1)])
+    with pytest.raises(error, match=message):
+        cut_certificate(g, sink, root=root)
+
+
+@st.composite
+def pair_lists(draw, max_n=8):
+    """(n, pairs): arcs on ``range(n)`` with self-loops, repeated pairs
+    (parallel arcs) and a directed cycle through drawn vertices."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    cycle = draw(st.lists(vertex, unique=True, max_size=n))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists(), st.data())
+def test_reach_matches_topo_reach(case, data):
+    n, pairs = case
+    source = data.draw(st.integers(0, n - 1))
+    reached = reach(n, pairs, source)
+    assert isinstance(reached, frozenset)
+    assert reached == topo_reach(n, pairs, source)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=rf"^root {bad} out of range 0\.\.{n - 1}$"):
+            reach(n, pairs, bad)
+
+
 def test_infinite_sentinel_dominates_finite_cuts():
     g = DiGraph(3, [(0, 1, 7), (0, 2, INFINITE), (1, 2, 4)])
     assert g.inf_value == 12
@@ -263,6 +307,7 @@ def test_int_subclasses_other_than_bool_are_ints():
         VertexCapGraph(3, [(True, Vertex.B)], [1, 1, 1])
     with pytest.raises(TypeError, match=r"^arc 0: capacity numerator must be int$"):
         DiGraph(3, [(Vertex.A, Vertex.B, True)])
+    assert cut_certificate(g, [Vertex.C], root=Vertex.A) == cut_certificate(g, [2], root=0)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), 2.0, True])

@@ -45,7 +45,7 @@ from dircut import (
     reverse,
 )
 from dircut import edgecut, vertexcut
-from dircut.edgecut import _edge_oracle, _min_singleton_cut, _sink_order
+from dircut.edgecut import _edge_oracle, _rooted_start, _sink_order
 from dircut.vertexcut import _vertex_oracle
 
 from conftest import (
@@ -319,7 +319,9 @@ def test_planted_sink_oracle_flows_stop_one_above_the_best_singleton(graph_seed,
 
     monkeypatch.setattr(edgecut, "max_flow", recording_max_flow)
     res = _edge_oracle(g, root=0)
-    bound = _min_singleton_cut(g, 0).value * g.scale + 1
+    singleton = _rooted_start(g, 0)[1]  # the root reaches every vertex
+    assert len(singleton.sink_set) == 1
+    bound = singleton.value * g.scale + 1
     assert res.flow_calls == len(values) == {7: 9, 8: 7}[graph_seed]
     assert max(values) <= bound
     assert res.value == 5

@@ -18,12 +18,18 @@ from hypothesis import strategies as st
 
 import dircut.edgecut
 import dircut.vertexcut
-from dircut import NoCutExistsError, VertexCapGraph, cut_certificate, generate, parse_text
+from dircut import (
+    NoCutExistsError,
+    VertexCapGraph,
+    approx_rooted_edge_cut,
+    cut_certificate,
+    generate,
+    parse_text,
+)
 from dircut.edgecut import (
     ProbeConfig,
     RootedTopology,
     _better,
-    _min_singleton_cut,
     _rooted_start,
     precondition_rooted,
     probe,
@@ -47,8 +53,10 @@ from dircut.vertexcut import (
 
 from conftest import (
     brute_min_separator,
+    probing_graphs,
     rand_vertex_graph,
     tiny_graphs,
+    topo_reach,
     zero_heavy_vertex_graphs,
 )
 
@@ -64,13 +72,24 @@ def _fold(certificates):
 
 
 @settings(max_examples=200)
-@given(tiny_graphs())
+@given(st.one_of(tiny_graphs(), probing_graphs()))
 def test_edge_singleton_matches_per_vertex_fold(g):
+    # the trivial cut is the zero cut onto the vertices the root cannot
+    # reach along positive arcs, else the per-vertex fold's singleton, both
+    # on the graph with its parallel arcs merged (or on g as it is); every
+    # root of a probing graph reaches every vertex, so the fold runs there
     for graph in (g, merge_parallel(g)):
         for r in range(graph.n):
-            fold = _fold(cut_certificate(graph, [t], root=r)
-                         for t in range(graph.n) if t != r)
-            assert _min_singleton_cut(graph, r) == fold
+            gm, trivial, c_min = _rooted_start(graph, r)
+            assert gm is graph or gm == merge_parallel(graph)
+            assert c_min == Fraction(min((c for _, _, c in gm.arcs if c > 0), default=0), gm.scale)
+            positive = [(t, h) for t, h, c in gm.arcs if c > 0]
+            unreached = frozenset(range(graph.n)) - topo_reach(graph.n, positive, r)
+            if unreached:
+                assert trivial == cut_certificate(gm, unreached, root=r)
+            else:
+                assert trivial == _fold(cut_certificate(gm, [t], root=r)
+                                        for t in range(graph.n) if t != r)
 
 
 def _oriented(g, orientation):
@@ -164,6 +183,21 @@ def test_rooted_start_builds_one_certificate(monkeypatch):
     _, best, _ = _rooted_start(g, 0)
     assert best.value > 0 and len(best.sink_set) == 1
     assert len(calls) <= 1
+
+
+def test_unmerged_rooted_solve_builds_two_certificates(monkeypatch):
+    """An approx rooted solve on a graph without parallel arcs, which the
+    floor test answers, builds the trivial cut's certificate and the floor
+    cut's, and none again on the input graph."""
+    g = parse_text(generate("planted-sink", seed=7, n=400, sink_size=4,
+                            volume=12, value=5).text)
+    calls = []
+    real = dircut.edgecut.cut_certificate
+    monkeypatch.setattr(dircut.edgecut, "cut_certificate",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    res = approx_rooted_edge_cut(g, 0, "0.2")
+    assert res.value == 5 and res.flow_calls == 0
+    assert len(calls) == 2
 
 
 def test_vertex_trivial_cuts_scan_no_neighbourhood_per_vertex(monkeypatch):
